@@ -21,6 +21,7 @@ features cannot produce a singular model.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -150,15 +151,14 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
     if feature_ids is None:
         feature_ids = range(1, NUM_FEATURES + 1)
     ids = _validate_feature_ids(feature_ids)
-    if any(v.label is None for v in ds.vectors):
+    if (ds.codes < 0).any():
         raise ContractError("training needs a fully labeled dataset")
     if not ds.alphabet:
         raise ContractError("training needs at least one class")
     data = ds.matrix(ids)
-    labels = np.array([v.label for v in ds.vectors])
     states = []
-    for label in ds.alphabet:
-        rows = data[labels == label]
+    for code, label in enumerate(ds.alphabet):
+        rows = data[ds.codes == code]
         if rows.shape[0] < 2:
             raise InsufficientDataError(
                 f"class {label!r} has {rows.shape[0]} flows; need at least 2"
@@ -189,22 +189,21 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     plug-ins (posterior mean, beta / (alpha - 1)); untouched classes keep
     their state bit for bit.  The input model is never mutated.
     """
-    if any(v.label is None for v in new_ds.vectors):
+    if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
-    known = set(model.alphabet)
-    for v in new_ds.vectors:
-        if v.label not in known:
-            raise UnknownClassError(f"unknown class {v.label!r}")
-    if not new_ds.vectors:
+    present = [new_ds.alphabet[code] for code in np.unique(new_ds.codes).tolist()]
+    for label in present:
+        if label not in model.alphabet:
+            raise UnknownClassError(f"unknown class {label!r}")
+    if not present:
         return model
     data = new_ds.matrix(model.feature_ids)
-    labels = np.array([v.label for v in new_ds.vectors])
     states = []
     for state in model.classes:
-        rows = data[labels == state.label]
-        if rows.shape[0] == 0:
+        if state.label not in present:
             states.append(state)
             continue
+        rows = data[new_ds.codes == new_ds.alphabet.index(state.label)]
         n, mean, sumsq = _batch_stats(rows)
         posteriors = tuple(
             post.fold(n, mean[j], sumsq[j]) for j, post in enumerate(state.posteriors)
@@ -221,27 +220,40 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     return replace(model, classes=tuple(states))
 
 
+def _log_scores(model: ClassifierModel, rows: np.ndarray) -> np.ndarray:
+    """(n, C) log scores of rows already restricted to the model's features.
+
+    The rows are made C-contiguous so that each (row, class) sum runs over
+    contiguous features, in the same order as a one-row, one-class sum:
+    a score does not depend on how many rows are scored together.  Rows go
+    in blocks that keep the (rows, C, d) temporary near 8 MB.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise ContractError("feature vector contains non-finite values")
+    means = np.array([state.plugin_means for state in model.classes], dtype=np.float64)
+    variances = np.array([state.plugin_vars for state in model.classes], dtype=np.float64)
+    log_n = np.log(np.array([state.n for state in model.classes], dtype=np.float64))
+    base = log_n - 0.5 * np.log(variances).sum(axis=1)
+    scores = np.empty((rows.shape[0], len(model.classes)))
+    block = max(1, 2**20 // max(1, means.size))
+    for lo in range(0, rows.shape[0], block):
+        x = rows[lo : lo + block, None, :]
+        scores[lo : lo + block] = base - 0.5 * (((x - means) ** 2) / variances).sum(axis=2)
+    return scores
+
+
 def score(model: ClassifierModel, x: FeatureVector) -> ClassScores:
     """Log-space class scores for one feature vector."""
-    values = np.array([x.value(fid) for fid in model.feature_ids], dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ContractError("feature vector contains non-finite values")
-    scores = []
-    for state in model.classes:
-        means = np.array(state.plugin_means)
-        variances = np.array(state.plugin_vars)
-        log_h = (
-            np.log(state.n)
-            - 0.5 * np.log(variances).sum()
-            - 0.5 * (((values - means) ** 2) / variances).sum()
-        )
-        scores.append(float(log_h))
-    return ClassScores(alphabet=model.alphabet, log_scores=tuple(scores))
+    row = np.array([[x.value(fid) for fid in model.feature_ids]], dtype=np.float64)
+    scores = _log_scores(model, row)[0]
+    return ClassScores(alphabet=model.alphabet, log_scores=tuple(scores.tolist()))
 
 
 def predict(model: ClassifierModel, ds: Dataset) -> list[str]:
-    """Predicted label for every vector, in dataset order."""
-    return [score(model, vec).predicted for vec in ds.vectors]
+    """Predicted label for every row, in dataset order; ties go to the first class."""
+    best = np.argmax(_log_scores(model, ds.matrix(model.feature_ids)), axis=1)
+    return [model.alphabet[i] for i in best.tolist()]
 
 
 def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> dict:
@@ -278,13 +290,40 @@ def save_model(model: ClassifierModel, path) -> None:
         fh.write("\n")
 
 
+def _check_class(path, state: ClassState, feature_ids) -> None:
+    """Refuse a class whose numbers would make its scores meaningless."""
+    where = f"{path}: class {state.label!r}"
+    # Bounds are compared as Python numbers: an int too large for a float fails them.
+    if type(state.n) is not int or not 1 <= state.n <= sys.float_info.max:
+        raise ModelFormatError(f"{where}: n must be a positive integer, got {state.n!r}")
+    for fid, post, mean, var in zip(
+        feature_ids, state.posteriors, state.plugin_means, state.plugin_vars
+    ):
+        for name, value, need, ok in (
+            ("mu", post.mu, "finite", lambda v: True),
+            ("plugin mean", mean, "finite", lambda v: True),
+            ("kappa", post.kappa, "finite and > 0", lambda v: v > 0),
+            ("alpha", post.alpha, "finite and > 0", lambda v: v > 0),
+            ("beta", post.beta, "finite and > 0", lambda v: v > 0),
+            ("plugin variance", var, f"finite and >= {VARIANCE_FLOOR}",
+             lambda v: v >= VARIANCE_FLOOR),
+        ):
+            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            if not (finite and ok(value)):
+                raise ModelFormatError(
+                    f"{where} feature {fid}: {name} must be {need}, got {value!r}"
+                )
+
+
 def load_model(path) -> ClassifierModel:
-    """Read a model file, refusing other versions explicitly."""
+    """Read a model file, refusing other versions and out-of-range values."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: model document is not a JSON object")
     version = doc.get("version")
     if version != MODEL_VERSION:
         raise ModelFormatError(
@@ -304,7 +343,7 @@ def load_model(path) -> ClassifierModel:
             states.append(
                 ClassState(
                     label=label,
-                    n=int(entry["n"]),
+                    n=entry["n"],
                     posteriors=posteriors,
                     plugin_means=tuple(
                         plugin_means[str(fid)] if plugin_means else post.mu
@@ -316,6 +355,10 @@ def load_model(path) -> ClassifierModel:
                     ),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise ModelFormatError(f"{path}: malformed model document ({exc})") from None
+    if not states:
+        raise ModelFormatError(f"{path}: model has no classes")
+    for state in states:
+        _check_class(path, state, feature_ids)
     return ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=tuple(states))

@@ -119,7 +119,11 @@ class MetricReport:
 
 
 def evaluate_predictions(predicted, truth, classes=None) -> MetricReport:
-    """Per-class one-vs-rest metrics plus the global correct/total accuracy."""
+    """Per-class one-vs-rest metrics plus the global correct/total accuracy.
+
+    Each class's table comes from three counts over integer label codes:
+    rows where it is the truth, where it is predicted, and where both hold.
+    """
     predicted = list(predicted)
     truth = list(truth)
     if len(predicted) != len(truth):
@@ -128,15 +132,19 @@ def evaluate_predictions(predicted, truth, classes=None) -> MetricReport:
         raise ContractError("cannot evaluate an empty prediction list")
     if classes is None:
         classes = tuple(sorted(set(truth) | set(predicted)))
-    per_class = {
-        label: metrics(confusion(predicted, truth, label)) for label in classes
-    }
-    correct = sum(1 for p, t in zip(predicted, truth) if p == t)
-    return MetricReport(
-        per_class=per_class,
-        overall_accuracy=correct / len(truth),
-        n=len(truth),
-    )
+    code = {label: i for i, label in enumerate(dict.fromkeys([*classes, *truth, *predicted]))}
+    t = np.array([code[label] for label in truth], dtype=np.intp)
+    p = np.array([code[label] for label in predicted], dtype=np.intp)
+    tp = np.bincount(t[t == p], minlength=len(code))
+    fn = np.bincount(t, minlength=len(code)) - tp
+    fp = np.bincount(p, minlength=len(code)) - tp
+    n = len(truth)
+    per_class = {}
+    for label in classes:
+        c = code[label]
+        tn = n - tp[c] - fn[c] - fp[c]
+        per_class[label] = metrics(ConfusionCounts(int(tp[c]), int(fp[c]), int(tn), int(fn[c])))
+    return MetricReport(per_class=per_class, overall_accuracy=int(tp.sum()) / n, n=n)
 
 
 @dataclass(frozen=True)
@@ -199,6 +207,9 @@ class CVReport:
 def assign_folds(labels, k: int, seed: int) -> list[int]:
     """Stratified fold assignment: per-class shuffle, global round-robin.
 
+    Classes are taken in sorted label order; each class's row indices, in
+    dataset order, are shuffled by one shared generator, and the shuffled
+    runs laid end to end are dealt to folds 0, 1, ..., k-1, 0, ...
     With k equal to the number of rows this degenerates to leave-one-out;
     otherwise every class must have at least k rows so each fold sees it.
     """
@@ -208,48 +219,41 @@ def assign_folds(labels, k: int, seed: int) -> list[int]:
         raise ContractError("k-fold needs k >= 2")
     if k > n:
         raise ContractError(f"cannot make {k} folds from {n} rows")
-    counts: dict[str, int] = {}
-    for lbl in labels:
-        counts[lbl] = counts.get(lbl, 0) + 1
+    classes = sorted(set(labels))
+    code = {label: i for i, label in enumerate(classes)}
+    codes = np.array([code[label] for label in labels], dtype=np.intp)
+    counts = np.bincount(codes, minlength=len(classes))
     if k < n:
-        for lbl, count in sorted(counts.items()):
+        for label, count in zip(classes, counts.tolist()):
             if count < k:
                 raise StratificationError(
-                    f"class {lbl!r} has {count} flows; need at least k={k}"
+                    f"class {label!r} has {count} flows; need at least k={k}"
                 )
     rng = np.random.default_rng(seed)
-    fold_of = [0] * n
-    cursor = 0
-    for lbl in sorted(counts):
-        idx = np.flatnonzero(np.array(labels, dtype=object) == lbl)
-        rng.shuffle(idx)
-        for i in idx:
-            fold_of[int(i)] = cursor % k
-            cursor += 1
-    return fold_of
+    runs = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts)[:-1])
+    for run in runs:
+        rng.shuffle(run)
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[np.concatenate(runs)] = np.arange(n) % k
+    return fold_of.tolist()
 
 
 def kfold_cv(ds: Dataset, pipeline, k: int = DEFAULT_FOLDS, seed: int = 0) -> CVReport:
     """Stratified k-fold cross-validation of a train+predict closure.
 
     ``pipeline(train_ds, test_ds)`` must return one predicted label per test
-    vector.  Fold membership is deterministic given (ds order, k, seed).
+    row.  Fold membership is deterministic given (ds order, k, seed).
     """
-    if any(v.label is None for v in ds.vectors):
+    if (ds.codes < 0).any():
         raise ContractError("cross-validation needs a fully labeled dataset")
-    labels = [v.label for v in ds.vectors]
-    fold_of = assign_folds(labels, k, seed)
+    fold_of = np.array(assign_folds(ds.labels(), k, seed))
     results = []
     for fold in range(k):
-        train_vecs = [v for v, f in zip(ds.vectors, fold_of) if f != fold]
-        test_vecs = [v for v, f in zip(ds.vectors, fold_of) if f == fold]
-        train_ds = Dataset(train_vecs, ds.alphabet)
-        test_ds = Dataset(test_vecs, ds.alphabet)
+        train_ds = ds.take(np.flatnonzero(fold_of != fold))
+        test_ds = ds.take(np.flatnonzero(fold_of == fold))
         predicted = list(pipeline(train_ds, test_ds))
-        if len(predicted) != len(test_vecs):
+        if len(predicted) != len(test_ds):
             raise ContractError("pipeline returned the wrong number of predictions")
-        report = evaluate_predictions(
-            predicted, [v.label for v in test_vecs], classes=ds.alphabet
-        )
-        results.append(FoldResult(fold=fold, test_size=len(test_vecs), report=report))
+        report = evaluate_predictions(predicted, test_ds.labels(), classes=ds.alphabet)
+        results.append(FoldResult(fold=fold, test_size=len(test_ds), report=report))
     return CVReport(k=k, seed=seed, folds=results)

@@ -107,16 +107,16 @@ def fcbf_select(ds: Dataset, delta: float = 0.0, bins: int = DEFAULT_BINS) -> Se
     higher-ranked feature F satisfies SU(F, candidate) >= SU(candidate,
     label); otherwise it is retained.  ``selected`` preserves rank order.
     """
-    if any(v.label is None for v in ds.vectors):
+    if (ds.codes < 0).any():
         raise ContractError("selection needs a fully labeled dataset")
-    if not ds.vectors:
+    if not len(ds):
         raise ContractError("selection needs a non-empty dataset")
-    labels = [v.label for v in ds.vectors]
-    if len(set(labels)) < 2:
+    if len(np.unique(ds.codes)) < 2:
         raise DegenerateDatasetError("selection needs at least two classes")
 
-    label_names = sorted(set(labels))
-    label_codes = np.array([label_names.index(lbl) for lbl in labels])
+    # Label codes renumbered in sorted label order, whatever the alphabet's order.
+    by_name = sorted(range(len(ds.alphabet)), key=ds.alphabet.__getitem__)
+    label_codes = np.argsort(by_name)[ds.codes]
     data = ds.matrix()
     codes = {
         fid: discretize(data[:, fid - 1], bins) for fid in range(1, NUM_FEATURES + 1)

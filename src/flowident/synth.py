@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .features import FEATURE_NAMES, Dataset, FeatureVector
+from .features import FEATURE_NAMES, Dataset
 from .flow import PacketRecord, Proto, canonical_key
 from .ingest.labels import LabelRow
 
@@ -166,17 +166,16 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     gives classifier tests a supply of uninformative columns for free.
     """
     rng = np.random.default_rng(spec.seed)
-    vectors: list[FeatureVector] = []
+    alphabet = tuple(sorted({c.label for c in spec.classes}))
+    blocks, codes = [], []
     for cls in spec.classes:
         columns = []
         for name in FEATURE_NAMES:
             gen = cls.features.get(name, FeatureGen(0.0, 1.0))
             columns.append(rng.normal(gen.mean, gen.std, cls.flows))
-        block = np.column_stack(columns)
-        vectors.extend(
-            FeatureVector.from_values(row, label=cls.label) for row in block
-        )
-    return Dataset(vectors, tuple(sorted({c.label for c in spec.classes})))
+        blocks.append(np.column_stack(columns))
+        codes.append(np.full(cls.flows, alphabet.index(cls.label)))
+    return Dataset.from_arrays(np.vstack(blocks), np.concatenate(codes), alphabet)
 
 
 def _flow_flags(proto: Proto, count: int, directions: list[bool]) -> list[int]:

@@ -6,13 +6,17 @@ Two kinds of tools live here:
 * independent byte-level builders (capture files, export datagrams) and
   independent math oracles (entropy, SU, binning, confusion tallies),
   written with plain Python containers so they cannot share a bug with
-  the numpy/struct implementations they are used to check.
+  the numpy/struct implementations they are used to check;
+* the per-row scorer and the per-class fold assignment that the library's
+  batch versions replaced, kept as references that must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
 
 from flowident.flow import PacketRecord, Proto, str_to_ip
 
@@ -248,3 +252,50 @@ def confusion_oracle(predicted, truth, target) -> tuple[int, int, int, int]:
 
 def normal_pdf(x: float, mean: float, var: float) -> float:
     return math.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+# --------------------------------------------------------------------------
+# Per-row references for the library's batch code
+# --------------------------------------------------------------------------
+
+def score_oracle(model, values) -> list[float]:
+    """Log scores of one row of selected-feature values, one class at a time."""
+    values = np.array(values, dtype=np.float64)
+    scores = []
+    for state in model.classes:
+        means = np.array(state.plugin_means)
+        variances = np.array(state.plugin_vars)
+        log_h = (
+            np.log(state.n)
+            - 0.5 * np.log(variances).sum()
+            - 0.5 * (((values - means) ** 2) / variances).sum()
+        )
+        scores.append(float(log_h))
+    return scores
+
+
+def predict_oracle(model, ds) -> list[str]:
+    """Per-row argmax of :func:`score_oracle`; ties go to the first class."""
+    return [
+        model.alphabet[int(np.argmax(score_oracle(model, [v.value(f) for f in model.feature_ids])))]
+        for v in ds.vectors
+    ]
+
+
+def assign_folds_oracle(labels, k: int, seed: int) -> list[int]:
+    """Stratified folds: per class in sorted order, shuffle its row indices, deal round-robin."""
+    labels = list(labels)
+    n = len(labels)
+    counts = Counter(labels)
+    if k < n and min(counts.values()) < k:
+        raise ValueError("class smaller than k")
+    rng = np.random.default_rng(seed)
+    fold_of = [0] * n
+    cursor = 0
+    for lbl in sorted(counts):
+        idx = np.flatnonzero(np.array([x == lbl for x in labels]))
+        rng.shuffle(idx)
+        for i in idx:
+            fold_of[int(i)] = cursor % k
+            cursor += 1
+    return fold_of

@@ -413,3 +413,80 @@ def test_load_rebuilds_plugins_when_stripped(tmp_path):
     for state in loaded.classes:
         assert state.plugin_means == tuple(p.mu for p in state.posteriors)
         assert state.plugin_vars == tuple(p.plugin_variance() for p in state.posteriors)
+
+
+# ------------------------------------------------------------ load checks
+
+def saved_doc(tmp_path):
+    model = train(gaussian_ds(13, ("a", "b"), 5, {"a": 0.0, "b": 6.0}), feature_ids=[3, 8])
+    return model_to_json_dict(model)
+
+
+def load_doc(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path):
+    with pytest.raises(ModelFormatError, match="not a JSON object"):
+        load_doc(tmp_path, [1, 2])
+
+
+def test_load_rejects_a_model_without_classes(tmp_path):
+    doc = saved_doc(tmp_path)
+    doc["alphabet"], doc["classes"] = [], {}
+    with pytest.raises(ModelFormatError, match="no classes"):
+        load_doc(tmp_path, doc)
+
+
+def test_load_rejects_out_of_range_feature_ids(tmp_path):
+    doc = saved_doc(tmp_path)
+    doc["selected_features"] = [3, 17]
+    with pytest.raises(ModelFormatError, match="feature id 17"):
+        load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.5, True, "7", None, 10**400])
+def test_load_rejects_a_count_that_is_not_a_positive_integer(tmp_path, n):
+    doc = saved_doc(tmp_path)
+    doc["classes"]["b"]["n"] = n
+    with pytest.raises(ModelFormatError, match=r"class 'b': n must be a positive integer"):
+        load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0", None])
+@pytest.mark.parametrize("where", ["mu", "plugin_means"])
+def test_load_rejects_non_finite_means(tmp_path, where, value):
+    doc = saved_doc(tmp_path)
+    entry = doc["classes"]["a"]
+    if where == "mu":
+        entry["posteriors"]["8"]["mu"] = value
+    else:
+        entry["plugin_means"]["8"] = value
+    name = "mu" if where == "mu" else "plugin mean"
+    with pytest.raises(ModelFormatError, match=rf"class 'a' feature 8: {name} must be finite"):
+        load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), 10**400])
+@pytest.mark.parametrize("name", ["kappa", "alpha", "beta"])
+def test_load_rejects_non_positive_posterior_scales(tmp_path, name, value):
+    doc = saved_doc(tmp_path)
+    doc["classes"]["b"]["posteriors"]["3"][name] = value
+    with pytest.raises(ModelFormatError, match=rf"class 'b' feature 3: {name} must be"):
+        load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("value", [VARIANCE_FLOOR / 2, 0.0, -4.0, float("inf")])
+def test_load_rejects_plugin_variances_below_the_floor(tmp_path, value):
+    doc = saved_doc(tmp_path)
+    doc["classes"]["a"]["plugin_vars"]["3"] = value
+    with pytest.raises(ModelFormatError, match=r"class 'a' feature 3: plugin variance must be"):
+        load_doc(tmp_path, doc)
+
+
+def test_load_accepts_a_variance_at_the_floor(tmp_path):
+    doc = saved_doc(tmp_path)
+    doc["classes"]["a"]["plugin_vars"]["3"] = VARIANCE_FLOOR
+    assert load_doc(tmp_path, doc).classes[0].plugin_vars[0] == VARIANCE_FLOOR

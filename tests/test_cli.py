@@ -305,3 +305,42 @@ def test_module_entrypoint_smoke():
     assert proc.returncode == 0
     assert "flowident" in proc.stdout
     assert "sample-report" in proc.stdout
+
+
+def test_non_finite_feature_cell_exits_one(tmp_path, capsys):
+    flows_csv = tmp_path / "flows.csv"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
+    lines = flows_csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "nan"
+    lines[5] = ",".join(cells)
+    flows_csv.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["train", flows_csv, "--out", tmp_path / "m.json"], capsys)
+    assert code == 1
+    assert "line 6: column duration: non-finite value nan" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: [1, 2],
+    lambda doc: doc["classes"]["bulk"].update(n=-3),
+    lambda doc: doc["classes"]["bulk"]["posteriors"]["1"].update(mu=float("nan")),
+    lambda doc: doc["classes"]["bulk"]["plugin_means"].update({"1": float("inf")}),
+    lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(kappa=0.0),
+    lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(alpha=-1.0),
+    lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(beta=float("inf")),
+    lambda doc: doc["classes"]["chat"]["plugin_vars"].update({"2": 0.0}),
+])
+def test_invalid_model_exits_one(tmp_path, capsys, tamper):
+    flows_csv = tmp_path / "flows.csv"
+    model = tmp_path / "model.json"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
+    run(["train", flows_csv, "--out", model], capsys)
+    doc = json.loads(model.read_text())
+    doc = tamper(doc) or doc
+    model.write_text(json.dumps(doc))
+    for argv in (["classify", model, flows_csv, "--out", tmp_path / "p.csv"],
+                 ["update", model, flows_csv, "--out", tmp_path / "m2.json"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {model}: ")

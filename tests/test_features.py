@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,3 +269,38 @@ def test_feature_values_are_finite_on_extreme_flows():
         complete=False, initiator_lo=True,
     )
     assert all(math.isfinite(v) for v in featurize(flow).values())
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_read_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "ds.csv"
+    good = ",".join(["1"] * 16 + ["web"])
+    bad = ["1"] * 16 + ["web"]
+    bad[7] = cell
+    header = ",".join(FEATURE_NAMES + ("label",))
+    path.write_text(f"{header}\n{good}\n{','.join(bad)}\n")
+    with pytest.raises(SchemaError, match=rf"ds\.csv: line 3: column bps: non-finite value"):
+        read_dataset(path)
+
+
+def test_dataset_is_one_matrix_with_codes():
+    values = [float(i) for i in range(16)]
+    ds = Dataset.from_vectors([
+        FeatureVector.from_values(values, "web"),
+        FeatureVector.from_values(values[::-1]),
+        FeatureVector.from_values(values, "bulk"),
+    ])
+    assert ds.data.shape == (3, 16) and ds.data.flags.c_contiguous
+    assert ds.codes.tolist() == [1, -1, 0]
+    assert not ds.data.flags.writeable
+    sub = ds.take([2, 0])
+    assert sub.labels() == ["bulk", "web"]
+    assert [id(v) for v in sub.vectors] == [id(ds.vectors[2]), id(ds.vectors[0])]
+    rebuilt = Dataset.from_arrays(ds.data, ds.codes, ds.alphabet)
+    assert rebuilt == ds
+    assert rebuilt.vectors[0] == ds.vectors[0]
+    assert np.shares_memory(rebuilt.vectors[0].row, rebuilt.data)
+    with pytest.raises(ContractError, match="codes outside"):
+        Dataset.from_arrays(ds.data, [0, 1, 2], ds.alphabet)
+    with pytest.raises(ContractError, match=r"\(n, 16\) matrix"):
+        Dataset.from_arrays(ds.data[:, :3], ds.codes, ds.alphabet)

@@ -1,0 +1,72 @@
+"""Golden files: outputs that must stay byte-for-byte the same.
+
+The fixtures under ``tests/fixtures/golden_*`` were produced by the
+per-row implementation (one ``FeatureVector`` at a time) that the
+columnar dataset and the batch scorer replaced, from the frozen
+72-row, three-class ``golden_features.csv``.  Any change to training,
+updating, fold assignment, scoring or the report format that moves a
+single bit shows up here.
+"""
+
+import json
+import re
+from pathlib import Path
+
+from flowident.classifier import load_model, save_model, train, update
+from flowident.cli import main
+from flowident.evaluation import assign_folds
+from flowident.features import Dataset, read_dataset
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FEATURES_CSV = FIXTURES / "golden_features.csv"
+SAVED_AT = "2026-01-01T00:00:00+00:00"
+MODEL_FEATURES = (9, 3, 12, 16, 7)
+TRAIN_ROWS = 48
+FOLDS_K, FOLDS_SEED = 10, 7
+
+
+def saved_model_text(model, path) -> str:
+    """``save_model``'s bytes with the save time pinned to SAVED_AT."""
+    save_model(model, path)
+    text = Path(path).read_text()
+    return re.sub(r'"saved_at": "[^"]*"', f'"saved_at": "{SAVED_AT}"', text, count=1)
+
+
+def trained_then_updated():
+    ds = read_dataset(FEATURES_CSV)
+    head = Dataset(ds.vectors[:TRAIN_ROWS], ds.alphabet)
+    tail = Dataset(ds.vectors[TRAIN_ROWS:], ds.alphabet)
+    return update(train(head, MODEL_FEATURES), tail)
+
+
+def golden_folds() -> dict:
+    labels = read_dataset(FEATURES_CSV).labels()
+    return {"k": FOLDS_K, "seed": FOLDS_SEED, "folds": assign_folds(labels, FOLDS_K, FOLDS_SEED)}
+
+
+def evaluate_report_text(tmp_path) -> str:
+    out = tmp_path / "report.json"
+    code = main(["evaluate", str(FEATURES_CSV), "--k", str(FOLDS_K),
+                 "--seed", str(FOLDS_SEED), "--report", str(out)])
+    assert code == 0
+    return out.read_text()
+
+
+def test_trained_then_updated_model_bytes(tmp_path):
+    got = saved_model_text(trained_then_updated(), tmp_path / "model.json")
+    assert got == (FIXTURES / "golden_model.json").read_text()
+
+
+def test_golden_model_survives_a_load_save_roundtrip(tmp_path):
+    loaded = load_model(FIXTURES / "golden_model.json")
+    got = saved_model_text(loaded, tmp_path / "model.json")
+    assert got == (FIXTURES / "golden_model.json").read_text()
+
+
+def test_fold_assignment():
+    want = json.loads((FIXTURES / "golden_folds.json").read_text())
+    assert golden_folds() == want
+
+
+def test_evaluate_report_bytes(tmp_path):
+    assert evaluate_report_text(tmp_path) == (FIXTURES / "golden_report.json").read_text()
