@@ -1,7 +1,8 @@
 """Gaussian naive-Bayes flow classifier with conjugate online updating.
 
 Each class keeps, per feature, a normal-inverse-gamma state (mu, kappa,
-alpha, beta) that a labeled batch folds into without revisiting old data:
+alpha, beta), one float64 array per parameter, that a labeled batch folds
+into without revisiting old data, all features in one expression:
 
     kappa' = kappa + n
     mu'    = (kappa * mu + n * xbar) / kappa'
@@ -24,11 +25,12 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .features import Dataset, FeatureVector, NUM_FEATURES
+from .features import Dataset, FeatureVector, NUM_FEATURES, validate_feature_ids
 
 MODEL_VERSION = "nfi-model/1"
 VARIANCE_FLOOR = 1e-9
@@ -60,38 +62,64 @@ class NIGPrior:
             raise ContractError("kappa, alpha, and beta must be positive")
 
 
-@dataclass(frozen=True)
-class FeaturePosterior:
-    mu: float
-    kappa: float
-    alpha: float
-    beta: float
-
-    def fold(self, n: int, mean: float, sumsq: float) -> "FeaturePosterior":
-        """Absorb a batch summarised by (n, mean, centered sum of squares)."""
-        if n == 0:
-            return self
-        kappa_n = self.kappa + n
-        return FeaturePosterior(
-            mu=(self.kappa * self.mu + n * mean) / kappa_n,
-            kappa=kappa_n,
-            alpha=self.alpha + n / 2.0,
-            beta=self.beta + 0.5 * sumsq + self.kappa * n * (mean - self.mu) ** 2 / (2.0 * kappa_n),
-        )
-
-    def plugin_variance(self) -> float:
-        if self.alpha > 1.0:
-            return max(self.beta / (self.alpha - 1.0), VARIANCE_FLOOR)
-        return VARIANCE_FLOOR
+NIG_PARAMS = ("mu", "kappa", "alpha", "beta")
+_ARRAYS = NIG_PARAMS + ("plugin_means", "plugin_vars")
 
 
-@dataclass(frozen=True)
+def nig_fold(nig: tuple, n: int, mean, sumsq) -> tuple:
+    """Fold a batch summarised by (n, mean, centered sum of squares) into
+    ``nig = (mu, kappa, alpha, beta)``, all features at once; ``n == 0`` returns
+    ``nig`` itself.  The square is libm ``pow``, as for a Python float's ``** 2``:
+    ``x * x`` rounds differently for about 1 value in 1,000."""
+    if n == 0:
+        return nig
+    mu, kappa, alpha, beta = nig
+    kappa_n = kappa + n
+    return (
+        (kappa * mu + n * mean) / kappa_n,
+        kappa_n,
+        alpha + n / 2.0,
+        beta + 0.5 * sumsq + kappa * n * np.float_power(mean - mu, 2) / (2.0 * kappa_n),
+    )
+
+
+def plugin_variance(alpha, beta) -> np.ndarray:
+    """Posterior-mean variance beta / (alpha - 1), floored; the floor where alpha <= 1."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    ratio = np.divide(beta, alpha - 1.0, out=np.zeros_like(alpha), where=alpha > 1.0)
+    return np.maximum(ratio, VARIANCE_FLOOR)
+
+
+@dataclass(frozen=True, eq=False)
 class ClassState:
+    """One class's row count and per-feature arrays in ``feature_ids`` order: the
+    NIG state and the plug-ins scoring uses, each a read-only float64 copy."""
+
     label: str
     n: int
-    posteriors: tuple[FeaturePosterior, ...]
-    plugin_means: tuple[float, ...]
-    plugin_vars: tuple[float, ...]
+    mu: np.ndarray
+    kappa: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    plugin_means: np.ndarray
+    plugin_vars: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _ARRAYS:
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @property
+    def nig(self) -> tuple[np.ndarray, ...]:
+        return self.mu, self.kappa, self.alpha, self.beta
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassState):
+            return NotImplemented
+        return (self.label, self.n) == (other.label, other.n) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
+        )
 
 
 @dataclass(frozen=True)
@@ -122,18 +150,6 @@ class ClassScores:
         return self.alphabet[int(np.argmax(self.log_scores))]
 
 
-def _validate_feature_ids(feature_ids) -> tuple[int, ...]:
-    ids = tuple(int(fid) for fid in feature_ids)
-    if not ids:
-        raise ContractError("need at least one feature")
-    if len(set(ids)) != len(ids):
-        raise ContractError("duplicate feature ids")
-    for fid in ids:
-        if not 1 <= fid <= NUM_FEATURES:
-            raise ContractError(f"feature id {fid} outside 1..{NUM_FEATURES}")
-    return ids
-
-
 def _batch_stats(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     n = rows.shape[0]
     mean = rows.mean(axis=0)
@@ -150,12 +166,13 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
     """
     if feature_ids is None:
         feature_ids = range(1, NUM_FEATURES + 1)
-    ids = _validate_feature_ids(feature_ids)
+    ids = validate_feature_ids(feature_ids)
     if (ds.codes < 0).any():
         raise ContractError("training needs a fully labeled dataset")
     if not ds.alphabet:
         raise ContractError("training needs at least one class")
     data = ds.matrix(ids)
+    start = tuple(np.full(len(ids), getattr(prior, name), dtype=np.float64) for name in NIG_PARAMS)
     states = []
     for code, label in enumerate(ds.alphabet):
         rows = data[ds.codes == code]
@@ -164,21 +181,8 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
                 f"class {label!r} has {rows.shape[0]} flows; need at least 2"
             )
         n, mean, sumsq = _batch_stats(rows)
-        sample_var = sumsq / (n - 1)
-        states.append(
-            ClassState(
-                label=label,
-                n=n,
-                posteriors=tuple(
-                    FeaturePosterior(prior.mu, prior.kappa, prior.alpha, prior.beta).fold(
-                        n, mean[j], sumsq[j]
-                    )
-                    for j in range(len(ids))
-                ),
-                plugin_means=tuple(float(m) for m in mean),
-                plugin_vars=tuple(max(float(v), VARIANCE_FLOOR) for v in sample_var),
-            )
-        )
+        sample_var = np.maximum(sumsq / (n - 1), VARIANCE_FLOOR)
+        states.append(ClassState(label, n, *nig_fold(start, n, mean, sumsq), mean, sample_var))
     return ClassifierModel(alphabet=ds.alphabet, feature_ids=ids, classes=tuple(states))
 
 
@@ -187,7 +191,7 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
 
     Classes present in ``new_ds`` get advanced posteriors and refreshed
     plug-ins (posterior mean, beta / (alpha - 1)); untouched classes keep
-    their state bit for bit.  The input model is never mutated.
+    their state object.  The input model is never mutated.
     """
     if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
@@ -198,25 +202,13 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     if not present:
         return model
     data = new_ds.matrix(model.feature_ids)
-    states = []
-    for state in model.classes:
-        if state.label not in present:
-            states.append(state)
-            continue
-        rows = data[new_ds.codes == new_ds.alphabet.index(state.label)]
-        n, mean, sumsq = _batch_stats(rows)
-        posteriors = tuple(
-            post.fold(n, mean[j], sumsq[j]) for j, post in enumerate(state.posteriors)
-        )
-        states.append(
-            ClassState(
-                label=state.label,
-                n=state.n + n,
-                posteriors=posteriors,
-                plugin_means=tuple(post.mu for post in posteriors),
-                plugin_vars=tuple(post.plugin_variance() for post in posteriors),
-            )
-        )
+    states = list(model.classes)
+    for i, state in enumerate(model.classes):
+        if state.label in present:
+            n, mean, sumsq = _batch_stats(data[new_ds.codes == new_ds.alphabet.index(state.label)])
+            mu, kappa, alpha, beta = nig_fold(state.nig, n, mean, sumsq)
+            states[i] = ClassState(state.label, state.n + n, mu, kappa, alpha, beta,
+                                   mu, plugin_variance(alpha, beta))
     return replace(model, classes=tuple(states))
 
 
@@ -231,8 +223,8 @@ def _log_scores(model: ClassifierModel, rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         raise ContractError("feature vector contains non-finite values")
-    means = np.array([state.plugin_means for state in model.classes], dtype=np.float64)
-    variances = np.array([state.plugin_vars for state in model.classes], dtype=np.float64)
+    means = np.stack([state.plugin_means for state in model.classes])
+    variances = np.stack([state.plugin_vars for state in model.classes])
     log_n = np.log(np.array([state.n for state in model.classes], dtype=np.float64))
     base = log_n - 0.5 * np.log(variances).sum(axis=1)
     scores = np.empty((rows.shape[0], len(model.classes)))
@@ -257,20 +249,16 @@ def predict(model: ClassifierModel, ds: Dataset) -> list[str]:
 
 
 def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> dict:
+    keys = list(map(str, model.feature_ids))
     classes = {}
     for state in model.classes:
+        nig = zip(*(values.tolist() for values in state.nig))
         classes[state.label] = {
             "n": state.n,
-            "posteriors": {
-                str(fid): {"mu": p.mu, "kappa": p.kappa, "alpha": p.alpha, "beta": p.beta}
-                for fid, p in zip(model.feature_ids, state.posteriors)
-            },
-            "plugin_means": {
-                str(fid): m for fid, m in zip(model.feature_ids, state.plugin_means)
-            },
-            "plugin_vars": {
-                str(fid): v for fid, v in zip(model.feature_ids, state.plugin_vars)
-            },
+            # {"<fid>": {"mu": ..., "kappa": ..., "alpha": ..., "beta": ...}, ...}
+            "posteriors": dict(zip(keys, map(dict, map(zip, repeat(NIG_PARAMS), nig)))),
+            "plugin_means": dict(zip(keys, state.plugin_means.tolist())),
+            "plugin_vars": dict(zip(keys, state.plugin_vars.tolist())),
         }
     return {
         "version": MODEL_VERSION,
@@ -290,29 +278,39 @@ def save_model(model: ClassifierModel, path) -> None:
         fh.write("\n")
 
 
-def _check_class(path, state: ClassState, feature_ids) -> None:
-    """Refuse a class whose numbers would make its scores meaningless."""
-    where = f"{path}: class {state.label!r}"
-    # Bounds are compared as Python numbers: an int too large for a float fails them.
-    if type(state.n) is not int or not 1 <= state.n <= sys.float_info.max:
-        raise ModelFormatError(f"{where}: n must be a positive integer, got {state.n!r}")
-    for fid, post, mean, var in zip(
-        feature_ids, state.posteriors, state.plugin_means, state.plugin_vars
-    ):
-        for name, value, need, ok in (
-            ("mu", post.mu, "finite", lambda v: True),
-            ("plugin mean", mean, "finite", lambda v: True),
-            ("kappa", post.kappa, "finite and > 0", lambda v: v > 0),
-            ("alpha", post.alpha, "finite and > 0", lambda v: v > 0),
-            ("beta", post.beta, "finite and > 0", lambda v: v > 0),
-            ("plugin variance", var, f"finite and >= {VARIANCE_FLOOR}",
-             lambda v: v >= VARIANCE_FLOOR),
-        ):
-            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-            if not (finite and ok(value)):
-                raise ModelFormatError(
-                    f"{where} feature {fid}: {name} must be {need}, got {value!r}"
-                )
+def _checked(where: str, keys, name: str, values, need: str, ok) -> np.ndarray:
+    """``values`` as a float64 array, refusing the first that is not a finite
+    JSON number passing ``ok``.  Bounds are compared as Python numbers: an int
+    too large for a float fails them."""
+    for key, value in zip(keys, values):
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not (finite and ok(value)):
+            raise ModelFormatError(f"{where} feature {key}: {name} must be {need}, got {value!r}")
+    return np.array(values, dtype=np.float64)
+
+
+def _load_class(path, label: str, entry: dict, keys: list[str]) -> ClassState:
+    """One class of a model document; refuses numbers that would make its scores meaningless."""
+    where = f"{path}: class {label!r}"
+    n = entry["n"]
+    if type(n) is not int or not 1 <= n <= sys.float_info.max:
+        raise ModelFormatError(f"{where}: n must be a positive integer, got {n!r}")
+    posts = [entry["posteriors"][key] for key in keys]
+    if any(set(post) != set(NIG_PARAMS) for post in posts):
+        raise TypeError(f"class {label!r}: each posterior must hold exactly {NIG_PARAMS}")
+    mu = _checked(where, keys, "mu", [p["mu"] for p in posts], "finite", lambda v: True)
+    kappa, alpha, beta = (
+        _checked(where, keys, name, [p[name] for p in posts], "finite and > 0", lambda v: v > 0)
+        for name in NIG_PARAMS[1:]
+    )
+    # A document without the plug-in block gets them from the posterior.
+    means, variances = entry.get("plugin_means"), entry.get("plugin_vars")
+    plugin_means = mu if not means else _checked(
+        where, keys, "plugin mean", [means[k] for k in keys], "finite", lambda v: True)
+    plugin_vars = plugin_variance(alpha, beta) if not variances else _checked(
+        where, keys, "plugin variance", [variances[k] for k in keys],
+        f"finite and >= {VARIANCE_FLOOR}", lambda v: v >= VARIANCE_FLOOR)
+    return ClassState(label, n, mu, kappa, alpha, beta, plugin_means, plugin_vars)
 
 
 def load_model(path) -> ClassifierModel:
@@ -330,35 +328,15 @@ def load_model(path) -> ClassifierModel:
             f"{path}: model version {version!r} is not supported (want {MODEL_VERSION})"
         )
     try:
-        feature_ids = _validate_feature_ids(doc["selected_features"])
+        feature_ids = validate_feature_ids(doc.get("selected_features"))
+    except ContractError as exc:
+        raise ModelFormatError(f"{path}: selected_features: {exc}") from None
+    keys = list(map(str, feature_ids))
+    try:
         alphabet = tuple(doc["alphabet"])
-        states = []
-        for label in alphabet:
-            entry = doc["classes"][label]
-            posteriors = tuple(
-                FeaturePosterior(**entry["posteriors"][str(fid)]) for fid in feature_ids
-            )
-            plugin_means = entry.get("plugin_means")
-            plugin_vars = entry.get("plugin_vars")
-            states.append(
-                ClassState(
-                    label=label,
-                    n=entry["n"],
-                    posteriors=posteriors,
-                    plugin_means=tuple(
-                        plugin_means[str(fid)] if plugin_means else post.mu
-                        for fid, post in zip(feature_ids, posteriors)
-                    ),
-                    plugin_vars=tuple(
-                        plugin_vars[str(fid)] if plugin_vars else post.plugin_variance()
-                        for fid, post in zip(feature_ids, posteriors)
-                    ),
-                )
-            )
-    except (KeyError, TypeError, ValueError, ContractError) as exc:
+        states = tuple(_load_class(path, label, doc["classes"][label], keys) for label in alphabet)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model document ({exc})") from None
     if not states:
         raise ModelFormatError(f"{path}: model has no classes")
-    for state in states:
-        _check_class(path, state, feature_ids)
-    return ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=tuple(states))
+    return ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=states)

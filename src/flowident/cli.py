@@ -14,7 +14,7 @@ import sys
 
 from . import classifier, evaluation, sampling, selection, synth
 from .errors import ContractError, FormatError
-from .features import Dataset, NUM_FEATURES, featurize, read_dataset, write_dataset
+from .features import Dataset, featurize, read_dataset, validate_feature_ids, write_dataset
 from .flow import FlowAggregator
 from .ingest import (
     load_labels,
@@ -43,13 +43,11 @@ def _parse_features(text: str) -> tuple[int, ...] | None:
     if text.strip().lower() == "all":
         return None
     try:
-        ids = tuple(int(tok) for tok in text.split(","))
+        return validate_feature_ids(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("features must be 'all' or ids like 1,9,12")
-    for fid in ids:
-        if not 1 <= fid <= NUM_FEATURES:
-            raise argparse.ArgumentTypeError(f"feature id {fid} outside 1..{NUM_FEATURES}")
-    return ids
+    except ContractError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _labeled_subset(ds: Dataset, what: str) -> Dataset:
@@ -76,13 +74,20 @@ def _add_prior_args(parser) -> None:
 
 
 def _resolve_features(args) -> tuple[int, ...] | None:
-    if getattr(args, "features_from", None):
-        with open(args.features_from) as fh:
-            doc = json.load(fh)
-        if "selected" not in doc:
-            raise FormatError(f"{args.features_from}: no 'selected' list")
-        return tuple(int(fid) for fid in doc["selected"])
-    return args.features
+    path = getattr(args, "features_from", None)
+    if not path:
+        return args.features
+    with open(path) as fh:
+        try:
+            selected = json.load(fh)["selected"]
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        except (KeyError, TypeError):
+            raise FormatError(f"{path}: no 'selected' list") from None
+    try:
+        return validate_feature_ids(selected)
+    except ContractError as exc:
+        raise FormatError(f"{path}: 'selected': {exc}") from None
 
 
 def _write_json(path, doc) -> None:

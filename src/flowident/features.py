@@ -9,6 +9,7 @@ max(value, 1).
 from __future__ import annotations
 
 import csv
+import numbers
 
 import numpy as np
 
@@ -83,6 +84,23 @@ def _column(feature_id: int) -> int:
     if not 1 <= feature_id <= NUM_FEATURES:
         raise ContractError(f"feature id {feature_id} outside 1..{NUM_FEATURES}")
     return feature_id - 1
+
+
+def validate_feature_ids(feature_ids) -> tuple[int, ...]:
+    """The ids as a tuple of distinct ints in 1..NUM_FEATURES, at least one; a
+    float, bool or string id raises ContractError rather than being truncated."""
+    if isinstance(feature_ids, (str, bytes)) or not hasattr(feature_ids, "__iter__"):
+        raise ContractError(f"feature ids must be a list of integers, got {feature_ids!r}")
+    ids = tuple(feature_ids)
+    if not ids:
+        raise ContractError("need at least one feature")
+    for fid in ids:
+        if isinstance(fid, bool) or not isinstance(fid, numbers.Integral):
+            raise ContractError(f"feature id {fid!r} is not an integer")
+        _column(fid)
+    if len(set(ids)) != len(ids):
+        raise ContractError("duplicate feature ids")
+    return tuple(map(int, ids))
 
 
 def feature_name(feature_id: int) -> str:

@@ -96,19 +96,20 @@ class FlowKey:
         return (self.ip_lo, self.port_lo, self.ip_hi, self.port_hi, int(self.proto))
 
 
-def canonical_key(pkt: PacketRecord) -> tuple[FlowKey, Direction]:
-    """Return the packet's canonical key and which way the packet travels.
+def canonical_endpoints(ip_a, port_a, ip_b, port_b, proto: Proto) -> tuple[FlowKey, Direction]:
+    """The canonical key of endpoints a and b, and which way a -> b travels.
 
-    FORWARD means the packet goes from the key's low endpoint to its high
-    endpoint.  Both directions of a conversation map to the same key.
+    FORWARD means a is the key's low endpoint (smaller IP, then port).
+    Both orders of the same two endpoints map to the same key.
     """
-    src = (pkt.src_ip, pkt.src_port)
-    dst = (pkt.dst_ip, pkt.dst_port)
-    if src <= dst:
-        key = FlowKey(src[0], src[1], dst[0], dst[1], pkt.proto)
-        return key, Direction.FORWARD
-    key = FlowKey(dst[0], dst[1], src[0], src[1], pkt.proto)
-    return key, Direction.BACKWARD
+    if (ip_a, port_a) <= (ip_b, port_b):
+        return FlowKey(ip_a, port_a, ip_b, port_b, proto), Direction.FORWARD
+    return FlowKey(ip_b, port_b, ip_a, port_a, proto), Direction.BACKWARD
+
+
+def canonical_key(pkt: PacketRecord) -> tuple[FlowKey, Direction]:
+    """Return the packet's canonical key and which way the packet travels."""
+    return canonical_endpoints(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
 
 
 @dataclass(frozen=True, slots=True)

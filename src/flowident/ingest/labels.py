@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import FormatError
-from ..flow import FlowKey, Proto, ip_to_str, str_to_ip
+from ..flow import FlowKey, Proto, canonical_endpoints, ip_to_str, str_to_ip
 
 HEADER = ("ip_lo", "port_lo", "ip_hi", "port_hi", "proto", "first_ts", "label")
 
@@ -45,13 +45,13 @@ class LabelFile:
         return self._index.get((key, first_ts))
 
 
-def _parse_proto(text: str, line: int) -> Proto:
+def _parse_proto(text: str, where: str) -> Proto:
     normalized = text.strip().upper()
     if normalized in ("TCP", "6"):
         return Proto.TCP
     if normalized in ("UDP", "17"):
         return Proto.UDP
-    raise LabelFileError(f"line {line}: unknown protocol {text!r}")
+    raise LabelFileError(f"{where}: unknown protocol {text!r}")
 
 
 def load_labels(path, alphabet: tuple[str, ...] | None = None) -> LabelFile:
@@ -73,8 +73,9 @@ def load_labels(path, alphabet: tuple[str, ...] | None = None) -> LabelFile:
                 f"{path}: header must be {','.join(HEADER)}, got {','.join(header)}"
             )
         for line, row in enumerate(reader, start=2):
+            where = f"{path}: line {line}"
             if len(row) != len(HEADER):
-                raise LabelFileError(f"line {line}: expected {len(HEADER)} fields")
+                raise LabelFileError(f"{where}: expected {len(HEADER)} fields")
             try:
                 ip_a = str_to_ip(row[0])
                 port_a = int(row[1])
@@ -82,20 +83,21 @@ def load_labels(path, alphabet: tuple[str, ...] | None = None) -> LabelFile:
                 port_b = int(row[3])
                 first_ts = int(row[5])
             except ValueError as exc:
-                raise LabelFileError(f"line {line}: {exc}") from None
-            proto = _parse_proto(row[4], line)
-            if (ip_a, port_a) <= (ip_b, port_b):
-                key = FlowKey(ip_a, port_a, ip_b, port_b, proto)
-            else:
-                key = FlowKey(ip_b, port_b, ip_a, port_a, proto)
+                raise LabelFileError(f"{where}: {exc}") from None
+            for name, port in (("port_lo", port_a), ("port_hi", port_b)):
+                if not 0 <= port <= 0xFFFF:
+                    raise LabelFileError(f"{where}: {name} {port} outside 0..65535")
+            if first_ts < 0:
+                raise LabelFileError(f"{where}: first_ts {first_ts} is negative")
+            key, _ = canonical_endpoints(ip_a, port_a, ip_b, port_b, _parse_proto(row[4], where))
             label = row[6]
             if alphabet is not None and label not in alphabet:
                 raise LabelFileError(
-                    f"line {line}: label {label!r} not in declared alphabet"
+                    f"{where}: label {label!r} not in declared alphabet"
                 )
             if (key, first_ts) in seen:
                 raise LabelFileError(
-                    f"line {line}: duplicate of line {seen[(key, first_ts)]} "
+                    f"{where}: duplicate of line {seen[(key, first_ts)]} "
                     f"for the same flow key and start time"
                 )
             seen[(key, first_ts)] = line

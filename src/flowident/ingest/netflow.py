@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 
 from ..errors import FormatError
-from ..flow import Direction, FlowKey, FlowRecord, Proto, canonical_key
+from ..flow import Direction, FlowKey, FlowRecord, Proto, canonical_endpoints
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -120,10 +120,7 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
             raise MalformedDatagramError(f"record {i}: byte count below IP minimum")
         if last < first:
             raise MalformedDatagramError(f"record {i}: flow ends before it starts")
-        probe = canonical_key(
-            _ProbePacket(srcaddr, dstaddr, srcport, dstport, Proto(prot))
-        )
-        key, direction = probe
+        key, direction = canonical_endpoints(srcaddr, srcport, dstaddr, dstport, Proto(prot))
         first_us = boot_us + first * 1000
         last_us = boot_us + last * 1000
         merged = False
@@ -139,19 +136,6 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
             )
             unpaired.setdefault(key, []).append(len(entries) - 1)
     return [entry.to_record() for entry in entries]
-
-
-class _ProbePacket:
-    """Minimal stand-in so canonical_key can order record endpoints."""
-
-    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
-
-    def __init__(self, src_ip, dst_ip, src_port, dst_port, proto):
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.proto = proto
 
 
 def _floor_ms(us: int) -> int:

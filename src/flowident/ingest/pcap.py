@@ -123,6 +123,11 @@ class PcapReader:
                     f"{self.path}: truncated packet header at byte {offset}"
                 )
             ts_sec, ts_usec, incl_len, _orig_len = record.unpack_from(data, offset)
+            if ts_usec >= 1_000_000:
+                raise PcapDecodeError(
+                    f"{self.path}: ts_usec {ts_usec} is not below 1000000 "
+                    f"in the packet header at byte {offset}"
+                )
             offset += 16
             if offset + incl_len > len(data):
                 raise PcapDecodeError(

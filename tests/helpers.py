@@ -7,8 +7,9 @@ Two kinds of tools live here:
   independent math oracles (entropy, SU, binning, confusion tallies),
   written with plain Python containers so they cannot share a bug with
   the numpy/struct implementations they are used to check;
-* the per-row scorer and the per-class fold assignment that the library's
-  batch versions replaced, kept as references that must agree bit for bit.
+* the per-row scorer, the per-class fold assignment and the per-feature
+  NIG fold that the library's batch versions replaced, kept as references
+  that must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -272,6 +273,24 @@ def score_oracle(model, values) -> list[float]:
         )
         scores.append(float(log_h))
     return scores
+
+
+def nig_fold_oracle(mu, kappa, alpha, beta, n, mean, sumsq) -> tuple[float, ...]:
+    """The normal-inverse-gamma fold of one feature, in Python floats."""
+    if n == 0:
+        return mu, kappa, alpha, beta
+    kappa_n = kappa + n
+    return (
+        (kappa * mu + n * mean) / kappa_n,
+        kappa_n,
+        alpha + n / 2.0,
+        beta + 0.5 * sumsq + kappa * n * (mean - mu) ** 2 / (2.0 * kappa_n),
+    )
+
+
+def plugin_variance_oracle(alpha: float, beta: float, floor: float) -> float:
+    """beta / (alpha - 1) of one feature, floored; the floor where alpha <= 1."""
+    return max(beta / (alpha - 1.0), floor) if alpha > 1.0 else floor
 
 
 def predict_oracle(model, ds) -> list[str]:

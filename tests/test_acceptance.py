@@ -171,11 +171,9 @@ def test_criterion_05_incremental_update_equals_pooled_batch():
         for got, want in zip(stepped.classes, pooled.classes):
             if got.n != want.n:
                 all_ok = False
-            for g, w in zip(got.posteriors, want.posteriors):
-                if not (
-                    close(g.mu, w.mu) and close(g.kappa, w.kappa)
-                    and close(g.alpha, w.alpha) and close(g.beta, w.beta)
-                ):
+            # (mu, kappa, alpha, beta) of each feature
+            for g, w in zip(zip(*got.nig), zip(*want.nig)):
+                if not all(close(a, b) for a, b in zip(g, w)):
                     all_ok = False
     check(
         5,

@@ -14,13 +14,14 @@ from flowident.classifier import (
     ClassifierModel,
     ClassScores,
     ClassState,
-    FeaturePosterior,
     InsufficientDataError,
     ModelFormatError,
     NIGPrior,
     UnknownClassError,
     load_model,
     model_to_json_dict,
+    nig_fold,
+    plugin_variance,
     predict,
     save_model,
     score,
@@ -32,6 +33,11 @@ from flowident.features import Dataset, FeatureVector
 from helpers import normal_pdf
 
 PRIOR = NIGPrior()
+
+
+def nig_state(mu, kappa, alpha, beta, d=1):
+    """(mu, kappa, alpha, beta) arrays over d features, each filled with one value."""
+    return tuple(np.full(d, value) for value in (mu, kappa, alpha, beta))
 
 
 def make_ds(columns, labels, alphabet=None):
@@ -70,33 +76,33 @@ def test_prior_validation():
 
 
 def test_fold_frozen_example():
-    post = FeaturePosterior(PRIOR.mu, PRIOR.kappa, PRIOR.alpha, PRIOR.beta)
-    folded = post.fold(2, 3.0, 2.0)
+    prior = nig_state(PRIOR.mu, PRIOR.kappa, PRIOR.alpha, PRIOR.beta)
+    mu, kappa, alpha, beta = nig_fold(prior, 2, 3.0, 2.0)
     # frozen from a by-hand evaluation of the four update formulas
-    assert folded.kappa == 2.001
-    assert folded.mu == 2.9985007496251876
-    assert folded.alpha == 2.001
-    assert folded.beta == 1.0054977511244376
-    assert folded.plugin_variance() == 1.004493257866571
+    assert kappa.tolist() == [2.001]
+    assert mu.tolist() == [2.9985007496251876]
+    assert alpha.tolist() == [2.001]
+    assert beta.tolist() == [1.0054977511244376]
+    assert plugin_variance(alpha, beta).tolist() == [1.004493257866571]
 
 
 def test_fold_empty_batch_is_identity():
-    post = FeaturePosterior(1.5, 2.0, 3.0, 4.0)
-    assert post.fold(0, 99.0, 99.0) is post
+    state = nig_state(1.5, 2.0, 3.0, 4.0)
+    assert nig_fold(state, 0, 99.0, 99.0) is state
 
 
 def test_fold_limits():
     # an overwhelming prior barely moves; a negligible one lands on the data
-    heavy = FeaturePosterior(5.0, 1e12, 2.0, 1.0).fold(10, -3.0, 4.0)
-    assert heavy.mu == pytest.approx(5.0, abs=1e-9)
-    light = FeaturePosterior(5.0, 1e-12, 2.0, 1.0).fold(10, -3.0, 4.0)
-    assert light.mu == pytest.approx(-3.0, abs=1e-9)
+    heavy_mu = nig_fold(nig_state(5.0, 1e12, 2.0, 1.0), 10, -3.0, 4.0)[0]
+    assert heavy_mu.item() == pytest.approx(5.0, abs=1e-9)
+    light_mu = nig_fold(nig_state(5.0, 1e-12, 2.0, 1.0), 10, -3.0, 4.0)[0]
+    assert light_mu.item() == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_plugin_variance_floor():
-    assert FeaturePosterior(0.0, 1.0, 0.5, 1.0).plugin_variance() == VARIANCE_FLOOR
-    assert FeaturePosterior(0.0, 1.0, 2.0, 1e-15).plugin_variance() == VARIANCE_FLOOR
-    assert FeaturePosterior(0.0, 1.0, 3.0, 8.0).plugin_variance() == 4.0
+    assert plugin_variance([0.5], [1.0]).tolist() == [VARIANCE_FLOOR]
+    assert plugin_variance([2.0], [1e-15]).tolist() == [VARIANCE_FLOOR]
+    assert plugin_variance([3.0], [8.0]).tolist() == [4.0]
 
 
 # -------------------------------------------------------------------- train
@@ -108,10 +114,10 @@ def test_train_two_point_plugins():
     assert model.alphabet == ("a", "b")
     assert model.feature_ids == (7,)
     assert a.label == "a" and a.n == 2
-    assert a.plugin_means == (3.0,)
-    assert a.plugin_vars == (2.0,)      # n-1 variance of [2, 4]
-    assert b.plugin_means == (15.0,)
-    assert b.plugin_vars == (50.0,)
+    assert a.plugin_means.tolist() == [3.0]
+    assert a.plugin_vars.tolist() == [2.0]      # n-1 variance of [2, 4]
+    assert b.plugin_means.tolist() == [15.0]
+    assert b.plugin_vars.tolist() == [50.0]
     assert model.total_flows == 4
     assert model.class_prior("a") == 0.5
 
@@ -143,7 +149,7 @@ def test_train_matches_statistics_oracle():
 def test_train_constant_feature_hits_floor():
     ds = make_ds({5: [7.0, 7.0, 7.0, 7.0]}, ["a", "a", "b", "b"])
     model = train(ds, feature_ids=[5])
-    assert model.classes[0].plugin_vars == (VARIANCE_FLOOR,)
+    assert model.classes[0].plugin_vars.tolist() == [VARIANCE_FLOOR]
 
 
 def test_train_validation():
@@ -197,13 +203,13 @@ def test_sequential_equals_pooled(seed):
 
     for got, want in zip(stepped.classes, pooled.classes):
         assert got.label == want.label and got.n == want.n
-        for g, w in zip(got.posteriors, want.posteriors):
-            for a, b in zip(
-                (g.mu, g.kappa, g.alpha, g.beta), (w.mu, w.kappa, w.alpha, w.beta)
-            ):
+        # (mu, kappa, alpha, beta) of each feature
+        for g, w in zip(zip(*got.nig), zip(*want.nig)):
+            for a, b in zip(g, w):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
         for a, b in zip(
-            got.plugin_means + got.plugin_vars, want.plugin_means + want.plugin_vars
+            np.concatenate([got.plugin_means, got.plugin_vars]),
+            np.concatenate([want.plugin_means, want.plugin_vars]),
         ):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
@@ -230,8 +236,8 @@ def test_update_plugins_are_posterior_derived():
     batch = Dataset(batch.vectors, ("a", "b"))
     updated = update(model, batch)
     state = updated.classes[0]
-    assert state.plugin_means == tuple(p.mu for p in state.posteriors)
-    assert state.plugin_vars == tuple(p.plugin_variance() for p in state.posteriors)
+    assert state.plugin_means.tolist() == state.mu.tolist()
+    assert state.plugin_vars.tolist() == plugin_variance(state.alpha, state.beta).tolist()
 
 
 def test_update_rejects_unknown_and_unlabeled():
@@ -254,13 +260,13 @@ def test_single_row_update_is_allowed():
 # ------------------------------------------------------------------ scoring
 
 def hand_model():
-    dummy = FeaturePosterior(0.0, 1.0, 2.0, 1.0)
+    dummy = nig_state(0.0, 1.0, 2.0, 1.0, d=2)
     return ClassifierModel(
         alphabet=("A", "B"),
         feature_ids=(7, 16),
         classes=(
-            ClassState("A", 3, (dummy, dummy), (1.0, 10.0), (1.0, 4.0)),
-            ClassState("B", 2, (dummy, dummy), (2.0, 8.0), (0.5, 1.0)),
+            ClassState("A", 3, *dummy, (1.0, 10.0), (1.0, 4.0)),
+            ClassState("B", 2, *dummy, (2.0, 8.0), (0.5, 1.0)),
         ),
     )
 
@@ -298,13 +304,13 @@ def test_score_difference_equals_density_ratio():
 
 
 def test_tie_goes_to_first_class():
-    dummy = FeaturePosterior(0.0, 1.0, 2.0, 1.0)
-    same = ClassState("later", 5, (dummy,), (0.0,), (1.0,))
+    dummy = nig_state(0.0, 1.0, 2.0, 1.0)
+    same = ClassState("later", 5, *dummy, (0.0,), (1.0,))
     model = ClassifierModel(
         alphabet=("earlier", "later"),
         feature_ids=(1,),
         classes=(
-            ClassState("earlier", 5, (dummy,), (0.0,), (1.0,)),
+            ClassState("earlier", 5, *dummy, (0.0,), (1.0,)),
             same,
         ),
     )
@@ -411,8 +417,8 @@ def test_load_rebuilds_plugins_when_stripped(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = load_model(path)
     for state in loaded.classes:
-        assert state.plugin_means == tuple(p.mu for p in state.posteriors)
-        assert state.plugin_vars == tuple(p.plugin_variance() for p in state.posteriors)
+        assert state.plugin_means.tolist() == state.mu.tolist()
+        assert state.plugin_vars.tolist() == plugin_variance(state.alpha, state.beta).tolist()
 
 
 # ------------------------------------------------------------ load checks
@@ -490,3 +496,25 @@ def test_load_accepts_a_variance_at_the_floor(tmp_path):
     doc = saved_doc(tmp_path)
     doc["classes"]["a"]["plugin_vars"]["3"] = VARIANCE_FLOOR
     assert load_doc(tmp_path, doc).classes[0].plugin_vars[0] == VARIANCE_FLOOR
+
+
+def test_stripped_plugins_of_an_updated_model_load_as_saved(tmp_path):
+    """Updated plug-ins are posterior-derived, so without the plug-in block the
+    document loads to the same model: the posterior mean, and beta / (alpha - 1)
+    floored, with the floor where alpha <= 1."""
+    model = train(gaussian_ds(14, ("a", "b"), 6, {"a": 0.0, "b": 6.0}), feature_ids=[2, 5, 13])
+    updated = update(model, gaussian_ds(15, ("a", "b"), 3, {"a": 0.5, "b": 5.0}))
+    doc = model_to_json_dict(updated)
+    for entry in doc["classes"].values():
+        del entry["plugin_means"], entry["plugin_vars"]
+    assert load_doc(tmp_path, doc) == updated
+    doc["classes"]["b"]["posteriors"]["5"]["alpha"] = 0.5
+    loaded = load_doc(tmp_path, doc)
+    for state, label in zip(loaded.classes, ("a", "b")):
+        posts = [doc["classes"][label]["posteriors"][key] for key in ("2", "5", "13")]
+        assert state.plugin_means.tolist() == [p["mu"] for p in posts]
+        assert state.plugin_vars.tolist() == [
+            max(p["beta"] / (p["alpha"] - 1.0), VARIANCE_FLOOR) if p["alpha"] > 1 else VARIANCE_FLOOR
+            for p in posts
+        ]
+    assert loaded.classes[1].plugin_vars[1] == VARIANCE_FLOOR

@@ -276,6 +276,44 @@ def test_train_with_explicit_feature_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"selected": [3.7, 16.2]}', "'selected': feature id 3.7 is not an integer"),
+    ('{"selected": "12"}', "'selected': feature ids must be a list of integers, got '12'"),
+    ('{"selected": [true, 2]}', "'selected': feature id True is not an integer"),
+    ('{"selected": ["3"]}', "'selected': feature id '3' is not an integer"),
+    ('{"selected": [0, 2]}', "'selected': feature id 0 outside 1..16"),
+    ('{"selected": []}', "'selected': need at least one feature"),
+    ("{nope", "not valid JSON"),
+    ("5", "no 'selected' list"),
+    ('{"kept": [3]}', "no 'selected' list"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_selection_json_exits_one_naming_the_file(tmp_path, capsys, command, text, message):
+    flows_csv = tmp_path / "flows.csv"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
+    sel = tmp_path / "selection.json"
+    sel.write_text(text)
+    out = ["--out", tmp_path / "model.json"] if command == "train" else []
+    code, _, err = run([command, flows_csv, "--features-from", sel, *out], capsys)
+    assert code == 1
+    assert f"error: {sel}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ids", [[9.9, 16], ["9"], [True], 9, [1, 1], [0]])
+def test_model_with_non_integer_feature_ids_exits_one(tmp_path, capsys, ids):
+    flows_csv = tmp_path / "flows.csv"
+    model = tmp_path / "model.json"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
+    run(["train", flows_csv, "--features", "9,16", "--out", model], capsys)
+    doc = json.loads(model.read_text())
+    doc["selected_features"] = ids
+    model.write_text(json.dumps(doc))
+    code, _, err = run(["classify", model, flows_csv, "--out", tmp_path / "p.csv"], capsys)
+    assert code == 1
+    assert f"error: {model}: selected_features: " in err
+
+
 def test_tampered_model_version_exits_one(tmp_path, capsys):
     flows_csv = tmp_path / "flows.csv"
     model = tmp_path / "model.json"

@@ -1,9 +1,11 @@
 """Batch code against the per-row code it replaced (oracles in helpers).
 
-The batch scorer, the fold assignment and the bincount metric report must
-give exactly what the per-row versions give: same floats, same ties.
+The batch scorer, the fold assignment, the bincount metric report and the
+array NIG fold must give exactly what the per-row or per-feature versions
+give: same floats, same ties.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +13,9 @@ from flowident.classifier import (
     VARIANCE_FLOOR,
     ClassifierModel,
     ClassState,
-    FeaturePosterior,
     _log_scores,
+    nig_fold,
+    plugin_variance,
     predict,
     score,
     train,
@@ -26,7 +29,13 @@ from flowident.evaluation import (
 )
 from flowident.features import Dataset, FeatureVector
 from flowident.synth import generate_dataset, parse_synth_spec
-from helpers import assign_folds_oracle, predict_oracle, score_oracle
+from helpers import (
+    assign_folds_oracle,
+    nig_fold_oracle,
+    plugin_variance_oracle,
+    predict_oracle,
+    score_oracle,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 variance = st.floats(min_value=VARIANCE_FLOOR, max_value=1e6, allow_nan=False)
@@ -36,20 +45,20 @@ variance = st.floats(min_value=VARIANCE_FLOOR, max_value=1e6, allow_nan=False)
 def models_and_rows(draw):
     feature_ids = tuple(draw(st.permutations(range(1, 17)))[: draw(st.integers(1, 16))])
     d = len(feature_ids)
-    post = FeaturePosterior(0.0, 1.0, 2.0, 1.0)
+    nig = ([0.0] * d, [1.0] * d, [2.0] * d, [1.0] * d)
     classes = []
     for c in range(draw(st.integers(1, 6))):
         classes.append(ClassState(
-            label=f"c{c}",
-            n=draw(st.integers(1, 10_000)),
-            posteriors=(post,) * d,
-            plugin_means=tuple(draw(st.lists(finite, min_size=d, max_size=d))),
-            plugin_vars=tuple(draw(st.lists(variance, min_size=d, max_size=d))),
+            f"c{c}",
+            draw(st.integers(1, 10_000)),
+            *nig,
+            plugin_means=draw(st.lists(finite, min_size=d, max_size=d)),
+            plugin_vars=draw(st.lists(variance, min_size=d, max_size=d)),
         ))
     if draw(st.booleans()):
         # A later copy of an earlier class scores the same on every row.
         twin = draw(st.sampled_from(classes))
-        classes.append(ClassState("twin", twin.n, twin.posteriors,
+        classes.append(ClassState("twin", twin.n, *twin.nig,
                                   twin.plugin_means, twin.plugin_vars))
     alphabet = tuple(state.label for state in classes)
     model = ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=tuple(classes))
@@ -122,3 +131,28 @@ def test_batch_scores_equal_the_oracle_on_a_trained_model():
         assert list(score(model, vec).log_scores) == score_oracle(model, values)
     rows = ds.matrix(model.feature_ids)
     assert _log_scores(model, rows).tolist() == [score_oracle(model, r) for r in rows]
+
+
+def test_nig_fold_and_plugin_variance_equal_the_per_feature_oracle():
+    """20,000 features at mixed scales: a square taken as x * x instead of
+    pow(x, 2) differs in the last bit for some of them."""
+    rng = np.random.default_rng(11)
+    size = 20_000
+    scale = rng.choice([1e-6, 1.0, 1e3, 1e6], size)
+    nig = (
+        rng.standard_normal(size) * scale,
+        rng.uniform(1e-3, 50.0, size),
+        rng.uniform(0.2, 50.0, size),
+        rng.uniform(1e-9, 10.0, size) * scale**2,
+    )
+    for n in (0, 1, 7, 250):
+        mean = rng.standard_normal(size) * scale
+        sumsq = rng.uniform(0.0, 10.0, size) * scale**2 * n
+        got = np.column_stack(nig_fold(nig, n, mean, sumsq)).tolist()
+        want = [
+            list(nig_fold_oracle(*state, n, m, s))
+            for state, m, s in zip(zip(*(a.tolist() for a in nig)), mean.tolist(), sumsq.tolist())
+        ]
+        assert got == want
+        floors = [plugin_variance_oracle(a, b, VARIANCE_FLOOR) for _, _, a, b in want]
+        assert plugin_variance(*np.array(want).T[2:]).tolist() == floors

@@ -127,6 +127,28 @@ def test_unparseable_address_and_timestamp(tmp_path):
         load_labels(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("10.0.0.1,70000,10.0.0.2,5000,TCP,1,a", "line 3: port_lo 70000 outside 0..65535"),
+    ("10.0.0.1,80,10.0.0.2,-5,TCP,1,a", "line 3: port_hi -5 outside 0..65535"),
+    ("10.0.0.1,80,10.0.0.2,5000,TCP,-7,a", "line 3: first_ts -7 is negative"),
+])
+def test_out_of_range_port_or_start_names_line(tmp_path, row, message):
+    path = write_text(tmp_path, [",".join(HEADER), "10.0.0.1,80,10.0.0.2,5000,TCP,1,a", row])
+    with pytest.raises(LabelFileError, match=message) as exc_info:
+        load_labels(path)
+    assert str(exc_info.value).startswith(f"{path}: line 3: ")
+
+
+def test_range_limits_are_accepted(tmp_path):
+    path = write_text(tmp_path, [
+        ",".join(HEADER),
+        "10.0.0.2,65535,10.0.0.1,0,UDP,0,edge",
+    ])
+    [row] = load_labels(path).rows
+    assert row.key == FlowKey(ip("10.0.0.1"), 0, ip("10.0.0.2"), 65535, Proto.UDP)
+    assert row.first_ts == 0
+
+
 def test_lookup_hit_and_miss():
     table = LabelFile([LabelRow(KEY, 1_000_000, "web")])
     assert table.lookup(KEY, 1_000_000) == "web"

@@ -103,6 +103,18 @@ def test_truncated_packet_data_names_offset(tmp_path):
         read_pcap(path)
 
 
+def test_microseconds_past_one_second_name_offset(tmp_path):
+    frame = eth_ipv4_frame(total_length=60)
+    bad = (5).to_bytes(4, "little") + (3_500_000).to_bytes(4, "little")
+    bad += len(frame).to_bytes(4, "little") * 2 + frame
+    path = tmp_path / "usec.pcap"
+    path.write_bytes(pcap_file([(1_999_999, frame)]) + bad)
+    with pytest.raises(PcapDecodeError, match=rf"ts_usec 3500000 .* at byte {24 + 16 + len(frame)}"):
+        read_pcap(path)
+    path.write_bytes(pcap_file([(1_999_999, frame)]))
+    assert [pkt.ts for pkt in read_pcap(path)] == [1_999_999]
+
+
 def test_non_ip_and_malformed_frames_are_skipped(tmp_path):
     good = eth_ipv4_frame(total_length=60, flags=0x10)
     arp = eth_ipv4_frame(total_length=60, ethertype=0x0806)
