@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_finite
 from .features import Dataset, FeatureVector, NUM_FEATURES, validate_feature_ids
 
 MODEL_VERSION = "nfi-model/1"
@@ -58,8 +58,9 @@ class NIGPrior:
     beta: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.alpha <= 0 or self.beta <= 0:
-            raise ContractError("kappa, alpha, and beta must be positive")
+        check_finite("prior mu", self.mu)
+        for name in ("kappa", "alpha", "beta"):
+            check_finite(f"prior {name}", getattr(self, name), positive=True)
 
 
 NIG_PARAMS = ("mu", "kappa", "alpha", "beta")
@@ -339,4 +340,6 @@ def load_model(path) -> ClassifierModel:
         raise ModelFormatError(f"{path}: malformed model document ({exc})") from None
     if not states:
         raise ModelFormatError(f"{path}: model has no classes")
+    if len(set(alphabet)) < len(alphabet):
+        raise ModelFormatError(f"{path}: alphabet repeats a label: {list(alphabet)!r}")
     return ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=states)

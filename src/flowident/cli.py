@@ -15,7 +15,7 @@ import sys
 from . import classifier, evaluation, sampling, selection, synth
 from .errors import ContractError, FormatError
 from .features import Dataset, featurize, read_dataset, validate_feature_ids, write_dataset
-from .flow import FlowAggregator
+from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, FlowAggregator
 from .ingest import (
     load_labels,
     read_netflow_file,
@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--netflow", help="file of concatenated NetFlow v5 datagrams")
     p.add_argument("--labels", help="label CSV to join on (key, first_ts)")
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--inactive-timeout", type=float, default=15.0)
-    p.add_argument("--active-timeout", type=float, default=1800.0)
+    p.add_argument("--inactive-timeout", type=float, default=DEFAULT_INACTIVE_TIMEOUT)
+    p.add_argument("--active-timeout", type=float, default=DEFAULT_ACTIVE_TIMEOUT)
     p.add_argument("--complete-only", action="store_true",
                    help="keep only TCP flows with both SYN and FIN observed")
     p.set_defaults(func=cmd_ingest)
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated 1:N ratios (default 1:128,1:256,1:512,1:1024)")
     p.add_argument("--trials", type=int, default=sampling.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inactive-timeout", type=float, default=15.0)
-    p.add_argument("--active-timeout", type=float, default=1800.0)
+    p.add_argument("--inactive-timeout", type=float, default=DEFAULT_INACTIVE_TIMEOUT)
+    p.add_argument("--active-timeout", type=float, default=DEFAULT_ACTIVE_TIMEOUT)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.set_defaults(func=cmd_sample_report)

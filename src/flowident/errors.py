@@ -7,6 +7,8 @@ outside their contract, degenerate datasets included (exit 2).
 
 from __future__ import annotations
 
+import math
+
 
 class FlowidentError(Exception):
     """Base class for every error raised by this package."""
@@ -22,3 +24,9 @@ class ContractError(FlowidentError):
 
 class DegenerateDatasetError(ContractError):
     """A dataset lacks the variety an operation needs (e.g. one class)."""
+
+
+def check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Refuse NaN and infinities, and with ``positive`` also zero and negative values."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise ContractError(f"{name} must be finite{' and positive' * positive}, got {value!r}")

@@ -12,13 +12,15 @@ import enum
 import ipaddress
 from dataclasses import dataclass
 
-from .errors import ContractError
+from .errors import ContractError, check_finite
 
 # TCP flag bits as they appear in the header's flags byte.
 TCP_FIN = 0x01
 TCP_SYN = 0x02
 TCP_RST = 0x04
 TCP_ACK = 0x10
+_CLOSE_FLAGS = TCP_FIN | TCP_RST
+_COMPLETE_FLAGS = TCP_SYN | TCP_FIN
 
 DEFAULT_INACTIVE_TIMEOUT = 15.0
 DEFAULT_ACTIVE_TIMEOUT = 1800.0
@@ -160,69 +162,45 @@ class FlowRecord:
         return (self.last_ts - self.first_ts) / 1e6
 
 
-class _Episode:
+class Episode:
+    """One bidirectional flow being accumulated, from packets or from
+    unidirectional export records.  Forward is ``orientation``, the
+    direction of the first part folded in."""
+
     __slots__ = (
-        "key", "orientation", "first_ts", "last_ts",
-        "fwd_packets", "fwd_bytes", "bwd_packets", "bwd_bytes",
-        "flags_fwd", "flags_bwd", "tos", "syn_seen", "fin_seen",
-        "close_fwd", "close_bwd", "packets",
+        "key", "orientation", "first_ts", "last_ts", "fwd_packets", "fwd_bytes",
+        "bwd_packets", "bwd_bytes", "flags_fwd", "flags_bwd", "tos",
     )
 
-    def __init__(self, key: FlowKey, orientation: Direction, keep: bool) -> None:
+    def __init__(self, key: FlowKey, orientation: Direction, ts: int) -> None:
         self.key = key
         self.orientation = orientation
-        self.first_ts = -1
-        self.last_ts = -1
-        self.fwd_packets = 0
-        self.fwd_bytes = 0
-        self.bwd_packets = 0
-        self.bwd_bytes = 0
-        self.flags_fwd = 0
-        self.flags_bwd = 0
+        self.first_ts = self.last_ts = ts
+        self.fwd_packets = self.fwd_bytes = self.flags_fwd = 0
+        self.bwd_packets = self.bwd_bytes = self.flags_bwd = 0
         self.tos = 0
-        self.syn_seen = False
-        self.fin_seen = False
-        self.close_fwd = False
-        self.close_bwd = False
-        self.packets: list[PacketRecord] | None = [] if keep else None
 
-    def add(self, pkt: PacketRecord, direction: Direction) -> None:
-        if self.first_ts < 0:
-            self.first_ts = pkt.ts
-            self.last_ts = pkt.ts
+    def add(self, direction: Direction, first_ts: int, last_ts: int,
+            packets: int, octets: int, flags: int, tos: int) -> None:
+        """Fold in ``packets`` packets seen between ``first_ts`` and ``last_ts``."""
+        # Widen the window, not first/last seen: tolerated reordering may
+        # deliver a packet with an earlier stamp than the episode start.
+        if first_ts < self.first_ts:
+            self.first_ts = first_ts
+        if last_ts > self.last_ts:
+            self.last_ts = last_ts
+        if direction is self.orientation:
+            self.fwd_packets += packets
+            self.fwd_bytes += octets
+            self.flags_fwd |= flags
         else:
-            # min/max, not first/last seen: tolerated reordering may deliver
-            # a packet with an earlier stamp than the episode start.
-            self.first_ts = min(self.first_ts, pkt.ts)
-            self.last_ts = max(self.last_ts, pkt.ts)
-        episode_fwd = direction is self.orientation
-        if episode_fwd:
-            self.fwd_packets += 1
-            self.fwd_bytes += pkt.length
-            self.flags_fwd |= pkt.tcp_flags
-        else:
-            self.bwd_packets += 1
-            self.bwd_bytes += pkt.length
-            self.flags_bwd |= pkt.tcp_flags
-        self.tos |= pkt.tos
-        if pkt.proto is Proto.TCP:
-            if pkt.tcp_flags & TCP_SYN:
-                self.syn_seen = True
-            if pkt.tcp_flags & TCP_FIN:
-                self.fin_seen = True
-            if pkt.tcp_flags & (TCP_FIN | TCP_RST):
-                if episode_fwd:
-                    self.close_fwd = True
-                else:
-                    self.close_bwd = True
-        if self.packets is not None:
-            self.packets.append(pkt)
-
-    @property
-    def closed_both_ways(self) -> bool:
-        return self.close_fwd and self.close_bwd
+            self.bwd_packets += packets
+            self.bwd_bytes += octets
+            self.flags_bwd |= flags
+        self.tos |= tos
 
     def to_record(self) -> FlowRecord:
+        flags = self.flags_fwd | self.flags_bwd
         return FlowRecord(
             key=self.key,
             first_ts=self.first_ts,
@@ -234,7 +212,8 @@ class _Episode:
             tcp_flags_fwd=self.flags_fwd,
             tcp_flags_bwd=self.flags_bwd,
             tos=self.tos,
-            complete=self.key.proto is Proto.TCP and self.syn_seen and self.fin_seen,
+            # An export record may carry flag bits on UDP; they do not count.
+            complete=self.key.proto is Proto.TCP and (flags & _COMPLETE_FLAGS) == _COMPLETE_FLAGS,
             initiator_lo=self.orientation is Direction.FORWARD,
         )
 
@@ -255,41 +234,43 @@ class FlowAggregator:
         active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
         keep_packets: bool = False,
     ) -> None:
-        if inactive_timeout <= 0 or active_timeout <= 0:
-            raise ContractError("timeouts must be positive")
+        check_finite("inactive_timeout", inactive_timeout, positive=True)
+        check_finite("active_timeout", active_timeout, positive=True)
         self._inactive_us = int(inactive_timeout * 1e6)
         self._active_us = int(active_timeout * 1e6)
         self._keep = keep_packets
-        self._open: dict[FlowKey, _Episode] = {}
+        self._open: dict[FlowKey, Episode] = {}
+        self._packets: dict[FlowKey, list[PacketRecord]] = {}
         self._done: list[tuple[FlowRecord, list[PacketRecord] | None]] = []
         self._clock = -(1 << 62)
         self.accepted = 0
         self.rejected = 0
 
     def add(self, pkt: PacketRecord) -> None:
-        if pkt.ts < self._clock - REORDER_TOLERANCE_US:
+        ts = pkt.ts
+        if ts < self._clock - REORDER_TOLERANCE_US:
             self.rejected += 1
             return
-        self._clock = max(self._clock, pkt.ts)
+        self._clock = max(self._clock, ts)
         self.accepted += 1
         key, direction = canonical_key(pkt)
         episode = self._open.get(key)
         if episode is not None:
-            idle = pkt.ts - episode.last_ts
-            age = pkt.ts - episode.first_ts
+            idle = ts - episode.last_ts
+            age = ts - episode.first_ts
             if idle > self._inactive_us or age > self._active_us:
                 self._close(key)
                 episode = None
         if episode is None:
-            episode = _Episode(key, direction, self._keep)
-            self._open[key] = episode
-        episode.add(pkt, direction)
-        if pkt.proto is Proto.TCP and episode.closed_both_ways:
+            episode = self._open[key] = Episode(key, direction, ts)
+        episode.add(direction, ts, ts, 1, pkt.length, pkt.tcp_flags, pkt.tos)
+        if self._keep:
+            self._packets.setdefault(key, []).append(pkt)
+        if episode.flags_fwd & _CLOSE_FLAGS and episode.flags_bwd & _CLOSE_FLAGS:
             self._close(key)
 
     def _close(self, key: FlowKey) -> None:
-        episode = self._open.pop(key)
-        self._done.append((episode.to_record(), episode.packets))
+        self._done.append((self._open.pop(key).to_record(), self._packets.pop(key, None)))
 
     def flush(self) -> None:
         for key in list(self._open):
@@ -304,7 +285,7 @@ class FlowAggregator:
     def records_with_packets(self) -> list[tuple[FlowRecord, list[PacketRecord]]]:
         if not self._keep:
             raise ContractError("aggregator was not asked to keep packets")
-        return [(record, pkts) for record, pkts in self._sorted() if pkts is not None]
+        return self._sorted()
 
 
 def aggregate(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 
 from ..errors import FormatError
-from ..flow import Direction, FlowKey, FlowRecord, Proto, canonical_endpoints
+from ..flow import Episode, FlowKey, FlowRecord, Proto, canonical_endpoints
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -22,6 +22,7 @@ VERSION = 5
 MAX_RECORDS_PER_DATAGRAM = 30
 
 _U32 = 0xFFFFFFFF
+_UPTIME_WRAP_MS = 1 << 32
 
 
 class MalformedDatagramError(FormatError):
@@ -34,52 +35,6 @@ class UnsupportedVersionError(FormatError):
 
 class EncodingError(FormatError):
     """Flow values do not fit the v5 wire format."""
-
-
-class _Entry:
-    __slots__ = (
-        "key", "orientation", "first_ts", "last_ts", "fwd_packets", "fwd_bytes",
-        "bwd_packets", "bwd_bytes", "flags_fwd", "flags_bwd", "tos",
-    )
-
-    def __init__(self, key, orientation, first_ts, last_ts, pkts, octets, flags, tos):
-        self.key = key
-        self.orientation = orientation
-        self.first_ts = first_ts
-        self.last_ts = last_ts
-        self.fwd_packets = pkts
-        self.fwd_bytes = octets
-        self.bwd_packets = 0
-        self.bwd_bytes = 0
-        self.flags_fwd = flags
-        self.flags_bwd = 0
-        self.tos = tos
-
-    def absorb_reverse(self, first_ts, last_ts, pkts, octets, flags, tos) -> None:
-        self.first_ts = min(self.first_ts, first_ts)
-        self.last_ts = max(self.last_ts, last_ts)
-        self.bwd_packets = pkts
-        self.bwd_bytes = octets
-        self.flags_bwd = flags
-        self.tos |= tos
-
-    def to_record(self) -> FlowRecord:
-        tcp = self.key.proto is Proto.TCP
-        flags = self.flags_fwd | self.flags_bwd
-        return FlowRecord(
-            key=self.key,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            fwd_packets=self.fwd_packets,
-            fwd_bytes=self.fwd_bytes,
-            bwd_packets=self.bwd_packets,
-            bwd_bytes=self.bwd_bytes,
-            tcp_flags_fwd=self.flags_fwd,
-            tcp_flags_bwd=self.flags_bwd,
-            tos=self.tos,
-            complete=tcp and bool(flags & 0x02) and bool(flags & 0x01),
-            initiator_lo=self.orientation is Direction.FORWARD,
-        )
 
 
 def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
@@ -103,10 +58,17 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
         raise MalformedDatagramError(
             f"length mismatch: {len(data)} bytes for {count} records (want {expected})"
         )
-    boot_us = unix_secs * 1_000_000 + unix_nsecs // 1000 - sys_uptime * 1000
+    export_us = unix_secs * 1_000_000 + unix_nsecs // 1000
 
-    entries: list[_Entry] = []
-    unpaired: dict[FlowKey, list[int]] = {}
+    def absolute_us(uptime_ms: int) -> int:
+        # An uptime more than half the counter range above the header's was
+        # read before the 32-bit counter wrapped; a smaller lead is kept as is.
+        if uptime_ms - sys_uptime > _UPTIME_WRAP_MS // 2:
+            uptime_ms -= _UPTIME_WRAP_MS
+        return export_us - (sys_uptime - uptime_ms) * 1000
+
+    episodes: list[Episode] = []
+    unpaired: dict[FlowKey, list[Episode]] = {}
     for i in range(count):
         (
             srcaddr, dstaddr, _nexthop, _inp, _out, pkts, octets, first, last,
@@ -118,24 +80,23 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
             raise MalformedDatagramError(f"record {i}: zero packet count")
         if octets < 20 * pkts:
             raise MalformedDatagramError(f"record {i}: byte count below IP minimum")
-        if last < first:
+        first_us, last_us = absolute_us(first), absolute_us(last)
+        if last_us < first_us:
             raise MalformedDatagramError(f"record {i}: flow ends before it starts")
+        if first_us < 0:
+            raise MalformedDatagramError(f"record {i}: flow starts before the Unix epoch")
         key, direction = canonical_endpoints(srcaddr, srcport, dstaddr, dstport, Proto(prot))
-        first_us = boot_us + first * 1000
-        last_us = boot_us + last * 1000
-        merged = False
-        for j in unpaired.get(key, ()):
-            if entries[j].orientation is not direction:
-                entries[j].absorb_reverse(first_us, last_us, pkts, octets, tcp_flags, tos)
-                unpaired[key].remove(j)
-                merged = True
-                break
-        if not merged:
-            entries.append(
-                _Entry(key, direction, first_us, last_us, pkts, octets, tcp_flags, tos)
-            )
-            unpaired.setdefault(key, []).append(len(entries) - 1)
-    return [entry.to_record() for entry in entries]
+        # Unpaired records of one key all share a direction, so the oldest
+        # of them is the one a reciprocal record pairs with.
+        waiting = unpaired.setdefault(key, [])
+        if waiting and waiting[0].orientation is not direction:
+            episode = waiting.pop(0)
+        else:
+            episode = Episode(key, direction, first_us)
+            episodes.append(episode)
+            waiting.append(episode)
+        episode.add(direction, first_us, last_us, pkts, octets, tcp_flags, tos)
+    return [episode.to_record() for episode in episodes]
 
 
 def _floor_ms(us: int) -> int:

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .flow import PacketRecord, aggregate_with_packets
+from .flow import (
+    DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketRecord, aggregate_with_packets,
+)
 
 MIN_TRIALS = 1000
 DEFAULT_TRIALS = 20000
@@ -217,7 +219,8 @@ def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIA
     return float(np.mean([dre(metric, trace, cfg, trials) for trace in traces]))
 
 
-def traces_from_packets(packets, inactive_timeout: float = 15.0, active_timeout: float = 1800.0):
+def traces_from_packets(packets, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
+                        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT):
     """Group a packet stream into per-episode FlowTraces."""
     return [
         FlowTrace.from_packets(pkts)

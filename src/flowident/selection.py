@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDatasetError
+from .errors import ContractError, DegenerateDatasetError, check_finite
 from .features import Dataset, NUM_FEATURES, feature_name
 
 DEFAULT_BINS = 10
@@ -107,6 +107,7 @@ def fcbf_select(ds: Dataset, delta: float = 0.0, bins: int = DEFAULT_BINS) -> Se
     higher-ranked feature F satisfies SU(F, candidate) >= SU(candidate,
     label); otherwise it is retained.  ``selected`` preserves rank order.
     """
+    check_finite("delta", delta)
     if (ds.codes < 0).any():
         raise ContractError("selection needs a fully labeled dataset")
     if not len(ds):

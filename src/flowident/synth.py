@@ -16,17 +16,15 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .features import FEATURE_NAMES, Dataset
-from .flow import PacketRecord, Proto, canonical_key
+from .flow import TCP_ACK, TCP_FIN, TCP_SYN, PacketRecord, Proto, canonical_key
 from .ingest.labels import LabelRow
 
 _BASE_EPOCH_US = 1_700_000_000_000_000
 _START_WINDOW_S = 60.0
 _MAX_PKT_LEN = 1500
 
-_TCP_SYN = 0x02
-_TCP_SYNACK = 0x12
-_TCP_ACK = 0x10
-_TCP_FINACK = 0x11
+_TCP_SYNACK = TCP_SYN | TCP_ACK
+_TCP_FINACK = TCP_FIN | TCP_ACK
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,8 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
 def _flow_flags(proto: Proto, count: int, directions: list[bool]) -> list[int]:
     if proto is not Proto.TCP:
         return [0] * count
-    flags = [_TCP_ACK] * count
-    flags[0] = _TCP_SYN if directions[0] else _TCP_SYNACK
+    flags = [TCP_ACK] * count
+    flags[0] = TCP_SYN if directions[0] else _TCP_SYNACK
     first_bwd = next((i for i, d in enumerate(directions) if not d), None)
     if first_bwd is not None:
         flags[first_bwd] = _TCP_SYNACK

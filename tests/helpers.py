@@ -9,7 +9,10 @@ Two kinds of tools live here:
   the numpy/struct implementations they are used to check;
 * the per-row scorer, the per-class fold assignment and the per-feature
   NIG fold that the library's batch versions replaced, kept as references
-  that must agree bit for bit.
+  that must agree bit for bit;
+* the flow layer's two former accumulators: the per-packet episode with
+  explicit SYN/FIN/close state, and the pairwise merge of reciprocal
+  export records.
 """
 
 from __future__ import annotations
@@ -19,7 +22,19 @@ from collections import Counter
 
 import numpy as np
 
-from flowident.flow import PacketRecord, Proto, str_to_ip
+from flowident.flow import (
+    REORDER_TOLERANCE_US,
+    TCP_FIN,
+    TCP_RST,
+    TCP_SYN,
+    Direction,
+    FlowRecord,
+    PacketRecord,
+    Proto,
+    canonical_endpoints,
+    canonical_key,
+    str_to_ip,
+)
 
 
 def ip(text: str) -> int:
@@ -318,3 +333,135 @@ def assign_folds_oracle(labels, k: int, seed: int) -> list[int]:
             fold_of[int(i)] = cursor % k
             cursor += 1
     return fold_of
+
+
+# --------------------------------------------------------------------------
+# The flow layer's accumulation before packets and export records shared
+# one episode
+# --------------------------------------------------------------------------
+
+class _PacketEpisodeOracle:
+    """One episode fed packet by packet, with SYN, FIN and per-direction
+    close state kept as their own booleans."""
+
+    def __init__(self, key, orientation):
+        self.key = key
+        self.orientation = orientation
+        self.first_ts = self.last_ts = None
+        self.fwd_packets = self.fwd_bytes = self.bwd_packets = self.bwd_bytes = 0
+        self.flags_fwd = self.flags_bwd = self.tos = 0
+        self.syn_seen = self.fin_seen = self.close_fwd = self.close_bwd = False
+        self.packets = []
+
+    def add(self, pkt, direction):
+        if self.first_ts is None:
+            self.first_ts = self.last_ts = pkt.ts
+        self.first_ts = min(self.first_ts, pkt.ts)
+        self.last_ts = max(self.last_ts, pkt.ts)
+        forward = direction is self.orientation
+        if forward:
+            self.fwd_packets += 1
+            self.fwd_bytes += pkt.length
+            self.flags_fwd |= pkt.tcp_flags
+        else:
+            self.bwd_packets += 1
+            self.bwd_bytes += pkt.length
+            self.flags_bwd |= pkt.tcp_flags
+        self.tos |= pkt.tos
+        if pkt.proto is Proto.TCP:
+            self.syn_seen = self.syn_seen or bool(pkt.tcp_flags & TCP_SYN)
+            self.fin_seen = self.fin_seen or bool(pkt.tcp_flags & TCP_FIN)
+            if pkt.tcp_flags & (TCP_FIN | TCP_RST):
+                if forward:
+                    self.close_fwd = True
+                else:
+                    self.close_bwd = True
+        self.packets.append(pkt)
+
+    def to_record(self):
+        return FlowRecord(
+            key=self.key, first_ts=self.first_ts, last_ts=self.last_ts,
+            fwd_packets=self.fwd_packets, fwd_bytes=self.fwd_bytes,
+            bwd_packets=self.bwd_packets, bwd_bytes=self.bwd_bytes,
+            tcp_flags_fwd=self.flags_fwd, tcp_flags_bwd=self.flags_bwd, tos=self.tos,
+            complete=self.key.proto is Proto.TCP and self.syn_seen and self.fin_seen,
+            initiator_lo=self.orientation is Direction.FORWARD,
+        )
+
+
+def aggregate_oracle(packets, inactive_timeout: float, active_timeout: float):
+    """Per-packet flow aggregation: returns (records sorted by first_ts then
+    key, each record's packets, accepted count, rejected count)."""
+    inactive_us, active_us = int(inactive_timeout * 1e6), int(active_timeout * 1e6)
+    open_episodes, done = {}, []
+    clock = None
+    accepted = rejected = 0
+    for pkt in packets:
+        if clock is not None and pkt.ts < clock - REORDER_TOLERANCE_US:
+            rejected += 1
+            continue
+        clock = pkt.ts if clock is None else max(clock, pkt.ts)
+        accepted += 1
+        key, direction = canonical_key(pkt)
+        episode = open_episodes.get(key)
+        if episode is not None and (
+            pkt.ts - episode.last_ts > inactive_us or pkt.ts - episode.first_ts > active_us
+        ):
+            done.append(open_episodes.pop(key))
+            episode = None
+        if episode is None:
+            episode = open_episodes[key] = _PacketEpisodeOracle(key, direction)
+        episode.add(pkt, direction)
+        if pkt.proto is Proto.TCP and episode.close_fwd and episode.close_bwd:
+            done.append(open_episodes.pop(key))
+    done.extend(open_episodes.values())
+    done.sort(key=lambda e: (e.first_ts, e.key.sort_tuple()))
+    return [e.to_record() for e in done], [e.packets for e in done], accepted, rejected
+
+
+class _ExportEntryOracle:
+    """A unidirectional export record that may absorb its reciprocal."""
+
+    def __init__(self, key, orientation, first_ts, last_ts, pkts, octets, flags, tos):
+        self.key, self.orientation = key, orientation
+        self.first_ts, self.last_ts = first_ts, last_ts
+        self.fwd = (pkts, octets, flags)
+        self.bwd = (0, 0, 0)
+        self.tos = tos
+
+    def absorb_reverse(self, first_ts, last_ts, pkts, octets, flags, tos):
+        self.first_ts = min(self.first_ts, first_ts)
+        self.last_ts = max(self.last_ts, last_ts)
+        self.bwd = (pkts, octets, flags)
+        self.tos |= tos
+
+    def to_record(self):
+        flags = self.fwd[2] | self.bwd[2]
+        return FlowRecord(
+            key=self.key, first_ts=self.first_ts, last_ts=self.last_ts,
+            fwd_packets=self.fwd[0], fwd_bytes=self.fwd[1],
+            bwd_packets=self.bwd[0], bwd_bytes=self.bwd[1],
+            tcp_flags_fwd=self.fwd[2], tcp_flags_bwd=self.bwd[2], tos=self.tos,
+            complete=self.key.proto is Proto.TCP and bool(flags & 0x02) and bool(flags & 0x01),
+            initiator_lo=self.orientation is Direction.FORWARD,
+        )
+
+
+def merge_records_oracle(records, boot_us: int):
+    """Bidirectional flows from one datagram's records, each a tuple
+    (src, dst, sport, dport, proto, pkts, octets, first_ms, last_ms, flags, tos)
+    with dotted-quad addresses and uptimes after ``boot_us``.  A record merges
+    into the earliest unmerged record of the same key and opposite direction."""
+    entries, unpaired = [], {}
+    for src, dst, sport, dport, proto, pkts, octets, first, last, flags, tos in records:
+        key, direction = canonical_endpoints(ip(src), sport, ip(dst), dport, Proto(proto))
+        times = (boot_us + first * 1000, boot_us + last * 1000)
+        waiting = unpaired.setdefault(key, [])
+        partner = next((e for e in waiting if e.orientation is not direction), None)
+        if partner is not None:
+            partner.absorb_reverse(*times, pkts, octets, flags, tos)
+            waiting.remove(partner)
+        else:
+            entries.append(_ExportEntryOracle(key, direction, *times, pkts, octets, flags, tos))
+            waiting.append(entries[-1])
+    return [entry.to_record() for entry in entries]

@@ -368,6 +368,7 @@ def test_non_finite_feature_cell_exits_one(tmp_path, capsys):
     lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(alpha=-1.0),
     lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(beta=float("inf")),
     lambda doc: doc["classes"]["chat"]["plugin_vars"].update({"2": 0.0}),
+    lambda doc: doc.update(alphabet=["bulk", "bulk"]),
 ])
 def test_invalid_model_exits_one(tmp_path, capsys, tamper):
     flows_csv = tmp_path / "flows.csv"
@@ -382,3 +383,34 @@ def test_invalid_model_exits_one(tmp_path, capsys, tamper):
         code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith(f"error: {model}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ingest", "--pcap", "{pcap}", "--out", "{out}", "--inactive-timeout", "nan"],
+     "inactive_timeout must be finite and positive, got nan"),
+    (["ingest", "--pcap", "{pcap}", "--out", "{out}", "--active-timeout", "inf"],
+     "active_timeout must be finite and positive, got inf"),
+    (["sample-report", "--pcap", "{pcap}", "--out-json", "{out}", "--inactive-timeout", "nan"],
+     "inactive_timeout must be finite and positive, got nan"),
+    (["sample-report", "--pcap", "{pcap}", "--out-json", "{out}", "--active-timeout", "inf"],
+     "active_timeout must be finite and positive, got inf"),
+    (["train", "{csv}", "--out", "{out}", "--prior-kappa", "nan"],
+     "prior kappa must be finite and positive, got nan"),
+    (["train", "{csv}", "--out", "{out}", "--prior-beta", "inf"],
+     "prior beta must be finite and positive, got inf"),
+    (["train", "{csv}", "--out", "{out}", "--prior-mu=-inf"],
+     "prior mu must be finite, got -inf"),
+    (["evaluate", "{csv}", "--report", "{out}", "--prior-alpha", "nan"],
+     "prior alpha must be finite and positive, got nan"),
+    (["select", "{csv}", "--out", "{out}", "--delta", "nan"],
+     "delta must be finite, got nan"),
+])
+def test_non_finite_numeric_option_exits_two(tmp_path, capsys, argv, message):
+    paths = {"pcap": tmp_path / "demo.pcap", "csv": tmp_path / "flows.csv",
+             "out": tmp_path / "out"}
+    run(["synth", FIXTURE_SPEC, "--out-pcap", paths["pcap"], "--out-dataset", paths["csv"]],
+        capsys)
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not paths["out"].exists()

@@ -1,8 +1,10 @@
-"""Batch code against the per-row code it replaced (oracles in helpers).
+"""Library code against the code it replaced (oracles in helpers).
 
 The batch scorer, the fold assignment, the bincount metric report and the
 array NIG fold must give exactly what the per-row or per-feature versions
-give: same floats, same ties.
+give: same floats, same ties.  Packet aggregation and NetFlow pair merging,
+which share one flow episode, must give exactly the records of the per-packet
+episode and the pairwise record merge they replaced.
 """
 
 import numpy as np
@@ -28,9 +30,25 @@ from flowident.evaluation import (
     metrics,
 )
 from flowident.features import Dataset, FeatureVector
+from flowident.flow import (
+    TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
+    TCP_SYN,
+    FlowAggregator,
+    PacketRecord,
+    Proto,
+    aggregate,
+)
+from flowident.ingest.netflow import decode_netflow_v5
 from flowident.synth import generate_dataset, parse_synth_spec
 from helpers import (
+    aggregate_oracle,
     assign_folds_oracle,
+    ip,
+    merge_records_oracle,
+    nf5_datagram,
+    nf5_record,
     nig_fold_oracle,
     plugin_variance_oracle,
     predict_oracle,
@@ -156,3 +174,94 @@ def test_nig_fold_and_plugin_variance_equal_the_per_feature_oracle():
         assert got == want
         floors = [plugin_variance_oracle(a, b, VARIANCE_FLOOR) for _, _, a, b in want]
         assert plugin_variance(*np.array(want).T[2:]).tolist() == floors
+
+
+# Two TCP and one UDP conversation, plus the first TCP one's endpoints over
+# UDP: a few keys, reused across episodes.
+CONVERSATIONS = (
+    (("10.0.0.1", 1111), ("10.0.0.2", 80), Proto.TCP),
+    (("10.0.0.9", 443), ("10.0.0.3", 3333), Proto.TCP),
+    (("10.0.0.5", 5060), ("10.0.0.6", 5060), Proto.UDP),
+    (("10.0.0.1", 1111), ("10.0.0.2", 80), Proto.UDP),
+)
+TCP_FLAGS = (0, TCP_SYN, TCP_ACK, TCP_SYN | TCP_ACK, TCP_FIN | TCP_ACK, TCP_RST,
+             TCP_RST | TCP_ACK, TCP_SYN | TCP_FIN)
+
+
+@st.composite
+def packet_streams(draw):
+    """Packets that mostly move forward in time, sometimes step back within
+    or beyond the 1 s reorder tolerance, and pause past the test timeouts."""
+    ts = 10_000_000
+    packets = []
+    for _ in range(draw(st.integers(1, 60))):
+        ts = max(0, ts + draw(st.one_of(
+            st.integers(0, 50_000),
+            st.integers(-1_500_000, 0),
+            st.integers(1_000_000, 4_000_000),
+        )))
+        a, b, proto = draw(st.sampled_from(CONVERSATIONS))
+        if draw(st.booleans()):
+            a, b = b, a
+        packets.append(PacketRecord(
+            ts=ts, src_ip=ip(a[0]), dst_ip=ip(b[0]), src_port=a[1], dst_port=b[1],
+            proto=proto, length=draw(st.integers(20, 1500)),
+            tcp_flags=draw(st.sampled_from(TCP_FLAGS)) if proto is Proto.TCP else 0,
+            tos=draw(st.sampled_from((0, 0x04, 0x10))),
+        ))
+    return packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
+def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
+    records, kept, accepted, rejected = aggregate_oracle(packets, inactive, active)
+    agg = FlowAggregator(inactive, active, keep_packets=True)
+    for pkt in packets:
+        agg.add(pkt)
+    agg.flush()
+    assert agg.records() == records
+    assert agg.records_with_packets() == list(zip(records, kept))
+    assert (agg.accepted, agg.rejected) == (accepted, rejected)
+    assert aggregate(packets, inactive, active) == records
+
+
+ENDPOINT_PAIRS = (
+    ("10.0.0.2", "10.0.0.1", 5000, 80),
+    ("10.0.0.7", "10.0.0.8", 53, 53),
+    ("10.0.0.3", "10.0.0.4", 4000, 443),
+)
+
+
+@st.composite
+def export_records(draw):
+    """Up to 30 records over three endpoint pairs and both protocols, so a
+    datagram holds reciprocal pairs, repeats of one direction and lone records."""
+    records = []
+    for _ in range(draw(st.integers(1, 30))):
+        src, dst, sport, dport = draw(st.sampled_from(ENDPOINT_PAIRS))
+        if draw(st.booleans()):
+            src, dst, sport, dport = dst, src, dport, sport
+        pkts = draw(st.integers(1, 5000))
+        first = draw(st.integers(0, 60_000))
+        records.append((
+            src, dst, sport, dport, draw(st.sampled_from((6, 17))),
+            pkts, 20 * pkts + draw(st.integers(0, 100_000)),
+            first, first + draw(st.integers(0, 60_000)),
+            draw(st.integers(0, 255)), draw(st.integers(0, 255)),
+        ))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_records())
+def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
+    sys_uptime, unix_secs = 120_000, 1_700_000_000
+    datagram = nf5_datagram(
+        [nf5_record(src=src, dst=dst, sport=sport, dport=dport, proto=proto, pkts=pkts,
+                    octets=octets, first=first, last=last, flags=flags, tos=tos)
+         for src, dst, sport, dport, proto, pkts, octets, first, last, flags, tos in records],
+        sys_uptime=sys_uptime, unix_secs=unix_secs,
+    )
+    boot_us = unix_secs * 1_000_000 - sys_uptime * 1000
+    assert decode_netflow_v5(datagram) == merge_records_oracle(records, boot_us)

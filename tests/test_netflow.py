@@ -105,6 +105,53 @@ def test_decode_record_errors_name_the_record(record, message):
         decode_netflow_v5(datagram)
 
 
+EXPORT_US = 1_700_000_000 * 1_000_000
+WRAP_MS = 1 << 32
+
+
+def test_records_taken_before_the_uptime_wrap_are_moved_back():
+    # Exported 2 s after the 32-bit millisecond uptime wrapped; the first
+    # record ran from 3 s to 1 s before the wrap, its reply straddles it.
+    datagram = nf5_datagram(
+        [
+            nf5_record(first=WRAP_MS - 3000, last=WRAP_MS - 1000),
+            nf5_record(src="10.0.0.1", dst="10.0.0.2", sport=80, dport=5000,
+                       first=WRAP_MS - 1000, last=500),
+        ],
+        sys_uptime=2000,
+        unix_secs=1_700_000_000,
+    )
+    [flow] = decode_netflow_v5(datagram)
+    assert flow.first_ts == EXPORT_US - 5_000_000
+    assert flow.last_ts == EXPORT_US - 1_500_000
+    assert (flow.fwd_packets, flow.bwd_packets) == (1, 1)
+
+
+@pytest.mark.parametrize("uptime_ms, offset_ms", [
+    (1 << 31, 1 << 31),                # half the counter ahead: a stamp after export
+    ((1 << 31) + 1, (1 << 31) + 1 - WRAP_MS),  # further ahead: before the wrap
+])
+def test_only_a_lead_past_half_the_counter_counts_as_wrapped(uptime_ms, offset_ms):
+    datagram = nf5_datagram([nf5_record(first=uptime_ms, last=uptime_ms)],
+                            unix_secs=1_700_000_000)
+    [flow] = decode_netflow_v5(datagram)
+    assert flow.first_ts == EXPORT_US + offset_ms * 1000
+
+
+@pytest.mark.parametrize("header, first", [
+    (dict(unix_secs=0, sys_uptime=5000), 0),
+    (dict(unix_secs=2, sys_uptime=2000), WRAP_MS - 3000),
+])
+def test_record_starting_before_the_epoch_is_refused(header, first):
+    at_export = header["sys_uptime"]  # record 0 starts at the export time: not refused
+    datagram = nf5_datagram(
+        [nf5_record(first=at_export, last=at_export), nf5_record(first=first, last=first)],
+        **header,
+    )
+    with pytest.raises(MalformedDatagramError, match="record 1: flow starts before the Unix epoch"):
+        decode_netflow_v5(datagram)
+
+
 def sample_flow(**overrides):
     fields = dict(
         key=FlowKey(ip("10.0.0.1"), 80, ip("10.0.0.2"), 5000, Proto.TCP),
