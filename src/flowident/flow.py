@@ -200,7 +200,6 @@ class Episode:
         self.tos |= tos
 
     def to_record(self) -> FlowRecord:
-        flags = self.flags_fwd | self.flags_bwd
         return FlowRecord(
             key=self.key,
             first_ts=self.first_ts,
@@ -212,8 +211,7 @@ class Episode:
             tcp_flags_fwd=self.flags_fwd,
             tcp_flags_bwd=self.flags_bwd,
             tos=self.tos,
-            # An export record may carry flag bits on UDP; they do not count.
-            complete=self.key.proto is Proto.TCP and (flags & _COMPLETE_FLAGS) == _COMPLETE_FLAGS,
+            complete=((self.flags_fwd | self.flags_bwd) & _COMPLETE_FLAGS) == _COMPLETE_FLAGS,
             initiator_lo=self.orientation is Direction.FORWARD,
         )
 
@@ -232,25 +230,24 @@ class FlowAggregator:
         self,
         inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
         active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
-        keep_packets: bool = False,
     ) -> None:
         check_finite("inactive_timeout", inactive_timeout, positive=True)
         check_finite("active_timeout", active_timeout, positive=True)
         self._inactive_us = int(inactive_timeout * 1e6)
         self._active_us = int(active_timeout * 1e6)
-        self._keep = keep_packets
         self._open: dict[FlowKey, Episode] = {}
-        self._packets: dict[FlowKey, list[PacketRecord]] = {}
-        self._done: list[tuple[FlowRecord, list[PacketRecord] | None]] = []
+        self._done: list[Episode] = []
         self._clock = -(1 << 62)
         self.accepted = 0
         self.rejected = 0
 
-    def add(self, pkt: PacketRecord) -> None:
+    def add(self, pkt: PacketRecord) -> Episode | None:
+        """Fold one packet in; returns the episode it joined, or None when
+        the packet is rejected."""
         ts = pkt.ts
         if ts < self._clock - REORDER_TOLERANCE_US:
             self.rejected += 1
-            return
+            return None
         self._clock = max(self._clock, ts)
         self.accepted += 1
         key, direction = canonical_key(pkt)
@@ -259,33 +256,25 @@ class FlowAggregator:
             idle = ts - episode.last_ts
             age = ts - episode.first_ts
             if idle > self._inactive_us or age > self._active_us:
-                self._close(key)
+                self._done.append(self._open.pop(key))
                 episode = None
         if episode is None:
             episode = self._open[key] = Episode(key, direction, ts)
         episode.add(direction, ts, ts, 1, pkt.length, pkt.tcp_flags, pkt.tos)
-        if self._keep:
-            self._packets.setdefault(key, []).append(pkt)
         if episode.flags_fwd & _CLOSE_FLAGS and episode.flags_bwd & _CLOSE_FLAGS:
-            self._close(key)
-
-    def _close(self, key: FlowKey) -> None:
-        self._done.append((self._open.pop(key).to_record(), self._packets.pop(key, None)))
+            self._done.append(self._open.pop(key))
+        return episode
 
     def flush(self) -> None:
-        for key in list(self._open):
-            self._close(key)
+        self._done.extend(self._open.values())
+        self._open.clear()
 
-    def _sorted(self) -> list[tuple[FlowRecord, list[PacketRecord] | None]]:
-        return sorted(self._done, key=lambda item: (item[0].first_ts, item[0].key.sort_tuple()))
+    def episodes(self) -> list[Episode]:
+        """Closed episodes, ordered by start time, then key."""
+        return sorted(self._done, key=lambda e: (e.first_ts, e.key.sort_tuple()))
 
     def records(self) -> list[FlowRecord]:
-        return [record for record, _ in self._sorted()]
-
-    def records_with_packets(self) -> list[tuple[FlowRecord, list[PacketRecord]]]:
-        if not self._keep:
-            raise ContractError("aggregator was not asked to keep packets")
-        return self._sorted()
+        return [episode.to_record() for episode in self.episodes()]
 
 
 def aggregate(
@@ -299,16 +288,3 @@ def aggregate(
         agg.add(pkt)
     agg.flush()
     return agg.records()
-
-
-def aggregate_with_packets(
-    packets,
-    inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
-    active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
-) -> list[tuple[FlowRecord, list[PacketRecord]]]:
-    """Like :func:`aggregate` but returns each episode's packets as well."""
-    agg = FlowAggregator(inactive_timeout, active_timeout, keep_packets=True)
-    for pkt in packets:
-        agg.add(pkt)
-    agg.flush()
-    return agg.records_with_packets()

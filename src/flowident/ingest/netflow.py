@@ -11,6 +11,7 @@ the millisecond on a round trip.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 from ..errors import FormatError
 from ..flow import Episode, FlowKey, FlowRecord, Proto, canonical_endpoints
@@ -76,6 +77,10 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
         ) = _RECORD.unpack_from(data, _HEADER.size + i * _RECORD.size)
         if prot not in (Proto.TCP, Proto.UDP):
             raise MalformedDatagramError(f"record {i}: unsupported protocol {prot}")
+        if prot == Proto.UDP and tcp_flags:
+            raise MalformedDatagramError(
+                f"record {i}: UDP record carries TCP flags {tcp_flags:#04x}"
+            )
         if pkts < 1:
             raise MalformedDatagramError(f"record {i}: zero packet count")
         if octets < 20 * pkts:
@@ -167,7 +172,7 @@ def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
 
 def read_netflow_file(path) -> list[FlowRecord]:
     """Decode a file of concatenated v5 datagrams."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     flows: list[FlowRecord] = []
     offset = 0
     while offset < len(data):
@@ -177,6 +182,9 @@ def read_netflow_file(path) -> list[FlowRecord]:
         size = _HEADER.size + count * _RECORD.size
         if count < 1 or offset + size > len(data):
             raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
-        flows.extend(decode_netflow_v5(data[offset : offset + size]))
+        try:
+            flows.extend(decode_netflow_v5(data[offset : offset + size]))
+        except (MalformedDatagramError, UnsupportedVersionError) as exc:
+            raise type(exc)(f"{path}: datagram at byte {offset}: {exc}") from exc
         offset += size
     return flows

@@ -20,7 +20,17 @@ _MAGIC_NS = (0xA1B23C4D, 0x4D3CB2A1)
 
 LINKTYPE_ETHERNET = 1
 
-_ETHERTYPE_IPV4 = 0x0800
+_ETHERTYPE_IPV4 = b"\x08\x00"
+# Destination and source MAC, then the ethertype: what the writer puts
+# before every IPv4 header, and where the reader looks for one.
+_ETHERNET_HEADER = bytes.fromhex("020000000002" "020000000001") + _ETHERTYPE_IPV4
+_IP_AT = len(_ETHERNET_HEADER)
+
+# version/IHL, ToS, total length, id, flags/fragment offset, TTL, protocol,
+# checksum, source, destination.
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_PORTS = struct.Struct("!HH")
+_PROTOS = {int(proto): proto for proto in Proto}
 
 _GLOBAL_HEADER = struct.Struct("=IHHiIII")
 _SNAPLEN = 65535
@@ -36,46 +46,32 @@ class UnsupportedFormatError(FormatError):
 
 def _parse_frame(data: bytes, ts: int) -> PacketRecord | None:
     """Turn one captured Ethernet frame into a PacketRecord, or None to skip."""
-    if len(data) < 14:
+    if len(data) < _IP_AT + _IPV4.size or data[_IP_AT - 2 : _IP_AT] != _ETHERTYPE_IPV4:
         return None
-    ethertype = int.from_bytes(data[12:14], "big")
-    if ethertype != _ETHERTYPE_IPV4:
+    ver_ihl, tos, total_length, _id, frag, _ttl, proto_num, _sum, src_ip, dst_ip = (
+        _IPV4.unpack_from(data, _IP_AT)
+    )
+    ihl = (ver_ihl & 0x0F) * 4
+    proto = _PROTOS.get(proto_num)
+    if ver_ihl >> 4 != 4 or ihl < 20 or total_length < ihl or proto is None:
         return None
-    ip = data[14:]
-    if len(ip) < 20:
-        return None
-    version = ip[0] >> 4
-    ihl = (ip[0] & 0x0F) * 4
-    if version != 4 or ihl < 20 or len(ip) < ihl:
-        return None
-    total_length = int.from_bytes(ip[2:4], "big")
-    if total_length < ihl:
-        return None
-    frag = int.from_bytes(ip[6:8], "big")
     if frag & 0x3FFF:  # fragment offset or MF bit: no reassembly here
         return None
-    proto_num = ip[9]
-    if proto_num not in (Proto.TCP, Proto.UDP):
+    transport = _IP_AT + ihl
+    # UDP needs its 8-byte header, TCP at least up to its flags byte (offset 13).
+    if len(data) < transport + (14 if proto is Proto.TCP else 8):
         return None
-    transport = ip[ihl:]
-    tcp_flags = 0
-    if proto_num == Proto.TCP:
-        if len(transport) < 14:  # need the flags byte at offset 13
-            return None
-        tcp_flags = transport[13]
-    else:
-        if len(transport) < 8:
-            return None
+    src_port, dst_port = _PORTS.unpack_from(data, transport)
     return PacketRecord(
         ts=ts,
-        src_ip=int.from_bytes(ip[12:16], "big"),
-        dst_ip=int.from_bytes(ip[16:20], "big"),
-        src_port=int.from_bytes(transport[0:2], "big"),
-        dst_port=int.from_bytes(transport[2:4], "big"),
-        proto=Proto(proto_num),
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        src_port=src_port,
+        dst_port=dst_port,
+        proto=proto,
         length=total_length,
-        tcp_flags=tcp_flags,
-        tos=ip[1],
+        tcp_flags=data[transport + 13] if proto is Proto.TCP else 0,
+        tos=tos,
     )
 
 
@@ -150,9 +146,7 @@ def read_pcap(path: str | Path) -> list[PacketRecord]:
 
 def _checksum(header: bytes) -> int:
     # RFC 1071 ones'-complement sum over 16-bit words.
-    total = 0
-    for i in range(0, len(header), 2):
-        total += int.from_bytes(header[i : i + 2], "big")
+    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
@@ -165,20 +159,10 @@ def _build_frame(pkt: PacketRecord) -> bytes:
         raise ContractError(
             f"packet length {pkt.length} cannot hold a {pkt.proto.name} header"
         )
-    ip_header = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        pkt.tos,
-        pkt.length,
-        0,
-        0,
-        64,
-        int(pkt.proto),
-        0,
-        pkt.src_ip.to_bytes(4, "big"),
-        pkt.dst_ip.to_bytes(4, "big"),
+    ip_header = bytearray(
+        _IPV4.pack(0x45, pkt.tos, pkt.length, 0, 0, 64, pkt.proto, 0, pkt.src_ip, pkt.dst_ip)
     )
-    ip_header = ip_header[:10] + _checksum(ip_header).to_bytes(2, "big") + ip_header[12:]
+    ip_header[10:12] = _checksum(ip_header).to_bytes(2, "big")
     if pkt.proto is Proto.TCP:
         transport = struct.pack(
             "!HHIIBBHHH",
@@ -194,9 +178,7 @@ def _build_frame(pkt: PacketRecord) -> bytes:
         )
     else:
         transport = struct.pack("!HHHH", pkt.src_port, pkt.dst_port, 8 + payload_len, 0)
-    ethernet = bytes.fromhex("020000000002") + bytes.fromhex("020000000001")
-    ethernet += _ETHERTYPE_IPV4.to_bytes(2, "big")
-    return ethernet + ip_header + transport + bytes(payload_len)
+    return _ETHERNET_HEADER + ip_header + transport + bytes(payload_len)
 
 
 def write_pcap(path: str | Path, packets) -> int:

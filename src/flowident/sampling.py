@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError
 from .flow import (
-    DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketRecord, aggregate_with_packets,
+    DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, Episode, FlowAggregator, PacketRecord,
 )
 
 MIN_TRIALS = 1000
@@ -78,8 +78,6 @@ class FlowTrace:
     @classmethod
     def from_packets(cls, packets) -> "FlowTrace":
         packets = sorted(packets, key=lambda p: p.ts)
-        if not packets:
-            raise ContractError("a flow trace has at least one packet")
         return cls(
             sizes=np.array([p.length for p in packets], dtype=np.int64),
             ts=np.array([p.ts for p in packets], dtype=np.int64),
@@ -221,11 +219,15 @@ def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIA
 
 def traces_from_packets(packets, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
                         active_timeout: float = DEFAULT_ACTIVE_TIMEOUT):
-    """Group a packet stream into per-episode FlowTraces."""
-    return [
-        FlowTrace.from_packets(pkts)
-        for _, pkts in aggregate_with_packets(packets, inactive_timeout, active_timeout)
-    ]
+    """Group a packet stream into per-episode FlowTraces, in the
+    aggregator's episode order."""
+    agg = FlowAggregator(inactive_timeout, active_timeout)
+    members: dict[Episode | None, list[PacketRecord]] = {}
+    for pkt in packets:
+        # Rejected packets gather under None, which no episode looks up.
+        members.setdefault(agg.add(pkt), []).append(pkt)
+    agg.flush()
+    return [FlowTrace.from_packets(members[episode]) for episode in agg.episodes()]
 
 
 @dataclass(frozen=True)

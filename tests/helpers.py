@@ -12,7 +12,9 @@ Two kinds of tools live here:
   that must agree bit for bit;
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
-  export records.
+  export records;
+* the byte-slicing frame parser that the pcap reader's struct parser
+  replaced.
 """
 
 from __future__ import annotations
@@ -150,6 +152,52 @@ def pcap_file(frames_with_ts, endian: str = "<", linktype: int = 1, magic: int =
     for ts_us, frame in frames_with_ts:
         out += pcap_packet(ts_us, frame, endian)
     return bytes(out)
+
+
+def parse_frame_oracle(data: bytes, ts: int) -> PacketRecord | None:
+    """One Ethernet frame to a PacketRecord, or None to skip, by slicing
+    the IPv4 header and transport bytes out field by field."""
+    if len(data) < 14:
+        return None
+    ethertype = int.from_bytes(data[12:14], "big")
+    if ethertype != 0x0800:
+        return None
+    ip = data[14:]
+    if len(ip) < 20:
+        return None
+    version = ip[0] >> 4
+    ihl = (ip[0] & 0x0F) * 4
+    if version != 4 or ihl < 20 or len(ip) < ihl:
+        return None
+    total_length = int.from_bytes(ip[2:4], "big")
+    if total_length < ihl:
+        return None
+    frag = int.from_bytes(ip[6:8], "big")
+    if frag & 0x3FFF:  # fragment offset or MF bit: no reassembly here
+        return None
+    proto_num = ip[9]
+    if proto_num not in (Proto.TCP, Proto.UDP):
+        return None
+    transport = ip[ihl:]
+    tcp_flags = 0
+    if proto_num == Proto.TCP:
+        if len(transport) < 14:  # need the flags byte at offset 13
+            return None
+        tcp_flags = transport[13]
+    else:
+        if len(transport) < 8:
+            return None
+    return PacketRecord(
+        ts=ts,
+        src_ip=int.from_bytes(ip[12:16], "big"),
+        dst_ip=int.from_bytes(ip[16:20], "big"),
+        src_port=int.from_bytes(transport[0:2], "big"),
+        dst_port=int.from_bytes(transport[2:4], "big"),
+        proto=Proto(proto_num),
+        length=total_length,
+        tcp_flags=tcp_flags,
+        tos=ip[1],
+    )
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from flowident.features import Dataset, FeatureVector, write_dataset
 from flowident.flow import Proto
 from flowident.ingest.netflow import encode_netflow_v5
 from flowident.ingest.pcap import write_pcap
-from helpers import mk_packet
+from helpers import mk_packet, nf5_datagram, nf5_record
 
 FIXTURE_SPEC = Path(__file__).parent / "fixtures" / "demo_spec.json"
 
@@ -151,6 +151,20 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("records, message", [
+    ([nf5_record(proto=17, flags=0x12)],
+     "datagram at byte 72: record 0: UDP record carries TCP flags 0x12"),
+    ([nf5_record(pkts=0)], "datagram at byte 72: record 0: zero packet count"),
+])
+def test_bad_netflow_record_exits_one_naming_file_and_datagram(tmp_path, capsys, records, message):
+    export = tmp_path / "export.bin"
+    export.write_bytes(nf5_datagram([nf5_record(sport=7)]) + nf5_datagram(records))
+    code, _, err = run(["ingest", "--netflow", export, "--out", tmp_path / "x.csv"], capsys)
+    assert code == 1
+    assert f"error: {export}: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_non_capture_file_exits_one(tmp_path, capsys):

@@ -4,10 +4,12 @@ The batch scorer, the fold assignment, the bincount metric report and the
 array NIG fold must give exactly what the per-row or per-feature versions
 give: same floats, same ties.  Packet aggregation and NetFlow pair merging,
 which share one flow episode, must give exactly the records of the per-packet
-episode and the pairwise record merge they replaced.
+episode and the pairwise record merge they replaced.  The pcap frame parser
+must skip or keep exactly the frames the byte-slicing parser did.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +42,8 @@ from flowident.flow import (
     Proto,
     aggregate,
 )
-from flowident.ingest.netflow import decode_netflow_v5
+from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
+from flowident.ingest.pcap import _build_frame, _parse_frame
 from flowident.synth import generate_dataset, parse_synth_spec
 from helpers import (
     aggregate_oracle,
@@ -50,6 +53,7 @@ from helpers import (
     nf5_datagram,
     nf5_record,
     nig_fold_oracle,
+    parse_frame_oracle,
     plugin_variance_oracle,
     predict_oracle,
     score_oracle,
@@ -216,12 +220,15 @@ def packet_streams(draw):
 @given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
 def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     records, kept, accepted, rejected = aggregate_oracle(packets, inactive, active)
-    agg = FlowAggregator(inactive, active, keep_packets=True)
+    agg = FlowAggregator(inactive, active)
+    members = {}
     for pkt in packets:
-        agg.add(pkt)
+        episode = agg.add(pkt)
+        if episode is not None:
+            members.setdefault(episode, []).append(pkt)
     agg.flush()
     assert agg.records() == records
-    assert agg.records_with_packets() == list(zip(records, kept))
+    assert [members[episode] for episode in agg.episodes()] == kept
     assert (agg.accepted, agg.rejected) == (accepted, rejected)
     assert aggregate(packets, inactive, active) == records
 
@@ -234,9 +241,10 @@ ENDPOINT_PAIRS = (
 
 
 @st.composite
-def export_records(draw):
+def export_records(draw, udp_flags=True):
     """Up to 30 records over three endpoint pairs and both protocols, so a
-    datagram holds reciprocal pairs, repeats of one direction and lone records."""
+    datagram holds reciprocal pairs, repeats of one direction and lone records.
+    Without ``udp_flags``, UDP records carry no TCP flag bits."""
     records = []
     for _ in range(draw(st.integers(1, 30))):
         src, dst, sport, dport = draw(st.sampled_from(ENDPOINT_PAIRS))
@@ -244,18 +252,19 @@ def export_records(draw):
             src, dst, sport, dport = dst, src, dport, sport
         pkts = draw(st.integers(1, 5000))
         first = draw(st.integers(0, 60_000))
+        proto = draw(st.sampled_from((6, 17)))
         records.append((
-            src, dst, sport, dport, draw(st.sampled_from((6, 17))),
+            src, dst, sport, dport, proto,
             pkts, 20 * pkts + draw(st.integers(0, 100_000)),
             first, first + draw(st.integers(0, 60_000)),
-            draw(st.integers(0, 255)), draw(st.integers(0, 255)),
+            draw(st.integers(0, 255)) if udp_flags or proto == 6 else 0,
+            draw(st.integers(0, 255)),
         ))
     return records
 
 
-@settings(max_examples=200, deadline=None)
-@given(export_records())
-def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
+def datagram_and_merge(records):
+    """One datagram of ``records``, and the oracle's flows for it."""
     sys_uptime, unix_secs = 120_000, 1_700_000_000
     datagram = nf5_datagram(
         [nf5_record(src=src, dst=dst, sport=sport, dport=dport, proto=proto, pkts=pkts,
@@ -264,4 +273,59 @@ def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
         sys_uptime=sys_uptime, unix_secs=unix_secs,
     )
     boot_us = unix_secs * 1_000_000 - sys_uptime * 1000
-    assert decode_netflow_v5(datagram) == merge_records_oracle(records, boot_us)
+    return datagram, merge_records_oracle(records, boot_us)
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_records())
+def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
+    datagram, merged = datagram_and_merge(records)
+    if any(proto == 17 and flags for _, _, _, _, proto, _, _, _, _, flags, _ in records):
+        with pytest.raises(MalformedDatagramError, match="UDP record carries TCP flags"):
+            decode_netflow_v5(datagram)
+    else:
+        assert decode_netflow_v5(datagram) == merged
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_records(udp_flags=False))
+def test_decode_netflow_without_udp_flags_equals_the_pairwise_merge_oracle(records):
+    datagram, merged = datagram_and_merge(records)
+    assert decode_netflow_v5(datagram) == merged
+
+
+# Header bytes whose values decide whether a frame is kept: ethertype,
+# version/IHL, total length, fragment word, protocol.
+HEADER_BYTES = (12, 13, 14, 16, 17, 20, 21, 23)
+
+
+@st.composite
+def mutated_frames(draw):
+    """A written TCP or UDP frame, then truncated, overwritten in its first
+    60 bytes (header fields favoured) and/or extended."""
+    proto = draw(st.sampled_from((Proto.TCP, Proto.UDP)))
+    frame = bytearray(_build_frame(PacketRecord(
+        ts=0, src_ip=draw(st.integers(0, 2**32 - 1)), dst_ip=draw(st.integers(0, 2**32 - 1)),
+        src_port=draw(st.integers(0, 65535)), dst_port=draw(st.integers(0, 65535)), proto=proto,
+        length=draw(st.integers(40 if proto is Proto.TCP else 28, 120)),
+        tcp_flags=draw(st.integers(0, 255)) if proto is Proto.TCP else 0,
+        tos=draw(st.integers(0, 255)),
+    )))
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.one_of(st.sampled_from(HEADER_BYTES), st.integers(0, 59)))
+        if position < len(frame):
+            frame[position] = draw(st.one_of(
+                st.integers(0x40, 0x4F),               # IPv4 with any IHL
+                st.sampled_from((0x00, 0x08, 0x20, 0x3F, 6, 17)),
+                st.integers(0, 255),
+            ))
+    if draw(st.booleans()):
+        del frame[draw(st.integers(0, len(frame))):]
+    frame += bytes(draw(st.lists(st.integers(0, 255), max_size=24)))
+    return bytes(frame)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_frames(), st.integers(0, 2**40))
+def test_parse_frame_equals_the_byte_slicing_parser(frame, ts):
+    assert _parse_frame(frame, ts) == parse_frame_oracle(frame, ts)

@@ -12,7 +12,6 @@ from flowident.flow import (
     PacketRecord,
     Proto,
     aggregate,
-    aggregate_with_packets,
     canonical_key,
     ip_to_str,
     str_to_ip,
@@ -320,16 +319,21 @@ def test_aggregator_validation():
         FlowAggregator(inactive_timeout=0)
     with pytest.raises(ContractError):
         FlowAggregator(active_timeout=-1)
-    agg = FlowAggregator()
-    with pytest.raises(ContractError):
-        agg.records_with_packets()
 
 
-def test_aggregate_with_packets_returns_episode_packets():
-    packets = handshake_packets()
-    [(flow, kept)] = aggregate_with_packets(packets)
-    assert kept == packets
-    assert flow.total_packets == 3
+def test_add_returns_the_packet_episode():
+    agg = FlowAggregator(inactive_timeout=1.0)
+    joined = [agg.add(pkt) for pkt in handshake_packets()]
+    assert joined[0] is joined[1] is joined[2]
+    late = mk_packet(ts=0, src="10.0.0.2", dst="10.0.0.1", sport=5000, dport=80)
+    assert agg.add(late) is None  # rejected: over 1 s behind the stream clock
+    later = agg.add(mk_packet(ts=5_000_000, src="10.0.0.1", dst="10.0.0.2",
+                              sport=80, dport=5000, length=52))
+    assert later is not joined[0]  # idle past the timeout: a new episode
+    agg.flush()
+    assert agg.episodes() == [joined[0], later]
+    assert agg.records() == [joined[0].to_record(), later.to_record()]
+    assert joined[0].to_record().total_packets == 3
 
 
 def test_flow_record_validation():

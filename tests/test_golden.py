@@ -6,8 +6,12 @@ columnar dataset and the batch scorer replaced, from the frozen
 72-row, three-class ``golden_features.csv``.  Any change to training,
 updating, fold assignment, scoring or the report format that moves a
 single bit shows up here.
+
+The capture written from the demo spec is pinned by its sha256, so the
+packet generator and the pcap writer cannot move a byte either.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -16,6 +20,8 @@ from flowident.classifier import load_model, save_model, train, update
 from flowident.cli import main
 from flowident.evaluation import assign_folds
 from flowident.features import Dataset, read_dataset
+from flowident.ingest.pcap import write_pcap
+from flowident.synth import generate_packets, load_synth_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FEATURES_CSV = FIXTURES / "golden_features.csv"
@@ -23,6 +29,7 @@ SAVED_AT = "2026-01-01T00:00:00+00:00"
 MODEL_FEATURES = (9, 3, 12, 16, 7)
 TRAIN_ROWS = 48
 FOLDS_K, FOLDS_SEED = 10, 7
+DEMO_CAPTURE_SHA256 = "20aba2e14569ae0a9e84be7462d8164f61f0611723296c02bb64634c7d99b214"
 
 
 def saved_model_text(model, path) -> str:
@@ -70,3 +77,12 @@ def test_fold_assignment():
 
 def test_evaluate_report_bytes(tmp_path):
     assert evaluate_report_text(tmp_path) == (FIXTURES / "golden_report.json").read_text()
+
+
+def test_demo_capture_bytes(tmp_path):
+    packets, _ = generate_packets(load_synth_spec(FIXTURES / "demo_spec.json"))
+    path = tmp_path / "demo.pcap"
+    assert write_pcap(path, packets) == 2070
+    data = path.read_bytes()
+    assert len(data) == 2_151_283
+    assert hashlib.sha256(data).hexdigest() == DEMO_CAPTURE_SHA256

@@ -1,6 +1,7 @@
 """Export-datagram decoding and encoding against hand-built bytes."""
 
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,7 @@ def test_decode_version_and_shape_errors():
         (nf5_record(pkts=0, octets=40), "record 1: zero packet count"),
         (nf5_record(pkts=3, octets=59), "record 1: byte count below IP minimum"),
         (nf5_record(first=500, last=100, octets=40), "record 1: flow ends before it starts"),
+        (nf5_record(proto=17, flags=0x12), "record 1: UDP record carries TCP flags 0x12"),
     ],
 )
 def test_decode_record_errors_name_the_record(record, message):
@@ -318,3 +320,15 @@ def test_read_netflow_file_concatenated_and_truncated(tmp_path):
     bad.write_bytes(b"".join(datagrams)[:-10])
     with pytest.raises(MalformedDatagramError, match="truncated"):
         read_netflow_file(bad)
+
+
+def test_read_netflow_file_names_the_datagram_of_a_decode_error(tmp_path):
+    first = nf5_datagram([nf5_record(), nf5_record(sport=5001)])
+    path = tmp_path / "export.bin"
+    path.write_bytes(first + nf5_datagram([nf5_record(pkts=0)]))
+    want = f"{path}: datagram at byte {len(first)}: record 0: zero packet count"
+    with pytest.raises(MalformedDatagramError, match=re.escape(want)):
+        read_netflow_file(path)
+    path.write_bytes(first + nf5_datagram([nf5_record()], version=9))
+    with pytest.raises(UnsupportedVersionError, match=re.escape(f"byte {len(first)}: expected")):
+        read_netflow_file(path)
