@@ -34,10 +34,8 @@ from .sampling import (
     Metric,
     SamplingConfig,
     adre,
-    bernoulli_sample,
     build_sampling_report,
     dre,
-    estimate,
     relative_error_variance,
     simulate_estimates,
     traces_from_packets,
@@ -66,13 +64,11 @@ __all__ = [
     "SamplingConfig",
     "adre",
     "aggregate",
-    "bernoulli_sample",
     "build_sampling_report",
     "canonical_key",
     "confusion",
     "discretize",
     "dre",
-    "estimate",
     "evaluate_predictions",
     "fcbf_select",
     "featurize",

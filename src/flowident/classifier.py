@@ -21,7 +21,6 @@ features cannot produce a singular model.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -31,6 +30,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError, check_finite
 from .features import Dataset, FeatureVector, NUM_FEATURES, validate_feature_ids
+from .files import is_finite_number, read_json, write_json
 
 MODEL_VERSION = "nfi-model/1"
 VARIANCE_FLOOR = 1e-9
@@ -274,18 +274,14 @@ def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> d
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_json_dict(model))
 
 
 def _checked(where: str, keys, name: str, values, need: str, ok) -> np.ndarray:
     """``values`` as a float64 array, refusing the first that is not a finite
-    JSON number passing ``ok``.  Bounds are compared as Python numbers: an int
-    too large for a float fails them."""
+    JSON number passing ``ok``."""
     for key, value in zip(keys, values):
-        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        if not (finite and ok(value)):
+        if not (is_finite_number(value) and ok(value)):
             raise ModelFormatError(f"{where} feature {key}: {name} must be {need}, got {value!r}")
     return np.array(values, dtype=np.float64)
 
@@ -316,11 +312,7 @@ def _load_class(path, label: str, entry: dict, keys: list[str]) -> ClassState:
 
 def load_model(path) -> ClassifierModel:
     """Read a model file, refusing other versions and out-of-range values."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path, ModelFormatError)
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: model document is not a JSON object")
     version = doc.get("version")

@@ -8,13 +8,13 @@ also exit 2).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
 from . import classifier, evaluation, sampling, selection, synth
 from .errors import ContractError, FormatError
 from .features import Dataset, featurize, read_dataset, validate_feature_ids, write_dataset
+from .files import read_json, write_json
 from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, FlowAggregator
 from .ingest import (
     load_labels,
@@ -77,23 +77,14 @@ def _resolve_features(args) -> tuple[int, ...] | None:
     path = getattr(args, "features_from", None)
     if not path:
         return args.features
-    with open(path) as fh:
-        try:
-            selected = json.load(fh)["selected"]
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
-        except (KeyError, TypeError):
-            raise FormatError(f"{path}: no 'selected' list") from None
+    try:
+        selected = read_json(path, FormatError)["selected"]
+    except (KeyError, TypeError):
+        raise FormatError(f"{path}: no 'selected' list") from None
     try:
         return validate_feature_ids(selected)
     except ContractError as exc:
         raise FormatError(f"{path}: 'selected': {exc}") from None
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_ingest(args) -> int:
@@ -128,7 +119,7 @@ def cmd_select(args) -> int:
     ds = _labeled_subset(read_dataset(args.dataset), "selection")
     result = selection.fcbf_select(ds, delta=args.delta, bins=args.bins)
     if args.out:
-        _write_json(args.out, result.to_json_dict())
+        write_json(args.out, result.to_json_dict())
     print("selected features:", ",".join(str(fid) for fid in result.selected))
     return 0
 
@@ -158,7 +149,7 @@ def cmd_classify(args) -> int:
     model = classifier.load_model(args.model)
     ds = read_dataset(args.dataset)
     predictions = classifier.predict(model, ds)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,label\n")
         for i, label in enumerate(predictions):
             fh.write(f"{i},{label}\n")
@@ -183,7 +174,7 @@ def cmd_sample_report(args) -> int:
     if args.out_csv:
         report.write_csv(args.out_csv)
     if args.out_json:
-        _write_json(args.out_json, report.to_json_dict())
+        write_json(args.out_json, report.to_json_dict())
     return 0
 
 
@@ -223,9 +214,9 @@ def cmd_evaluate(args) -> int:
         f"macro F {report.macro_f_measure:.4f}"
     )
     if args.report:
-        _write_json(args.report, report.to_json_dict())
+        write_json(args.report, report.to_json_dict())
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("algorithm,precision,recall,oa,f_measure\n")
             fh.write(
                 f"gaussian-nb,{report.macro_precision:.9g},{report.macro_recall:.9g},"
@@ -320,10 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ContractError as exc:

@@ -37,27 +37,32 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion(predicted, truth, target: str) -> ConfusionCounts:
-    """Tally one-vs-rest counts for ``target``."""
-    predicted = list(predicted)
-    truth = list(truth)
+def _one_vs_rest(predicted: list, truth: list, classes) -> tuple[dict[str, ConfusionCounts], int]:
+    """One-vs-rest counts for each label in ``classes`` (None: every label seen,
+    sorted), and the number of correct predictions.
+
+    Each table comes from three counts over integer label codes: rows where
+    its label is the truth, where it is predicted, and where both hold.
+    """
     if len(predicted) != len(truth):
         raise ContractError("predicted and truth lengths differ")
     if not predicted:
         raise ContractError("cannot tally an empty prediction list")
-    tp = fp = tn = fn = 0
-    for pred, actual in zip(predicted, truth):
-        if actual == target:
-            if pred == target:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == target:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    if classes is None:
+        classes = tuple(sorted(set(truth) | set(predicted)))
+    code = {label: i for i, label in enumerate(dict.fromkeys([*classes, *truth, *predicted]))}
+    t = np.array([code[label] for label in truth], dtype=np.intp)
+    p = np.array([code[label] for label in predicted], dtype=np.intp)
+    tp = np.bincount(t[t == p], minlength=len(code))
+    fn = np.bincount(t, minlength=len(code)) - tp
+    fp = np.bincount(p, minlength=len(code)) - tp
+    table = np.stack([tp, fp, len(truth) - tp - fn - fp, fn], axis=1).tolist()
+    return {label: ConfusionCounts(*table[code[label]]) for label in classes}, int(tp.sum())
+
+
+def confusion(predicted, truth, target: str) -> ConfusionCounts:
+    """Tally one-vs-rest counts for ``target``."""
+    return _one_vs_rest(list(predicted), list(truth), (target,))[0][target]
 
 
 @dataclass(frozen=True)
@@ -119,32 +124,11 @@ class MetricReport:
 
 
 def evaluate_predictions(predicted, truth, classes=None) -> MetricReport:
-    """Per-class one-vs-rest metrics plus the global correct/total accuracy.
-
-    Each class's table comes from three counts over integer label codes:
-    rows where it is the truth, where it is predicted, and where both hold.
-    """
-    predicted = list(predicted)
+    """Per-class one-vs-rest metrics plus the global correct/total accuracy."""
     truth = list(truth)
-    if len(predicted) != len(truth):
-        raise ContractError("predicted and truth lengths differ")
-    if not predicted:
-        raise ContractError("cannot evaluate an empty prediction list")
-    if classes is None:
-        classes = tuple(sorted(set(truth) | set(predicted)))
-    code = {label: i for i, label in enumerate(dict.fromkeys([*classes, *truth, *predicted]))}
-    t = np.array([code[label] for label in truth], dtype=np.intp)
-    p = np.array([code[label] for label in predicted], dtype=np.intp)
-    tp = np.bincount(t[t == p], minlength=len(code))
-    fn = np.bincount(t, minlength=len(code)) - tp
-    fp = np.bincount(p, minlength=len(code)) - tp
-    n = len(truth)
-    per_class = {}
-    for label in classes:
-        c = code[label]
-        tn = n - tp[c] - fn[c] - fp[c]
-        per_class[label] = metrics(ConfusionCounts(int(tp[c]), int(fp[c]), int(tn), int(fn[c])))
-    return MetricReport(per_class=per_class, overall_accuracy=int(tp.sum()) / n, n=n)
+    counts, correct = _one_vs_rest(list(predicted), truth, classes)
+    per_class = {label: metrics(table) for label, table in counts.items()}
+    return MetricReport(per_class=per_class, overall_accuracy=correct / len(truth), n=len(truth))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numbers
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .files import csv_rows
 from .flow import FlowRecord
 
 FEATURE_NAMES = (
@@ -246,7 +247,7 @@ def _format(value: float) -> str:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; numbers carry 9 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for values, label in zip(ds.data.tolist(), ds.labels()):
@@ -260,28 +261,13 @@ def read_dataset(path) -> Dataset:
     a mismatch names the missing and unexpected columns.  A cell that is
     not a finite number is rejected with its line and column.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows, labels = [], []
+    for line, row in csv_rows(path, _CSV_HEADER, SchemaError):
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header != _CSV_HEADER:
-            missing = [c for c in _CSV_HEADER if c not in header]
-            extra = [c for c in header if c not in _CSV_HEADER]
-            raise SchemaError(
-                f"{path}: bad header (missing: {missing or 'none'}, "
-                f"unexpected: {extra or 'none'})"
-            )
-        rows, labels = [], []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_HEADER):
-                raise SchemaError(f"{path}: line {line}: expected {len(_CSV_HEADER)} fields")
-            try:
-                rows.append([float(v) for v in row[:NUM_FEATURES]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {line}: {exc}") from None
-            labels.append(row[NUM_FEATURES] or None)
+            rows.append([float(v) for v in row[:NUM_FEATURES]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {line}: {exc}") from None
+        labels.append(row[NUM_FEATURES] or None)
     data = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

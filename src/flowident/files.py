@@ -1,0 +1,71 @@
+"""The one text-file boundary: every JSON and CSV file is UTF-8 and opens here.
+
+A reader turns bytes that are not UTF-8 and malformed syntax into the
+caller's FormatError subclass, with a message that starts with the file
+name, so no input file can end in a traceback.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import sys
+from pathlib import Path
+
+from .errors import FormatError
+
+
+def is_finite_number(value) -> bool:
+    """Whether a parsed JSON value is an int or float, not a bool, that fits a
+    finite float.  The bound compares as Python numbers: an int too large for a
+    float fails it."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def read_json(path, error: type[FormatError]):
+    """The document in a JSON file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON indented by two, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):
+    """Yield ``(line, fields)`` for each row below the header of a CSV file.
+
+    An empty file, a header other than ``header``, a row with another field
+    count, bytes that are not UTF-8 and CSV syntax errors raise ``error``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        got = next(reader, None)
+        if got is None:
+            raise error(f"{path}: empty file")
+        if tuple(got) != header:
+            missing = [c for c in header if c not in got]
+            extra = [c for c in got if c not in header]
+            raise error(
+                f"{path}: header must be {','.join(header)} "
+                f"(missing: {missing or 'none'}, unexpected: {extra or 'none'})"
+            )
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise error(f"{path}: line {line}: expected {len(header)} fields")
+            yield line, row
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None

@@ -148,6 +148,8 @@ class FlowRecord:
             raise ContractError("forward bytes below IP header minimum")
         if self.bwd_packets and self.bwd_bytes < 20 * self.bwd_packets:
             raise ContractError("backward bytes below IP header minimum")
+        if self.key.proto is Proto.UDP and (self.tcp_flags_fwd or self.tcp_flags_bwd):
+            raise ContractError("UDP flows cannot carry TCP flags")
 
     @property
     def total_packets(self) -> int:

@@ -53,16 +53,6 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class FlowEstimates:
-    """Inverse-probability estimates recovered from one sampled flow."""
-
-    l_hat: float
-    s_hat: float
-    fd_hat: float
-    sampled_count: int
-
-
-@dataclass(frozen=True)
 class FlowTrace:
     """One flow as parallel arrays of packet sizes and timestamps (us)."""
 
@@ -101,29 +91,6 @@ class FlowTrace:
         if metric is Metric.SIZE:
             return float(self.size)
         return self.duration
-
-
-def bernoulli_sample(packets, cfg: SamplingConfig) -> list[PacketRecord]:
-    """Keep each packet independently with probability cfg.p, preserving order."""
-    packets = list(packets)
-    rng = np.random.default_rng(cfg.seed)
-    keep = rng.random(len(packets)) < cfg.p
-    return [pkt for pkt, kept in zip(packets, keep) if kept]
-
-
-def estimate(sampled, p: float) -> FlowEstimates:
-    """Scale a sampled packet list back up to whole-flow estimates."""
-    if not 0.0 < p <= 1.0:
-        raise ContractError(f"sampling probability {p} outside (0, 1]")
-    sampled = list(sampled)
-    count = len(sampled)
-    fd_hat = (sampled[-1].ts - sampled[0].ts) / 1e6 if count >= 2 else 0.0
-    return FlowEstimates(
-        l_hat=count / p,
-        s_hat=sum(pkt.length for pkt in sampled) / p,
-        fd_hat=fd_hat,
-        sampled_count=count,
-    )
 
 
 def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float:
@@ -263,7 +230,7 @@ class SamplingReport:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("metric,ratio,adre\n")
             for row in self.rows:
                 fh.write(f"{row.metric},1:{row.ratio},{row.adre:.9g}\n")

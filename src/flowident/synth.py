@@ -9,13 +9,13 @@ generates identical bytes on every run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, FormatError
 from .features import FEATURE_NAMES, Dataset
+from .files import is_finite_number, read_json
 from .flow import TCP_ACK, TCP_FIN, TCP_SYN, PacketRecord, Proto, canonical_key
 from .ingest.labels import LabelRow
 
@@ -57,16 +57,37 @@ _DIST_PARAMS = {
 }
 
 
+def _number(value, where: str, lo: float | None = None) -> float:
+    if not is_finite_number(value):
+        raise FormatError(f"{where} must be a finite number, got {value!r}")
+    if lo is not None and value < lo:
+        raise FormatError(f"{where} must be >= {lo}, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str, lo: int, hi: int | None = None) -> int:
+    if type(value) is not int:
+        raise FormatError(f"{where} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        raise FormatError(f"{where} must be " + (f">= {lo}" if hi is None else f"in {lo}..{hi}"))
+    return value
+
+
 def _parse_dist(doc, context: str) -> Dist:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{context}: distribution needs a 'kind'")
     kind = doc["kind"]
-    if kind not in _DIST_PARAMS:
+    if not isinstance(kind, str) or kind not in _DIST_PARAMS:
         raise FormatError(f"{context}: unknown distribution kind {kind!r}")
+    names = _DIST_PARAMS[kind]
     try:
-        params = tuple(float(doc[name]) for name in _DIST_PARAMS[kind])
+        params = tuple(_number(doc[name], f"{context}: {name}") for name in names)
     except KeyError as exc:
         raise FormatError(f"{context}: {kind} distribution needs {exc.args[0]!r}") from None
+    if kind in ("normal", "exponential"):  # the last parameter is a spread
+        _number(doc[names[-1]], f"{context}: {names[-1]}", 0)
+    elif kind != "fixed" and params[1] < params[0]:
+        raise FormatError(f"{context}: high {params[1]!r} is below low {params[0]!r}")
     return Dist(kind, params)
 
 
@@ -95,30 +116,37 @@ class SynthSpec:
 
 
 def parse_synth_spec(doc: dict) -> SynthSpec:
-    if not isinstance(doc, dict) or "classes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise FormatError("spec needs a 'classes' list")
     classes = []
     for i, cls in enumerate(doc["classes"]):
         context = f"classes[{i}]"
+        if not isinstance(cls, dict):
+            raise FormatError(f"{context}: a class must be an object, got {cls!r}")
         if "label" not in cls or "flows" not in cls:
             raise FormatError(f"{context}: needs 'label' and 'flows'")
-        flows = int(cls["flows"])
-        if flows < 1:
-            raise FormatError(f"{context}: flows must be >= 1")
+        flows = _integer(cls["flows"], f"{context}: flows", 1)
         proto_name = str(cls.get("proto", "udp")).upper()
         if proto_name not in ("TCP", "UDP"):
             raise FormatError(f"{context}: proto must be tcp or udp")
+        gens = cls.get("features", {})
+        if not isinstance(gens, dict):
+            raise FormatError(f"{context}: features must be an object, got {gens!r}")
         features = {}
-        for name, gen in cls.get("features", {}).items():
+        for name, gen in gens.items():
             if name not in FEATURE_NAMES:
                 raise FormatError(f"{context}: unknown feature {name!r}")
-            try:
-                features[name] = FeatureGen(float(gen["mean"]), float(gen["std"]))
-            except (KeyError, TypeError) as exc:
-                raise FormatError(f"{context}: feature {name!r} needs mean and std") from None
+            if not isinstance(gen, dict) or "mean" not in gen or "std" not in gen:
+                raise FormatError(f"{context}: feature {name!r} needs mean and std")
+            where = f"{context}: feature {name!r}:"
+            features[name] = FeatureGen(
+                _number(gen["mean"], f"{where} mean"), _number(gen["std"], f"{where} std", 0)
+            )
         packets = cls.get("packets")
         pkt_count = pkt_size = iat = None
         if packets is not None:
+            if not isinstance(packets, dict):
+                raise FormatError(f"{context}: packets must be an object, got {packets!r}")
             for key in ("count", "size", "iat"):
                 if key not in packets:
                     raise FormatError(f"{context}: packets needs a {key!r} distribution")
@@ -130,7 +158,8 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
                 label=str(cls["label"]),
                 flows=flows,
                 proto=Proto[proto_name],
-                server_port=int(cls.get("server_port", 9000)),
+                server_port=_integer(cls.get("server_port", 9000),
+                                     f"{context}: server_port", 0, 0xFFFF),
                 features=features,
                 pkt_count=pkt_count,
                 pkt_size=pkt_size,
@@ -142,15 +171,11 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
     labels = [c.label for c in classes]
     if len(set(labels)) != len(labels):
         raise FormatError("class labels must be distinct")
-    return SynthSpec(seed=int(doc.get("seed", 0)), classes=classes)
+    return SynthSpec(seed=_integer(doc.get("seed", 0), "seed", 0), classes=classes)
 
 
 def load_synth_spec(path) -> SynthSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path, FormatError)
     try:
         return parse_synth_spec(doc)
     except FormatError as exc:

@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Two kinds of tools live here:
+These tools live here:
 
 * conveniences for building PacketRecords and flows quickly;
 * independent byte-level builders (capture files, export datagrams) and
@@ -14,16 +14,21 @@ Two kinds of tools live here:
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
 * the byte-slicing frame parser that the pcap reader's struct parser
-  replaced.
+  replaced;
+* per-trial Bernoulli packet sampling and the inverse-probability
+  estimates of one sampled flow, which the vectorised Monte Carlo
+  ``simulate_estimates`` must reproduce trial by trial.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
+from flowident.errors import ContractError
 from flowident.flow import (
     REORDER_TOLERANCE_US,
     TCP_FIN,
@@ -37,6 +42,7 @@ from flowident.flow import (
     canonical_key,
     str_to_ip,
 )
+from flowident.sampling import SamplingConfig
 
 
 def ip(text: str) -> int:
@@ -381,6 +387,46 @@ def assign_folds_oracle(labels, k: int, seed: int) -> list[int]:
             fold_of[int(i)] = cursor % k
             cursor += 1
     return fold_of
+
+
+# --------------------------------------------------------------------------
+# Per-trial packet sampling, the reference for simulate_estimates
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FlowEstimates:
+    """Inverse-probability estimates recovered from one sampled flow."""
+
+    l_hat: float
+    s_hat: float
+    fd_hat: float
+    sampled_count: int
+
+
+def bernoulli_sample(packets, cfg: SamplingConfig, uniforms=None) -> list[PacketRecord]:
+    """Keep each packet independently with probability cfg.p, preserving order.
+    The keep test compares one uniform per packet with cfg.p: ``uniforms`` when
+    given, else float64 draws from cfg.seed."""
+    packets = list(packets)
+    if uniforms is None:
+        uniforms = np.random.default_rng(cfg.seed).random(len(packets))
+    keep = uniforms < cfg.p
+    return [pkt for pkt, kept in zip(packets, keep) if kept]
+
+
+def estimate(sampled, p: float) -> FlowEstimates:
+    """Scale a sampled packet list back up to whole-flow estimates."""
+    if not 0.0 < p <= 1.0:
+        raise ContractError(f"sampling probability {p} outside (0, 1]")
+    sampled = list(sampled)
+    count = len(sampled)
+    fd_hat = (sampled[-1].ts - sampled[0].ts) / 1e6 if count >= 2 else 0.0
+    return FlowEstimates(
+        l_hat=count / p,
+        s_hat=sum(pkt.length for pkt in sampled) / p,
+        fd_hat=fd_hat,
+        sampled_count=count,
+    )
 
 
 # --------------------------------------------------------------------------

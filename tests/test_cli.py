@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from flowident.cli import main
-from flowident.features import Dataset, FeatureVector, write_dataset
+from flowident.features import FEATURE_NAMES, Dataset, FeatureVector, write_dataset
 from flowident.flow import Proto
 from flowident.ingest.netflow import encode_netflow_v5
 from flowident.ingest.pcap import write_pcap
@@ -428,3 +428,110 @@ def test_non_finite_numeric_option_exits_two(tmp_path, capsys, argv, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not paths["out"].exists()
+
+
+NOT_UTF8 = {
+    "spec": b'{"classes": [{"label": "caf\xe9", "flows": 2}]}',
+    "labels": b"ip_lo,port_lo,ip_hi,port_hi,proto,first_ts,label\n"
+              b"10.0.0.1,80,10.0.0.2,5000,TCP,1,caf\xe9\n",
+    "features": ",".join(FEATURE_NAMES + ("label",)).encode() + b"\n"
+                + b"1," * 16 + b"caf\xe9\n",
+    "selection": b'{"selected": [1], "note": "caf\xe9"}',
+    "model": b'{"version": "nfi-model/1", "note": "caf\xe9"}',
+}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["synth", "{bad}", "--out-dataset", "{out}"], "spec"),
+    (["ingest", "--pcap", "{pcap}", "--labels", "{bad}", "--out", "{out}"], "labels"),
+    (["train", "{bad}", "--out", "{out}"], "features"),
+    (["train", "{csv}", "--features-from", "{bad}", "--out", "{out}"], "selection"),
+    (["classify", "{bad}", "{csv}", "--out", "{out}"], "model"),
+])
+def test_text_input_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys, argv, bad):
+    paths = {"pcap": tmp_path / "demo.pcap", "csv": tmp_path / "flows.csv",
+             "out": tmp_path / "out", "bad": tmp_path / "latin1"}
+    run(["synth", FIXTURE_SPEC, "--out-pcap", paths["pcap"], "--out-dataset", paths["csv"]],
+        capsys)
+    paths["bad"].write_bytes(NOT_UTF8[bad])
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {paths['bad']}: ")
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["ingest", "--pcap", "{pcap}", "--labels", "{bad}", "--out", "{out}"],
+     "ip_lo,port_lo,ip_hi,port_hi,proto,first_ts,label"),
+    (["train", "{bad}", "--out", "{out}"], ",".join(FEATURE_NAMES + ("label",))),
+])
+def test_csv_field_over_the_size_limit_exits_one_naming_the_file(tmp_path, capsys, argv, header):
+    paths = {"pcap": tmp_path / "demo.pcap", "out": tmp_path / "out", "bad": tmp_path / "big.csv"}
+    run(["synth", FIXTURE_SPEC, "--out-pcap", paths["pcap"]], capsys)
+    paths["bad"].write_text(header + "\n" + "x" * 200_000 + "\n", encoding="utf-8")
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err == f"error: {paths['bad']}: line 2: field larger than field limit (131072)\n"
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "{bad}", "--out-dataset", "{out}"],
+    ["train", "{csv}", "--features-from", "{bad}", "--out", "{out}"],
+    ["classify", "{bad}", "{csv}", "--out", "{out}"],
+])
+def test_json_nested_too_deeply_exits_one_naming_the_file(tmp_path, capsys, argv):
+    paths = {"csv": tmp_path / "flows.csv", "out": tmp_path / "out", "bad": tmp_path / "deep.json"}
+    run(["synth", FIXTURE_SPEC, "--out-dataset", paths["csv"]], capsys)
+    paths["bad"].write_text("[" * 100_000, encoding="utf-8")
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {paths['bad']}: not valid JSON (maximum recursion depth")
+    assert not paths["out"].exists()
+
+
+def spec_class(**changes):
+    cls = {
+        "label": "a", "flows": 2,
+        "features": {"pps": {"mean": 1.0, "std": 1.0}},
+        "packets": {"count": {"kind": "fixed", "value": 3},
+                    "size": {"kind": "normal", "mean": 100, "std": 10},
+                    "iat": {"kind": "uniform", "low": 0.1, "high": 0.2}},
+    }
+    return {**cls, **changes}
+
+
+def with_packets(**changes):
+    return spec_class(packets={**spec_class()["packets"], **changes})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"classes": [1]}, "classes[0]: a class must be an object, got 1"),
+    ({"classes": [spec_class(flows="abc")]}, "classes[0]: flows must be an integer, got 'abc'"),
+    ({"seed": "x", "classes": [spec_class()]}, "seed must be an integer, got 'x'"),
+    ({"classes": [spec_class(server_port="x")]},
+     "classes[0]: server_port must be an integer, got 'x'"),
+    ({"classes": [spec_class(features={"pps": {"mean": "x", "std": 1}})]},
+     "classes[0]: feature 'pps': mean must be a finite number, got 'x'"),
+    ({"classes": [spec_class(features=[1])]}, "classes[0]: features must be an object, got [1]"),
+    ({"classes": [spec_class(packets=5)]}, "classes[0]: packets must be an object, got 5"),
+    ({"classes": [with_packets(count={"kind": "fixed", "value": float("nan")})]},
+     "classes[0].packets.count: value must be a finite number, got nan"),
+    ({"classes": [spec_class(features={"pps": {"mean": 1, "std": -1}})]},
+     "classes[0]: feature 'pps': std must be >= 0, got -1"),
+    ({"classes": [with_packets(size={"kind": "normal", "mean": 100, "std": -10})]},
+     "classes[0].packets.size: std must be >= 0, got -10"),
+    ({"classes": [with_packets(iat={"kind": "uniform", "low": 0.2, "high": 0.1})]},
+     "classes[0].packets.iat: high 0.1 is below low 0.2"),
+    ({"classes": [spec_class(features={"pps": {"mean": float("nan"), "std": 1}})]},
+     "classes[0]: feature 'pps': mean must be a finite number, got nan"),
+])
+def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run(["synth", spec, "--out-dataset", out, "--out-pcap", tmp_path / "o.pcap"],
+                       capsys)
+    assert code == 1
+    assert err == f"error: {spec}: {message}\n"
+    assert not out.exists()

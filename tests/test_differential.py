@@ -5,7 +5,9 @@ array NIG fold must give exactly what the per-row or per-feature versions
 give: same floats, same ties.  Packet aggregation and NetFlow pair merging,
 which share one flow episode, must give exactly the records of the per-packet
 episode and the pairwise record merge they replaced.  The pcap frame parser
-must skip or keep exactly the frames the byte-slicing parser did.
+must skip or keep exactly the frames the byte-slicing parser did.  The
+vectorised Monte Carlo must give, trial by trial, the estimates of sampling
+the packet list one trial at a time.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowident.sampling as sampling
 from flowident.classifier import (
     VARIANCE_FLOOR,
     ClassifierModel,
@@ -25,9 +28,9 @@ from flowident.classifier import (
     train,
 )
 from flowident.evaluation import (
+    ConfusionCounts,
     StratificationError,
     assign_folds,
-    confusion,
     evaluate_predictions,
     metrics,
 )
@@ -44,12 +47,17 @@ from flowident.flow import (
 )
 from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
 from flowident.ingest.pcap import _build_frame, _parse_frame
+from flowident.sampling import MIN_TRIALS, FlowTrace, SamplingConfig, simulate_estimates
 from flowident.synth import generate_dataset, parse_synth_spec
 from helpers import (
     aggregate_oracle,
     assign_folds_oracle,
+    bernoulli_sample,
+    confusion_oracle,
+    estimate,
     ip,
     merge_records_oracle,
+    mk_packet,
     nf5_datagram,
     nf5_record,
     nig_fold_oracle,
@@ -133,7 +141,8 @@ def test_evaluate_predictions_equals_per_class_tallies(pair, classes):
     if classes is None:
         classes = sorted(set(predicted) | set(truth))
     assert report.per_class == {
-        label: metrics(confusion(predicted, truth, label)) for label in classes
+        label: metrics(ConfusionCounts(*confusion_oracle(predicted, truth, label)))
+        for label in classes
     }
     assert report.overall_accuracy == sum(p == t for p, t in zip(predicted, truth)) / len(truth)
     assert report.n == len(truth)
@@ -263,8 +272,8 @@ def export_records(draw, udp_flags=True):
     return records
 
 
-def datagram_and_merge(records):
-    """One datagram of ``records``, and the oracle's flows for it."""
+def export_datagram(records):
+    """One datagram of ``records``, and the boot time in µs its uptimes count from."""
     sys_uptime, unix_secs = 120_000, 1_700_000_000
     datagram = nf5_datagram(
         [nf5_record(src=src, dst=dst, sport=sport, dport=dport, proto=proto, pkts=pkts,
@@ -272,26 +281,25 @@ def datagram_and_merge(records):
          for src, dst, sport, dport, proto, pkts, octets, first, last, flags, tos in records],
         sys_uptime=sys_uptime, unix_secs=unix_secs,
     )
-    boot_us = unix_secs * 1_000_000 - sys_uptime * 1000
-    return datagram, merge_records_oracle(records, boot_us)
+    return datagram, unix_secs * 1_000_000 - sys_uptime * 1000
 
 
 @settings(max_examples=200, deadline=None)
 @given(export_records())
 def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
-    datagram, merged = datagram_and_merge(records)
+    datagram, boot_us = export_datagram(records)
     if any(proto == 17 and flags for _, _, _, _, proto, _, _, _, _, flags, _ in records):
         with pytest.raises(MalformedDatagramError, match="UDP record carries TCP flags"):
             decode_netflow_v5(datagram)
     else:
-        assert decode_netflow_v5(datagram) == merged
+        assert decode_netflow_v5(datagram) == merge_records_oracle(records, boot_us)
 
 
 @settings(max_examples=200, deadline=None)
 @given(export_records(udp_flags=False))
 def test_decode_netflow_without_udp_flags_equals_the_pairwise_merge_oracle(records):
-    datagram, merged = datagram_and_merge(records)
-    assert decode_netflow_v5(datagram) == merged
+    datagram, boot_us = export_datagram(records)
+    assert decode_netflow_v5(datagram) == merge_records_oracle(records, boot_us)
 
 
 # Header bytes whose values decide whether a frame is kept: ethertype,
@@ -329,3 +337,25 @@ def mutated_frames(draw):
 @given(mutated_frames(), st.integers(0, 2**40))
 def test_parse_frame_equals_the_byte_slicing_parser(frame, ts):
     assert _parse_frame(frame, ts) == parse_frame_oracle(frame, ts)
+
+
+@pytest.mark.parametrize("n, p", [(12, 1 / 8), (40, 1 / 20)])
+@pytest.mark.parametrize("chunk_budget", [None, 70])
+def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_budget):
+    """Trial t of simulate_estimates is bernoulli_sample + estimate on row t of
+    the same float32 uniforms, in one chunk or in chunks of a few trials."""
+    rng = np.random.default_rng(5)
+    ts = 1_000_000 + np.cumsum(rng.integers(0, 300_000, n))
+    sizes = rng.integers(40, 1500, n)
+    packets = [mk_packet(ts=int(t), length=int(size)) for t, size in zip(ts, sizes)]
+    cfg = SamplingConfig(p, seed=11)
+    if chunk_budget is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
+    l_hat, s_hat, fd_hat = simulate_estimates(FlowTrace.from_packets(packets), cfg, MIN_TRIALS)
+    uniforms = np.random.default_rng(cfg.seed).random((MIN_TRIALS, n), dtype=np.float32)
+    oracle = [estimate(bernoulli_sample(packets, cfg, row), p) for row in uniforms]
+    assert {e.sampled_count for e in oracle} >= {0, 1, 2}
+    assert l_hat.tolist() == [e.l_hat for e in oracle]
+    assert s_hat.tolist() == [e.s_hat for e in oracle]
+    # The library subtracts times relative to the first packet, so it may round differently.
+    np.testing.assert_allclose(fd_hat, [e.fd_hat for e in oracle], rtol=0, atol=1e-9)

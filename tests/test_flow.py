@@ -107,6 +107,14 @@ def test_udp_packet_cannot_carry_tcp_flags():
         mk_packet(proto=Proto.UDP, length=28, flags=0x02)
 
 
+@pytest.mark.parametrize("flags", [dict(tcp_flags_fwd=0x12), dict(tcp_flags_bwd=0x01)])
+def test_udp_flow_record_cannot_carry_tcp_flags(flags):
+    """So encode_netflow_v5 can never write a record its own decoder refuses."""
+    with pytest.raises(ContractError, match="UDP flows cannot carry TCP flags"):
+        FlowRecord(FlowKey(1, 53, 2, 5353, Proto.UDP), first_ts=0, last_ts=0,
+                   fwd_packets=1, fwd_bytes=28, bwd_packets=1, bwd_bytes=28, **flags)
+
+
 def handshake_packets():
     return [
         mk_packet(ts=1_000_000, src="10.0.0.2", dst="10.0.0.1",

@@ -79,17 +79,6 @@ def test_duplicate_key_and_start_names_both_lines(tmp_path):
         load_labels(path)
 
 
-def test_alphabet_enforced(tmp_path):
-    path = write_text(tmp_path, [
-        ",".join(HEADER),
-        "10.0.0.1,80,10.0.0.2,5000,TCP,1,web",
-        "10.0.0.1,80,10.0.0.2,5000,TCP,2,ftp",
-    ])
-    with pytest.raises(LabelFileError, match="line 3: label 'ftp' not in"):
-        load_labels(path, alphabet=("bulk", "web"))
-    assert len(load_labels(path, alphabet=("ftp", "web"))) == 2
-
-
 def test_bad_header(tmp_path):
     path = write_text(tmp_path, ["ip_a,port_a,label"])
     with pytest.raises(LabelFileError, match="header must be"):

@@ -13,15 +13,13 @@ from flowident.sampling import (
     Metric,
     SamplingConfig,
     adre,
-    bernoulli_sample,
     build_sampling_report,
     dre,
-    estimate,
     relative_error_variance,
     simulate_estimates,
     traces_from_packets,
 )
-from helpers import mk_packet
+from helpers import FlowEstimates, bernoulli_sample, estimate, mk_packet
 
 
 def make_trace(sizes, ts=None):
@@ -85,7 +83,7 @@ def test_traces_from_packets_splits_on_inactivity():
     assert traces[1].sizes.tolist() == [90]
 
 
-# ----------------------------------------------------------- sampler itself
+# ------------------------------------------- the per-trial oracle (helpers)
 
 def test_p_one_keeps_everything():
     packets = [mk_packet(ts=i * 1000) for i in range(50)]
@@ -126,7 +124,7 @@ def test_estimate_frozen_example():
 
 
 def test_estimate_under_two_survivors_has_zero_duration():
-    assert estimate([], p=0.5) == sampling.FlowEstimates(0.0, 0.0, 0.0, 0)
+    assert estimate([], p=0.5) == FlowEstimates(0.0, 0.0, 0.0, 0)
     est = estimate([mk_packet(ts=9_000_000, length=80)], p=0.1)
     assert est.l_hat == 10.0
     assert est.s_hat == 800.0
