@@ -1,17 +1,18 @@
 """Gaussian naive-Bayes flow classifier with conjugate online updating.
 
-Each class keeps, per feature, a normal-inverse-gamma state (mu, kappa,
-alpha, beta), one float64 array per parameter, that a labeled batch folds
-into without revisiting old data, all features in one expression:
+The model keeps, per (class, feature), a normal-inverse-gamma state (mu,
+kappa, alpha, beta), one float64[classes, features] array per parameter,
+that a labeled batch folds into without revisiting old data, all classes
+and features in one expression:
 
     kappa' = kappa + n
     mu'    = (kappa * mu + n * xbar) / kappa'
     alpha' = alpha + n / 2
     beta'  = beta + sumsq / 2 + kappa * n * (xbar - mu)^2 / (2 * kappa')
 
-where xbar is the batch mean and sumsq the batch's centered sum of squares.
-Folding one batch or the same rows split across several calls lands on the
-same state, which is what makes retraining-free updates sound.
+where n, xbar and sumsq are a class's batch count, mean and centered sum
+of squares.  Folding one batch or the same rows split across several calls
+lands on the same state, which is what makes retraining-free updates sound.
 
 Scoring is done in log space with plug-in point estimates:
     log h(class) = log n - 0.5 * sum(log var) - 0.5 * sum((x - mean)^2 / var)
@@ -22,7 +23,8 @@ features cannot produce a singular model.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -67,13 +69,11 @@ NIG_PARAMS = ("mu", "kappa", "alpha", "beta")
 _ARRAYS = NIG_PARAMS + ("plugin_means", "plugin_vars")
 
 
-def nig_fold(nig: tuple, n: int, mean, sumsq) -> tuple:
-    """Fold a batch summarised by (n, mean, centered sum of squares) into
-    ``nig = (mu, kappa, alpha, beta)``, all features at once; ``n == 0`` returns
-    ``nig`` itself.  The square is libm ``pow``, as for a Python float's ``** 2``:
-    ``x * x`` rounds differently for about 1 value in 1,000."""
-    if n == 0:
-        return nig
+def nig_fold(nig: tuple, n, mean, sumsq) -> tuple:
+    """Fold batches summarised by (n, mean, centered sum of squares) into ``nig =
+    (mu, kappa, alpha, beta)`` elementwise: with ``n`` a (classes, 1) column, each
+    class's batch folds into its row of (classes, features) arrays.  The square is libm
+    ``pow``, as for a Python float's ``** 2``: ``x * x`` rounds 1 value in 1,000 apart."""
     mu, kappa, alpha, beta = nig
     kappa_n = kappa + n
     return (
@@ -91,13 +91,20 @@ def plugin_variance(alpha, beta) -> np.ndarray:
     return np.maximum(ratio, VARIANCE_FLOOR)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassState:
-    """One class's row count and per-feature arrays in ``feature_ids`` order: the
-    NIG state and the plug-ins scoring uses, each a read-only float64 copy."""
+ClassCount = namedtuple("ClassCount", "label n")
 
-    label: str
-    n: int
+
+@dataclass(frozen=True, eq=False)
+class ClassifierModel:
+    """Row counts and (classes, features) arrays: row c is class ``alphabet[c]``
+    and column j feature ``feature_ids[j]``.  ``mu``, ``kappa``, ``alpha`` and
+    ``beta`` are the NIG state, ``plugin_means`` and ``plugin_vars`` what scoring
+    uses, each a read-only float64 copy.  ``n`` holds Python ints, so a count
+    beyond int64 stays exact."""
+
+    alphabet: tuple[str, ...]
+    feature_ids: tuple[int, ...]
+    n: tuple[int, ...]
     mu: np.ndarray
     kappa: np.ndarray
     alpha: np.ndarray
@@ -106,8 +113,11 @@ class ClassState:
     plugin_vars: np.ndarray
 
     def __post_init__(self) -> None:
+        shape = (len(self.alphabet), len(self.feature_ids))
         for name in _ARRAYS:
             values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != shape or len(self.n) != shape[0]:
+                raise ContractError(f"need one count per class and {name} of shape {shape}")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -115,29 +125,27 @@ class ClassState:
     def nig(self) -> tuple[np.ndarray, ...]:
         return self.mu, self.kappa, self.alpha, self.beta
 
+    @property
+    def classes(self) -> tuple[ClassCount, ...]:
+        return tuple(map(ClassCount, self.alphabet, self.n))
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassState):
+        if not isinstance(other, ClassifierModel):
             return NotImplemented
-        return (self.label, self.n) == (other.label, other.n) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
-        )
-
-
-@dataclass(frozen=True)
-class ClassifierModel:
-    alphabet: tuple[str, ...]
-    feature_ids: tuple[int, ...]
-    classes: tuple[ClassState, ...]
+        return (self.classes, self.feature_ids) == (other.classes, other.feature_ids) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS)
 
     @property
     def total_flows(self) -> int:
-        return sum(state.n for state in self.classes)
+        return sum(self.n)
+
+    def _row(self, label: str) -> int:
+        if label not in self.alphabet:
+            raise UnknownClassError(f"unknown class {label!r}")
+        return self.alphabet.index(label)
 
     def class_prior(self, label: str) -> float:
-        for state in self.classes:
-            if state.label == label:
-                return state.n / self.total_flows
-        raise UnknownClassError(f"unknown class {label!r}")
+        return self.n[self._row(label)] / self.total_flows
 
 
 @dataclass(frozen=True)
@@ -151,11 +159,18 @@ class ClassScores:
         return self.alphabet[int(np.argmax(self.log_scores))]
 
 
-def _batch_stats(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    n = rows.shape[0]
-    mean = rows.mean(axis=0)
-    sumsq = ((rows - mean) ** 2).sum(axis=0)
-    return n, mean, sumsq
+def _fold(nig: tuple, ds: Dataset, feature_ids, present) -> tuple:
+    """Fold the rows of each code in ``present`` into its row of the NIG block
+    ``nig``, all classes in one :func:`nig_fold`.  Moments come from each code's
+    mask, so every sum runs in the order of a one-class batch.  Returns the row
+    counts, means, centered sums of squares and the folded block."""
+    data = ds.matrix(feature_ids)
+    rows = [data[ds.codes == code] for code in present]
+    counts = [len(r) for r in rows]
+    n = np.array(counts, dtype=np.float64)[:, None]
+    mean = np.array([r.mean(axis=0) for r in rows])
+    sumsq = np.array([((r - m) ** 2).sum(axis=0) for r, m in zip(rows, mean)])
+    return counts, mean, sumsq, nig_fold(nig, n, mean, sumsq)
 
 
 def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> ClassifierModel:
@@ -172,63 +187,52 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
         raise ContractError("training needs a fully labeled dataset")
     if not ds.alphabet:
         raise ContractError("training needs at least one class")
-    data = ds.matrix(ids)
+    counts = np.bincount(ds.codes, minlength=len(ds.alphabet)).tolist()
+    for label, count in zip(ds.alphabet, counts):
+        if count < 2:
+            raise InsufficientDataError(f"class {label!r} has {count} flows; need at least 2")
     start = tuple(np.full(len(ids), getattr(prior, name), dtype=np.float64) for name in NIG_PARAMS)
-    states = []
-    for code, label in enumerate(ds.alphabet):
-        rows = data[ds.codes == code]
-        if rows.shape[0] < 2:
-            raise InsufficientDataError(
-                f"class {label!r} has {rows.shape[0]} flows; need at least 2"
-            )
-        n, mean, sumsq = _batch_stats(rows)
-        sample_var = np.maximum(sumsq / (n - 1), VARIANCE_FLOOR)
-        states.append(ClassState(label, n, *nig_fold(start, n, mean, sumsq), mean, sample_var))
-    return ClassifierModel(alphabet=ds.alphabet, feature_ids=ids, classes=tuple(states))
+    _, mean, sumsq, nig = _fold(start, ds, ids, range(len(ds.alphabet)))
+    sample_var = np.maximum(sumsq / (np.array(counts)[:, None] - 1.0), VARIANCE_FLOOR)
+    return ClassifierModel(ds.alphabet, ids, tuple(counts), *nig, mean, sample_var)
 
 
 def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
-    """Fold new labeled flows into a copy of the model.
-
-    Classes present in ``new_ds`` get advanced posteriors and refreshed
-    plug-ins (posterior mean, beta / (alpha - 1)); untouched classes keep
-    their state object.  The input model is never mutated.
-    """
+    """Fold new labeled flows into a copy of the model: the rows of classes in
+    ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
+    the other rows keep their values, and the input model is never mutated."""
     if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
-    present = [new_ds.alphabet[code] for code in np.unique(new_ds.codes).tolist()]
-    for label in present:
-        if label not in model.alphabet:
-            raise UnknownClassError(f"unknown class {label!r}")
-    if not present:
+    present = np.unique(new_ds.codes).tolist()
+    rows = [model._row(new_ds.alphabet[code]) for code in present]
+    if not rows:
         return model
-    data = new_ds.matrix(model.feature_ids)
-    states = list(model.classes)
-    for i, state in enumerate(model.classes):
-        if state.label in present:
-            n, mean, sumsq = _batch_stats(data[new_ds.codes == new_ds.alphabet.index(state.label)])
-            mu, kappa, alpha, beta = nig_fold(state.nig, n, mean, sumsq)
-            states[i] = ClassState(state.label, state.n + n, mu, kappa, alpha, beta,
-                                   mu, plugin_variance(alpha, beta))
-    return replace(model, classes=tuple(states))
+    nig = tuple(values[rows] for values in model.nig)
+    counts, _, _, (mu, kappa, alpha, beta) = _fold(nig, new_ds, model.feature_ids, present)
+    added = dict(zip(rows, counts))
+    arrays = [getattr(model, name).copy() for name in _ARRAYS]
+    for array, values in zip(arrays, (mu, kappa, alpha, beta, mu, plugin_variance(alpha, beta))):
+        array[rows] = values
+    n = tuple(k + added.get(row, 0) for row, k in enumerate(model.n))
+    return ClassifierModel(model.alphabet, model.feature_ids, n, *arrays)
 
 
+@np.errstate(over="ignore")
 def _log_scores(model: ClassifierModel, rows: np.ndarray) -> np.ndarray:
     """(n, C) log scores of rows already restricted to the model's features.
 
     The rows are made C-contiguous so that each (row, class) sum runs over
     contiguous features, in the same order as a one-row, one-class sum:
     a score does not depend on how many rows are scored together.  Rows go
-    in blocks that keep the (rows, C, d) temporary near 8 MB.
+    in blocks that keep the (rows, C, d) temporary near 8 MB.  A row whose
+    squared distance from a class overflows scores -inf for that class.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         raise ContractError("feature vector contains non-finite values")
-    means = np.stack([state.plugin_means for state in model.classes])
-    variances = np.stack([state.plugin_vars for state in model.classes])
-    log_n = np.log(np.array([state.n for state in model.classes], dtype=np.float64))
-    base = log_n - 0.5 * np.log(variances).sum(axis=1)
-    scores = np.empty((rows.shape[0], len(model.classes)))
+    means, variances = model.plugin_means, model.plugin_vars
+    base = np.log(np.array(model.n, dtype=np.float64)) - 0.5 * np.log(variances).sum(axis=1)
+    scores = np.empty((rows.shape[0], len(model.alphabet)))
     block = max(1, 2**20 // max(1, means.size))
     for lo in range(0, rows.shape[0], block):
         x = rows[lo : lo + block, None, :]
@@ -239,8 +243,7 @@ def _log_scores(model: ClassifierModel, rows: np.ndarray) -> np.ndarray:
 def score(model: ClassifierModel, x: FeatureVector) -> ClassScores:
     """Log-space class scores for one feature vector."""
     row = np.array([[x.value(fid) for fid in model.feature_ids]], dtype=np.float64)
-    scores = _log_scores(model, row)[0]
-    return ClassScores(alphabet=model.alphabet, log_scores=tuple(scores.tolist()))
+    return ClassScores(model.alphabet, tuple(_log_scores(model, row)[0].tolist()))
 
 
 def predict(model: ClassifierModel, ds: Dataset) -> list[str]:
@@ -252,14 +255,14 @@ def predict(model: ClassifierModel, ds: Dataset) -> list[str]:
 def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> dict:
     keys = list(map(str, model.feature_ids))
     classes = {}
-    for state in model.classes:
-        nig = zip(*(values.tolist() for values in state.nig))
-        classes[state.label] = {
-            "n": state.n,
+    for c, label in enumerate(model.alphabet):
+        nig = zip(*(values[c].tolist() for values in model.nig))
+        classes[label] = {
+            "n": model.n[c],
             # {"<fid>": {"mu": ..., "kappa": ..., "alpha": ..., "beta": ...}, ...}
             "posteriors": dict(zip(keys, map(dict, map(zip, repeat(NIG_PARAMS), nig)))),
-            "plugin_means": dict(zip(keys, state.plugin_means.tolist())),
-            "plugin_vars": dict(zip(keys, state.plugin_vars.tolist())),
+            "plugin_means": dict(zip(keys, model.plugin_means[c].tolist())),
+            "plugin_vars": dict(zip(keys, model.plugin_vars[c].tolist())),
         }
     return {
         "version": MODEL_VERSION,
@@ -277,61 +280,67 @@ def save_model(model: ClassifierModel, path) -> None:
     write_json(path, model_to_json_dict(model))
 
 
-def _checked(where: str, keys, name: str, values, need: str, ok) -> np.ndarray:
-    """``values`` as a float64 array, refusing the first that is not a finite
-    JSON number passing ``ok``."""
-    for key, value in zip(keys, values):
-        if not (is_finite_number(value) and ok(value)):
-            raise ModelFormatError(f"{where} feature {key}: {name} must be {need}, got {value!r}")
-    return np.array(values, dtype=np.float64)
-
-
-def _load_class(path, label: str, entry: dict, keys: list[str]) -> ClassState:
-    """One class of a model document; refuses numbers that would make its scores meaningless."""
-    where = f"{path}: class {label!r}"
-    n = entry["n"]
-    if type(n) is not int or not 1 <= n <= sys.float_info.max:
-        raise ModelFormatError(f"{where}: n must be a positive integer, got {n!r}")
-    posts = [entry["posteriors"][key] for key in keys]
-    if any(set(post) != set(NIG_PARAMS) for post in posts):
-        raise TypeError(f"class {label!r}: each posterior must hold exactly {NIG_PARAMS}")
-    mu = _checked(where, keys, "mu", [p["mu"] for p in posts], "finite", lambda v: True)
-    kappa, alpha, beta = (
-        _checked(where, keys, name, [p[name] for p in posts], "finite and > 0", lambda v: v > 0)
-        for name in NIG_PARAMS[1:]
-    )
-    # A document without the plug-in block gets them from the posterior.
-    means, variances = entry.get("plugin_means"), entry.get("plugin_vars")
-    plugin_means = mu if not means else _checked(
-        where, keys, "plugin mean", [means[k] for k in keys], "finite", lambda v: True)
-    plugin_vars = plugin_variance(alpha, beta) if not variances else _checked(
-        where, keys, "plugin variance", [variances[k] for k in keys],
-        f"finite and >= {VARIANCE_FLOOR}", lambda v: v >= VARIANCE_FLOOR)
-    return ClassState(label, n, mu, kappa, alpha, beta, plugin_means, plugin_vars)
+_LOAD_CHECKS = {  # document name -> (name in messages, what a value must be, its test)
+    "mu": ("mu", "finite", lambda v: True),
+    **{name: (name, "finite and > 0", lambda v: v > 0) for name in NIG_PARAMS[1:]},
+    "plugin_means": ("plugin mean", "finite", lambda v: True),
+    "plugin_vars": ("plugin variance", f"finite and >= {VARIANCE_FLOOR}",
+                    lambda v: v >= VARIANCE_FLOOR),
+}
 
 
 def load_model(path) -> ClassifierModel:
-    """Read a model file, refusing other versions and out-of-range values."""
+    """Read a model file, refusing other versions, malformed documents and
+    numbers that would make the scores meaningless."""
     doc = read_json(path, ModelFormatError)
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: model document is not a JSON object")
-    version = doc.get("version")
-    if version != MODEL_VERSION:
-        raise ModelFormatError(
-            f"{path}: model version {version!r} is not supported (want {MODEL_VERSION})"
-        )
+    if doc.get("version") != MODEL_VERSION:
+        raise ModelFormatError(f"{path}: model version {doc.get('version')!r} is not supported "
+                               f"(want {MODEL_VERSION})")
     try:
         feature_ids = validate_feature_ids(doc.get("selected_features"))
     except ContractError as exc:
         raise ModelFormatError(f"{path}: selected_features: {exc}") from None
-    keys = list(map(str, feature_ids))
-    try:
-        alphabet = tuple(doc["alphabet"])
-        states = tuple(_load_class(path, label, doc["classes"][label], keys) for label in alphabet)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed model document ({exc})") from None
-    if not states:
+    alphabet, classes = doc.get("alphabet"), doc.get("classes")
+    if not isinstance(alphabet, list) or not all(isinstance(label, str) for label in alphabet):
+        raise ModelFormatError(f"{path}: alphabet must be a list of strings, got {alphabet!r}")
+    if not isinstance(classes, dict):
+        raise ModelFormatError(f"{path}: classes must be an object, got {type(classes).__name__}")
+    if not alphabet:
         raise ModelFormatError(f"{path}: model has no classes")
     if len(set(alphabet)) < len(alphabet):
-        raise ModelFormatError(f"{path}: alphabet repeats a label: {list(alphabet)!r}")
-    return ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=states)
+        raise ModelFormatError(f"{path}: alphabet repeats a label: {alphabet!r}")
+    keys = list(map(str, feature_ids))
+    try:
+        entries = [classes[label] for label in alphabet]
+        counts = tuple(entry["n"] for entry in entries)
+        posts = [[entry["posteriors"][key] for key in keys] for entry in entries]
+        for label, row in zip(alphabet, posts):
+            if any(set(post) != set(NIG_PARAMS) for post in row):
+                raise TypeError(f"class {label!r}: each posterior must hold exactly {NIG_PARAMS}")
+        # (classes, features) values per parameter; None for a missing plug-in block
+        values = {name: [[post[name] for post in row] for row in posts] for name in NIG_PARAMS}
+        for block in ("plugin_means", "plugin_vars"):
+            values[block] = [[entry[block][key] for key in keys] if entry.get(block) else None
+                             for entry in entries]
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: malformed model document ({exc})") from None
+    for label, n in zip(alphabet, counts):
+        if type(n) is not int or not 1 <= n <= sys.float_info.max:
+            raise ModelFormatError(
+                f"{path}: class {label!r}: n must be a positive integer, got {n!r}")
+    for block, rows in values.items():
+        name, need, ok = _LOAD_CHECKS[block]
+        for label, row in zip(alphabet, rows):
+            for key, value in zip(keys, row or ()):
+                if not (is_finite_number(value) and ok(value)):
+                    raise ModelFormatError(f"{path}: class {label!r} feature {key}: "
+                                           f"{name} must be {need}, got {value!r}")
+    arrays = [np.array(values[name], dtype=np.float64) for name in NIG_PARAMS]
+    # A class without the plug-in block gets them from the posterior.
+    derived = {"plugin_means": arrays[0], "plugin_vars": plugin_variance(*arrays[2:])}
+    for block, fallback in derived.items():
+        rows = [row or list(default) for row, default in zip(values[block], fallback)]
+        arrays.append(np.array(rows, dtype=np.float64))
+    return ClassifierModel(tuple(alphabet), feature_ids, counts, *arrays)

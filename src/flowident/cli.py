@@ -182,18 +182,21 @@ def cmd_synth(args) -> int:
     spec = synth.load_synth_spec(args.spec)
     if not (args.out_dataset or args.out_pcap or args.out_labels):
         raise ContractError("nothing to do: pass --out-dataset, --out-pcap, or --out-labels")
+    if args.out_pcap or args.out_labels:  # before writing anything: it may refuse the spec
+        try:
+            packets, labels = synth.generate_packets(spec)
+        except FormatError as exc:
+            raise FormatError(f"{args.spec}: {exc}") from None
     if args.out_dataset:
         ds = synth.generate_dataset(spec)
         write_dataset(ds, args.out_dataset)
         print(f"wrote {len(ds)} feature rows to {args.out_dataset}")
-    if args.out_pcap or args.out_labels:
-        packets, labels = synth.generate_packets(spec)
-        if args.out_pcap:
-            count = write_pcap(args.out_pcap, packets)
-            print(f"wrote {count} packets to {args.out_pcap}")
-        if args.out_labels:
-            write_labels(args.out_labels, labels)
-            print(f"wrote {len(labels)} label rows to {args.out_labels}")
+    if args.out_pcap:
+        count = write_pcap(args.out_pcap, packets)
+        print(f"wrote {count} packets to {args.out_pcap}")
+    if args.out_labels:
+        write_labels(args.out_labels, labels)
+        print(f"wrote {len(labels)} label rows to {args.out_labels}")
     return 0
 
 

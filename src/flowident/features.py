@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -144,9 +145,7 @@ class Dataset:
     """Feature rows as one read-only float64 matrix plus integer label codes.
 
     ``data[i]`` holds row i's 16 features and ``codes[i]`` indexes its label
-    in ``alphabet``, or is -1 for an unlabeled row.  ``vectors`` gives the
-    same rows as :class:`FeatureVector` views; a dataset built from vectors
-    keeps those objects, and :meth:`take` passes them on to its subsets.
+    in ``alphabet``, or is -1 for an unlabeled row.
     """
 
     def __init__(self, vectors, alphabet) -> None:
@@ -156,14 +155,13 @@ class Dataset:
             if vec.label not in code:
                 raise ContractError(f"row {i}: label {vec.label!r} not in alphabet")
         rows = np.array([vec.row for vec in vectors], dtype=np.float64).reshape(-1, NUM_FEATURES)
-        self._set(rows, [code[vec.label] for vec in vectors], alphabet, vectors)
+        self._set(rows, [code[vec.label] for vec in vectors], alphabet)
 
-    def _set(self, data, codes, alphabet, vectors=None) -> None:
+    def _set(self, data, codes, alphabet) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.codes = np.asarray(codes, dtype=np.intp)
         self.data.flags.writeable = self.codes.flags.writeable = False
         self.alphabet = tuple(alphabet)
-        self._vectors = vectors
 
     @classmethod
     def from_arrays(cls, data, codes, alphabet) -> "Dataset":
@@ -186,11 +184,10 @@ class Dataset:
         alphabet = tuple(sorted({v.label for v in vectors if v.label is not None}))
         return cls(vectors, alphabet)
 
-    @property
+    @cached_property
     def vectors(self) -> list[FeatureVector]:
-        if self._vectors is None:
-            self._vectors = list(map(FeatureVector, self.data, self.labels()))
-        return self._vectors
+        """The rows as :class:`FeatureVector` views of ``data``, made on first read."""
+        return list(map(FeatureVector, self.data, self.labels()))
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -201,11 +198,8 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.data, other.data)
-        )
+        return self.alphabet == other.alphabet and all(
+            map(np.array_equal, (self.codes, self.data), (other.codes, other.data)))
 
     def labels(self) -> list[str | None]:
         names = self.alphabet + (None,)  # code -1 reads as None
@@ -220,9 +214,8 @@ class Dataset:
     def take(self, rows) -> "Dataset":
         """The subset at the given row indices, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        vectors = None if self._vectors is None else [self._vectors[i] for i in rows.tolist()]
         ds = Dataset.__new__(Dataset)
-        ds._set(self.data[rows], self.codes[rows], self.alphabet, vectors)
+        ds._set(self.data[rows], self.codes[rows], self.alphabet)
         return ds
 
     def labeled_only(self) -> "Dataset":
@@ -241,17 +234,13 @@ def _label_codes(alphabet: tuple[str, ...]) -> dict:
 _CSV_HEADER = FEATURE_NAMES + ("label",)
 
 
-def _format(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; numbers carry 9 significant digits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for values, label in zip(ds.data.tolist(), ds.labels()):
-            writer.writerow([_format(v) for v in values] + [label or ""])
+            writer.writerow([f"{v:.9g}" for v in values] + [label or ""])
 
 
 def read_dataset(path) -> Dataset:

@@ -9,6 +9,7 @@ generates identical bytes on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from .ingest.labels import LabelRow
 _BASE_EPOCH_US = 1_700_000_000_000_000
 _START_WINDOW_S = 60.0
 _MAX_PKT_LEN = 1500
+_MAX_COUNT = 2**32 - 1  # NetFlow v5's 32-bit packet counter
+_MAX_TS_S = 2**32  # pcap's 32-bit seconds
 
 _TCP_SYNACK = TCP_SYN | TCP_ACK
 _TCP_FINACK = TCP_FIN | TCP_ACK
@@ -73,7 +76,9 @@ def _integer(value, where: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _parse_dist(doc, context: str) -> Dist:
+def _parse_dist(doc, context: str, count: bool = False) -> Dist:
+    """A distribution numpy can draw from; for a packet ``count``, one whose
+    high, fixed value or mean fits NetFlow v5's packet counter."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{context}: distribution needs a 'kind'")
     kind = doc["kind"]
@@ -88,6 +93,14 @@ def _parse_dist(doc, context: str) -> Dist:
         _number(doc[names[-1]], f"{context}: {names[-1]}", 0)
     elif kind != "fixed" and params[1] < params[0]:
         raise FormatError(f"{context}: high {params[1]!r} is below low {params[0]!r}")
+    if kind == "uniform" and math.isinf(params[1] - params[0]):
+        raise FormatError(f"{context}: high - low must be a finite number, got inf")
+    if kind == "uniform_int" and not -(2**63) <= int(params[0]) <= int(params[1]) < 2**63:
+        raise FormatError(f"{context}: low and high must lie in the int64 range")
+    top = params[1] if kind.startswith("uniform") else params[0]
+    if count and top > _MAX_COUNT:
+        raise FormatError(f"{context}: packet count {top!r} is above NetFlow v5's "
+                          f"32-bit counter ({_MAX_COUNT})")
     return Dist(kind, params)
 
 
@@ -150,7 +163,7 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
             for key in ("count", "size", "iat"):
                 if key not in packets:
                     raise FormatError(f"{context}: packets needs a {key!r} distribution")
-            pkt_count = _parse_dist(packets["count"], f"{context}.packets.count")
+            pkt_count = _parse_dist(packets["count"], f"{context}.packets.count", count=True)
             pkt_size = _parse_dist(packets["size"], f"{context}.packets.size")
             iat = _parse_dist(packets["iat"], f"{context}.packets.iat")
         classes.append(
@@ -230,16 +243,24 @@ def generate_packets(spec: SynthSpec) -> tuple[list[PacketRecord], list[LabelRow
             raise ContractError(f"class {cls.label!r} has no packet generators")
         min_len = 40 if cls.proto is Proto.TCP else 28
         server_ip = (192 << 24) | (168 << 16) | (cls_idx << 8) | 1
+        where = f"classes[{cls_idx}].packets"
         for _ in range(cls.flows):
-            count = max(1, int(round(float(cls.pkt_count.draw(rng, 1)[0]))))
+            drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
+            if not drawn <= _MAX_COUNT:
+                raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
+                                  f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
+            count = int(round(drawn))
             sizes = np.clip(
                 np.round(cls.pkt_size.draw(rng, count)), min_len, _MAX_PKT_LEN
             ).astype(int)
-            gaps_us = np.maximum(
-                np.round(cls.iat.draw(rng, max(count - 1, 1)) * 1e6), 0
-            ).astype(np.int64)
+            # A gap past the horizon alone overflows it; clipping first keeps the sum finite.
+            iat = np.minimum(cls.iat.draw(rng, max(count - 1, 1)), _MAX_TS_S)
+            gaps_us = np.maximum(np.round(iat * 1e6), 0)[: count - 1]
             start = _BASE_EPOCH_US + int(rng.uniform(0, _START_WINDOW_S) * 1e6)
-            ts = start + np.concatenate(([0], np.cumsum(gaps_us[: count - 1])))
+            if not start + gaps_us.sum() < _MAX_TS_S * 1e6:
+                raise FormatError(f"{where}.iat: packet times pass the 32-bit seconds "
+                                  f"of the pcap format (year 2106)")
+            ts = start + np.concatenate(([0], np.cumsum(gaps_us.astype(np.int64))))
             directions = [True] + [bool(rng.random() < 0.5) for _ in range(count - 1)]
             flags = _flow_flags(cls.proto, count, directions)
             client_ip = (10 << 24) + serial + 1

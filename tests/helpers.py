@@ -7,9 +7,9 @@ These tools live here:
   independent math oracles (entropy, SU, binning, confusion tallies),
   written with plain Python containers so they cannot share a bug with
   the numpy/struct implementations they are used to check;
-* the per-row scorer, the per-class fold assignment and the per-feature
-  NIG fold that the library's batch versions replaced, kept as references
-  that must agree bit for bit;
+* the per-row scorer, the per-class fold assignment, the per-feature
+  NIG fold and the per-class training and update loops that the library's
+  batch versions replaced, kept as references that must agree bit for bit;
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from flowident.classifier import VARIANCE_FLOOR, ClassifierModel
 from flowident.errors import ContractError
 from flowident.flow import (
     REORDER_TOLERANCE_US,
@@ -332,11 +333,11 @@ def score_oracle(model, values) -> list[float]:
     """Log scores of one row of selected-feature values, one class at a time."""
     values = np.array(values, dtype=np.float64)
     scores = []
-    for state in model.classes:
-        means = np.array(state.plugin_means)
-        variances = np.array(state.plugin_vars)
+    for c, n in enumerate(model.n):
+        means = np.array(model.plugin_means[c])
+        variances = np.array(model.plugin_vars[c])
         log_h = (
-            np.log(state.n)
+            np.log(n)
             - 0.5 * np.log(variances).sum()
             - 0.5 * (((values - means) ** 2) / variances).sum()
         )
@@ -346,8 +347,6 @@ def score_oracle(model, values) -> list[float]:
 
 def nig_fold_oracle(mu, kappa, alpha, beta, n, mean, sumsq) -> tuple[float, ...]:
     """The normal-inverse-gamma fold of one feature, in Python floats."""
-    if n == 0:
-        return mu, kappa, alpha, beta
     kappa_n = kappa + n
     return (
         (kappa * mu + n * mean) / kappa_n,
@@ -360,6 +359,54 @@ def nig_fold_oracle(mu, kappa, alpha, beta, n, mean, sumsq) -> tuple[float, ...]
 def plugin_variance_oracle(alpha: float, beta: float, floor: float) -> float:
     """beta / (alpha - 1) of one feature, floored; the floor where alpha <= 1."""
     return max(beta / (alpha - 1.0), floor) if alpha > 1.0 else floor
+
+
+def _class_fold(state, rows):
+    """Fold one class's batch ``rows`` into its per-feature NIG ``state``
+    (four lists), one feature at a time; also the batch's count and moments."""
+    mean = rows.mean(axis=0)
+    sumsq = ((rows - mean) ** 2).sum(axis=0)
+    n = rows.shape[0]
+    folded = [nig_fold_oracle(*nig, n, m, s)
+              for nig, m, s in zip(zip(*state), mean.tolist(), sumsq.tolist())]
+    return n, mean, sumsq, [list(values) for values in zip(*folded)]
+
+
+def train_oracle(ds, feature_ids, prior) -> ClassifierModel:
+    """The per-class training loop: each class's rows through its code mask,
+    folded into the prior and given its sample mean and n-1 variance."""
+    data = ds.matrix(feature_ids)
+    start = [[getattr(prior, name)] * len(feature_ids) for name in ("mu", "kappa", "alpha", "beta")]
+    counts, arrays = [], [[] for _ in range(6)]
+    for code in range(len(ds.alphabet)):
+        n, mean, sumsq, nig = _class_fold(start, data[ds.codes == code])
+        sample_var = np.maximum(sumsq / (n - 1), VARIANCE_FLOOR)
+        counts.append(n)
+        for array, row in zip(arrays, nig + [mean.tolist(), sample_var.tolist()]):
+            array.append(row)
+    return ClassifierModel(ds.alphabet, tuple(feature_ids), tuple(counts), *arrays)
+
+
+def update_oracle(model, new_ds) -> ClassifierModel:
+    """The per-class update loop: each model class present in ``new_ds``, found
+    by label, folds its rows and takes posterior-derived plug-ins; an empty
+    batch returns ``model`` itself."""
+    present = {new_ds.alphabet[code] for code in np.unique(new_ds.codes).tolist()}
+    if not present:
+        return model
+    data = new_ds.matrix(model.feature_ids)
+    counts = list(model.n)
+    arrays = [getattr(model, name).tolist() for name in
+              ("mu", "kappa", "alpha", "beta", "plugin_means", "plugin_vars")]
+    for c, label in enumerate(model.alphabet):
+        if label in present:
+            rows = data[new_ds.codes == new_ds.alphabet.index(label)]
+            n, _, _, nig = _class_fold([array[c] for array in arrays[:4]], rows)
+            variances = [plugin_variance_oracle(a, b, VARIANCE_FLOOR) for a, b in zip(*nig[2:])]
+            counts[c] += n
+            for array, row in zip(arrays, nig + [nig[0], variances]):
+                array[c] = row
+    return ClassifierModel(model.alphabet, model.feature_ids, tuple(counts), *arrays)
 
 
 def predict_oracle(model, ds) -> list[str]:

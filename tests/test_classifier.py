@@ -13,7 +13,6 @@ from flowident.classifier import (
     VARIANCE_FLOOR,
     ClassifierModel,
     ClassScores,
-    ClassState,
     InsufficientDataError,
     ModelFormatError,
     NIGPrior,
@@ -33,6 +32,7 @@ from flowident.features import Dataset, FeatureVector
 from helpers import normal_pdf
 
 PRIOR = NIGPrior()
+ARRAYS = ("mu", "kappa", "alpha", "beta", "plugin_means", "plugin_vars")
 
 
 def nig_state(mu, kappa, alpha, beta, d=1):
@@ -86,11 +86,6 @@ def test_fold_frozen_example():
     assert plugin_variance(alpha, beta).tolist() == [1.004493257866571]
 
 
-def test_fold_empty_batch_is_identity():
-    state = nig_state(1.5, 2.0, 3.0, 4.0)
-    assert nig_fold(state, 0, 99.0, 99.0) is state
-
-
 def test_fold_limits():
     # an overwhelming prior barely moves; a negligible one lands on the data
     heavy_mu = nig_fold(nig_state(5.0, 1e12, 2.0, 1.0), 10, -3.0, 4.0)[0]
@@ -110,14 +105,12 @@ def test_plugin_variance_floor():
 def test_train_two_point_plugins():
     ds = make_ds({7: [2.0, 4.0, 10.0, 20.0]}, ["a", "a", "b", "b"])
     model = train(ds, feature_ids=[7])
-    a, b = model.classes
     assert model.alphabet == ("a", "b")
     assert model.feature_ids == (7,)
-    assert a.label == "a" and a.n == 2
-    assert a.plugin_means.tolist() == [3.0]
-    assert a.plugin_vars.tolist() == [2.0]      # n-1 variance of [2, 4]
-    assert b.plugin_means.tolist() == [15.0]
-    assert b.plugin_vars.tolist() == [50.0]
+    assert model.classes == (("a", 2), ("b", 2))
+    assert model.classes[0].label == "a" and model.classes[0].n == 2
+    assert model.plugin_means.tolist() == [[3.0], [15.0]]
+    assert model.plugin_vars.tolist() == [[2.0], [50.0]]  # n-1 variances of [2, 4], [10, 20]
     assert model.total_flows == 4
     assert model.class_prior("a") == 0.5
 
@@ -138,18 +131,18 @@ def test_train_matches_statistics_oracle():
     columns = {fid: [rnd.gauss(fid, 3.0) for _ in labels] for fid in range(1, 17)}
     ds = make_ds(columns, labels)
     model = train(ds)
-    for state in model.classes:
-        rows = [i for i, lbl in enumerate(labels) if lbl == state.label]
+    for c, label in enumerate(model.alphabet):
+        rows = [i for i, lbl in enumerate(labels) if lbl == label]
         for j, fid in enumerate(model.feature_ids):
             col = [columns[fid][i] for i in rows]
-            assert state.plugin_means[j] == pytest.approx(statistics.fmean(col), rel=1e-12)
-            assert state.plugin_vars[j] == pytest.approx(statistics.variance(col), rel=1e-12)
+            assert model.plugin_means[c, j] == pytest.approx(statistics.fmean(col), rel=1e-12)
+            assert model.plugin_vars[c, j] == pytest.approx(statistics.variance(col), rel=1e-12)
 
 
 def test_train_constant_feature_hits_floor():
     ds = make_ds({5: [7.0, 7.0, 7.0, 7.0]}, ["a", "a", "b", "b"])
     model = train(ds, feature_ids=[5])
-    assert model.classes[0].plugin_vars.tolist() == [VARIANCE_FLOOR]
+    assert model.plugin_vars[0].tolist() == [VARIANCE_FLOOR]
 
 
 def test_train_validation():
@@ -201,16 +194,10 @@ def test_sequential_equals_pooled(seed):
     pooled = update(model, extra)
     stepped = update(update(model, first), second)
 
-    for got, want in zip(stepped.classes, pooled.classes):
-        assert got.label == want.label and got.n == want.n
-        # (mu, kappa, alpha, beta) of each feature
-        for g, w in zip(zip(*got.nig), zip(*want.nig)):
-            for a, b in zip(g, w):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-        for a, b in zip(
-            np.concatenate([got.plugin_means, got.plugin_vars]),
-            np.concatenate([want.plugin_means, want.plugin_vars]),
-        ):
+    assert stepped.classes == pooled.classes
+    # (mu, kappa, alpha, beta) and the plug-ins of each (class, feature)
+    for name in ("mu", "kappa", "alpha", "beta", "plugin_means", "plugin_vars"):
+        for a, b in zip(getattr(stepped, name).ravel(), getattr(pooled, name).ravel()):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
@@ -219,15 +206,18 @@ def test_update_empty_batch_returns_model_itself():
     assert update(model, Dataset([], model.alphabet)) is model
 
 
-def test_update_preserves_untouched_class_state_by_identity():
+def test_update_preserves_untouched_class_rows_by_value():
     model = train(gaussian_ds(2, ("a", "b"), 4, {"a": 0.0, "b": 5.0}))
+    saved = {name: getattr(model, name).copy() for name in ARRAYS}
     batch = make_ds({1: [0.4]}, ["a"], alphabet=("a", "b"))
     updated = update(model, batch)
     assert updated is not model
-    assert updated.classes[0] is not model.classes[0]   # "a" advanced
-    assert updated.classes[1] is model.classes[1]       # "b" untouched
-    assert updated.classes[0].n == model.classes[0].n + 1
-    assert model.classes[0].n == 4                      # input not mutated
+    for name in ARRAYS:
+        assert not np.array_equal(getattr(updated, name)[0], saved[name][0])  # "a" advanced
+        assert getattr(updated, name)[1].tolist() == saved[name][1].tolist()  # "b" untouched
+        assert np.array_equal(getattr(model, name), saved[name])  # input not mutated
+    assert updated.n == (5, 4)
+    assert model.n == (4, 4)
 
 
 def test_update_plugins_are_posterior_derived():
@@ -235,9 +225,10 @@ def test_update_plugins_are_posterior_derived():
     batch = gaussian_ds(4, ("a",), 3, {"a": 1.0})
     batch = Dataset(batch.vectors, ("a", "b"))
     updated = update(model, batch)
-    state = updated.classes[0]
-    assert state.plugin_means.tolist() == state.mu.tolist()
-    assert state.plugin_vars.tolist() == plugin_variance(state.alpha, state.beta).tolist()
+    assert updated.plugin_means[0].tolist() == updated.mu[0].tolist()
+    assert updated.plugin_vars[0].tolist() == plugin_variance(
+        updated.alpha[0], updated.beta[0]).tolist()
+    assert updated.plugin_vars[1].tolist() == model.plugin_vars[1].tolist()  # "b": sample variance
 
 
 def test_update_rejects_unknown_and_unlabeled():
@@ -257,17 +248,36 @@ def test_single_row_update_is_allowed():
     assert updated.classes[0].n == 5
 
 
+def test_counts_beyond_int64_stay_exact(tmp_path):
+    model = train(gaussian_ds(16, ("a", "b"), 4, {"a": 0.0, "b": 5.0}), feature_ids=[1, 2])
+    doc = model_to_json_dict(model)
+    doc["classes"]["b"]["n"] = 2**70
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path)
+    assert loaded.n == (4, 2**70)
+    updated = update(loaded, make_ds({1: [0.3, 0.1]}, ["b", "b"], alphabet=("a", "b")))
+    assert updated.n == (4, 2**70 + 2)
+    assert model_to_json_dict(updated)["classes"]["b"]["n"] == 2**70 + 2
+    assert predict(updated, make_ds({2: [5.0]}, ["a"])) == ["b"]
+
+
+def test_model_arrays_must_match_classes_and_features():
+    dummy = nig_state(0.0, 1.0, 2.0, 1.0, d=2)  # one row of two features
+    with pytest.raises(ContractError, match=r"shape \(2, 2\)"):
+        ClassifierModel(("a", "b"), (1, 2), (3, 3), *dummy, dummy[0], dummy[0])
+    with pytest.raises(ContractError, match="need one count per class"):
+        ClassifierModel(("a",), (1, 2), (3, 3), *[[row] for row in dummy], [dummy[0]], [dummy[0]])
+
+
 # ------------------------------------------------------------------ scoring
 
 def hand_model():
-    dummy = nig_state(0.0, 1.0, 2.0, 1.0, d=2)
+    dummy = np.stack([nig_state(0.0, 1.0, 2.0, 1.0, d=2)] * 2, axis=1)
     return ClassifierModel(
-        alphabet=("A", "B"),
-        feature_ids=(7, 16),
-        classes=(
-            ClassState("A", 3, *dummy, (1.0, 10.0), (1.0, 4.0)),
-            ClassState("B", 2, *dummy, (2.0, 8.0), (0.5, 1.0)),
-        ),
+        ("A", "B"), (7, 16), (3, 2), *dummy,
+        plugin_means=[(1.0, 10.0), (2.0, 8.0)],
+        plugin_vars=[(1.0, 4.0), (0.5, 1.0)],
     )
 
 
@@ -291,12 +301,10 @@ def test_score_difference_equals_density_ratio():
     model = hand_model()
     x = vector_at({7: 1.21, 16: 8.4})
     scores = score(model, x)
-    a, b = model.classes
+    (ma, mb), (va, vb) = model.plugin_means, model.plugin_vars
     ratio = (
-        (a.n * normal_pdf(1.21, a.plugin_means[0], a.plugin_vars[0])
-         * normal_pdf(8.4, a.plugin_means[1], a.plugin_vars[1]))
-        / (b.n * normal_pdf(1.21, b.plugin_means[0], b.plugin_vars[0])
-           * normal_pdf(8.4, b.plugin_means[1], b.plugin_vars[1]))
+        (3 * normal_pdf(1.21, ma[0], va[0]) * normal_pdf(8.4, ma[1], va[1]))
+        / (2 * normal_pdf(1.21, mb[0], vb[0]) * normal_pdf(8.4, mb[1], vb[1]))
     )
     assert math.exp(scores.log_scores[0] - scores.log_scores[1]) == pytest.approx(
         ratio, rel=1e-9
@@ -304,16 +312,9 @@ def test_score_difference_equals_density_ratio():
 
 
 def test_tie_goes_to_first_class():
-    dummy = nig_state(0.0, 1.0, 2.0, 1.0)
-    same = ClassState("later", 5, *dummy, (0.0,), (1.0,))
-    model = ClassifierModel(
-        alphabet=("earlier", "later"),
-        feature_ids=(1,),
-        classes=(
-            ClassState("earlier", 5, *dummy, (0.0,), (1.0,)),
-            same,
-        ),
-    )
+    dummy = np.stack([nig_state(0.0, 1.0, 2.0, 1.0)] * 2, axis=1)
+    model = ClassifierModel(("earlier", "later"), (1,), (5, 5), *dummy,
+                            plugin_means=[(0.0,), (0.0,)], plugin_vars=[(1.0,), (1.0,)])
     scores = score(model, vector_at({1: 0.3}))
     assert scores.log_scores[0] == scores.log_scores[1]
     assert scores.predicted == "earlier"
@@ -416,9 +417,8 @@ def test_load_rebuilds_plugins_when_stripped(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     loaded = load_model(path)
-    for state in loaded.classes:
-        assert state.plugin_means.tolist() == state.mu.tolist()
-        assert state.plugin_vars.tolist() == plugin_variance(state.alpha, state.beta).tolist()
+    assert loaded.plugin_means.tolist() == loaded.mu.tolist()
+    assert loaded.plugin_vars.tolist() == plugin_variance(loaded.alpha, loaded.beta).tolist()
 
 
 # ------------------------------------------------------------ load checks
@@ -443,6 +443,23 @@ def test_load_rejects_a_model_without_classes(tmp_path):
     doc = saved_doc(tmp_path)
     doc["alphabet"], doc["classes"] = [], {}
     with pytest.raises(ModelFormatError, match="no classes"):
+        load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("alphabet, classes, message", [
+    ([0], [], r"alphabet must be a list of strings, got \[0\]"),
+    ("ab", {}, "alphabet must be a list of strings, got 'ab'"),
+    (None, {}, "alphabet must be a list of strings, got None"),
+    ([1, "b"], "entries", r"alphabet must be a list of strings, got \[1, 'b'\]"),
+    (["a", "b"], "entries", "classes must be an object, got list"),
+    (["a", "b"], None, "classes must be an object, got NoneType"),
+])
+def test_load_rejects_a_malformed_alphabet_or_classes(tmp_path, alphabet, classes, message):
+    doc = saved_doc(tmp_path)
+    if classes == "entries":
+        classes = list(doc["classes"].values())
+    doc["alphabet"], doc["classes"] = alphabet, classes
+    with pytest.raises(ModelFormatError, match=message):
         load_doc(tmp_path, doc)
 
 
@@ -495,7 +512,7 @@ def test_load_rejects_plugin_variances_below_the_floor(tmp_path, value):
 def test_load_accepts_a_variance_at_the_floor(tmp_path):
     doc = saved_doc(tmp_path)
     doc["classes"]["a"]["plugin_vars"]["3"] = VARIANCE_FLOOR
-    assert load_doc(tmp_path, doc).classes[0].plugin_vars[0] == VARIANCE_FLOOR
+    assert load_doc(tmp_path, doc).plugin_vars[0, 0] == VARIANCE_FLOOR
 
 
 def test_stripped_plugins_of_an_updated_model_load_as_saved(tmp_path):
@@ -510,11 +527,11 @@ def test_stripped_plugins_of_an_updated_model_load_as_saved(tmp_path):
     assert load_doc(tmp_path, doc) == updated
     doc["classes"]["b"]["posteriors"]["5"]["alpha"] = 0.5
     loaded = load_doc(tmp_path, doc)
-    for state, label in zip(loaded.classes, ("a", "b")):
+    for c, label in enumerate(("a", "b")):
         posts = [doc["classes"][label]["posteriors"][key] for key in ("2", "5", "13")]
-        assert state.plugin_means.tolist() == [p["mu"] for p in posts]
-        assert state.plugin_vars.tolist() == [
+        assert loaded.plugin_means[c].tolist() == [p["mu"] for p in posts]
+        assert loaded.plugin_vars[c].tolist() == [
             max(p["beta"] / (p["alpha"] - 1.0), VARIANCE_FLOOR) if p["alpha"] > 1 else VARIANCE_FLOOR
             for p in posts
         ]
-    assert loaded.classes[1].plugin_vars[1] == VARIANCE_FLOOR
+    assert loaded.plugin_vars[1, 1] == VARIANCE_FLOOR

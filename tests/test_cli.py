@@ -383,6 +383,9 @@ def test_non_finite_feature_cell_exits_one(tmp_path, capsys):
     lambda doc: doc["classes"]["chat"]["posteriors"]["2"].update(beta=float("inf")),
     lambda doc: doc["classes"]["chat"]["plugin_vars"].update({"2": 0.0}),
     lambda doc: doc.update(alphabet=["bulk", "bulk"]),
+    lambda doc: doc.update(alphabet=[0], classes=[]),
+    lambda doc: doc.update(alphabet=[1, "chat"], classes=[doc["classes"]["bulk"]]),
+    lambda doc: doc.update(alphabet=[0, 1], classes=[doc["classes"]["bulk"], doc["classes"]["chat"]]),
 ])
 def test_invalid_model_exits_one(tmp_path, capsys, tamper):
     flows_csv = tmp_path / "flows.csv"
@@ -526,6 +529,17 @@ def with_packets(**changes):
      "classes[0].packets.iat: high 0.1 is below low 0.2"),
     ({"classes": [spec_class(features={"pps": {"mean": float("nan"), "std": 1}})]},
      "classes[0]: feature 'pps': mean must be a finite number, got nan"),
+    ({"classes": [with_packets(size={"kind": "uniform_int", "low": 1e300, "high": 1e300})]},
+     "classes[0].packets.size: low and high must lie in the int64 range"),
+    ({"classes": [with_packets(size={"kind": "uniform", "low": -1e308, "high": 1e308})]},
+     "classes[0].packets.size: high - low must be a finite number, got inf"),
+    ({"classes": [with_packets(count={"kind": "fixed", "value": 1e300})]},
+     "classes[0].packets.count: packet count 1e+300 is above NetFlow v5's 32-bit counter "
+     "(4294967295)"),
+    ({"classes": [with_packets(iat={"kind": "fixed", "value": 1e300})]},
+     "classes[0].packets.iat: packet times pass the 32-bit seconds of the pcap format (year 2106)"),
+    ({"classes": [with_packets(iat={"kind": "fixed", "value": 5e9})]},
+     "classes[0].packets.iat: packet times pass the 32-bit seconds of the pcap format (year 2106)"),
 ])
 def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out.csv"

@@ -1,14 +1,22 @@
 """Library code against the code it replaced (oracles in helpers).
 
-The batch scorer, the fold assignment, the bincount metric report and the
-array NIG fold must give exactly what the per-row or per-feature versions
-give: same floats, same ties.  Packet aggregation and NetFlow pair merging,
+The batch scorer, the fold assignment, the bincount metric report, the
+array NIG fold and the one-fold-per-batch train and update must give exactly
+what the per-row, per-feature or per-class versions give: same floats, same
+ties, same model bytes.  Packet aggregation and NetFlow pair merging,
 which share one flow episode, must give exactly the records of the per-packet
 episode and the pairwise record merge they replaced.  The pcap frame parser
 must skip or keep exactly the frames the byte-slicing parser did.  The
 vectorised Monte Carlo must give, trial by trial, the estimates of sampling
-the packet list one trial at a time.
+the packet list one trial at a time.  The model loader, fed saved documents
+with a few values replaced or keys deleted, must load a model that predicts or
+raise ModelFormatError.
 """
+
+import copy
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +27,17 @@ import flowident.sampling as sampling
 from flowident.classifier import (
     VARIANCE_FLOOR,
     ClassifierModel,
-    ClassState,
+    ModelFormatError,
+    NIGPrior,
     _log_scores,
+    load_model,
+    model_to_json_dict,
     nig_fold,
     plugin_variance,
     predict,
     score,
     train,
+    update,
 )
 from flowident.evaluation import (
     ConfusionCounts,
@@ -65,6 +77,8 @@ from helpers import (
     plugin_variance_oracle,
     predict_oracle,
     score_oracle,
+    train_oracle,
+    update_oracle,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -75,23 +89,22 @@ variance = st.floats(min_value=VARIANCE_FLOOR, max_value=1e6, allow_nan=False)
 def models_and_rows(draw):
     feature_ids = tuple(draw(st.permutations(range(1, 17)))[: draw(st.integers(1, 16))])
     d = len(feature_ids)
-    nig = ([0.0] * d, [1.0] * d, [2.0] * d, [1.0] * d)
-    classes = []
+    alphabet, counts, means, variances = [], [], [], []
     for c in range(draw(st.integers(1, 6))):
-        classes.append(ClassState(
-            f"c{c}",
-            draw(st.integers(1, 10_000)),
-            *nig,
-            plugin_means=draw(st.lists(finite, min_size=d, max_size=d)),
-            plugin_vars=draw(st.lists(variance, min_size=d, max_size=d)),
-        ))
+        alphabet.append(f"c{c}")
+        counts.append(draw(st.integers(1, 10_000)))
+        means.append(draw(st.lists(finite, min_size=d, max_size=d)))
+        variances.append(draw(st.lists(variance, min_size=d, max_size=d)))
     if draw(st.booleans()):
         # A later copy of an earlier class scores the same on every row.
-        twin = draw(st.sampled_from(classes))
-        classes.append(ClassState("twin", twin.n, *twin.nig,
-                                  twin.plugin_means, twin.plugin_vars))
-    alphabet = tuple(state.label for state in classes)
-    model = ClassifierModel(alphabet=alphabet, feature_ids=feature_ids, classes=tuple(classes))
+        twin = draw(st.integers(0, len(alphabet) - 1))
+        alphabet.append("twin")
+        counts.append(counts[twin])
+        means.append(means[twin])
+        variances.append(variances[twin])
+    alphabet = tuple(alphabet)
+    nig = [np.full((len(alphabet), d), value) for value in (0.0, 1.0, 2.0, 1.0)]
+    model = ClassifierModel(alphabet, feature_ids, tuple(counts), *nig, means, variances)
     rows = draw(st.lists(st.lists(finite, min_size=16, max_size=16), max_size=40))
     return model, Dataset([FeatureVector.from_values(r) for r in rows], alphabet)
 
@@ -176,7 +189,7 @@ def test_nig_fold_and_plugin_variance_equal_the_per_feature_oracle():
         rng.uniform(0.2, 50.0, size),
         rng.uniform(1e-9, 10.0, size) * scale**2,
     )
-    for n in (0, 1, 7, 250):
+    for n in (1, 7, 250):
         mean = rng.standard_normal(size) * scale
         sumsq = rng.uniform(0.0, 10.0, size) * scale**2 * n
         got = np.column_stack(nig_fold(nig, n, mean, sumsq)).tolist()
@@ -187,6 +200,108 @@ def test_nig_fold_and_plugin_variance_equal_the_per_feature_oracle():
         assert got == want
         floors = [plugin_variance_oracle(a, b, VARIANCE_FLOOR) for _, _, a, b in want]
         assert plugin_variance(*np.array(want).T[2:]).tolist() == floors
+
+
+PRIORS = (NIGPrior(), NIGPrior(mu=2.0, kappa=3.5, alpha=0.6, beta=40.0))
+
+
+@st.composite
+def training_streams(draw):
+    """A training set and 1-5 update batches over 1-4 classes and 1-16
+    features, at one scale from 1e-6 to 1e6.  A batch lists its labels in
+    its own order, sometimes with a label the model lacks, and leaves out
+    any class or all of them."""
+    alphabet = tuple(f"c{c}" for c in range(draw(st.integers(1, 4))))
+    feature_ids = tuple(draw(st.permutations(range(1, 17)))[: draw(st.integers(1, 16))])
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(-3, 4, (len(alphabet), 16))
+
+    def rows_of(counts, labels):
+        codes = np.repeat(np.arange(len(labels)), counts)
+        rng.shuffle(codes)
+        centre = [offsets[alphabet.index(labels[c])] if labels[c] in alphabet else 0 for c in codes]
+        data = (rng.standard_normal((len(codes), 16)) + np.reshape(centre, (-1, 16))) * scale
+        return Dataset.from_arrays(data, codes, labels)
+
+    train_ds = rows_of([draw(st.integers(2, 8)) for _ in alphabet], alphabet)
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        labels = draw(st.permutations(alphabet + (("zz",) if draw(st.booleans()) else ())))
+        counts = [0 if label == "zz" else draw(st.integers(0, 5)) for label in labels]
+        batches.append(rows_of(counts, tuple(labels)))
+    return train_ds, feature_ids, draw(st.sampled_from(PRIORS)), batches
+
+
+def model_bytes(model) -> str:
+    return json.dumps(model_to_json_dict(model, saved_at="2026-01-01T00:00:00+00:00"))
+
+
+@settings(max_examples=250, deadline=None)
+@given(training_streams())
+def test_train_and_updates_equal_the_per_class_loop(case):
+    train_ds, feature_ids, prior, batches = case
+    model, want = train(train_ds, feature_ids, prior), train_oracle(train_ds, feature_ids, prior)
+    assert model_bytes(model) == model_bytes(want)
+    for batch in batches:
+        before = model
+        model, want = update(model, batch), update_oracle(want, batch)
+        assert model_bytes(model) == model_bytes(want)
+        assert model == want
+        assert predict(model, train_ds) == predict_oracle(want, train_ds)
+        if len(batch) == 0:
+            assert model is before
+
+
+DEMO_ROWS = generate_dataset(parse_synth_spec({"seed": 5, "classes": [
+    {"label": "bulk", "flows": 6, "features": {"pps": {"mean": 900.0, "std": 40.0}}},
+    {"label": "chat", "flows": 6, "features": {"pps": {"mean": 40.0, "std": 6.0}}},
+]}))
+VALID_MODEL_DOC = model_to_json_dict(train(DEMO_ROWS, [7, 16]), saved_at="2026-01-01T00:00:00+00:00")
+ODD_VALUES = (None, True, False, 0, -1, 1, 7, 16, 2.5, 1e-300, 1e300, -1e300, 10**400,
+              float("nan"), float("inf"), "", "bulk", "chat", "7", "nfi-model/1", [], [7], {},
+              {"n": 3})
+
+
+def json_paths(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def damaged_model_docs(draw):
+    """A saved model document with 1-3 values replaced or keys deleted."""
+    doc = copy.deepcopy(VALID_MODEL_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(damaged_model_docs())
+def test_a_damaged_model_document_loads_and_predicts_or_is_refused(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            model = load_model(path)
+        except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+    assert len(predict(model, DEMO_ROWS)) == len(DEMO_ROWS)
 
 
 # Two TCP and one UDP conversation, plus the first TCP one's endpoints over

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from flowident.errors import ContractError
@@ -282,16 +283,19 @@ def test_kfold_cv_macro_values_recompute():
 
 
 def test_kfold_cv_test_sets_partition_dataset():
-    ds = constant_column_dataset(per_class=13)
+    base = constant_column_dataset(per_class=13)
+    data = base.data.copy()
+    data[:, 1] = np.arange(len(base))  # feature 2 tags each row
+    ds = Dataset.from_arrays(data, base.codes, base.alphabet)
     seen = []
 
     def recording_pipeline(train_ds, test_ds):
-        seen.extend(id(v) for v in test_ds.vectors)
+        seen.extend(test_ds.data[:, 1].tolist())
         assert len(train_ds) + len(test_ds) == len(ds)
         return [v.label for v in test_ds.vectors]
 
     kfold_cv(ds, recording_pipeline, k=13, seed=4)
-    assert sorted(seen) == sorted(id(v) for v in ds.vectors)
+    assert sorted(seen) == list(range(len(ds)))
 
 
 def test_kfold_cv_rejects_wrong_prediction_count():

@@ -1,8 +1,10 @@
-"""The README's CLI walkthrough runs as written.
+"""The README's CLI walkthrough and library example run as written.
 
 The spec JSON block is saved as ``spec.json`` and every ``flowident`` line of
 the walkthrough's shell block, with ``\\`` continuations joined and comments
-dropped, goes through ``flowident.cli.main`` in a fresh directory.
+dropped, goes through ``flowident.cli.main`` in a fresh directory.  The
+library example's ``python`` block then runs in that directory, on the files
+the walkthrough wrote, so a changed API shows up here.
 """
 
 import re
@@ -39,3 +41,6 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     ]
     for args in commands:
         assert main(args) == 0, (args, capsys.readouterr().err)
+    [library] = fenced_blocks(text, "python")
+    exec(compile(library, f"{README}: library use", "exec"), {"__name__": "readme"})
+    assert "bulk" in capsys.readouterr().out

@@ -9,6 +9,7 @@ import pytest
 from flowident.errors import ContractError, FormatError
 from flowident.features import FEATURE_NAMES
 from flowident.flow import Proto, aggregate, canonical_key
+from flowident.ingest.pcap import write_pcap
 from flowident.synth import (
     SynthSpec,
     generate_dataset,
@@ -16,6 +17,13 @@ from flowident.synth import (
     load_synth_spec,
     parse_synth_spec,
 )
+
+def one_udp_class(**packets):
+    """A one-class UDP spec class whose packet distributions ``packets`` override."""
+    defaults = {"count": {"kind": "fixed", "value": 3}, "size": {"kind": "fixed", "value": 100},
+                "iat": {"kind": "fixed", "value": 0.1}}
+    return {"label": "a", "flows": 2, "proto": "udp", "packets": {**defaults, **packets}}
+
 
 TWO_CLASS_DOC = {
     "seed": 99,
@@ -118,6 +126,18 @@ def test_parse_defaults():
                                    "size": {"kind": "fixed", "value": 100},
                                    "iat": {"kind": "fixed", "value": 0.1}}}]},
          r"classes\[0\]\.packets\.count: distribution needs a 'kind'"),
+        ({"classes": [one_udp_class(size={"kind": "uniform_int", "low": 1e300, "high": 1e300})]},
+         r"classes\[0\]\.packets\.size: low and high must lie in the int64 range"),
+        ({"classes": [one_udp_class(size={"kind": "uniform_int", "low": 0, "high": 2**63})]},
+         r"classes\[0\]\.packets\.size: low and high must lie in the int64 range"),
+        ({"classes": [one_udp_class(size={"kind": "uniform", "low": -1e308, "high": 1e308})]},
+         r"classes\[0\]\.packets\.size: high - low must be a finite number, got inf"),
+        ({"classes": [one_udp_class(count={"kind": "fixed", "value": 1e300})]},
+         r"classes\[0\]\.packets\.count: packet count 1e\+300 is above NetFlow v5's 32-bit"),
+        ({"classes": [one_udp_class(count={"kind": "uniform_int", "low": 1, "high": 2**32})]},
+         r"classes\[0\]\.packets\.count: packet count 4294967296\.0 is above"),
+        ({"classes": [one_udp_class(count={"kind": "exponential", "mean": 5e9})]},
+         r"classes\[0\]\.packets\.count: packet count 5000000000\.0 is above"),
     ],
 )
 def test_parse_errors(doc, message):
@@ -277,6 +297,34 @@ def test_generate_packets_needs_packet_generators():
     spec = parse_synth_spec({"classes": [{"label": "a", "flows": 1}]})
     with pytest.raises(ContractError, match="class 'a' has no packet generators"):
         generate_packets(spec)
+
+
+@pytest.mark.parametrize("packets, message", [
+    ({"iat": {"kind": "fixed", "value": 1e300}}, r"\.iat: packet times pass the 32-bit seconds"),
+    ({"iat": {"kind": "fixed", "value": 5e9}}, r"\.iat: packet times pass the 32-bit seconds"),
+    ({"iat": {"kind": "exponential", "mean": 1e308}}, r"\.iat: packet times pass"),
+    ({"count": {"kind": "normal", "mean": 5, "std": 1e300}},
+     r"\.count: drew packet count .* above NetFlow v5's 32-bit counter"),
+])
+def test_generate_packets_refuses_draws_past_the_file_formats(packets, message):
+    spec = parse_synth_spec({"seed": 1, "classes": [one_udp_class(**packets)]})
+    with pytest.raises(FormatError, match=r"^classes\[0\]\.packets" + message):
+        generate_packets(spec)
+
+
+def test_generate_packets_reaches_the_last_pcap_second(tmp_path):
+    """Flows start within 60 s of 1,700,000,000 s: a second packet 2**32 - 1,700,000,061 s
+    later is still in pcap's 32-bit seconds and writes; 61 s more always passes them."""
+    def two_packets(gap):
+        return parse_synth_spec({"classes": [one_udp_class(
+            count={"kind": "fixed", "value": 2}, iat={"kind": "fixed", "value": gap})]})
+
+    gap = 2**32 - 1_700_000_061
+    packets, _ = generate_packets(two_packets(gap))
+    assert max(p.ts for p in packets) // 10**6 <= 2**32 - 1
+    assert write_pcap(tmp_path / "late.pcap", packets) == 4
+    with pytest.raises(FormatError, match="packet times pass"):
+        generate_packets(two_packets(gap + 61))
 
 
 def test_spec_dataclass_holds_parsed_values():
