@@ -84,6 +84,7 @@ def nig_fold(nig: tuple, n, mean, sumsq) -> tuple:
     )
 
 
+@np.errstate(over="ignore")  # an infinite variance is refused by the model
 def plugin_variance(alpha, beta) -> np.ndarray:
     """Posterior-mean variance beta / (alpha - 1), floored; the floor where alpha <= 1."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -99,8 +100,8 @@ class ClassifierModel:
     """Row counts and (classes, features) arrays: row c is class ``alphabet[c]``
     and column j feature ``feature_ids[j]``.  ``mu``, ``kappa``, ``alpha`` and
     ``beta`` are the NIG state, ``plugin_means`` and ``plugin_vars`` what scoring
-    uses, each a read-only float64 copy.  ``n`` holds Python ints, so a count
-    beyond int64 stays exact."""
+    uses, each a read-only float64 copy; a non-finite cell is refused.  ``n``
+    holds Python ints, so a count beyond int64 stays exact."""
 
     alphabet: tuple[str, ...]
     feature_ids: tuple[int, ...]
@@ -114,10 +115,15 @@ class ClassifierModel:
 
     def __post_init__(self) -> None:
         shape = (len(self.alphabet), len(self.feature_ids))
-        for name in _ARRAYS:
-            values = np.array(getattr(self, name), dtype=np.float64)
+        arrays = [np.array(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
+        for name, values in zip(_ARRAYS, arrays):
             if values.shape != shape or len(self.n) != shape[0]:
                 raise ContractError(f"need one count per class and {name} of shape {shape}")
+        if not np.isfinite(arrays).all():
+            k, c, j = np.argwhere(~np.isfinite(arrays))[0]
+            raise ContractError(f"class {self.alphabet[c]!r} feature {self.feature_ids[j]}: "
+                                f"{_ARRAYS[k]} is not finite ({arrays[k][c, j]})")
+        for name, values in zip(_ARRAYS, arrays):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -159,6 +165,7 @@ class ClassScores:
         return self.alphabet[int(np.argmax(self.log_scores))]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused by the model
 def _fold(nig: tuple, ds: Dataset, feature_ids, present) -> tuple:
     """Fold the rows of each code in ``present`` into its row of the NIG block
     ``nig``, all classes in one :func:`nig_fold`.  Moments come from each code's
@@ -343,4 +350,7 @@ def load_model(path) -> ClassifierModel:
     for block, fallback in derived.items():
         rows = [row or list(default) for row, default in zip(values[block], fallback)]
         arrays.append(np.array(rows, dtype=np.float64))
-    return ClassifierModel(tuple(alphabet), feature_ids, counts, *arrays)
+    try:
+        return ClassifierModel(tuple(alphabet), feature_ids, counts, *arrays)
+    except ContractError as exc:  # a derived plug-in variance that overflowed
+        raise ModelFormatError(f"{path}: {exc}") from None

@@ -8,6 +8,7 @@ also exit 2).
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 
@@ -150,9 +151,9 @@ def cmd_classify(args) -> int:
     ds = read_dataset(args.dataset)
     predictions = classifier.predict(model, ds)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,label\n")
-        for i, label in enumerate(predictions):
-            fh.write(f"{i},{label}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("index", "label"))
+        writer.writerows(enumerate(predictions))
     print(f"classified {len(predictions)} flows -> {args.out}")
     return 0
 
@@ -182,13 +183,14 @@ def cmd_synth(args) -> int:
     spec = synth.load_synth_spec(args.spec)
     if not (args.out_dataset or args.out_pcap or args.out_labels):
         raise ContractError("nothing to do: pass --out-dataset, --out-pcap, or --out-labels")
-    if args.out_pcap or args.out_labels:  # before writing anything: it may refuse the spec
-        try:
+    try:  # every draw before any write: a draw may refuse the spec
+        if args.out_pcap or args.out_labels:
             packets, labels = synth.generate_packets(spec)
-        except FormatError as exc:
-            raise FormatError(f"{args.spec}: {exc}") from None
+        if args.out_dataset:
+            ds = synth.generate_dataset(spec)
+    except FormatError as exc:
+        raise FormatError(f"{args.spec}: {exc}") from None
     if args.out_dataset:
-        ds = synth.generate_dataset(spec)
         write_dataset(ds, args.out_dataset)
         print(f"wrote {len(ds)} feature rows to {args.out_dataset}")
     if args.out_pcap:

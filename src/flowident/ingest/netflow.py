@@ -61,11 +61,16 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
         )
     export_us = unix_secs * 1_000_000 + unix_nsecs // 1000
 
-    def absolute_us(uptime_ms: int) -> int:
+    def absolute_us(i: int, uptime_ms: int) -> int:
         # An uptime more than half the counter range above the header's was
-        # read before the 32-bit counter wrapped; a smaller lead is kept as is.
-        if uptime_ms - sys_uptime > _UPTIME_WRAP_MS // 2:
+        # read before the 32-bit counter wrapped; a smaller lead would stamp
+        # the record after its own export.
+        lead = uptime_ms - sys_uptime
+        if lead > _UPTIME_WRAP_MS // 2:
             uptime_ms -= _UPTIME_WRAP_MS
+        elif lead > 0:
+            raise MalformedDatagramError(f"record {i}: uptime {uptime_ms} ms is after "
+                                         f"the export uptime {sys_uptime} ms")
         return export_us - (sys_uptime - uptime_ms) * 1000
 
     episodes: list[Episode] = []
@@ -85,7 +90,7 @@ def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
             raise MalformedDatagramError(f"record {i}: zero packet count")
         if octets < 20 * pkts:
             raise MalformedDatagramError(f"record {i}: byte count below IP minimum")
-        first_us, last_us = absolute_us(first), absolute_us(last)
+        first_us, last_us = absolute_us(i, first), absolute_us(i, last)
         if last_us < first_us:
             raise MalformedDatagramError(f"record {i}: flow ends before it starts")
         if first_us < 0:

@@ -112,55 +112,57 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
     raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
 
 
-def _mc_estimates(
-    trace: FlowTrace, p: float, seed: int, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate `trials` independent samplings of one flow.
+def _mc_estimates(trace: FlowTrace, ps, seed: int, trials: int) -> np.ndarray:
+    """Simulate `trials` independent samplings of one flow at every rate in `ps`.
 
-    Returns per-trial arrays (l_hat, s_hat, fd_hat).  Uniform draws are
-    float32 to halve the memory bandwidth; chunking does not change the
-    consumed random stream, so results depend only on (seed, trials).
+    Returns a (3, len(ps), trials) array of per-trial l_hat, s_hat and fd_hat.
+    One float32 uniform per (trial, packet) serves every rate: the packet
+    survives rate p when its uniform is below p.  Chunking by trials does not
+    change the consumed random stream, so results depend only on (seed,
+    trials), and a rate's estimates do not depend on the other rates asked for.
     """
+    if trials < MIN_TRIALS:
+        raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials")
+    ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
     n = trace.length
     sizes = trace.sizes.astype(np.float64)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_BUDGET // n)
-    l_hat = np.empty(trials)
-    s_hat = np.empty(trials)
-    fd_hat = np.empty(trials)
-    done = 0
-    while done < trials:
-        c = min(rows, trials - done)
-        mask = rng.random((c, n), dtype=np.float32) < p
-        k = mask.sum(axis=1)
-        sums = mask.astype(np.float64) @ sizes
-        first = mask.argmax(axis=1)
-        last = n - 1 - mask[:, ::-1].argmax(axis=1)
-        window = np.where(k >= 2, t_sec[last] - t_sec[first], 0.0)
-        sl = slice(done, done + c)
-        l_hat[sl] = k / p
-        s_hat[sl] = sums / p
-        fd_hat[sl] = window
-        done += c
-    return l_hat, s_hat, fd_hat
+    est = np.empty((3, len(ps), trials))
+    for lo in range(0, trials, rows):
+        c = min(rows, trials - lo)
+        u = rng.random((c, n), dtype=np.float32)
+        # Survivors at the highest rate in row-major order: each trial's run is
+        # contiguous and in packet order, and so is every lower rate's subset of it.
+        trial, pkt = np.nonzero(u < max(ps))
+        u = u[trial, pkt]
+        for j, p in enumerate(ps):
+            keep = u < p
+            t, i = trial[keep], pkt[keep]
+            k = np.bincount(t, minlength=c)
+            end = np.cumsum(k)
+            two = k >= 2
+            window = np.zeros(c)
+            window[two] = t_sec[i[end[two] - 1]] - t_sec[i[end[two] - k[two]]]
+            est[:, j, lo : lo + c] = k / p, np.bincount(t, sizes[i], minlength=c) / p, window
+    return est
+
+
+def _degradations(trace: FlowTrace, est: np.ndarray) -> np.ndarray:
+    """(3, rates) degradations in Metric order from :func:`_mc_estimates`'s output."""
+    return np.array([
+        np.var(est[0] / trace.length, axis=1, ddof=1),
+        np.var(est[1] / trace.size, axis=1, ddof=1),
+        np.mean(trace.duration - est[2], axis=1),
+    ])
 
 
 def simulate_estimates(
     trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (l_hat, s_hat, fd_hat) arrays for one flow at rate cfg.p."""
-    if trials < MIN_TRIALS:
-        raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials")
-    return _mc_estimates(trace, cfg.p, cfg.seed, trials)
-
-
-def _reduce_dre(metric: Metric, trace: FlowTrace, l_hat, s_hat, fd_hat) -> float:
-    if metric is Metric.LENGTH:
-        return float(np.var(l_hat / trace.length, ddof=1))
-    if metric is Metric.SIZE:
-        return float(np.var(s_hat / trace.size, ddof=1))
-    return float(np.mean(trace.duration - fd_hat))
+    return tuple(_mc_estimates(trace, [cfg.p], cfg.seed, trials)[:, 0])
 
 
 def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
@@ -172,8 +174,8 @@ def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEF
     """
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
-    l_hat, s_hat, fd_hat = simulate_estimates(trace, cfg, trials)
-    return _reduce_dre(metric, trace, l_hat, s_hat, fd_hat)
+    est = _mc_estimates(trace, [cfg.p], cfg.seed, trials)
+    return float(_degradations(trace, est)[list(Metric).index(metric), 0])
 
 
 def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
@@ -241,8 +243,9 @@ def build_sampling_report(
 ) -> SamplingReport:
     """ADRE for every metric at every 1:N ratio in ``ratios``.
 
-    One simulation per (flow, ratio) feeds all three metrics, so a report
-    row equals what a standalone :func:`adre` call would produce.
+    One simulation per flow serves every ratio and all three metrics; a
+    rate's estimates do not depend on the other rates, so a report row
+    equals what a standalone :func:`adre` call would produce.
     """
     traces = list(traces)
     ratios = list(ratios)
@@ -253,19 +256,15 @@ def build_sampling_report(
     for n in ratios:
         if n < 1:
             raise ContractError(f"ratio denominator {n} must be >= 1")
-    means: dict[tuple[str, int], float] = {}
-    for n in ratios:
-        cfg = SamplingConfig(1.0 / n, seed)
-        per_metric = {metric: [] for metric in Metric}
-        for trace in traces:
-            l_hat, s_hat, fd_hat = simulate_estimates(trace, cfg, trials)
-            for metric in Metric:
-                per_metric[metric].append(_reduce_dre(metric, trace, l_hat, s_hat, fd_hat))
-        for metric in Metric:
-            means[(metric.value, n)] = float(np.mean(per_metric[metric]))
+    ps = [1.0 / n for n in ratios]
+    dres = np.empty((3, len(ratios), len(traces)))
+    for f, trace in enumerate(traces):
+        dres[:, :, f] = _degradations(trace, _mc_estimates(trace, ps, seed, trials))
+    # Along the contiguous flow axis, the mean sums as np.mean does over adre's list.
+    means = dres.mean(axis=2)
     rows = [
-        ReportRow(metric.value, n, means[(metric.value, n)])
-        for metric in Metric
-        for n in ratios
+        ReportRow(metric.value, n, float(means[m, j]))
+        for m, metric in enumerate(Metric)
+        for j, n in enumerate(ratios)
     ]
     return SamplingReport(rows=rows, flows=len(traces), trials=trials, seed=seed)

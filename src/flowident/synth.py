@@ -199,16 +199,21 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     """Draw labeled feature vectors straight from the per-class Gaussians.
 
     Features a class does not mention default to the standard normal, which
-    gives classifier tests a supply of uninformative columns for free.
+    gives classifier tests a supply of uninformative columns for free.  A
+    draw past the float range refuses the spec.
     """
     rng = np.random.default_rng(spec.seed)
     alphabet = tuple(sorted({c.label for c in spec.classes}))
     blocks, codes = [], []
-    for cls in spec.classes:
+    for i, cls in enumerate(spec.classes):
         columns = []
         for name in FEATURE_NAMES:
             gen = cls.features.get(name, FeatureGen(0.0, 1.0))
-            columns.append(rng.normal(gen.mean, gen.std, cls.flows))
+            column = rng.normal(gen.mean, gen.std, cls.flows)
+            if not np.isfinite(column).all():
+                raise FormatError(f"classes[{i}]: feature {name!r}: drew "
+                                  f"{column[~np.isfinite(column)][0]}, not a finite number")
+            columns.append(column)
         blocks.append(np.column_stack(columns))
         codes.append(np.full(cls.flows, alphabet.index(cls.label)))
     return Dataset.from_arrays(np.vstack(blocks), np.concatenate(codes), alphabet)

@@ -17,7 +17,9 @@ These tools live here:
   replaced;
 * per-trial Bernoulli packet sampling and the inverse-probability
   estimates of one sampled flow, which the vectorised Monte Carlo
-  ``simulate_estimates`` must reproduce trial by trial.
+  ``simulate_estimates`` must reproduce trial by trial;
+* the per-ratio sampling report that the one-draw engine replaced: a
+  fresh draw and a dense survivor mask for every (ratio, flow).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from flowident.flow import (
     canonical_key,
     str_to_ip,
 )
-from flowident.sampling import SamplingConfig
+from flowident.sampling import Metric, ReportRow, SamplingConfig, SamplingReport
 
 
 def ip(text: str) -> int:
@@ -474,6 +476,49 @@ def estimate(sampled, p: float) -> FlowEstimates:
         fd_hat=fd_hat,
         sampled_count=count,
     )
+
+
+# --------------------------------------------------------------------------
+# The per-ratio sampling report, the reference for the one-draw engine
+# --------------------------------------------------------------------------
+
+def mc_estimates_oracle(trace, p: float, seed: int, trials: int):
+    """Per-trial (l_hat, s_hat, fd_hat) of one flow at one rate, from a draw of
+    its own and a dense (trials, packets) survivor mask; the first and last
+    survivors are the mask's first set cell from either end."""
+    n = trace.length
+    sizes = trace.sizes.astype(np.float64)
+    t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
+    mask = np.random.default_rng(seed).random((trials, n), dtype=np.float32) < p
+    k = mask.sum(axis=1)
+    first = mask.argmax(axis=1)
+    last = n - 1 - mask[:, ::-1].argmax(axis=1)
+    window = np.where(k >= 2, t_sec[last] - t_sec[first], 0.0)
+    return k / p, (mask.astype(np.float64) @ sizes) / p, window
+
+
+def dre_oracle(metric: Metric, trace, l_hat, s_hat, fd_hat) -> float:
+    if metric is Metric.LENGTH:
+        return float(np.var(l_hat / trace.length, ddof=1))
+    if metric is Metric.SIZE:
+        return float(np.var(s_hat / trace.size, ddof=1))
+    return float(np.mean(trace.duration - fd_hat))
+
+
+def sampling_report_oracle(traces, ratios, seed: int, trials: int) -> SamplingReport:
+    """One simulation per (ratio, flow); each row is the mean over flows of the
+    per-flow degradations, as a list in flow order."""
+    means = {}
+    for n in ratios:
+        per_metric = {metric: [] for metric in Metric}
+        for trace in traces:
+            estimates = mc_estimates_oracle(trace, 1.0 / n, seed, trials)
+            for metric in Metric:
+                per_metric[metric].append(dre_oracle(metric, trace, *estimates))
+        for metric in Metric:
+            means[(metric.value, n)] = float(np.mean(per_metric[metric]))
+    rows = [ReportRow(metric.value, n, means[(metric.value, n)]) for metric in Metric for n in ratios]
+    return SamplingReport(rows=rows, flows=len(traces), trials=trials, seed=seed)
 
 
 # --------------------------------------------------------------------------

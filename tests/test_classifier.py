@@ -268,6 +268,12 @@ def test_model_arrays_must_match_classes_and_features():
         ClassifierModel(("a", "b"), (1, 2), (3, 3), *dummy, dummy[0], dummy[0])
     with pytest.raises(ContractError, match="need one count per class"):
         ClassifierModel(("a",), (1, 2), (3, 3), *[[row] for row in dummy], [dummy[0]], [dummy[0]])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        beta = [[1.0, bad]]
+        message = rf"class 'a' feature 2: beta is not finite \({bad}\)"
+        with pytest.raises(ContractError, match=message):
+            ClassifierModel(("a",), (1, 2), (3,), *[[row] for row in dummy[:3]], beta,
+                            [dummy[0]], [dummy[2]])
 
 
 # ------------------------------------------------------------------ scoring

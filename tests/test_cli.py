@@ -157,6 +157,8 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     ([nf5_record(proto=17, flags=0x12)],
      "datagram at byte 72: record 0: UDP record carries TCP flags 0x12"),
     ([nf5_record(pkts=0)], "datagram at byte 72: record 0: zero packet count"),
+    ([nf5_record(first=0, last=1)],
+     "datagram at byte 72: record 0: uptime 1 ms is after the export uptime 0 ms"),
 ])
 def test_bad_netflow_record_exits_one_naming_file_and_datagram(tmp_path, capsys, records, message):
     export = tmp_path / "export.bin"
@@ -402,6 +404,86 @@ def test_invalid_model_exits_one(tmp_path, capsys, tamper):
         assert err.startswith(f"error: {model}: ")
 
 
+def demo_dataset_and_model(tmp_path, capsys):
+    """The demo spec's direct dataset and a model trained on its features 9 and 16."""
+    ds_csv, model = tmp_path / "ds.csv", tmp_path / "model.json"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", ds_csv], capsys)
+    run(["train", ds_csv, "--features", "9,16", "--out", model], capsys)
+    return ds_csv, model
+
+
+def tamper_model(model, tamper):
+    doc = json.loads(model.read_text())
+    tamper(doc)
+    model.write_text(json.dumps(doc))
+
+
+def test_update_that_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
+    ds_csv, model = demo_dataset_and_model(tmp_path, capsys)
+    tamper_model(model, lambda doc: doc["classes"]["bulk"]["posteriors"]["9"].update(
+        mu=1e300, kappa=1e10))
+    out = tmp_path / "m2.json"
+    code, _, err = run(["update", model, ds_csv, "--out", out], capsys)
+    assert code == 2
+    assert err == "error: class 'bulk' feature 9: mu is not finite (inf)\n"
+    assert not out.exists()
+
+
+def test_train_whose_variance_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
+    ds_csv = tmp_path / "ds.csv"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", ds_csv], capsys)
+    with open(ds_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    pps = rows[0].index("pps")
+    bulk = [row for row in rows[1:] if row[-1] == "bulk"]
+    bulk[0][pps], bulk[1][pps] = "1e200", "-1e200"
+    with open(ds_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "m.json"
+    code, _, err = run(["train", ds_csv, "--out", out], capsys)
+    assert code == 2
+    assert err == "error: class 'bulk' feature 7: beta is not finite (inf)\n"
+    assert not out.exists()
+
+
+def test_model_whose_derived_variance_overflows_exits_one(tmp_path, capsys):
+    ds_csv, model = demo_dataset_and_model(tmp_path, capsys)
+
+    def tamper(doc):
+        doc["classes"]["bulk"]["posteriors"]["9"].update(alpha=1.000000000001, beta=1e300)
+        for entry in doc["classes"].values():
+            del entry["plugin_vars"]
+
+    tamper_model(model, tamper)
+    out = tmp_path / "p.csv"
+    code, _, err = run(["classify", model, ds_csv, "--out", out], capsys)
+    assert code == 1
+    assert err == f"error: {model}: class 'bulk' feature 9: plugin_vars is not finite (inf)\n"
+    assert not out.exists()
+
+
+def test_predictions_stay_two_fields_for_a_label_with_a_comma(tmp_path, capsys):
+    cap, labels = tmp_path / "demo.pcap", tmp_path / "labels.csv"
+    flows_csv, model, preds = tmp_path / "flows.csv", tmp_path / "model.json", tmp_path / "p.csv"
+    run(["synth", FIXTURE_SPEC, "--out-pcap", cap, "--out-labels", labels], capsys)
+    with open(labels, newline="") as fh:
+        rows = [[("voip, chat" if cell == "chat" else cell) for cell in row]
+                for row in csv.reader(fh)]
+    with open(labels, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for argv in (["ingest", "--pcap", cap, "--labels", labels, "--out", flows_csv],
+                 ["train", flows_csv, "--features", "9,16", "--out", model],
+                 ["classify", model, flows_csv, "--out", preds]):
+        assert run(argv, capsys)[0] == 0
+    with open(preds, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["index", "label"]
+    assert [row[0] for row in got[1:]] == [str(i) for i in range(80)]
+    assert {len(row) for row in got} == {2}
+    assert {row[1] for row in got[1:]} == {"bulk", "voip, chat"}
+    assert preds.read_text().startswith("index,label\n0,")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ingest", "--pcap", "{pcap}", "--out", "{out}", "--inactive-timeout", "nan"],
      "inactive_timeout must be finite and positive, got nan"),
@@ -540,6 +622,8 @@ def with_packets(**changes):
      "classes[0].packets.iat: packet times pass the 32-bit seconds of the pcap format (year 2106)"),
     ({"classes": [with_packets(iat={"kind": "fixed", "value": 5e9})]},
      "classes[0].packets.iat: packet times pass the 32-bit seconds of the pcap format (year 2106)"),
+    ({"classes": [spec_class(flows=40, features={"pps": {"mean": 1e308, "std": 1e308}})]},
+     "classes[0]: feature 'pps': drew inf, not a finite number"),
 ])
 def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
@@ -549,3 +633,4 @@ def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message
     assert code == 1
     assert err == f"error: {spec}: {message}\n"
     assert not out.exists()
+    assert not (tmp_path / "o.pcap").exists()

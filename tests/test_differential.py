@@ -8,7 +8,9 @@ which share one flow episode, must give exactly the records of the per-packet
 episode and the pairwise record merge they replaced.  The pcap frame parser
 must skip or keep exactly the frames the byte-slicing parser did.  The
 vectorised Monte Carlo must give, trial by trial, the estimates of sampling
-the packet list one trial at a time.  The model loader, fed saved documents
+the packet list one trial at a time, and the sampling report, drawn once per
+flow for all ratios, must equal the per-ratio report that drew once per
+(ratio, flow).  The model loader, fed saved documents
 with a few values replaced or keys deleted, must load a model that predicts or
 raise ModelFormatError.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowident.sampling as sampling
@@ -59,7 +61,13 @@ from flowident.flow import (
 )
 from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
 from flowident.ingest.pcap import _build_frame, _parse_frame
-from flowident.sampling import MIN_TRIALS, FlowTrace, SamplingConfig, simulate_estimates
+from flowident.sampling import (
+    MIN_TRIALS,
+    FlowTrace,
+    SamplingConfig,
+    build_sampling_report,
+    simulate_estimates,
+)
 from flowident.synth import generate_dataset, parse_synth_spec
 from helpers import (
     aggregate_oracle,
@@ -68,6 +76,7 @@ from helpers import (
     confusion_oracle,
     estimate,
     ip,
+    mc_estimates_oracle,
     merge_records_oracle,
     mk_packet,
     nf5_datagram,
@@ -76,6 +85,7 @@ from helpers import (
     parse_frame_oracle,
     plugin_variance_oracle,
     predict_oracle,
+    sampling_report_oracle,
     score_oracle,
     train_oracle,
     update_oracle,
@@ -474,3 +484,41 @@ def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_b
     assert s_hat.tolist() == [e.s_hat for e in oracle]
     # The library subtracts times relative to the first packet, so it may round differently.
     np.testing.assert_allclose(fd_hat, [e.fd_hat for e in oracle], rtol=0, atol=1e-9)
+
+
+@st.composite
+def flow_traces(draw):
+    """1-10 traces of 1-80 packets; per trace, no, some or all timestamp gaps are 0."""
+    traces = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(st.integers(1, 80))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        moving = rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+        ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(1, 400_000, n) * moving)
+        traces.append(FlowTrace(sizes=rng.integers(28, 1501, n), ts=ts))
+    return traces
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flow_traces(),
+    st.lists(st.sampled_from((1, 2, 3, 8, 64, 1024)) | st.integers(1, 4096),
+             min_size=1, max_size=5),
+    st.integers(MIN_TRIALS, 2500),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((None, 997)),
+)
+@example([FlowTrace(sizes=np.array([40, 1500, 60]), ts=np.array([5, 5, 9]))], [1, 8, 8], 1000, 3, 997)
+def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, seed, chunk_budget):
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_budget is not None:
+            patch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)  # many chunks of a few trials
+        report = build_sampling_report(traces, ratios, seed=seed, trials=trials)
+        estimates = [simulate_estimates(traces[0], SamplingConfig(1.0 / n, seed), trials)
+                     for n in ratios]
+    oracle = sampling_report_oracle(traces, ratios, seed, trials)
+    assert report.rows == oracle.rows
+    assert report.to_json_dict() == oracle.to_json_dict()
+    for got, n in zip(estimates, ratios):
+        want = mc_estimates_oracle(traces[0], 1.0 / n, seed, trials)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -8,7 +8,10 @@ updating, fold assignment, scoring or the report format that moves a
 single bit shows up here.
 
 The capture written from the demo spec is pinned by its sha256, so the
-packet generator and the pcap writer cannot move a byte either.
+packet generator and the pcap writer cannot move a byte either.  The
+sampling report on that capture (``golden_sampling.*``) was written by the
+per-ratio Monte Carlo, one draw per (ratio, flow), that the one-draw engine
+replaced.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ SAVED_AT = "2026-01-01T00:00:00+00:00"
 MODEL_FEATURES = (9, 3, 12, 16, 7)
 TRAIN_ROWS = 48
 FOLDS_K, FOLDS_SEED = 10, 7
+SAMPLING_ARGS = ["--ratios", "1:1,1:8,1:128,1:1024", "--trials", "2000", "--seed", "3"]
 DEMO_CAPTURE_SHA256 = "20aba2e14569ae0a9e84be7462d8164f61f0611723296c02bb64634c7d99b214"
 
 
@@ -86,3 +90,14 @@ def test_demo_capture_bytes(tmp_path):
     data = path.read_bytes()
     assert len(data) == 2_151_283
     assert hashlib.sha256(data).hexdigest() == DEMO_CAPTURE_SHA256
+
+
+def test_sampling_report_bytes(tmp_path):
+    packets, _ = generate_packets(load_synth_spec(FIXTURES / "demo_spec.json"))
+    capture, out_json, out_csv = tmp_path / "demo.pcap", tmp_path / "s.json", tmp_path / "s.csv"
+    write_pcap(capture, packets)
+    code = main(["sample-report", "--pcap", str(capture), *SAMPLING_ARGS,
+                 "--out-json", str(out_json), "--out-csv", str(out_csv)])
+    assert code == 0
+    assert out_json.read_text() == (FIXTURES / "golden_sampling.json").read_text()
+    assert out_csv.read_text() == (FIXTURES / "golden_sampling.csv").read_text()

@@ -57,10 +57,11 @@ def test_decode_merges_reciprocal_records():
                        pkts=2, octets=120, first=150, last=450,
                        flags=0x11, proto=6, tos=0x10),
         ],
+        sys_uptime=450,
         unix_secs=1_700_000_000,
     )
     [flow] = decode_netflow_v5(datagram)
-    boot_us = 1_700_000_000 * 1_000_000
+    boot_us = 1_700_000_000 * 1_000_000 - 450 * 1000  # wall clock minus uptime
     assert flow.fwd_packets == 3 and flow.fwd_bytes == 180
     assert flow.bwd_packets == 2 and flow.bwd_bytes == 120
     assert flow.tcp_flags_fwd == 0x02 and flow.tcp_flags_bwd == 0x11
@@ -102,7 +103,8 @@ def test_decode_version_and_shape_errors():
     ],
 )
 def test_decode_record_errors_name_the_record(record, message):
-    datagram = nf5_datagram([nf5_record(octets=40), record])
+    datagram = nf5_datagram([nf5_record(octets=40), record],
+                            sys_uptime=500, unix_secs=1_700_000_000)
     with pytest.raises(MalformedDatagramError, match=message):
         decode_netflow_v5(datagram)
 
@@ -130,14 +132,27 @@ def test_records_taken_before_the_uptime_wrap_are_moved_back():
 
 
 @pytest.mark.parametrize("uptime_ms, offset_ms", [
-    (1 << 31, 1 << 31),                # half the counter ahead: a stamp after export
-    ((1 << 31) + 1, (1 << 31) + 1 - WRAP_MS),  # further ahead: before the wrap
+    ((1 << 31) + 1, (1 << 31) + 1 - WRAP_MS),  # further ahead than half: before the wrap
 ])
 def test_only_a_lead_past_half_the_counter_counts_as_wrapped(uptime_ms, offset_ms):
     datagram = nf5_datagram([nf5_record(first=uptime_ms, last=uptime_ms)],
                             unix_secs=1_700_000_000)
     [flow] = decode_netflow_v5(datagram)
     assert flow.first_ts == EXPORT_US + offset_ms * 1000
+
+
+@pytest.mark.parametrize("first, last, stamp", [
+    (1001, 1001, 1001),                          # 1 ms after the export
+    (900, 1001, 1001),                           # the flow ends after the export
+    ((1 << 31) + 1000, (1 << 31) + 1000, (1 << 31) + 1000),  # half the counter ahead
+])
+def test_record_stamped_after_its_export_is_refused(first, last, stamp):
+    at_export = nf5_record(first=1000, last=1000)  # record 0 ends at the export time: kept
+    datagram = nf5_datagram([at_export, nf5_record(first=first, last=last)],
+                            sys_uptime=1000, unix_secs=1_700_000_000)
+    want = f"record 1: uptime {stamp} ms is after the export uptime 1000 ms"
+    with pytest.raises(MalformedDatagramError, match=re.escape(want)):
+        decode_netflow_v5(datagram)
 
 
 @pytest.mark.parametrize("header, first", [

@@ -278,6 +278,17 @@ def test_report_rows_match_standalone_adre_exactly():
             assert got[(metric.value, n)] == standalone
 
 
+def test_report_builds_one_generator_per_flow_for_any_number_of_ratios(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
+    traces = short_heavy_traces(count=5)
+    for ratios in ([8], [1024, 256, 8, 2, 1]):
+        made.clear()
+        build_sampling_report(traces, ratios, seed=4, trials=1000)
+        assert made == [4] * len(traces)
+
+
 def test_report_improves_with_higher_rate():
     traces = short_heavy_traces(seed=10)
     report = build_sampling_report(traces, ratios=[256, 16, 2], seed=0, trials=1000)

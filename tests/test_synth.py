@@ -205,6 +205,19 @@ def test_generate_dataset_respects_means_within_clt_bound():
     assert statistics.stdev(lport) == pytest.approx(1.0, rel=0.1)
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([{"label": "a", "flows": 40, "features": {"pps": {"mean": 1e308, "std": 1e308}}}],
+     "classes[0]: feature 'pps': drew inf, not a finite number"),
+    ([{"label": "a", "flows": 2},
+      {"label": "b", "flows": 40, "features": {"bps": {"mean": -1e308, "std": 1e308}}}],
+     "classes[1]: feature 'bps': drew -inf, not a finite number"),
+])
+def test_generate_dataset_refuses_non_finite_draws(classes, message):
+    with pytest.raises(FormatError) as exc_info:
+        generate_dataset(parse_synth_spec({"classes": classes}))
+    assert str(exc_info.value) == message
+
+
 # ------------------------------------------------------------------ packets
 
 def test_generate_packets_deterministic_and_sorted():
