@@ -16,11 +16,11 @@ from . import classifier, evaluation, sampling, selection, synth
 from .errors import ContractError, FormatError
 from .features import Dataset, featurize, read_dataset, validate_feature_ids, write_dataset
 from .files import read_json, write_json
-from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, FlowAggregator
+from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketTable, aggregate_table
 from .ingest import (
+    PcapReader,
     load_labels,
     read_netflow_file,
-    read_pcap,
     write_labels,
     write_pcap,
 )
@@ -88,13 +88,18 @@ def _resolve_features(args) -> tuple[int, ...] | None:
         raise FormatError(f"{path}: 'selected': {exc}") from None
 
 
+def _read_capture(path) -> PacketTable:
+    reader = PcapReader(path)
+    table = reader.table()
+    if reader.skipped:
+        print(f"note: skipped {reader.skipped} frames that are not IPv4 TCP/UDP", file=sys.stderr)
+    return table
+
+
 def cmd_ingest(args) -> int:
     if args.pcap:
-        agg = FlowAggregator(args.inactive_timeout, args.active_timeout)
-        for pkt in read_pcap(args.pcap):
-            agg.add(pkt)
-        agg.flush()
-        flows = agg.records()
+        agg = aggregate_table(_read_capture(args.pcap), args.inactive_timeout, args.active_timeout)
+        flows = agg.records
         if agg.rejected:
             print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
     else:
@@ -160,13 +165,11 @@ def cmd_classify(args) -> int:
 
 def cmd_sample_report(args) -> int:
     if args.pcap:
-        packets = read_pcap(args.pcap)
+        table = _read_capture(args.pcap)
     else:
-        spec = synth.load_synth_spec(args.synth)
-        packets, _ = synth.generate_packets(spec)
-    traces = sampling.traces_from_packets(
-        packets, args.inactive_timeout, args.active_timeout
-    )
+        packets, _ = synth.generate_packets(synth.load_synth_spec(args.synth))
+        table = PacketTable.from_records(packets)
+    traces = sampling.traces_from_table(table, args.inactive_timeout, args.active_timeout)
     report = sampling.build_sampling_report(
         traces, args.ratios, seed=args.seed, trials=args.trials
     )

@@ -4,13 +4,20 @@ A flow is keyed by the unordered five-tuple: the (ip, port) endpoint pair is
 sorted so the numerically smaller IP (then port) comes first, which makes the
 key identical for both directions of a conversation.  Within one aggregated
 episode, "forward" means the direction of the episode's first packet.
+
+Packets travel as one :class:`PacketTable` of columns; :func:`aggregate_table`
+turns it into flow records with one sort and per-episode reductions.
+:class:`FlowAggregator` folds one :class:`PacketRecord` at a time into the
+same episodes, for callers that stream packets.
 """
 
 from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ContractError, check_finite
 
@@ -27,6 +34,8 @@ DEFAULT_ACTIVE_TIMEOUT = 1800.0
 
 # Accepted clock skew for slightly out-of-order captures.
 REORDER_TOLERANCE_US = 1_000_000
+# The stream clock before the first packet.
+_CLOCK_START = -(1 << 62)
 
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
@@ -37,6 +46,9 @@ class Proto(enum.IntEnum):
 
     TCP = 6
     UDP = 17
+
+
+_PROTOS = {int(proto): proto for proto in Proto}
 
 
 class Direction(enum.Enum):
@@ -93,6 +105,14 @@ class FlowKey:
     ip_hi: int
     port_hi: int
     proto: Proto
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.ip_lo <= _U32 or not 0 <= self.ip_hi <= _U32:
+            raise ContractError("IP addresses must be unsigned 32-bit values")
+        if not 0 <= self.port_lo <= _U16 or not 0 <= self.port_hi <= _U16:
+            raise ContractError("ports must be in [0, 65535]")
+        if not isinstance(self.proto, Proto):
+            raise ContractError(f"proto must be a Proto, got {self.proto!r}")
 
     def sort_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.ip_lo, self.port_lo, self.ip_hi, self.port_hi, int(self.proto))
@@ -239,7 +259,7 @@ class FlowAggregator:
         self._active_us = int(active_timeout * 1e6)
         self._open: dict[FlowKey, Episode] = {}
         self._done: list[Episode] = []
-        self._clock = -(1 << 62)
+        self._clock = _CLOCK_START
         self.accepted = 0
         self.rejected = 0
 
@@ -279,14 +299,163 @@ class FlowAggregator:
         return [episode.to_record() for episode in self.episodes()]
 
 
+@dataclass(frozen=True)
+class PacketTable:
+    """Packets as parallel integer columns, one row per packet in arrival
+    order, holding what a :class:`PacketRecord` holds (``proto`` as 6 or 17).
+
+    The pcap reader builds it with the narrowest dtypes the format allows;
+    :meth:`from_records` uses int64 throughout.
+    """
+
+    ts: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    proto: np.ndarray
+    length: np.ndarray
+    tcp_flags: np.ndarray
+    tos: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_records(cls, packets) -> PacketTable:
+        names = [field.name for field in fields(cls)]
+        rows = np.array([[getattr(pkt, name) for name in names] for pkt in packets])
+        if rows.size and rows.dtype != np.int64:  # a float, or an int past 64 bits
+            raise ContractError("packet fields must be integers that fit in 64 bits")
+        rows = rows.astype(np.int64).reshape(-1, len(names))
+        return cls(*(np.ascontiguousarray(column) for column in rows.T))
+
+    def records(self) -> list[PacketRecord]:
+        columns = [getattr(self, field.name).tolist() for field in fields(self)]
+        return [
+            PacketRecord(ts, src_ip, dst_ip, src_port, dst_port, _PROTOS[proto], length, flags, tos)
+            for ts, src_ip, dst_ip, src_port, dst_port, proto, length, flags, tos in zip(*columns)
+        ]
+
+
+@dataclass(frozen=True)
+class Aggregation:
+    """The flow episodes of a :class:`PacketTable`.
+
+    ``records`` come in episode order: start time, then key, then the key's
+    earlier episode.  Episode e holds the table rows
+    ``packets[bounds[e]:bounds[e + 1]]``, in arrival order; ``packets``
+    lists every accepted row, and ``rejected`` counts the others.
+    """
+
+    records: list[FlowRecord]
+    packets: np.ndarray
+    bounds: np.ndarray
+    rejected: int
+
+
+def _episode_starts(ts, forward, closes, new_key, inactive_us: int, active_us: int) -> list[int]:
+    """Where episodes start in a run of packets sorted by key, each key's in
+    arrival order, by the rules of :meth:`FlowAggregator.add`: a packet opens
+    one at a new key, once its key's episode has closed both ways, or past
+    the idle or age limit."""
+    starts = []
+    first = last = 0
+    is_open = orientation = closed_fwd = closed_bwd = False
+    for i, (t, fwd, close, new) in enumerate(zip(ts, forward, closes, new_key)):
+        if new or not is_open or t - last > inactive_us or t - first > active_us:
+            starts.append(i)
+            is_open, orientation, closed_fwd, closed_bwd = True, fwd, False, False
+            first = last = t
+        elif t < first:
+            first = t
+        elif t > last:
+            last = t
+        if close:
+            if fwd == orientation:
+                closed_fwd = True
+            else:
+                closed_bwd = True
+            is_open = not (closed_fwd and closed_bwd)
+    return starts
+
+
+def aggregate_table(
+    table: PacketTable,
+    inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
+    active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
+) -> Aggregation:
+    """The episodes, records and counts :class:`FlowAggregator` gives for the
+    table's packets fed in row order."""
+    check_finite("inactive_timeout", inactive_timeout, positive=True)
+    check_finite("active_timeout", active_timeout, positive=True)
+    ts = table.ts.astype(np.int64, copy=False)
+    # A rejected packet is below the clock, so it never moves it: the clock a
+    # packet meets is the running maximum of every earlier stamp.
+    clock = np.maximum.accumulate(np.concatenate(([_CLOCK_START], ts)))[:-1]
+    kept = np.flatnonzero(ts >= clock - REORDER_TOLERANCE_US)
+    if not kept.size:
+        return Aggregation([], kept, np.zeros(1, dtype=np.intp), len(ts))
+
+    src_ip, dst_ip, src_port, dst_port, proto = (
+        getattr(table, name)[kept].astype(np.int64)
+        for name in ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+    )
+    forward = (src_ip < dst_ip) | ((src_ip == dst_ip) & (src_port <= dst_port))
+    key = (
+        np.where(forward, src_ip, dst_ip), np.where(forward, src_port, dst_port),
+        np.where(forward, dst_ip, src_ip), np.where(forward, dst_port, src_port), proto,
+    )
+    # The key packed into two integers that sort as FlowKey.sort_tuple does;
+    # the stable sort keeps each key's packets in arrival order.
+    low, high = key[0] << 16 | key[1], key[2] << 24 | key[3] << 8 | key[4]
+    order = np.lexsort((high, low))
+    low, high, forward, rows = low[order], high[order], forward[order], kept[order]
+    ts = ts[rows]
+    flags = table.tcp_flags[rows].astype(np.int64)
+    new_key = np.ones(len(rows), dtype=bool)
+    new_key[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+    starts = np.array(_episode_starts(
+        ts.tolist(), forward.tolist(), (flags & _CLOSE_FLAGS != 0).tolist(), new_key.tolist(),
+        int(inactive_timeout * 1e6), int(active_timeout * 1e6),
+    ), dtype=np.intp)
+
+    # Per-episode sums over the contiguous runs, then episodes in start order;
+    # the stable sort breaks ties by sorted position: key, then rank in key.
+    counts = np.diff(np.append(starts, len(rows)))
+    episode = np.repeat(np.arange(len(starts)), counts)
+    fwd = forward == forward[starts][episode]  # travels as the episode's first packet did
+    length, tos = table.length[rows].astype(np.int64), table.tos[rows].astype(np.int64)
+    fwd_packets = np.add.reduceat(fwd.astype(np.int64), starts)
+    fwd_bytes = np.add.reduceat(np.where(fwd, length, 0), starts)
+    flags_fwd = np.bitwise_or.reduceat(np.where(fwd, flags, 0), starts)
+    flags_bwd = np.bitwise_or.reduceat(np.where(fwd, 0, flags), starts)
+    fields_after_key = (
+        np.minimum.reduceat(ts, starts), np.maximum.reduceat(ts, starts),
+        fwd_packets, fwd_bytes, counts - fwd_packets, np.add.reduceat(length, starts) - fwd_bytes,
+        flags_fwd, flags_bwd, np.bitwise_or.reduceat(tos, starts),
+        (flags_fwd | flags_bwd) & _COMPLETE_FLAGS == _COMPLETE_FLAGS, forward[starts],
+    )
+    rank = np.argsort(fields_after_key[0], kind="stable")
+    keys = zip(*(column[order[starts[rank]]].tolist() for column in key))
+    records = [
+        FlowRecord(FlowKey(ip_lo, port_lo, ip_hi, port_hi, _PROTOS[number]), *rest)
+        for (ip_lo, port_lo, ip_hi, port_hi, number), rest
+        in zip(keys, zip(*(column[rank].tolist() for column in fields_after_key)))
+    ]
+    place = np.argsort(rank)  # each episode's place in record order
+    return Aggregation(
+        records=records,
+        packets=rows[np.argsort(place[episode], kind="stable")],
+        bounds=np.concatenate(([0], np.cumsum(counts[rank]))),
+        rejected=len(table) - len(kept),
+    )
+
+
 def aggregate(
     packets,
     inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
     active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
 ) -> list[FlowRecord]:
     """Aggregate a time-ordered packet stream into flow episodes."""
-    agg = FlowAggregator(inactive_timeout, active_timeout)
-    for pkt in packets:
-        agg.add(pkt)
-    agg.flush()
-    return agg.records()
+    return aggregate_table(PacketTable.from_records(packets), inactive_timeout, active_timeout).records

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .flow import (
-    DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, Episode, FlowAggregator, PacketRecord,
-)
+from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketTable, aggregate_table
 
 MIN_TRIALS = 1000
 DEFAULT_TRIALS = 20000
 
-# Rough per-chunk uniform draw budget for Monte Carlo vectorisation.
-_CHUNK_BUDGET = 2_000_000
+# Rough bytes per Monte Carlo chunk.  A chunk row costs a float32 uniform and a
+# comparison byte per packet, plus about 45 bytes of survivor lists for each
+# packet that survives the highest rate.
+_CHUNK_BUDGET = 10_000_000
 
 
 class Metric(enum.Enum):
@@ -128,7 +128,7 @@ def _mc_estimates(trace: FlowTrace, ps, seed: int, trials: int) -> np.ndarray:
     sizes = trace.sizes.astype(np.float64)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
     rng = np.random.default_rng(seed)
-    rows = max(1, _CHUNK_BUDGET // n)
+    rows = max(1, int(_CHUNK_BUDGET // (n * (5 + 45 * max(ps)))))
     est = np.empty((3, len(ps), trials))
     for lo in range(0, trials, rows):
         c = min(rows, trials - lo)
@@ -186,17 +186,23 @@ def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIA
     return float(np.mean([dre(metric, trace, cfg, trials) for trace in traces]))
 
 
+def traces_from_table(table: PacketTable, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
+                      active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> list[FlowTrace]:
+    """One FlowTrace per flow episode of a packet table, in episode order:
+    the episode's packets sorted by time, ties in arrival order."""
+    agg = aggregate_table(table, inactive_timeout, active_timeout)
+    episode = np.repeat(np.arange(len(agg.records)), np.diff(agg.bounds))
+    ts = table.ts[agg.packets].astype(np.int64)
+    by_time = np.lexsort((ts, episode))
+    ts, sizes = ts[by_time], table.length[agg.packets[by_time]].astype(np.int64)
+    bounds = agg.bounds.tolist()
+    return [FlowTrace(sizes[lo:hi], ts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def traces_from_packets(packets, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
-                        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT):
-    """Group a packet stream into per-episode FlowTraces, in the
-    aggregator's episode order."""
-    agg = FlowAggregator(inactive_timeout, active_timeout)
-    members: dict[Episode | None, list[PacketRecord]] = {}
-    for pkt in packets:
-        # Rejected packets gather under None, which no episode looks up.
-        members.setdefault(agg.add(pkt), []).append(pkt)
-    agg.flush()
-    return [FlowTrace.from_packets(members[episode]) for episode in agg.episodes()]
+                        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> list[FlowTrace]:
+    """:func:`traces_from_table` over a packet stream."""
+    return traces_from_table(PacketTable.from_records(packets), inactive_timeout, active_timeout)
 
 
 @dataclass(frozen=True)

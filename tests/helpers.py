@@ -13,8 +13,9 @@ These tools live here:
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
-* the byte-slicing frame parser that the pcap reader's struct parser
-  replaced;
+* the byte-slicing frame parser and a per-record walk over a capture
+  file, the references for the columnar pcap reader;
+* the per-episode packet grouping that sampling traces are cut from;
 * per-trial Bernoulli packet sampling and the inverse-probability
   estimates of one sampled flow, which the vectorised Monte Carlo
   ``simulate_estimates`` must reproduce trial by trial;
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from flowident.flow import (
     canonical_key,
     str_to_ip,
 )
+from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import Metric, ReportRow, SamplingConfig, SamplingReport
 
 
@@ -207,6 +210,35 @@ def parse_frame_oracle(data: bytes, ts: int) -> PacketRecord | None:
         tcp_flags=tcp_flags,
         tos=ip[1],
     )
+
+
+def read_pcap_oracle(path) -> tuple[list[PacketRecord], int]:
+    """A capture file with a valid global header, one record at a time:
+    (kept packets, frame count), or the PcapDecodeError the reader raises,
+    with the same message."""
+    data = Path(path).read_bytes()
+    order = "little" if data[:4] == bytes.fromhex("d4c3b2a1") else "big"
+    packets, frames, offset = [], 0, 24
+    while offset < len(data):
+        if offset + 16 > len(data):
+            raise PcapDecodeError(f"{path}: truncated packet header at byte {offset}")
+        ts_sec, ts_usec, incl_len = (
+            int.from_bytes(data[offset + i : offset + i + 4], order) for i in (0, 4, 8)
+        )
+        if ts_usec >= 1_000_000:
+            raise PcapDecodeError(
+                f"{path}: ts_usec {ts_usec} is not below 1000000 "
+                f"in the packet header at byte {offset}"
+            )
+        offset += 16
+        if offset + incl_len > len(data):
+            raise PcapDecodeError(f"{path}: truncated packet data at byte {offset}")
+        frames += 1
+        pkt = parse_frame_oracle(data[offset : offset + incl_len], ts_sec * 1_000_000 + ts_usec)
+        if pkt is not None:
+            packets.append(pkt)
+        offset += incl_len
+    return packets, frames
 
 
 # --------------------------------------------------------------------------
@@ -603,6 +635,14 @@ def aggregate_oracle(packets, inactive_timeout: float, active_timeout: float):
     done.extend(open_episodes.values())
     done.sort(key=lambda e: (e.first_ts, e.key.sort_tuple()))
     return [e.to_record() for e in done], [e.packets for e in done], accepted, rejected
+
+
+def traces_oracle(packets, inactive_timeout: float, active_timeout: float):
+    """(sizes, ts) lists of each episode's packets from :func:`aggregate_oracle`,
+    in record order, each sorted by time with ties kept in arrival order."""
+    _, kept, _, _ = aggregate_oracle(packets, inactive_timeout, active_timeout)
+    groups = [sorted(group, key=lambda pkt: pkt.ts) for group in kept]
+    return [([pkt.length for pkt in group], [pkt.ts for pkt in group]) for group in groups]
 
 
 class _ExportEntryOracle:

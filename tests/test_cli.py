@@ -13,7 +13,7 @@ from flowident.features import FEATURE_NAMES, Dataset, FeatureVector, write_data
 from flowident.flow import Proto
 from flowident.ingest.netflow import encode_netflow_v5
 from flowident.ingest.pcap import write_pcap
-from helpers import mk_packet, nf5_datagram, nf5_record
+from helpers import eth_ipv4_frame, mk_packet, nf5_datagram, nf5_record, pcap_file
 
 FIXTURE_SPEC = Path(__file__).parent / "fixtures" / "demo_spec.json"
 
@@ -267,6 +267,28 @@ def test_ingest_complete_only_filters_open_flows(tmp_path, capsys):
     [row] = read_rows(out_csv)
     assert row["transproto"] == "6"
     assert row["bidir_packets"] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--pcap", "{pcap}", "--out", "{out}"],
+    ["sample-report", "--pcap", "{pcap}", "--trials", "1000", "--out-json", "{out}"],
+])
+def test_pcap_commands_report_skipped_frames(tmp_path, capsys, argv):
+    frames = [eth_ipv4_frame(total_length=60, flags=0x02),
+              eth_ipv4_frame(total_length=60, ethertype=0x0806),
+              eth_ipv4_frame(total_length=60, ethertype=0x86DD),
+              eth_ipv4_frame(total_length=60, src="10.0.0.1", dst="10.0.0.2",
+                             sport=80, dport=5000, flags=0x12)]
+    paths = {"pcap": tmp_path / "mixed.pcap", "out": tmp_path / "out"}
+    paths["pcap"].write_bytes(pcap_file((1_000_000 + i, f) for i, f in enumerate(frames)))
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 0
+    assert err == "note: skipped 2 frames that are not IPv4 TCP/UDP\n"
+    assert paths["out"].exists()
+    # Nothing skipped, nothing said.
+    paths["pcap"].write_bytes(pcap_file([(1_000_000, frames[0])]))
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_train_with_explicit_feature_list(tmp_path, capsys):

@@ -5,8 +5,11 @@ array NIG fold and the one-fold-per-batch train and update must give exactly
 what the per-row, per-feature or per-class versions give: same floats, same
 ties, same model bytes.  Packet aggregation and NetFlow pair merging,
 which share one flow episode, must give exactly the records of the per-packet
-episode and the pairwise record merge they replaced.  The pcap frame parser
-must skip or keep exactly the frames the byte-slicing parser did.  The
+episode and the pairwise record merge they replaced; the columnar aggregator
+must also group the same packets into each episode, and sampling traces are
+those groups sorted by time.  The columnar pcap reader must skip or keep
+exactly the frames the byte-slicing parser does, and raise the errors of a
+per-record walk at the same byte offsets, in any read window.  The
 vectorised Monte Carlo must give, trial by trial, the estimates of sampling
 the packet list one trial at a time, and the sampling report, drawn once per
 flow for all ratios, must equal the per-ratio report that drew once per
@@ -48,6 +51,7 @@ from flowident.evaluation import (
     evaluate_predictions,
     metrics,
 )
+from flowident.errors import FormatError
 from flowident.features import Dataset, FeatureVector
 from flowident.flow import (
     TCP_ACK,
@@ -56,17 +60,21 @@ from flowident.flow import (
     TCP_SYN,
     FlowAggregator,
     PacketRecord,
+    PacketTable,
     Proto,
     aggregate,
+    aggregate_table,
 )
+from flowident.ingest import pcap
 from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
-from flowident.ingest.pcap import _build_frame, _parse_frame
+from flowident.ingest.pcap import PcapDecodeError, PcapReader, _build_frame
 from flowident.sampling import (
     MIN_TRIALS,
     FlowTrace,
     SamplingConfig,
     build_sampling_report,
     simulate_estimates,
+    traces_from_packets,
 )
 from flowident.synth import generate_dataset, parse_synth_spec
 from helpers import (
@@ -75,6 +83,7 @@ from helpers import (
     bernoulli_sample,
     confusion_oracle,
     estimate,
+    eth_ipv4_frame,
     ip,
     mc_estimates_oracle,
     merge_records_oracle,
@@ -83,10 +92,13 @@ from helpers import (
     nf5_record,
     nig_fold_oracle,
     parse_frame_oracle,
+    pcap_file,
     plugin_variance_oracle,
     predict_oracle,
+    read_pcap_oracle,
     sampling_report_oracle,
     score_oracle,
+    traces_oracle,
     train_oracle,
     update_oracle,
 )
@@ -350,8 +362,26 @@ def packet_streams(draw):
     return packets
 
 
+def closed_both_ways_then_reopened(first_ts, reopen_ts):
+    """One key's episode closed by FIN both ways at ``first_ts``, then a packet
+    at ``reopen_ts`` opening the key's next episode, then another key at
+    ``first_ts``."""
+    (a, b, _), (c, d, _) = CONVERSATIONS[:2]
+    fin = TCP_FIN | TCP_ACK
+    return [
+        PacketRecord(first_ts, ip(a[0]), ip(b[0]), a[1], b[1], Proto.TCP, 40, fin),
+        PacketRecord(first_ts, ip(b[0]), ip(a[0]), b[1], a[1], Proto.TCP, 40, fin),
+        PacketRecord(reopen_ts, ip(a[0]), ip(b[0]), a[1], b[1], Proto.TCP, 52, TCP_ACK),
+        PacketRecord(first_ts, ip(c[0]), ip(d[0]), c[1], d[1], Proto.TCP, 60),
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
+# Two episodes of one key starting at the same time: the first closed comes first.
+@example(closed_both_ways_then_reopened(10_000_000, 10_000_000), 15.0, 1800.0)
+# The key's second episode starts earlier than its first (tolerated reordering).
+@example(closed_both_ways_then_reopened(10_500_000, 10_000_000), 15.0, 1800.0)
 def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     records, kept, accepted, rejected = aggregate_oracle(packets, inactive, active)
     agg = FlowAggregator(inactive, active)
@@ -365,6 +395,20 @@ def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     assert [members[episode] for episode in agg.episodes()] == kept
     assert (agg.accepted, agg.rejected) == (accepted, rejected)
     assert aggregate(packets, inactive, active) == records
+    table = aggregate_table(PacketTable.from_records(packets), inactive, active)
+    assert table.records == records
+    assert [[packets[i] for i in table.packets[lo:hi].tolist()]
+            for lo, hi in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist())] == kept
+    assert (len(table.packets), table.rejected) == (accepted, rejected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
+def test_traces_from_packets_equals_the_per_episode_grouping(packets, inactive, active):
+    traces = traces_from_packets(packets, inactive, active)
+    want = traces_oracle(packets, inactive, active)
+    assert [(t.sizes.tolist(), t.ts.tolist()) for t in traces] == want
+    assert all(t.sizes.dtype == t.ts.dtype == np.int64 for t in traces)
 
 
 ENDPOINT_PAIRS = (
@@ -458,14 +502,99 @@ def mutated_frames(draw):
     return bytes(frame)
 
 
+PCAP_TS = st.integers(0, 2**32 * 1_000_000 - 1)
+
+
+def read_capture(data: bytes, window: int | None = None):
+    """PcapReader over ``data`` as a file: (packets, frames, skipped), or the
+    message of the FormatError it raised; ``window`` overrides its read size."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        if window is not None:
+            patch.setattr(pcap, "_WINDOW", window)
+        path = Path(tmp) / "capture.pcap"
+        path.write_bytes(data)
+        try:
+            reader = PcapReader(path)
+            return list(reader), reader.total_frames, reader.skipped
+        except FormatError as exc:
+            return str(exc).replace(str(path), "<capture>")
+
+
+def walk_capture(data: bytes):
+    """:func:`read_pcap_oracle` over ``data``, in :func:`read_capture`'s shape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.pcap"
+        path.write_bytes(data)
+        try:
+            packets, frames = read_pcap_oracle(path)
+            return packets, frames, frames - len(packets)
+        except PcapDecodeError as exc:
+            return str(exc).replace(str(path), "<capture>")
+
+
 @settings(max_examples=1000, deadline=None)
-@given(mutated_frames(), st.integers(0, 2**40))
-def test_parse_frame_equals_the_byte_slicing_parser(frame, ts):
-    assert _parse_frame(frame, ts) == parse_frame_oracle(frame, ts)
+@given(st.lists(st.tuples(PCAP_TS, mutated_frames()), max_size=8), st.sampled_from("<>"))
+def test_parse_frame_equals_the_byte_slicing_parser(frames, endian):
+    """Frame by frame, the reader keeps what the oracle parses, equal field for field."""
+    want = [parse_frame_oracle(frame, ts) for ts, frame in frames]
+    got = read_capture(pcap_file(frames, endian))
+    assert got == ([pkt for pkt in want if pkt is not None], len(frames), want.count(None))
+
+
+@st.composite
+def damaged_captures(draw):
+    """A capture of up to 12 frames in either byte order, the frames
+    written or mutated, then perhaps a ts_usec of 1e6 or more or any
+    incl_len put in one record header, then perhaps cut at any byte
+    after the global header."""
+    endian = draw(st.sampled_from("<>"))
+    frames = draw(st.lists(st.tuples(PCAP_TS, st.one_of(
+        mutated_frames(),
+        st.builds(eth_ipv4_frame, proto=st.sampled_from((6, 17)),
+                  total_length=st.integers(28, 600)),
+    )), max_size=12))
+    data = bytearray(pcap_file(frames, endian))
+    headers = [24]
+    for _, frame in frames[:-1]:
+        headers.append(headers[-1] + 16 + len(frame))
+    if frames and draw(st.booleans()):
+        field = draw(st.sampled_from((4, 8)))  # ts_usec or incl_len
+        value = draw(st.integers(1_000_000, 2**32 - 1) if field == 4 else st.integers(0, 2**32 - 1))
+        at = draw(st.sampled_from(headers)) + field
+        data[at : at + 4] = value.to_bytes(4, "little" if endian == "<" else "big")
+    if draw(st.booleans()):
+        del data[draw(st.integers(24, len(data))):]
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(damaged_captures(), st.sampled_from((None, 1, 16, 100, 333)))
+def test_reader_equals_the_per_record_walk(data, window):
+    """Same packets and counts, or the same error at the same byte offset,
+    whether a read window holds the whole file or less than one record."""
+    assert read_capture(data, window) == walk_capture(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_captures(), st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=6),
+       st.sampled_from((None, 16, 100)))
+def test_reader_returns_packets_or_raises_format_error(data, writes, window):
+    """With any bytes overwritten, the global header included, the reader
+    yields valid packets that add up with the skipped frames, or refuses
+    the file with a FormatError; nothing else escapes."""
+    data = bytearray(data)
+    for at, value in writes:
+        if at < len(data):
+            data[at] = value
+    got = read_capture(bytes(data), window)
+    if not isinstance(got, str):  # not refused
+        packets, frames, skipped = got
+        assert all(isinstance(pkt, PacketRecord) for pkt in packets)
+        assert frames == len(packets) + skipped
 
 
 @pytest.mark.parametrize("n, p", [(12, 1 / 8), (40, 1 / 20)])
-@pytest.mark.parametrize("chunk_budget", [None, 70])
+@pytest.mark.parametrize("chunk_budget", [None, 70, 350])
 def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_budget):
     """Trial t of simulate_estimates is bernoulli_sample + estimate on row t of
     the same float32 uniforms, in one chunk or in chunks of a few trials."""
@@ -506,9 +635,9 @@ def flow_traces(draw):
              min_size=1, max_size=5),
     st.integers(MIN_TRIALS, 2500),
     st.integers(0, 2**32 - 1),
-    st.sampled_from((None, 997)),
+    st.sampled_from((None, 9970)),
 )
-@example([FlowTrace(sizes=np.array([40, 1500, 60]), ts=np.array([5, 5, 9]))], [1, 8, 8], 1000, 3, 997)
+@example([FlowTrace(sizes=np.array([40, 1500, 60]), ts=np.array([5, 5, 9]))], [1, 8, 8], 1000, 3, 9970)
 def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, seed, chunk_budget):
     with pytest.MonkeyPatch.context() as patch:
         if chunk_budget is not None:

