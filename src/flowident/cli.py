@@ -14,9 +14,15 @@ import sys
 
 from . import classifier, evaluation, sampling, selection, synth
 from .errors import ContractError, FormatError
-from .features import Dataset, featurize, read_dataset, validate_feature_ids, write_dataset
+from .features import Dataset, feature_matrix, read_dataset, validate_feature_ids, write_dataset
 from .files import read_json, write_json
-from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketTable, aggregate_table
+from .flow import (
+    DEFAULT_ACTIVE_TIMEOUT,
+    DEFAULT_INACTIVE_TIMEOUT,
+    FlowTable,
+    PacketTable,
+    aggregate_table,
+)
 from .ingest import (
     PcapReader,
     load_labels,
@@ -99,25 +105,21 @@ def _read_capture(path) -> PacketTable:
 def cmd_ingest(args) -> int:
     if args.pcap:
         agg = aggregate_table(_read_capture(args.pcap), args.inactive_timeout, args.active_timeout)
-        flows = agg.records
+        flows = agg.flows
         if agg.rejected:
             print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
     else:
-        flows = read_netflow_file(args.netflow)
+        flows = FlowTable.from_records(read_netflow_file(args.netflow))
     if args.complete_only:
-        flows = [f for f in flows if f.complete]
-    labels = load_labels(args.labels) if args.labels else None
-    unmatched = 0
-    vectors = []
-    for flow in flows:
-        label = labels.lookup(flow.key, flow.first_ts) if labels else None
-        if labels and label is None:
-            unmatched += 1
-        vectors.append(featurize(flow, label))
-    if unmatched:
-        print(f"note: {unmatched} flows had no label row", file=sys.stderr)
-    write_dataset(Dataset.from_vectors(vectors), args.out)
-    print(f"wrote {len(vectors)} flows to {args.out}")
+        flows = flows.take(flows.complete)
+    labels = [None] * len(flows)
+    if args.labels:
+        labels = load_labels(args.labels).join(flows)
+        unmatched = labels.count(None)
+        if unmatched:
+            print(f"note: {unmatched} flows had no label row", file=sys.stderr)
+    write_dataset(Dataset.from_labels(feature_matrix(flows), labels), args.out)
+    print(f"wrote {len(flows)} flows to {args.out}")
     return 0
 
 

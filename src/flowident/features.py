@@ -9,6 +9,7 @@ max(value, 1).
 from __future__ import annotations
 
 import csv
+import io
 import numbers
 from functools import cached_property
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .files import csv_rows
-from .flow import FlowRecord
+from .flow import FlowRecord, FlowTable
 
 FEATURE_NAMES = (
     "lport", "hport", "duration", "transproto", "tcpflags_fwd", "tcpflags_bwd",
@@ -109,36 +110,40 @@ def feature_name(feature_id: int) -> str:
     return FEATURE_NAMES[_column(feature_id)]
 
 
+def feature_matrix(flows: FlowTable) -> np.ndarray:
+    """The 16 features of every flow of a table, as a float64 (flows, 16)
+    matrix in FEATURE_NAMES order."""
+    raw_duration = (flows.last_ts - flows.first_ts) / 1e6
+    duration = np.where(raw_duration > 0, raw_duration, DURATION_FLOOR)
+    packets = flows.fwd_packets + flows.bwd_packets
+    total_bytes = flows.fwd_bytes + flows.bwd_bytes
+    mean_fwd_len = flows.fwd_bytes / flows.fwd_packets
+    mean_bwd_len = np.where(flows.bwd_packets > 0,
+                            flows.bwd_bytes / np.maximum(flows.bwd_packets, 1), 0.0)
+    return np.array((
+        np.minimum(flows.port_lo, flows.port_hi),                   # lport
+        np.maximum(flows.port_lo, flows.port_hi),                   # hport
+        duration,
+        flows.proto,                                                # transproto
+        flows.tcp_flags_fwd,
+        flows.tcp_flags_bwd,
+        packets / duration,                                         # pps
+        total_bytes / duration,                                     # bps
+        duration / packets,                                         # mean_iat
+        flows.fwd_packets / np.maximum(flows.bwd_packets, 1),       # pkt_ratio
+        flows.fwd_bytes / np.maximum(flows.bwd_bytes, 1),           # byte_ratio
+        mean_fwd_len / np.maximum(mean_bwd_len, 1.0),               # pktlen_ratio
+        packets,                                                    # bidir_packets
+        total_bytes,                                                # bidir_bytes
+        flows.tos,
+        total_bytes / packets,                                      # mean_pkt_len
+    ), dtype=np.float64).T
+
+
 def featurize(flow: FlowRecord, label: str | None = None) -> FeatureVector:
-    """Compute the 16 features of one flow episode, in FEATURE_NAMES order."""
-    key = flow.key
-    raw_duration = (flow.last_ts - flow.first_ts) / 1e6
-    duration = raw_duration if raw_duration > 0 else DURATION_FLOOR
-    packets = flow.total_packets
-    total_bytes = flow.total_bytes
-    mean_fwd_len = flow.fwd_bytes / flow.fwd_packets
-    mean_bwd_len = flow.bwd_bytes / flow.bwd_packets if flow.bwd_packets else 0.0
-    return FeatureVector.from_values(
-        (
-            min(key.port_lo, key.port_hi),                      # lport
-            max(key.port_lo, key.port_hi),                      # hport
-            duration,
-            int(key.proto),                                     # transproto
-            flow.tcp_flags_fwd,
-            flow.tcp_flags_bwd,
-            packets / duration,                                 # pps
-            total_bytes / duration,                             # bps
-            duration / packets,                                 # mean_iat
-            flow.fwd_packets / max(flow.bwd_packets, 1),        # pkt_ratio
-            flow.fwd_bytes / max(flow.bwd_bytes, 1),            # byte_ratio
-            mean_fwd_len / max(mean_bwd_len, 1.0),              # pktlen_ratio
-            packets,                                            # bidir_packets
-            total_bytes,                                        # bidir_bytes
-            flow.tos,
-            total_bytes / packets,                              # mean_pkt_len
-        ),
-        label,
-    )
+    """The 16 features of one flow episode: :func:`feature_matrix` of a
+    one-row table."""
+    return FeatureVector.from_values(feature_matrix(FlowTable.from_records([flow]))[0], label)
 
 
 class Dataset:
@@ -177,6 +182,14 @@ class Dataset:
         if ds.codes.size and not -1 <= ds.codes.min() <= ds.codes.max() < len(ds.alphabet):
             raise ContractError(f"label codes outside -1..{len(ds.alphabet) - 1}")
         return ds
+
+    @classmethod
+    def from_labels(cls, data, labels) -> "Dataset":
+        """A dataset over a copy of an (n, 16) matrix and n labels, None for an
+        unlabeled row; the alphabet is the distinct labels, sorted."""
+        alphabet = tuple(sorted(set(labels) - {None}))
+        code = _label_codes(alphabet)
+        return cls.from_arrays(data, [code[label] for label in labels], alphabet)
 
     @classmethod
     def from_vectors(cls, vectors) -> "Dataset":
@@ -234,13 +247,27 @@ def _label_codes(alphabet: tuple[str, ...]) -> dict:
 _CSV_HEADER = FEATURE_NAMES + ("label",)
 
 
+def _csv_cells(values) -> list[str]:
+    """Each string as ``csv.writer`` writes it as one cell of a longer row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    cells = []
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(("", value))
+        cells.append(buffer.getvalue()[1:-2])  # less the empty cell's comma and the line end
+    return cells
+
+
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; numbers carry 9 significant digits."""
+    row = ",".join(["%.9g"] * NUM_FEATURES) + ",%s\r\n"
+    labels = _csv_cells(ds.alphabet + ("",))  # code -1, unlabeled, reads the last
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for values, label in zip(ds.data.tolist(), ds.labels()):
-            writer.writerow([f"{v:.9g}" for v in values] + [label or ""])
+        csv.writer(fh).writerow(_CSV_HEADER)
+        fh.writelines(row % (*values, labels[code])
+                      for values, code in zip(ds.data.tolist(), ds.codes.tolist()))
 
 
 def read_dataset(path) -> Dataset:
@@ -265,6 +292,4 @@ def read_dataset(path) -> Dataset:
             f"{path}: line {i + 2}: column {FEATURE_NAMES[col]}: "
             f"non-finite value {float(data[i, col])!r}"
         )
-    alphabet = tuple(sorted(set(labels) - {None}))
-    code = _label_codes(alphabet)
-    return Dataset.from_arrays(data, [code[label] for label in labels], alphabet)
+    return Dataset.from_labels(data, labels)

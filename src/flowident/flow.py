@@ -6,15 +6,16 @@ key identical for both directions of a conversation.  Within one aggregated
 episode, "forward" means the direction of the episode's first packet.
 
 Packets travel as one :class:`PacketTable` of columns; :func:`aggregate_table`
-turns it into flow records with one sort and per-episode reductions.
-:class:`FlowAggregator` folds one :class:`PacketRecord` at a time into the
-same episodes, for callers that stream packets.
+turns it into a :class:`FlowTable` of columns with one sort and per-episode
+reductions.  :class:`FlowAggregator` folds one :class:`PacketRecord` at a
+time into the same episodes, for callers that stream packets.
 """
 
 from __future__ import annotations
 
 import enum
 import ipaddress
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,6 +40,7 @@ _CLOCK_START = -(1 << 62)
 
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
+_I64 = (1 << 63) - 1
 
 
 class Proto(enum.IntEnum):
@@ -83,6 +85,10 @@ class PacketRecord:
     tos: int = 0
 
     def __post_init__(self) -> None:
+        ts = self.ts
+        if not (type(ts) is int or isinstance(ts, np.integer)) or not 0 <= ts <= _I64:
+            raise ContractError(f"packet stamps must be non-negative integers that fit in 64 bits, "
+                                f"got {ts!r}")
         if not 0 <= self.src_ip <= _U32 or not 0 <= self.dst_ip <= _U32:
             raise ContractError("IP addresses must be unsigned 32-bit values")
         if not 0 <= self.src_port <= _U16 or not 0 <= self.dst_port <= _U16:
@@ -338,17 +344,70 @@ class PacketTable:
         ]
 
 
+_KEY_FIELDS = tuple(field.name for field in fields(FlowKey))
+_RECORD_FIELDS = tuple(field.name for field in fields(FlowRecord))[1:]
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
+
+
+@dataclass(frozen=True)
+class FlowTable:
+    """Flow episodes as parallel columns, one row per :class:`FlowRecord`:
+    the key's five parts (``proto`` as 6 or 17), then every other field,
+    int64 except the two bool flags."""
+
+    ip_lo: np.ndarray
+    port_lo: np.ndarray
+    ip_hi: np.ndarray
+    port_hi: np.ndarray
+    proto: np.ndarray
+    first_ts: np.ndarray
+    last_ts: np.ndarray
+    fwd_packets: np.ndarray
+    fwd_bytes: np.ndarray
+    bwd_packets: np.ndarray
+    bwd_bytes: np.ndarray
+    tcp_flags_fwd: np.ndarray
+    tcp_flags_bwd: np.ndarray
+    tos: np.ndarray
+    complete: np.ndarray
+    initiator_lo: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.first_ts)
+
+    @classmethod
+    def from_records(cls, records) -> FlowTable:
+        rows = np.array([(*record.key.sort_tuple(), *_record_values(record)) for record in records])
+        if rows.size and rows.dtype != np.int64:  # a float, or an int past 64 bits
+            raise ContractError("flow fields must be integers that fit in 64 bits")
+        columns = rows.astype(np.int64).reshape(-1, len(_KEY_FIELDS) + len(_RECORD_FIELDS)).T
+        return cls(*map(np.ascontiguousarray, columns[:-2]), *(columns[-2:] != 0))
+
+    def records(self) -> list[FlowRecord]:
+        keys = [
+            FlowKey(ip_lo, port_lo, ip_hi, port_hi, _PROTOS[proto])
+            for ip_lo, port_lo, ip_hi, port_hi, proto
+            in zip(*(getattr(self, name).tolist() for name in _KEY_FIELDS))
+        ]
+        rest = zip(*(getattr(self, name).tolist() for name in _RECORD_FIELDS))
+        return [FlowRecord(key, *values) for key, values in zip(keys, rest)]
+
+    def take(self, rows) -> FlowTable:
+        """The rows at an index array or boolean mask, in that order."""
+        return FlowTable(*(getattr(self, field.name)[rows] for field in fields(self)))
+
+
 @dataclass(frozen=True)
 class Aggregation:
     """The flow episodes of a :class:`PacketTable`.
 
-    ``records`` come in episode order: start time, then key, then the key's
+    ``flows`` come in episode order: start time, then key, then the key's
     earlier episode.  Episode e holds the table rows
     ``packets[bounds[e]:bounds[e + 1]]``, in arrival order; ``packets``
     lists every accepted row, and ``rejected`` counts the others.
     """
 
-    records: list[FlowRecord]
+    flows: FlowTable
     packets: np.ndarray
     bounds: np.ndarray
     rejected: int
@@ -380,12 +439,39 @@ def _episode_starts(ts, forward, closes, new_key, inactive_us: int, active_us: i
     return starts
 
 
+def _split_episodes(ts, forward, closes, new_key, inactive_us: int, active_us: int) -> np.ndarray:
+    """:func:`_episode_starts` as an array, with the loop run only over the
+    key groups that may hold more than one episode.
+
+    A group is one episode when its stamps span no more than either limit,
+    so no packet can pass the idle or age test, and it is not closed both
+    ways before its last packet.  It is closed both ways at the later of its
+    first close in each way, whichever way its episode calls forward.
+    """
+    n = len(ts)
+    group = np.flatnonzero(new_key)
+    end = np.append(group[1:], n)
+    span = np.maximum.reduceat(ts, group) - np.minimum.reduceat(ts, group)
+    position = np.where(closes, np.arange(n), n)
+    closed = np.maximum(np.minimum.reduceat(np.where(forward, position, n), group),
+                        np.minimum.reduceat(np.where(forward, n, position), group))
+    single = (span <= min(inactive_us, active_us)) & (closed >= end - 1)
+    if single.all():
+        return group
+    rows = np.flatnonzero(np.repeat(~single, end - group))
+    split = rows[_episode_starts(
+        ts[rows].tolist(), forward[rows].tolist(), closes[rows].tolist(), new_key[rows].tolist(),
+        inactive_us, active_us,
+    )]
+    return np.sort(np.concatenate((group[single], split)))
+
+
 def aggregate_table(
     table: PacketTable,
     inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
     active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
 ) -> Aggregation:
-    """The episodes, records and counts :class:`FlowAggregator` gives for the
+    """The episodes, flows and counts :class:`FlowAggregator` gives for the
     table's packets fed in row order."""
     check_finite("inactive_timeout", inactive_timeout, positive=True)
     check_finite("active_timeout", active_timeout, positive=True)
@@ -395,7 +481,8 @@ def aggregate_table(
     clock = np.maximum.accumulate(np.concatenate(([_CLOCK_START], ts)))[:-1]
     kept = np.flatnonzero(ts >= clock - REORDER_TOLERANCE_US)
     if not kept.size:
-        return Aggregation([], kept, np.zeros(1, dtype=np.intp), len(ts))
+        empty = FlowTable.from_records([])
+        return Aggregation(empty, kept, np.zeros(1, dtype=np.intp), len(ts))
 
     src_ip, dst_ip, src_port, dst_port, proto = (
         getattr(table, name)[kept].astype(np.int64)
@@ -415,10 +502,8 @@ def aggregate_table(
     flags = table.tcp_flags[rows].astype(np.int64)
     new_key = np.ones(len(rows), dtype=bool)
     new_key[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
-    starts = np.array(_episode_starts(
-        ts.tolist(), forward.tolist(), (flags & _CLOSE_FLAGS != 0).tolist(), new_key.tolist(),
-        int(inactive_timeout * 1e6), int(active_timeout * 1e6),
-    ), dtype=np.intp)
+    starts = _split_episodes(ts, forward, flags & _CLOSE_FLAGS != 0, new_key,
+                             int(inactive_timeout * 1e6), int(active_timeout * 1e6))
 
     # Per-episode sums over the contiguous runs, then episodes in start order;
     # the stable sort breaks ties by sorted position: key, then rank in key.
@@ -430,22 +515,20 @@ def aggregate_table(
     fwd_bytes = np.add.reduceat(np.where(fwd, length, 0), starts)
     flags_fwd = np.bitwise_or.reduceat(np.where(fwd, flags, 0), starts)
     flags_bwd = np.bitwise_or.reduceat(np.where(fwd, 0, flags), starts)
-    fields_after_key = (
-        np.minimum.reduceat(ts, starts), np.maximum.reduceat(ts, starts),
-        fwd_packets, fwd_bytes, counts - fwd_packets, np.add.reduceat(length, starts) - fwd_bytes,
-        flags_fwd, flags_bwd, np.bitwise_or.reduceat(tos, starts),
-        (flags_fwd | flags_bwd) & _COMPLETE_FLAGS == _COMPLETE_FLAGS, forward[starts],
+    first_ts = np.minimum.reduceat(ts, starts)
+    rank = np.argsort(first_ts, kind="stable")
+    flows = FlowTable(
+        *(column[order[starts[rank]]] for column in key),
+        *(column[rank] for column in (
+            first_ts, np.maximum.reduceat(ts, starts), fwd_packets, fwd_bytes,
+            counts - fwd_packets, np.add.reduceat(length, starts) - fwd_bytes,
+            flags_fwd, flags_bwd, np.bitwise_or.reduceat(tos, starts),
+            (flags_fwd | flags_bwd) & _COMPLETE_FLAGS == _COMPLETE_FLAGS, forward[starts],
+        )),
     )
-    rank = np.argsort(fields_after_key[0], kind="stable")
-    keys = zip(*(column[order[starts[rank]]].tolist() for column in key))
-    records = [
-        FlowRecord(FlowKey(ip_lo, port_lo, ip_hi, port_hi, _PROTOS[number]), *rest)
-        for (ip_lo, port_lo, ip_hi, port_hi, number), rest
-        in zip(keys, zip(*(column[rank].tolist() for column in fields_after_key)))
-    ]
-    place = np.argsort(rank)  # each episode's place in record order
+    place = np.argsort(rank)  # each episode's place in flow order
     return Aggregation(
-        records=records,
+        flows=flows,
         packets=rows[np.argsort(place[episode], kind="stable")],
         bounds=np.concatenate(([0], np.cumsum(counts[rank]))),
         rejected=len(table) - len(kept),
@@ -458,4 +541,5 @@ def aggregate(
     active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
 ) -> list[FlowRecord]:
     """Aggregate a time-ordered packet stream into flow episodes."""
-    return aggregate_table(PacketTable.from_records(packets), inactive_timeout, active_timeout).records
+    table = PacketTable.from_records(packets)
+    return aggregate_table(table, inactive_timeout, active_timeout).flows.records()

@@ -9,13 +9,20 @@ capture can carry a different label.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from ..errors import FormatError
 from ..files import csv_rows
-from ..flow import FlowKey, Proto, canonical_endpoints, ip_to_str, str_to_ip
+from ..flow import FlowKey, FlowTable, Proto, ip_to_str, str_to_ip
 
 HEADER = ("ip_lo", "port_lo", "ip_hi", "port_hi", "proto", "first_ts", "label")
+
+_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+# The dotted quads ipaddress accepts: four octets in 0..255, no leading zero.
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
+_PROTO_NAMES = {"TCP": 6, "6": 6, "UDP": 17, "17": 17}
 
 
 class LabelFileError(FormatError):
@@ -29,28 +36,50 @@ class LabelRow:
     label: str
 
 
-@dataclass
 class LabelFile:
-    rows: list[LabelRow]
-    _index: dict[tuple[FlowKey, int], str] = field(init=False, repr=False)
+    """Labels indexed by ``(ip_lo, port_lo, ip_hi, port_hi, proto, first_ts)``
+    int tuples.  A file read by :func:`load_labels` makes its ``rows`` on
+    first read."""
 
-    def __post_init__(self) -> None:
-        self._index = {(row.key, row.first_ts): row.label for row in self.rows}
+    def __init__(self, rows) -> None:
+        self.rows = list(rows)
+        self._index = {(*row.key.sort_tuple(), row.first_ts): row.label for row in self.rows}
+        self._len = len(self.rows)
+
+    @classmethod
+    def _indexed(cls, index: dict) -> LabelFile:
+        labels = cls.__new__(cls)
+        labels._index, labels._len = index, len(index)
+        return labels
+
+    @cached_property
+    def rows(self) -> list[LabelRow]:
+        return [
+            LabelRow(FlowKey(ip_lo, port_lo, ip_hi, port_hi, Proto(proto)), first_ts, label)
+            for (ip_lo, port_lo, ip_hi, port_hi, proto, first_ts), label in self._index.items()
+        ]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
 
     def lookup(self, key: FlowKey, first_ts: int) -> str | None:
-        return self._index.get((key, first_ts))
+        return self._index.get((*key.sort_tuple(), first_ts))
+
+    def join(self, flows: FlowTable) -> list[str | None]:
+        """Each flow's label, None where no row has its key and start."""
+        columns = (flows.ip_lo, flows.port_lo, flows.ip_hi, flows.port_hi, flows.proto,
+                   flows.first_ts)
+        return list(map(self._index.get, zip(*(column.tolist() for column in columns))))
 
 
-def _parse_proto(text: str, where: str) -> Proto:
-    normalized = text.strip().upper()
-    if normalized in ("TCP", "6"):
-        return Proto.TCP
-    if normalized in ("UDP", "17"):
-        return Proto.UDP
-    raise LabelFileError(f"{where}: unknown protocol {text!r}")
+def _parse_ip(text: str) -> int:
+    """A dotted quad as an int; any other text goes to ipaddress, which
+    refuses it with its own message."""
+    quad = _DOTTED_QUAD.fullmatch(text)
+    if quad is None:
+        return str_to_ip(text)
+    a, b, c, d = map(int, quad.groups())
+    return a << 24 | b << 16 | c << 8 | d
 
 
 def load_labels(path) -> LabelFile:
@@ -59,32 +88,34 @@ def load_labels(path) -> LabelFile:
     Endpoints are canonicalised on read and duplicated (key, first_ts) rows
     are rejected.
     """
-    rows: list[LabelRow] = []
-    seen: dict[tuple[FlowKey, int], int] = {}
+    index: dict[tuple[int, ...], str] = {}
+    parse_ip = lru_cache(maxsize=None)(_parse_ip)  # server addresses repeat from row to row
     for line, row in csv_rows(path, HEADER, LabelFileError):
-        where = f"{path}: line {line}"
         try:
-            ip_a = str_to_ip(row[0])
-            port_a = int(row[1])
-            ip_b = str_to_ip(row[2])
-            port_b = int(row[3])
+            ip_a, port_a = parse_ip(row[0]), int(row[1])
+            ip_b, port_b = parse_ip(row[2]), int(row[3])
             first_ts = int(row[5])
         except ValueError as exc:
-            raise LabelFileError(f"{where}: {exc}") from None
+            raise LabelFileError(f"{path}: line {line}: {exc}") from None
         for name, port in (("port_lo", port_a), ("port_hi", port_b)):
             if not 0 <= port <= 0xFFFF:
-                raise LabelFileError(f"{where}: {name} {port} outside 0..65535")
+                raise LabelFileError(f"{path}: line {line}: {name} {port} outside 0..65535")
         if first_ts < 0:
-            raise LabelFileError(f"{where}: first_ts {first_ts} is negative")
-        key, _ = canonical_endpoints(ip_a, port_a, ip_b, port_b, _parse_proto(row[4], where))
-        if (key, first_ts) in seen:
+            raise LabelFileError(f"{path}: line {line}: first_ts {first_ts} is negative")
+        proto = _PROTO_NAMES.get(row[4].strip().upper())
+        if proto is None:
+            raise LabelFileError(f"{path}: line {line}: unknown protocol {row[4]!r}")
+        if (ip_a, port_a) <= (ip_b, port_b):
+            key = (ip_a, port_a, ip_b, port_b, proto, first_ts)
+        else:
+            key = (ip_b, port_b, ip_a, port_a, proto, first_ts)
+        if key in index:  # every earlier row is in the index, in line order from 2
             raise LabelFileError(
-                f"{where}: duplicate of line {seen[(key, first_ts)]} "
+                f"{path}: line {line}: duplicate of line {list(index).index(key) + 2} "
                 f"for the same flow key and start time"
             )
-        seen[(key, first_ts)] = line
-        rows.append(LabelRow(key, first_ts, row[6]))
-    return LabelFile(rows)
+        index[key] = row[6]
+    return LabelFile._indexed(index)
 
 
 def write_labels(path, rows) -> None:

@@ -65,14 +65,6 @@ class FlowTrace:
         if self.sizes.size == 0:
             raise ContractError("a flow trace has at least one packet")
 
-    @classmethod
-    def from_packets(cls, packets) -> "FlowTrace":
-        packets = sorted(packets, key=lambda p: p.ts)
-        return cls(
-            sizes=np.array([p.length for p in packets], dtype=np.int64),
-            ts=np.array([p.ts for p in packets], dtype=np.int64),
-        )
-
     @property
     def length(self) -> int:
         return int(self.sizes.size)
@@ -191,7 +183,7 @@ def traces_from_table(table: PacketTable, inactive_timeout: float = DEFAULT_INAC
     """One FlowTrace per flow episode of a packet table, in episode order:
     the episode's packets sorted by time, ties in arrival order."""
     agg = aggregate_table(table, inactive_timeout, active_timeout)
-    episode = np.repeat(np.arange(len(agg.records)), np.diff(agg.bounds))
+    episode = np.repeat(np.arange(len(agg.flows)), np.diff(agg.bounds))
     ts = table.ts[agg.packets].astype(np.int64)
     by_time = np.lexsort((ts, episode))
     ts, sizes = ts[by_time], table.length[agg.packets[by_time]].astype(np.int64)

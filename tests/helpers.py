@@ -20,11 +20,16 @@ These tools live here:
   estimates of one sampled flow, which the vectorised Monte Carlo
   ``simulate_estimates`` must reproduce trial by trial;
 * the per-ratio sampling report that the one-draw engine replaced: a
-  fresh draw and a dense survivor mask for every (ratio, flow).
+  fresh draw and a dense survivor mask for every (ratio, flow);
+* the per-flow ingest tail that the columnar one replaced: the per-record
+  feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
+  line, and the per-cell dataset writer;
+* a sorted packet list as one sampling trace.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,12 +39,15 @@ import numpy as np
 
 from flowident.classifier import VARIANCE_FLOOR, ClassifierModel
 from flowident.errors import ContractError
+from flowident.features import FEATURE_NAMES
+from flowident.files import csv_rows
 from flowident.flow import (
     REORDER_TOLERANCE_US,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
     Direction,
+    FlowKey,
     FlowRecord,
     PacketRecord,
     Proto,
@@ -47,8 +55,10 @@ from flowident.flow import (
     canonical_key,
     str_to_ip,
 )
+from flowident.ingest.labels import HEADER as LABEL_HEADER
+from flowident.ingest.labels import LabelFileError, LabelRow
 from flowident.ingest.pcap import PcapDecodeError
-from flowident.sampling import Metric, ReportRow, SamplingConfig, SamplingReport
+from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
 
 
 def ip(text: str) -> int:
@@ -691,3 +701,94 @@ def merge_records_oracle(records, boot_us: int):
             entries.append(_ExportEntryOracle(key, direction, *times, pkts, octets, flags, tos))
             waiting.append(entries[-1])
     return [entry.to_record() for entry in entries]
+
+
+# --------------------------------------------------------------------------
+# The per-flow ingest tail the columnar one replaced: one feature tuple per
+# record, one label row object per line, one csv.writer cell per value
+# --------------------------------------------------------------------------
+
+def featurize_oracle(flow: FlowRecord) -> tuple[float, ...]:
+    """The 16 features of one record by the per-record formulas, as floats."""
+    key = flow.key
+    raw_duration = (flow.last_ts - flow.first_ts) / 1e6
+    duration = raw_duration if raw_duration > 0 else 0.001
+    packets = flow.total_packets
+    total_bytes = flow.total_bytes
+    mean_fwd_len = flow.fwd_bytes / flow.fwd_packets
+    mean_bwd_len = flow.bwd_bytes / flow.bwd_packets if flow.bwd_packets else 0.0
+    return tuple(map(float, (
+        min(key.port_lo, key.port_hi),
+        max(key.port_lo, key.port_hi),
+        duration,
+        int(key.proto),
+        flow.tcp_flags_fwd,
+        flow.tcp_flags_bwd,
+        packets / duration,
+        total_bytes / duration,
+        duration / packets,
+        flow.fwd_packets / max(flow.bwd_packets, 1),
+        flow.fwd_bytes / max(flow.bwd_bytes, 1),
+        mean_fwd_len / max(mean_bwd_len, 1.0),
+        packets,
+        total_bytes,
+        flow.tos,
+        total_bytes / packets,
+    )))
+
+
+def write_dataset_oracle(ds, path) -> None:
+    """A dataset CSV written one csv.writer row of per-cell strings at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FEATURE_NAMES + ("label",))
+        for values, label in zip(ds.data.tolist(), ds.labels()):
+            writer.writerow([f"{v:.9g}" for v in values] + [label or ""])
+
+
+def _label_proto_oracle(text: str, where: str) -> Proto:
+    normalized = text.strip().upper()
+    if normalized in ("TCP", "6"):
+        return Proto.TCP
+    if normalized in ("UDP", "17"):
+        return Proto.UDP
+    raise LabelFileError(f"{where}: unknown protocol {text!r}")
+
+
+def load_labels_oracle(path) -> list[LabelRow]:
+    """A label CSV's rows, parsed with ``ipaddress`` and one FlowKey per line."""
+    rows: list[LabelRow] = []
+    seen: dict[tuple[FlowKey, int], int] = {}
+    for line, row in csv_rows(path, LABEL_HEADER, LabelFileError):
+        where = f"{path}: line {line}"
+        try:
+            ip_a = str_to_ip(row[0])
+            port_a = int(row[1])
+            ip_b = str_to_ip(row[2])
+            port_b = int(row[3])
+            first_ts = int(row[5])
+        except ValueError as exc:
+            raise LabelFileError(f"{where}: {exc}") from None
+        for name, port in (("port_lo", port_a), ("port_hi", port_b)):
+            if not 0 <= port <= 0xFFFF:
+                raise LabelFileError(f"{where}: {name} {port} outside 0..65535")
+        if first_ts < 0:
+            raise LabelFileError(f"{where}: first_ts {first_ts} is negative")
+        key, _ = canonical_endpoints(ip_a, port_a, ip_b, port_b, _label_proto_oracle(row[4], where))
+        if (key, first_ts) in seen:
+            raise LabelFileError(
+                f"{where}: duplicate of line {seen[(key, first_ts)]} "
+                f"for the same flow key and start time"
+            )
+        seen[(key, first_ts)] = line
+        rows.append(LabelRow(key, first_ts, row[6]))
+    return rows
+
+
+def trace_from_packets(packets) -> FlowTrace:
+    """One FlowTrace of a packet list, sorted by time."""
+    packets = sorted(packets, key=lambda p: p.ts)
+    return FlowTrace(
+        sizes=np.array([p.length for p in packets], dtype=np.int64),
+        ts=np.array([p.ts for p in packets], dtype=np.int64),
+    )

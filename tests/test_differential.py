@@ -15,10 +15,16 @@ the packet list one trial at a time, and the sampling report, drawn once per
 flow for all ratios, must equal the per-ratio report that drew once per
 (ratio, flow).  The model loader, fed saved documents
 with a few values replaced or keys deleted, must load a model that predicts or
-raise ModelFormatError.
+raise ModelFormatError.  The columnar ingest tail must give exactly what the
+per-flow one gave: the feature matrix the per-record formulas' bits, the
+dataset writer the per-cell writer's bytes, and the label reader, on valid
+and damaged label files, the rows and lookups or the error message of the
+``ipaddress`` parser.
 """
 
 import copy
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -52,20 +58,24 @@ from flowident.evaluation import (
     metrics,
 )
 from flowident.errors import FormatError
-from flowident.features import Dataset, FeatureVector
+from flowident.features import Dataset, FeatureVector, feature_matrix, featurize, write_dataset
 from flowident.flow import (
     TCP_ACK,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
     FlowAggregator,
+    FlowKey,
+    FlowRecord,
+    FlowTable,
     PacketRecord,
     PacketTable,
     Proto,
     aggregate,
     aggregate_table,
 )
-from flowident.ingest import pcap
+from flowident.ingest import load_labels, pcap
+from flowident.ingest.labels import HEADER
 from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
 from flowident.ingest.pcap import PcapDecodeError, PcapReader, _build_frame
 from flowident.sampling import (
@@ -84,7 +94,9 @@ from helpers import (
     confusion_oracle,
     estimate,
     eth_ipv4_frame,
+    featurize_oracle,
     ip,
+    load_labels_oracle,
     mc_estimates_oracle,
     merge_records_oracle,
     mk_packet,
@@ -99,8 +111,10 @@ from helpers import (
     sampling_report_oracle,
     score_oracle,
     traces_oracle,
+    trace_from_packets,
     train_oracle,
     update_oracle,
+    write_dataset_oracle,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -376,12 +390,40 @@ def closed_both_ways_then_reopened(first_ts, reopen_ts):
     ]
 
 
+def one_key(*steps):
+    """A lone packet of another key, whose group is one episode, then packets
+    of the first conversation, one per (stamp, travels backward, flags) step."""
+    (a, b, _), (c, d, _) = CONVERSATIONS[:2]
+    packets = [
+        PacketRecord(ts, ip(b[0] if back else a[0]), ip(a[0] if back else b[0]),
+                     b[1] if back else a[1], a[1] if back else b[1], Proto.TCP, 40 + i, flags)
+        for i, (ts, back, flags) in enumerate(steps)
+    ]
+    return [PacketRecord(steps[0][0], ip(c[0]), ip(d[0]), c[1], d[1], Proto.TCP, 60)] + packets
+
+
 @settings(max_examples=200, deadline=None)
 @given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
 # Two episodes of one key starting at the same time: the first closed comes first.
 @example(closed_both_ways_then_reopened(10_000_000, 10_000_000), 15.0, 1800.0)
 # The key's second episode starts earlier than its first (tolerated reordering).
 @example(closed_both_ways_then_reopened(10_500_000, 10_000_000), 15.0, 1800.0)
+# A key group split by the idle limit, then by the age limit.
+@example(one_key((10_000_000, False, 0), (11_000_001, True, 0), (11_500_000, False, 0)), 1.0, 1800.0)
+@example(one_key((10_000_000, False, 0), (11_000_000, True, 0), (12_000_000, False, 0),
+                 (13_000_001, True, 0), (13_500_000, False, 0)), 15.0, 3.0)
+# Closed both ways (FIN one way, RST back) before the group's last packet, and
+# closed both ways on it; a close in one way only twice leaves it open.
+@example(one_key((10_000_000, False, TCP_FIN), (10_000_100, True, TCP_RST),
+                 (10_000_200, True, TCP_ACK)), 15.0, 1800.0)
+@example(one_key((10_000_000, False, TCP_SYN), (10_000_100, True, TCP_FIN),
+                 (10_000_200, False, TCP_FIN | TCP_ACK)), 15.0, 1800.0)
+@example(one_key((10_000_000, False, TCP_FIN), (10_000_100, False, TCP_RST),
+                 (10_000_200, True, TCP_ACK)), 15.0, 1800.0)
+# Stamps that step back: a span past the idle limit that stays one episode,
+# and an age counted from a stepped-back stamp that splits the group.
+@example(one_key((11_000_000, False, 0), (10_200_000, True, 0), (11_500_000, False, 0)), 1.0, 1800.0)
+@example(one_key((13_000_000, False, 0), (12_100_000, True, 0), (15_500_000, False, 0)), 15.0, 3.0)
 def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     records, kept, accepted, rejected = aggregate_oracle(packets, inactive, active)
     agg = FlowAggregator(inactive, active)
@@ -396,7 +438,7 @@ def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     assert (agg.accepted, agg.rejected) == (accepted, rejected)
     assert aggregate(packets, inactive, active) == records
     table = aggregate_table(PacketTable.from_records(packets), inactive, active)
-    assert table.records == records
+    assert table.flows.records() == records
     assert [[packets[i] for i in table.packets[lo:hi].tolist()]
             for lo, hi in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist())] == kept
     assert (len(table.packets), table.rejected) == (accepted, rejected)
@@ -605,7 +647,7 @@ def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_b
     cfg = SamplingConfig(p, seed=11)
     if chunk_budget is not None:
         monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
-    l_hat, s_hat, fd_hat = simulate_estimates(FlowTrace.from_packets(packets), cfg, MIN_TRIALS)
+    l_hat, s_hat, fd_hat = simulate_estimates(trace_from_packets(packets), cfg, MIN_TRIALS)
     uniforms = np.random.default_rng(cfg.seed).random((MIN_TRIALS, n), dtype=np.float32)
     oracle = [estimate(bernoulli_sample(packets, cfg, row), p) for row in uniforms]
     assert {e.sampled_count for e in oracle} >= {0, 1, 2}
@@ -651,3 +693,140 @@ def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, see
     for got, n in zip(estimates, ratios):
         want = mc_estimates_oracle(traces[0], 1.0 / n, seed, trials)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# --------------------------------------------------------------------------
+# The columnar ingest tail against the per-flow one
+# --------------------------------------------------------------------------
+
+@st.composite
+def flow_records(draw):
+    """A consistent record whose duration is often zero, whose backward way is
+    often empty and whose byte totals reach past 1e9."""
+    proto = draw(st.sampled_from((Proto.TCP, Proto.UDP)))
+    low, high = sorted((draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 65535)))
+                       for _ in range(2))
+    key = FlowKey(*low, *high, proto)
+    first_ts = draw(st.integers(0, 2**62))
+    span = draw(st.sampled_from((0, 0, 1, 999, 1000, 1001)) | st.integers(0, 10**13))
+    fwd_packets = draw(st.integers(1, 10**7))
+    bwd_packets = draw(st.sampled_from((0, 0, 1)) | st.integers(0, 10**7))
+    extra = st.sampled_from((0, 1)) | st.integers(0, 10**12)
+    flags = st.integers(0, 255) if proto is Proto.TCP else st.just(0)
+    return FlowRecord(
+        key=key, first_ts=first_ts, last_ts=first_ts + span,
+        fwd_packets=fwd_packets, fwd_bytes=20 * fwd_packets + draw(extra),
+        bwd_packets=bwd_packets, bwd_bytes=20 * bwd_packets + draw(extra) if bwd_packets else 0,
+        tcp_flags_fwd=draw(flags), tcp_flags_bwd=draw(flags), tos=draw(st.integers(0, 255)),
+        complete=draw(st.booleans()), initiator_lo=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(flow_records(), max_size=20))
+@example([])
+def test_feature_matrix_equals_the_per_record_formulas(records):
+    table = FlowTable.from_records(records)
+    assert table.records() == records
+    matrix = feature_matrix(table)
+    assert matrix.dtype == np.float64 and matrix.shape == (len(records), 16)
+    assert [tuple(row) for row in matrix.tolist()] == [featurize_oracle(r) for r in records]
+    assert [featurize(r).values() for r in records] == [featurize_oracle(r) for r in records]
+
+
+# Finite values that print as integers, in fixed or exponent form, rounded,
+# subnormal or signed zero.
+CELL_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from((0.0, -0.0, 1e-5, 1e-4, 123456789.0, 1234567890.0, 1e16, 5e-324))
+               | st.integers(-10**12, 10**12).map(float))
+LABELS = st.text(alphabet=st.sampled_from('ab ,"\n\r\t\'é;'), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LABELS, max_size=5, unique=True),
+       st.lists(st.tuples(st.lists(CELL_VALUES, min_size=16, max_size=16), st.integers(-1, 4)),
+                max_size=12))
+def test_write_dataset_equals_the_per_cell_writer(alphabet, rows):
+    codes = [code if code < len(alphabet) else -1 for _, code in rows]
+    ds = Dataset.from_arrays(np.array([values for values, _ in rows]).reshape(-1, 16), codes,
+                             alphabet)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_dataset(ds, got)
+        write_dataset_oracle(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+BAD_IPS = ("10.1", "01.2.3.4", "1.2.3.256", "1.2.3", "1.2.3.4.5", " 1.2.3.4", "1.2.3.4 ",
+           "1.2.3.04", "256.0.0.1", "1..2.3", "", "1.2.3.4/32", "::1", "１.2.3.4",
+           "0x1.2.3.4", "1.2.3.-4", "+1.2.3.4")
+GOOD_IPS = ("0.0.0.0", "255.255.255.255", "10.0.0.1", "192.168.0.1", "1.2.3.4", "100.20.3.0")
+BAD_INTS = ("-1", "65536", "80.0", " 80", "+80", "8_0", "x", "", "1e3", "٨٠",
+            str(2**64), "-0")
+PROTOS = ("TCP", "tcp", " UDP ", "6", "17", "Tcp", "icmp", "", "06", "udp\t")
+
+
+@st.composite
+def label_files(draw):
+    """The text of a label CSV: valid rows, some spelled loosely, then a few
+    semantic mutations (addresses, ports, stamps, protocols, field counts,
+    duplicate keys, quoted labels)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append([
+            draw(st.sampled_from(GOOD_IPS)), str(draw(st.integers(0, 65535))),
+            draw(st.sampled_from(GOOD_IPS)), str(draw(st.integers(0, 65535))),
+            draw(st.sampled_from(PROTOS[:6])), str(draw(st.integers(0, 2**62))),
+            draw(st.sampled_from(("web", "bulk", "", "a,b", 'say "hi"', "two\nlines"))),
+        ])
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(("ip", "port", "stamp", "proto", "fields", "duplicate")))
+        if kind == "ip":
+            row[draw(st.sampled_from((0, 2)))] = draw(st.sampled_from(BAD_IPS + GOOD_IPS))
+        elif kind == "port":
+            row[draw(st.sampled_from((1, 3)))] = draw(st.sampled_from(BAD_INTS))
+        elif kind == "stamp":
+            row[5] = draw(st.sampled_from(BAD_INTS + (str(2**63), "0")))
+        elif kind == "proto":
+            row[4] = draw(st.sampled_from(PROTOS))
+        elif kind == "fields":
+            if draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("extra")
+        else:
+            twin = list(row)
+            if len(twin) == 7 and draw(st.booleans()):
+                twin[0:4] = twin[2:4] + twin[0:2]  # the same key, endpoints swapped
+            rows.insert(draw(st.integers(0, len(rows))), twin)
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([HEADER] + rows)
+    return buffer.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_files())
+@example("ip_lo,port_lo,ip_hi,port_hi,proto,first_ts,label\n10.1,1,2.3.4.5,2,TCP,1,a\n")
+def test_load_labels_equals_the_ipaddress_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            want = load_labels_oracle(path)
+        except FormatError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_labels(path)
+            assert str(got.value) == str(exc)
+            return
+        labels = load_labels(path)
+    assert labels.rows == want and len(labels) == len(want)
+    index = {(row.key, row.first_ts): row.label for row in want}
+    for row in want:
+        for ts in (row.first_ts, row.first_ts + 1):
+            assert labels.lookup(row.key, ts) == index.get((row.key, ts))
+    starts = [(row.key, ts) for row in want for ts in (row.first_ts, 0) if ts < 2**63]
+    flows = FlowTable.from_records(FlowRecord(key, ts, ts, 1, 20, 0, 0) for key, ts in starts)
+    assert labels.join(flows) == [index.get(start) for start in starts]

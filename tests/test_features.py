@@ -20,7 +20,7 @@ from flowident.features import (
     write_dataset,
 )
 from flowident.flow import FlowKey, FlowRecord, Proto, aggregate
-from helpers import ip, mk_packet
+from helpers import featurize_oracle, ip, mk_packet
 
 
 def handshake_flow():
@@ -69,35 +69,6 @@ def test_single_packet_duration_floor():
     assert vec.mean_pkt_len == 90.0
 
 
-def recompute(flow):
-    """Straight-line re-derivation of every feature from the record."""
-    dur = (flow.last_ts - flow.first_ts) / 1e6
-    if dur <= 0:
-        dur = 0.001
-    pkts = flow.fwd_packets + flow.bwd_packets
-    size = flow.fwd_bytes + flow.bwd_bytes
-    fwd_len = flow.fwd_bytes / flow.fwd_packets
-    bwd_len = flow.bwd_bytes / flow.bwd_packets if flow.bwd_packets else 0.0
-    return (
-        float(min(flow.key.port_lo, flow.key.port_hi)),
-        float(max(flow.key.port_lo, flow.key.port_hi)),
-        dur,
-        float(int(flow.key.proto)),
-        float(flow.tcp_flags_fwd),
-        float(flow.tcp_flags_bwd),
-        pkts / dur,
-        size / dur,
-        dur / pkts,
-        flow.fwd_packets / max(flow.bwd_packets, 1),
-        flow.fwd_bytes / max(flow.bwd_bytes, 1),
-        fwd_len / max(bwd_len, 1.0),
-        float(pkts),
-        float(size),
-        float(flow.tos),
-        size / pkts,
-    )
-
-
 # Raw draws are normalised before the record is built, so every generated
 # record is internally consistent: last >= first, bytes track packet counts.
 flow_records = st.fixed_dictionaries(
@@ -135,7 +106,7 @@ flow_records = st.fixed_dictionaries(
 @settings(max_examples=200)
 @given(flow_records)
 def test_featurize_matches_plain_recomputation(flow):
-    assert featurize(flow).values() == recompute(flow)
+    assert featurize(flow).values() == featurize_oracle(flow)
 
 
 def test_timestamp_shift_leaves_features_unchanged():

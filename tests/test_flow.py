@@ -1,5 +1,6 @@
 """Packet records, canonical keys, and flow aggregation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +119,17 @@ def test_flow_key_validation(field, value, message):
     fields[field] = value
     with pytest.raises(ContractError, match=message):
         FlowKey(**fields)
+
+
+@pytest.mark.parametrize("ts", [1.5, np.float64(2.0), -1, 2**63, True, "5", None])
+def test_packet_record_refuses_a_stamp_that_is_not_a_non_negative_integer(ts):
+    with pytest.raises(ContractError, match="packet stamps must be non-negative integers"):
+        mk_packet(ts=ts)
+
+
+@pytest.mark.parametrize("ts", [0, np.int64(7), 2**63 - 1])
+def test_packet_record_accepts_a_non_negative_64_bit_stamp(ts):
+    assert mk_packet(ts=ts).ts == ts
 
 
 @pytest.mark.parametrize("ts", [1.5, 2**63, -(2**63) - 1])

@@ -11,7 +11,9 @@ The capture written from the demo spec is pinned by its sha256, so the
 packet generator and the pcap writer cannot move a byte either.  The
 sampling report on that capture (``golden_sampling.*``) was written by the
 per-ratio Monte Carlo, one draw per (ratio, flow), that the one-draw engine
-replaced.
+replaced.  The ``ingest`` outputs on that capture are pinned by the sha256
+the per-flow ingest (one record, label row and feature vector per flow) gave
+before the columnar one replaced it.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ from flowident.classifier import load_model, save_model, train, update
 from flowident.cli import main
 from flowident.evaluation import assign_folds
 from flowident.features import Dataset, read_dataset
+from flowident.flow import aggregate
+from flowident.ingest import encode_netflow_v5, write_labels
 from flowident.ingest.pcap import write_pcap
 from flowident.synth import generate_packets, load_synth_spec
 
@@ -34,6 +38,11 @@ TRAIN_ROWS = 48
 FOLDS_K, FOLDS_SEED = 10, 7
 SAMPLING_ARGS = ["--ratios", "1:1,1:8,1:128,1:1024", "--trials", "2000", "--seed", "3"]
 DEMO_CAPTURE_SHA256 = "20aba2e14569ae0a9e84be7462d8164f61f0611723296c02bb64634c7d99b214"
+INGEST_SHA256 = {
+    "labeled": "64c87471cfbe9c3da249f9a4342a4d98bfc4f5c9bc64e8956b8f8055aa220c94",
+    "complete": "415fd9a67da30cdfcb15e4aaa2382fe8d301105b6ce8619f2b23f3a6cffde262",
+    "netflow": "f4eaf8b0e08ec1d769184c378b0fa62b338d06c9741c8eaad7abea06e5fe867e",
+}
 
 
 def saved_model_text(model, path) -> str:
@@ -101,3 +110,20 @@ def test_sampling_report_bytes(tmp_path):
     assert code == 0
     assert out_json.read_text() == (FIXTURES / "golden_sampling.json").read_text()
     assert out_csv.read_text() == (FIXTURES / "golden_sampling.csv").read_text()
+
+
+def test_ingest_output_bytes(tmp_path):
+    packets, label_rows = generate_packets(load_synth_spec(FIXTURES / "demo_spec.json"))
+    capture, labels, export = tmp_path / "demo.pcap", tmp_path / "labels.csv", tmp_path / "demo.nf5"
+    write_pcap(capture, packets)
+    write_labels(labels, label_rows)
+    export.write_bytes(b"".join(encode_netflow_v5(aggregate(packets))))
+    argv = {
+        "labeled": ["--pcap", capture, "--labels", labels],
+        "complete": ["--pcap", capture, "--complete-only"],
+        "netflow": ["--netflow", export],
+    }
+    for name, args in argv.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["ingest", *map(str, args), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == INGEST_SHA256[name], name

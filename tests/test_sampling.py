@@ -19,7 +19,7 @@ from flowident.sampling import (
     simulate_estimates,
     traces_from_packets,
 )
-from helpers import FlowEstimates, bernoulli_sample, estimate, mk_packet
+from helpers import FlowEstimates, bernoulli_sample, estimate, mk_packet, trace_from_packets
 
 
 def make_trace(sizes, ts=None):
@@ -56,7 +56,7 @@ def test_flow_trace_properties_and_validation():
     with pytest.raises(ContractError, match="at least one packet"):
         FlowTrace(sizes=np.array([], dtype=np.int64), ts=np.array([], dtype=np.int64))
     with pytest.raises(ContractError, match="at least one packet"):
-        FlowTrace.from_packets([])
+        trace_from_packets([])
 
 
 def test_flow_trace_from_packets_sorts_by_time():
@@ -65,7 +65,7 @@ def test_flow_trace_from_packets_sorts_by_time():
         mk_packet(ts=1_000_000, length=60),
         mk_packet(ts=2_000_000, length=52),
     ]
-    trace = FlowTrace.from_packets(packets)
+    trace = trace_from_packets(packets)
     assert trace.sizes.tolist() == [60, 52, 40]
     assert trace.ts.tolist() == [1_000_000, 2_000_000, 3_000_000]
 
