@@ -19,14 +19,13 @@ from .files import read_json, write_json
 from .flow import (
     DEFAULT_ACTIVE_TIMEOUT,
     DEFAULT_INACTIVE_TIMEOUT,
-    FlowTable,
     PacketTable,
     aggregate_table,
 )
 from .ingest import (
     PcapReader,
     load_labels,
-    read_netflow_file,
+    read_netflow_table,
     write_labels,
     write_pcap,
 )
@@ -109,7 +108,7 @@ def cmd_ingest(args) -> int:
         if agg.rejected:
             print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
     else:
-        flows = FlowTable.from_records(read_netflow_file(args.netflow))
+        flows = read_netflow_table(args.netflow)
     if args.complete_only:
         flows = flows.take(flows.complete)
     labels = [None] * len(flows)

@@ -7,8 +7,8 @@ episode, "forward" means the direction of the episode's first packet.
 
 Packets travel as one :class:`PacketTable` of columns; :func:`aggregate_table`
 turns it into a :class:`FlowTable` of columns with one sort and per-episode
-reductions.  :class:`FlowAggregator` folds one :class:`PacketRecord` at a
-time into the same episodes, for callers that stream packets.
+reductions; the NetFlow reader decodes into the same table, and
+:class:`FlowAggregator` buffers :class:`PacketRecord`s for one call.
 """
 
 from __future__ import annotations
@@ -140,6 +140,23 @@ def canonical_key(pkt: PacketRecord) -> tuple[FlowKey, Direction]:
     return canonical_endpoints(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
 
 
+def canonical_columns(ip_a, port_a, ip_b, port_b, proto):
+    """:func:`canonical_endpoints` over int64 columns: the key's five
+    columns, whether each row travels forward, and the key packed into two
+    integers that sort as :meth:`FlowKey.sort_tuple` does."""
+    forward = (ip_a < ip_b) | ((ip_a == ip_b) & (port_a <= port_b))
+    key = (
+        np.where(forward, ip_a, ip_b), np.where(forward, port_a, port_b),
+        np.where(forward, ip_b, ip_a), np.where(forward, port_b, port_a), proto,
+    )
+    return key, forward, (key[0] << 16 | key[1], key[2] << 24 | key[3] << 8 | key[4])
+
+
+def is_complete(flags: np.ndarray) -> np.ndarray:
+    """Whether flag ORs over both directions hold both SYN and FIN."""
+    return flags & _COMPLETE_FLAGS == _COMPLETE_FLAGS
+
+
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
     """One aggregated flow episode.
@@ -188,121 +205,6 @@ class FlowRecord:
     @property
     def duration_seconds(self) -> float:
         return (self.last_ts - self.first_ts) / 1e6
-
-
-class Episode:
-    """One bidirectional flow being accumulated, from packets or from
-    unidirectional export records.  Forward is ``orientation``, the
-    direction of the first part folded in."""
-
-    __slots__ = (
-        "key", "orientation", "first_ts", "last_ts", "fwd_packets", "fwd_bytes",
-        "bwd_packets", "bwd_bytes", "flags_fwd", "flags_bwd", "tos",
-    )
-
-    def __init__(self, key: FlowKey, orientation: Direction, ts: int) -> None:
-        self.key = key
-        self.orientation = orientation
-        self.first_ts = self.last_ts = ts
-        self.fwd_packets = self.fwd_bytes = self.flags_fwd = 0
-        self.bwd_packets = self.bwd_bytes = self.flags_bwd = 0
-        self.tos = 0
-
-    def add(self, direction: Direction, first_ts: int, last_ts: int,
-            packets: int, octets: int, flags: int, tos: int) -> None:
-        """Fold in ``packets`` packets seen between ``first_ts`` and ``last_ts``."""
-        # Widen the window, not first/last seen: tolerated reordering may
-        # deliver a packet with an earlier stamp than the episode start.
-        if first_ts < self.first_ts:
-            self.first_ts = first_ts
-        if last_ts > self.last_ts:
-            self.last_ts = last_ts
-        if direction is self.orientation:
-            self.fwd_packets += packets
-            self.fwd_bytes += octets
-            self.flags_fwd |= flags
-        else:
-            self.bwd_packets += packets
-            self.bwd_bytes += octets
-            self.flags_bwd |= flags
-        self.tos |= tos
-
-    def to_record(self) -> FlowRecord:
-        return FlowRecord(
-            key=self.key,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            fwd_packets=self.fwd_packets,
-            fwd_bytes=self.fwd_bytes,
-            bwd_packets=self.bwd_packets,
-            bwd_bytes=self.bwd_bytes,
-            tcp_flags_fwd=self.flags_fwd,
-            tcp_flags_bwd=self.flags_bwd,
-            tos=self.tos,
-            complete=((self.flags_fwd | self.flags_bwd) & _COMPLETE_FLAGS) == _COMPLETE_FLAGS,
-            initiator_lo=self.orientation is Direction.FORWARD,
-        )
-
-
-class FlowAggregator:
-    """Streaming packet-to-flow aggregator.
-
-    An episode closes when the gap since its last packet exceeds
-    ``inactive_timeout``, when its age exceeds ``active_timeout``, or (TCP)
-    once FIN or RST has been seen in both directions.  Packets arriving more
-    than one second behind the stream clock are rejected and counted in
-    ``rejected`` rather than silently misfiled.
-    """
-
-    def __init__(
-        self,
-        inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
-        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
-    ) -> None:
-        check_finite("inactive_timeout", inactive_timeout, positive=True)
-        check_finite("active_timeout", active_timeout, positive=True)
-        self._inactive_us = int(inactive_timeout * 1e6)
-        self._active_us = int(active_timeout * 1e6)
-        self._open: dict[FlowKey, Episode] = {}
-        self._done: list[Episode] = []
-        self._clock = _CLOCK_START
-        self.accepted = 0
-        self.rejected = 0
-
-    def add(self, pkt: PacketRecord) -> Episode | None:
-        """Fold one packet in; returns the episode it joined, or None when
-        the packet is rejected."""
-        ts = pkt.ts
-        if ts < self._clock - REORDER_TOLERANCE_US:
-            self.rejected += 1
-            return None
-        self._clock = max(self._clock, ts)
-        self.accepted += 1
-        key, direction = canonical_key(pkt)
-        episode = self._open.get(key)
-        if episode is not None:
-            idle = ts - episode.last_ts
-            age = ts - episode.first_ts
-            if idle > self._inactive_us or age > self._active_us:
-                self._done.append(self._open.pop(key))
-                episode = None
-        if episode is None:
-            episode = self._open[key] = Episode(key, direction, ts)
-        episode.add(direction, ts, ts, 1, pkt.length, pkt.tcp_flags, pkt.tos)
-        if episode.flags_fwd & _CLOSE_FLAGS and episode.flags_bwd & _CLOSE_FLAGS:
-            self._done.append(self._open.pop(key))
-        return episode
-
-    def flush(self) -> None:
-        self._done.extend(self._open.values())
-        self._open.clear()
-
-    def episodes(self) -> list[Episode]:
-        """Closed episodes, ordered by start time, then key."""
-        return sorted(self._done, key=lambda e: (e.first_ts, e.key.sort_tuple()))
-
-    def records(self) -> list[FlowRecord]:
-        return [episode.to_record() for episode in self.episodes()]
 
 
 @dataclass(frozen=True)
@@ -415,9 +317,16 @@ class Aggregation:
 
 def _episode_starts(ts, forward, closes, new_key, inactive_us: int, active_us: int) -> list[int]:
     """Where episodes start in a run of packets sorted by key, each key's in
-    arrival order, by the rules of :meth:`FlowAggregator.add`: a packet opens
-    one at a new key, once its key's episode has closed both ways, or past
-    the idle or age limit."""
+    arrival order.
+
+    A packet opens an episode at a new key; once its key's episode has closed
+    both ways, that is seen FIN or RST in its forward direction and in the
+    other; when it comes more than ``inactive_us`` after the episode's
+    latest stamp; or when it comes more than ``active_us`` after the
+    episode's earliest stamp.  An episode's window widens to every stamp it
+    takes, so a stamp up to the reorder tolerance behind moves its start
+    back.  Forward is the direction of the episode's first packet.
+    """
     starts = []
     first = last = 0
     is_open = orientation = closed_fwd = closed_bwd = False
@@ -471,8 +380,10 @@ def aggregate_table(
     inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
     active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
 ) -> Aggregation:
-    """The episodes, flows and counts :class:`FlowAggregator` gives for the
-    table's packets fed in row order."""
+    """The flow episodes of the table's packets in row order: a packet more
+    than ``REORDER_TOLERANCE_US`` behind the latest earlier stamp is rejected
+    and counted, and the others join their canonical key's episodes by the
+    rules of :func:`_episode_starts`."""
     check_finite("inactive_timeout", inactive_timeout, positive=True)
     check_finite("active_timeout", active_timeout, positive=True)
     ts = table.ts.astype(np.int64, copy=False)
@@ -484,18 +395,11 @@ def aggregate_table(
         empty = FlowTable.from_records([])
         return Aggregation(empty, kept, np.zeros(1, dtype=np.intp), len(ts))
 
-    src_ip, dst_ip, src_port, dst_port, proto = (
+    key, forward, (low, high) = canonical_columns(*(
         getattr(table, name)[kept].astype(np.int64)
-        for name in ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
-    )
-    forward = (src_ip < dst_ip) | ((src_ip == dst_ip) & (src_port <= dst_port))
-    key = (
-        np.where(forward, src_ip, dst_ip), np.where(forward, src_port, dst_port),
-        np.where(forward, dst_ip, src_ip), np.where(forward, dst_port, src_port), proto,
-    )
-    # The key packed into two integers that sort as FlowKey.sort_tuple does;
-    # the stable sort keeps each key's packets in arrival order.
-    low, high = key[0] << 16 | key[1], key[2] << 24 | key[3] << 8 | key[4]
+        for name in ("src_ip", "src_port", "dst_ip", "dst_port", "proto")
+    ))
+    # The stable sort keeps each key's packets in arrival order.
     order = np.lexsort((high, low))
     low, high, forward, rows = low[order], high[order], forward[order], kept[order]
     ts = ts[rows]
@@ -523,7 +427,7 @@ def aggregate_table(
             first_ts, np.maximum.reduceat(ts, starts), fwd_packets, fwd_bytes,
             counts - fwd_packets, np.add.reduceat(length, starts) - fwd_bytes,
             flags_fwd, flags_bwd, np.bitwise_or.reduceat(tos, starts),
-            (flags_fwd | flags_bwd) & _COMPLETE_FLAGS == _COMPLETE_FLAGS, forward[starts],
+            is_complete(flags_fwd | flags_bwd), forward[starts],
         )),
     )
     place = np.argsort(rank)  # each episode's place in flow order
@@ -533,6 +437,38 @@ def aggregate_table(
         bounds=np.concatenate(([0], np.cumsum(counts[rank]))),
         rejected=len(table) - len(kept),
     )
+
+
+class FlowAggregator:
+    """Packet-to-flow aggregation for callers that hold packets one at a
+    time: ``add`` buffers a packet, and ``flush`` runs :func:`aggregate_table`
+    over the packets added since the last flush.  ``records`` and the
+    ``accepted``/``rejected`` counts cover every flush."""
+
+    def __init__(
+        self,
+        inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
+        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT,
+    ) -> None:
+        check_finite("inactive_timeout", inactive_timeout, positive=True)
+        check_finite("active_timeout", active_timeout, positive=True)
+        self._timeouts = (inactive_timeout, active_timeout)
+        self._packets: list[PacketRecord] = []
+        self._flows: list[FlowRecord] = []
+        self.accepted = self.rejected = 0
+
+    def add(self, pkt: PacketRecord) -> None:
+        self._packets.append(pkt)
+
+    def flush(self) -> None:
+        agg = aggregate_table(PacketTable.from_records(self._packets), *self._timeouts)
+        self._packets = []
+        self._flows.extend(agg.flows.records())
+        self.accepted += len(agg.packets)
+        self.rejected += agg.rejected
+
+    def records(self) -> list[FlowRecord]:
+        return list(self._flows)
 
 
 def aggregate(

@@ -8,6 +8,7 @@ from .netflow import (
     decode_netflow_v5,
     encode_netflow_v5,
     read_netflow_file,
+    read_netflow_table,
 )
 from .pcap import (
     PcapDecodeError,
@@ -30,6 +31,7 @@ __all__ = [
     "encode_netflow_v5",
     "load_labels",
     "read_netflow_file",
+    "read_netflow_table",
     "read_pcap",
     "write_pcap",
 ]

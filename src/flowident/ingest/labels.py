@@ -102,6 +102,8 @@ def load_labels(path) -> LabelFile:
                 raise LabelFileError(f"{path}: line {line}: {name} {port} outside 0..65535")
         if first_ts < 0:
             raise LabelFileError(f"{path}: line {line}: first_ts {first_ts} is negative")
+        if first_ts >= 1 << 63:  # no flow stamp can join it
+            raise LabelFileError(f"{path}: line {line}: first_ts {first_ts} is above 2^63 - 1")
         proto = _PROTO_NAMES.get(row[4].strip().upper())
         if proto is None:
             raise LabelFileError(f"{path}: line {line}: unknown protocol {row[4]!r}")

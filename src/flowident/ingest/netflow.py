@@ -1,4 +1,4 @@
-"""NetFlow v5 export datagrams: decode to FlowRecords and encode back.
+"""NetFlow v5 export datagrams: decode to a FlowTable and encode back.
 
 The v5 wire format is big-endian: a 24-byte header (version, record count,
 sys_uptime in ms, export wall clock, sequence number, engine ids, sampling
@@ -6,6 +6,10 @@ field) followed by up to thirty 48-byte records.  Record timestamps are
 milliseconds of router uptime, so absolute times are recovered by anchoring
 against the header's wall clock; microsecond inputs therefore round down to
 the millisecond on a round trip.
+
+The reader walks the datagram headers in Python, then reads every record
+field of the file through one NumPy record type and checks each record
+rule as a mask.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import FormatError
-from ..flow import Episode, FlowKey, FlowRecord, Proto, canonical_endpoints
+from ..flow import FlowRecord, FlowTable, Proto, canonical_columns, is_complete
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -38,75 +44,148 @@ class EncodingError(FormatError):
     """Flow values do not fit the v5 wire format."""
 
 
-def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
-    """Decode one export datagram into bidirectional FlowRecords.
+def _check_header(version: int, count: int, where: str = "") -> None:
+    if version != VERSION:
+        raise UnsupportedVersionError(f"{where}expected version 5, got {version}")
+    if not 1 <= count <= MAX_RECORDS_PER_DATAGRAM:
+        raise MalformedDatagramError(f"{where}record count {count} outside [1, 30]")
 
-    Reciprocal unidirectional records inside the same datagram (same
-    canonical key, opposite directions) merge into one bidirectional flow;
-    the record seen first defines the forward direction.
-    """
+
+def _columns(rows: np.ndarray, layout: struct.Struct) -> list[np.ndarray]:
+    """Every field of ``layout`` in each ``layout.size`` bytes of ``rows``,
+    as int64 columns."""
+    dtype = np.dtype(",".join(">" + code for code in layout.format.lstrip("!")))
+    rows = np.ascontiguousarray(rows).reshape(-1).view(dtype)
+    return [rows[name].astype(np.int64) for name in dtype.names]
+
+
+def _decode(data: bytes, offsets: list[int], path) -> FlowTable:
+    """The flows of the datagrams at ``offsets``, which have valid headers
+    and follow each other from the start of ``data``; raises the first
+    record fault in file order, naming its datagram's offset when ``path``
+    is given."""
+    u8, offset = np.frombuffer(data, np.uint8), np.array(offsets, dtype=np.int64)
+    header = offset[:, None] + np.arange(_HEADER.size)
+    _, count, sys_uptime, unix_secs, unix_nsecs, *_ = _columns(u8[header], _HEADER)
+    body = np.ones(header.size + _RECORD.size * count.sum(), dtype=bool)  # record bytes
+    body[header] = False
+    (
+        src_ip, dst_ip, _nexthop, _inp, _out, pkts, octets, first, last,
+        src_port, dst_port, _pad1, flags, proto, tos, *_,
+    ) = _columns(u8[: len(body)][body], _RECORD)
+    datagram = np.repeat(np.arange(len(offset)), count)
+    uptime = sys_uptime[datagram]
+    export_us = (unix_secs * 1_000_000 + unix_nsecs // 1000)[datagram]
+
+    def absolute_us(uptime_ms):
+        # An uptime more than half the counter range above the header's was
+        # read before the 32-bit counter wrapped; a smaller lead would stamp
+        # the record after its own export.
+        lead = uptime_ms - uptime
+        wrapped = lead > _UPTIME_WRAP_MS // 2
+        return export_us - (np.where(wrapped, _UPTIME_WRAP_MS, 0) - lead) * 1000, (lead > 0) & ~wrapped
+
+    (first_us, first_late), (last_us, last_late) = absolute_us(first), absolute_us(last)
+    udp = proto == Proto.UDP
+    faults = (  # in the order a record is checked
+        (~udp & (proto != Proto.TCP), "unsupported protocol {proto}"),
+        (udp & (flags != 0), "UDP record carries TCP flags {flags:#04x}"),
+        (pkts < 1, "zero packet count"),
+        (octets < 20 * pkts, "byte count below IP minimum"),
+        (first_late, "uptime {first} ms is after the export uptime {uptime} ms"),
+        (last_late, "uptime {last} ms is after the export uptime {uptime} ms"),
+        (last_us < first_us, "flow ends before it starts"),
+        (first_us < 0, "flow starts before the Unix epoch"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
+    if bad.size:
+        r = bad[0]
+        text = next(text for mask, text in faults if mask[r])
+        where = "" if path is None else f"{path}: datagram at byte {offset[datagram[r]]}: "
+        raise MalformedDatagramError(f"{where}record {r - count[:datagram[r]].sum()}: " + text.format(
+            proto=int(proto[r]), flags=int(flags[r]), first=int(first[r]), last=int(last[r]),
+            uptime=int(uptime[r]),
+        ))
+
+    key, forward, (low, high) = canonical_columns(src_ip, src_port, dst_ip, dst_port, proto)
+    # Runs of one datagram, key and direction, each in arrival order (the
+    # sorts are stable); a record's rank in its run is below 30.
+    order = np.lexsort((forward, high, low, datagram))
+    d, lo, hi, fw = datagram[order], low[order], high[order], forward[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (d[1:] != d[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new_run = new_key.copy()
+    new_run[1:] |= fw[1:] != fw[:-1]
+    position = np.arange(len(order))
+    rank = position - np.maximum.accumulate(np.where(new_run, position, 0))
+    pair = np.empty_like(position)
+    pair[order] = (np.cumsum(new_key) << 5) | rank
+    # The k-th record of one direction pairs with the k-th of the other;
+    # the earlier of the two opens the flow.
+    order = np.argsort(pair, kind="stable")
+    same = pair[order[1:]] == pair[order[:-1]]
+    partner = position.copy()  # a lone record is its own partner
+    partner[order[:-1][same]] = order[1:][same]
+    flow = np.setdiff1d(position, order[1:][same], assume_unique=True)
+    other = partner[flow]
+    merged = other != flow
+    flags_bwd = np.where(merged, flags[other], 0)
+    return FlowTable(
+        *(column[flow] for column in key),
+        np.minimum(first_us[flow], first_us[other]), np.maximum(last_us[flow], last_us[other]),
+        pkts[flow], octets[flow], np.where(merged, pkts[other], 0), np.where(merged, octets[other], 0),
+        flags[flow], flags_bwd, tos[flow] | tos[other],
+        is_complete(flags[flow] | flags_bwd), forward[flow],
+    )
+
+
+def decode_netflow_v5(data: bytes) -> list[FlowRecord]:
+    """Decode one export datagram into bidirectional FlowRecords, merging
+    reciprocal records as :func:`read_netflow_table` does."""
     if len(data) < _HEADER.size:
         raise MalformedDatagramError(f"datagram too short: {len(data)} bytes")
-    version, count, sys_uptime, unix_secs, unix_nsecs, _seq, _et, _eid, _si = (
-        _HEADER.unpack_from(data)
-    )
-    if version != VERSION:
-        raise UnsupportedVersionError(f"expected version 5, got {version}")
-    if not 1 <= count <= MAX_RECORDS_PER_DATAGRAM:
-        raise MalformedDatagramError(f"record count {count} outside [1, 30]")
+    version, count = _HEADER.unpack_from(data)[:2]
+    _check_header(version, count)
     expected = _HEADER.size + count * _RECORD.size
     if len(data) != expected:
         raise MalformedDatagramError(
             f"length mismatch: {len(data)} bytes for {count} records (want {expected})"
         )
-    export_us = unix_secs * 1_000_000 + unix_nsecs // 1000
+    return _decode(data, [0], None).records()
 
-    def absolute_us(i: int, uptime_ms: int) -> int:
-        # An uptime more than half the counter range above the header's was
-        # read before the 32-bit counter wrapped; a smaller lead would stamp
-        # the record after its own export.
-        lead = uptime_ms - sys_uptime
-        if lead > _UPTIME_WRAP_MS // 2:
-            uptime_ms -= _UPTIME_WRAP_MS
-        elif lead > 0:
-            raise MalformedDatagramError(f"record {i}: uptime {uptime_ms} ms is after "
-                                         f"the export uptime {sys_uptime} ms")
-        return export_us - (sys_uptime - uptime_ms) * 1000
 
-    episodes: list[Episode] = []
-    unpaired: dict[FlowKey, list[Episode]] = {}
-    for i in range(count):
-        (
-            srcaddr, dstaddr, _nexthop, _inp, _out, pkts, octets, first, last,
-            srcport, dstport, _pad1, tcp_flags, prot, tos, _sas, _das, _sm, _dm, _pad2,
-        ) = _RECORD.unpack_from(data, _HEADER.size + i * _RECORD.size)
-        if prot not in (Proto.TCP, Proto.UDP):
-            raise MalformedDatagramError(f"record {i}: unsupported protocol {prot}")
-        if prot == Proto.UDP and tcp_flags:
-            raise MalformedDatagramError(
-                f"record {i}: UDP record carries TCP flags {tcp_flags:#04x}"
-            )
-        if pkts < 1:
-            raise MalformedDatagramError(f"record {i}: zero packet count")
-        if octets < 20 * pkts:
-            raise MalformedDatagramError(f"record {i}: byte count below IP minimum")
-        first_us, last_us = absolute_us(i, first), absolute_us(i, last)
-        if last_us < first_us:
-            raise MalformedDatagramError(f"record {i}: flow ends before it starts")
-        if first_us < 0:
-            raise MalformedDatagramError(f"record {i}: flow starts before the Unix epoch")
-        key, direction = canonical_endpoints(srcaddr, srcport, dstaddr, dstport, Proto(prot))
-        # Unpaired records of one key all share a direction, so the oldest
-        # of them is the one a reciprocal record pairs with.
-        waiting = unpaired.setdefault(key, [])
-        if waiting and waiting[0].orientation is not direction:
-            episode = waiting.pop(0)
-        else:
-            episode = Episode(key, direction, first_us)
-            episodes.append(episode)
-            waiting.append(episode)
-        episode.add(direction, first_us, last_us, pkts, octets, tcp_flags, tos)
-    return [episode.to_record() for episode in episodes]
+def read_netflow_table(path) -> FlowTable:
+    """Decode a file of concatenated v5 datagrams into one table of flows.
+
+    Reciprocal unidirectional records inside one datagram (same canonical
+    key, opposite directions) merge into one bidirectional flow: the k-th
+    record of a key and direction, in arrival order, pairs with the k-th
+    record of the opposite direction.  The earlier record of a pair defines
+    the forward direction and the flow's place; pairs never span datagrams.
+    The first fault in file order is raised, naming its datagram's offset.
+    """
+    data = Path(path).read_bytes()
+    offsets, offset = [], 0
+    try:
+        while offset < len(data):
+            if offset + _HEADER.size > len(data):
+                raise MalformedDatagramError(f"{path}: truncated header at byte {offset}")
+            version, count = _HEADER.unpack_from(data, offset)[:2]
+            size = _HEADER.size + count * _RECORD.size
+            if count < 1 or offset + size > len(data):
+                raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
+            _check_header(version, count, f"{path}: datagram at byte {offset}: ")
+            offsets.append(offset)
+            offset += size
+    except FormatError:
+        _decode(data, offsets, path)  # a record fault in an earlier datagram comes first
+        raise
+    return _decode(data, offsets, path)
+
+
+def read_netflow_file(path) -> list[FlowRecord]:
+    """:func:`read_netflow_table` as FlowRecords."""
+    return read_netflow_table(path).records()
 
 
 def _floor_ms(us: int) -> int:
@@ -173,23 +252,3 @@ def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
         emitted += len(chunk)
         datagrams.append(bytes(out))
     return datagrams
-
-
-def read_netflow_file(path) -> list[FlowRecord]:
-    """Decode a file of concatenated v5 datagrams."""
-    data = Path(path).read_bytes()
-    flows: list[FlowRecord] = []
-    offset = 0
-    while offset < len(data):
-        if offset + _HEADER.size > len(data):
-            raise MalformedDatagramError(f"{path}: truncated header at byte {offset}")
-        count = int.from_bytes(data[offset + 2 : offset + 4], "big")
-        size = _HEADER.size + count * _RECORD.size
-        if count < 1 or offset + size > len(data):
-            raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
-        try:
-            flows.extend(decode_netflow_v5(data[offset : offset + size]))
-        except (MalformedDatagramError, UnsupportedVersionError) as exc:
-            raise type(exc)(f"{path}: datagram at byte {offset}: {exc}") from exc
-        offset += size
-    return flows

@@ -13,6 +13,8 @@ These tools live here:
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
+* the per-record NetFlow v5 decoder and its datagram-by-datagram file
+  walk, the references for the columnar NetFlow reader;
 * the byte-slicing frame parser and a per-record walk over a capture
   file, the references for the columnar pcap reader;
 * the per-episode packet grouping that sampling traces are cut from;
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +60,7 @@ from flowident.flow import (
 )
 from flowident.ingest.labels import HEADER as LABEL_HEADER
 from flowident.ingest.labels import LabelFileError, LabelRow
+from flowident.ingest.netflow import MalformedDatagramError, UnsupportedVersionError
 from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
 
@@ -703,6 +707,91 @@ def merge_records_oracle(records, boot_us: int):
     return [entry.to_record() for entry in entries]
 
 
+_NF5_HEADER = struct.Struct("!HHIIIIBBH")
+_NF5_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
+
+
+def decode_netflow_oracle(data: bytes) -> list[FlowRecord]:
+    """One export datagram decoded record by record: each record checked in
+    turn, then merged into the oldest waiting record of its key when that
+    one travelled the other way."""
+    if len(data) < _NF5_HEADER.size:
+        raise MalformedDatagramError(f"datagram too short: {len(data)} bytes")
+    version, count, sys_uptime, unix_secs, unix_nsecs, _seq, _et, _eid, _si = (
+        _NF5_HEADER.unpack_from(data)
+    )
+    if version != 5:
+        raise UnsupportedVersionError(f"expected version 5, got {version}")
+    if not 1 <= count <= 30:
+        raise MalformedDatagramError(f"record count {count} outside [1, 30]")
+    expected = _NF5_HEADER.size + count * _NF5_RECORD.size
+    if len(data) != expected:
+        raise MalformedDatagramError(
+            f"length mismatch: {len(data)} bytes for {count} records (want {expected})"
+        )
+    export_us = unix_secs * 1_000_000 + unix_nsecs // 1000
+
+    def absolute_us(i: int, uptime_ms: int) -> int:
+        lead = uptime_ms - sys_uptime
+        if lead > 1 << 31:
+            uptime_ms -= 1 << 32
+        elif lead > 0:
+            raise MalformedDatagramError(f"record {i}: uptime {uptime_ms} ms is after "
+                                         f"the export uptime {sys_uptime} ms")
+        return export_us - (sys_uptime - uptime_ms) * 1000
+
+    entries, unpaired = [], {}
+    for i in range(count):
+        (
+            srcaddr, dstaddr, _nexthop, _inp, _out, pkts, octets, first, last,
+            srcport, dstport, _pad1, tcp_flags, prot, tos, _sas, _das, _sm, _dm, _pad2,
+        ) = _NF5_RECORD.unpack_from(data, _NF5_HEADER.size + i * _NF5_RECORD.size)
+        if prot not in (6, 17):
+            raise MalformedDatagramError(f"record {i}: unsupported protocol {prot}")
+        if prot == 17 and tcp_flags:
+            raise MalformedDatagramError(
+                f"record {i}: UDP record carries TCP flags {tcp_flags:#04x}"
+            )
+        if pkts < 1:
+            raise MalformedDatagramError(f"record {i}: zero packet count")
+        if octets < 20 * pkts:
+            raise MalformedDatagramError(f"record {i}: byte count below IP minimum")
+        first_us, last_us = absolute_us(i, first), absolute_us(i, last)
+        if last_us < first_us:
+            raise MalformedDatagramError(f"record {i}: flow ends before it starts")
+        if first_us < 0:
+            raise MalformedDatagramError(f"record {i}: flow starts before the Unix epoch")
+        key, direction = canonical_endpoints(srcaddr, srcport, dstaddr, dstport, Proto(prot))
+        fields = (first_us, last_us, pkts, octets, tcp_flags, tos)
+        waiting = unpaired.setdefault(key, [])
+        if waiting and waiting[0].orientation is not direction:
+            waiting.pop(0).absorb_reverse(*fields)
+        else:
+            entries.append(_ExportEntryOracle(key, direction, *fields))
+            waiting.append(entries[-1])
+    return [entry.to_record() for entry in entries]
+
+
+def read_netflow_oracle(path) -> list[FlowRecord]:
+    """A file of concatenated datagrams, decoded one datagram at a time by
+    :func:`decode_netflow_oracle`."""
+    data = Path(path).read_bytes()
+    flows, offset = [], 0
+    while offset < len(data):
+        if offset + _NF5_HEADER.size > len(data):
+            raise MalformedDatagramError(f"{path}: truncated header at byte {offset}")
+        count = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        size = _NF5_HEADER.size + count * _NF5_RECORD.size
+        if count < 1 or offset + size > len(data):
+            raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
+        try:
+            flows.extend(decode_netflow_oracle(data[offset : offset + size]))
+        except (MalformedDatagramError, UnsupportedVersionError) as exc:
+            raise type(exc)(f"{path}: datagram at byte {offset}: {exc}") from exc
+        offset += size
+    return flows
+
+
 # --------------------------------------------------------------------------
 # The per-flow ingest tail the columnar one replaced: one feature tuple per
 # record, one label row object per line, one csv.writer cell per value
@@ -774,6 +863,8 @@ def load_labels_oracle(path) -> list[LabelRow]:
                 raise LabelFileError(f"{where}: {name} {port} outside 0..65535")
         if first_ts < 0:
             raise LabelFileError(f"{where}: first_ts {first_ts} is negative")
+        if first_ts >= 2**63:
+            raise LabelFileError(f"{where}: first_ts {first_ts} is above 2^63 - 1")
         key, _ = canonical_endpoints(ip_a, port_a, ip_b, port_b, _label_proto_oracle(row[4], where))
         if (key, first_ts) in seen:
             raise LabelFileError(

@@ -245,6 +245,16 @@ def test_ingest_from_netflow_export(tmp_path, capsys):
     assert {r["transproto"] for r in rows} == {"6", "17"}
 
 
+
+def test_ingest_of_an_empty_netflow_file_writes_the_header_only(tmp_path, capsys):
+    export = tmp_path / "empty.bin"
+    export.write_bytes(b"")
+    out_csv = tmp_path / "flows.csv"
+    code, out, _ = run(["ingest", "--netflow", export, "--out", out_csv], capsys)
+    assert code == 0
+    assert f"wrote 0 flows to {out_csv}" in out
+    assert out_csv.read_text(encoding="utf-8").splitlines() == [",".join(FEATURE_NAMES) + ",label"]
+
 def test_ingest_complete_only_filters_open_flows(tmp_path, capsys):
     packets = [
         # TCP with SYN and FIN: complete

@@ -3,11 +3,12 @@
 The batch scorer, the fold assignment, the bincount metric report, the
 array NIG fold and the one-fold-per-batch train and update must give exactly
 what the per-row, per-feature or per-class versions give: same floats, same
-ties, same model bytes.  Packet aggregation and NetFlow pair merging,
-which share one flow episode, must give exactly the records of the per-packet
-episode and the pairwise record merge they replaced; the columnar aggregator
-must also group the same packets into each episode, and sampling traces are
-those groups sorted by time.  The columnar pcap reader must skip or keep
+ties, same model bytes.  Packet aggregation and NetFlow pair merging must
+give exactly the records of the per-packet episode and the pairwise record
+merge they replaced; the columnar aggregator must also group the same
+packets into each episode, and sampling traces are those groups sorted by
+time.  The columnar NetFlow reader, on valid and damaged multi-datagram
+files, must give the records or the error of the per-record decoder.  The columnar pcap reader must skip or keep
 exactly the frames the byte-slicing parser does, and raise the errors of a
 per-record walk at the same byte offsets, in any read window.  The
 vectorised Monte Carlo must give, trial by trial, the estimates of sampling
@@ -76,7 +77,7 @@ from flowident.flow import (
 )
 from flowident.ingest import load_labels, pcap
 from flowident.ingest.labels import HEADER
-from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5
+from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5, read_netflow_table
 from flowident.ingest.pcap import PcapDecodeError, PcapReader, _build_frame
 from flowident.sampling import (
     MIN_TRIALS,
@@ -107,6 +108,7 @@ from helpers import (
     pcap_file,
     plugin_variance_oracle,
     predict_oracle,
+    read_netflow_oracle,
     read_pcap_oracle,
     sampling_report_oracle,
     score_oracle,
@@ -427,14 +429,10 @@ def one_key(*steps):
 def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     records, kept, accepted, rejected = aggregate_oracle(packets, inactive, active)
     agg = FlowAggregator(inactive, active)
-    members = {}
     for pkt in packets:
-        episode = agg.add(pkt)
-        if episode is not None:
-            members.setdefault(episode, []).append(pkt)
+        agg.add(pkt)
     agg.flush()
     assert agg.records() == records
-    assert [members[episode] for episode in agg.episodes()] == kept
     assert (agg.accepted, agg.rejected) == (accepted, rejected)
     assert aggregate(packets, inactive, active) == records
     table = aggregate_table(PacketTable.from_records(packets), inactive, active)
@@ -511,6 +509,62 @@ def test_decode_netflow_equals_the_pairwise_merge_oracle(records):
 def test_decode_netflow_without_udp_flags_equals_the_pairwise_merge_oracle(records):
     datagram, boot_us = export_datagram(records)
     assert decode_netflow_v5(datagram) == merge_records_oracle(records, boot_us)
+
+
+# (offset, size) of each field a datagram header or record holds, in bytes.
+NF5_HEADER_FIELDS = ((0, 2), (2, 2), (4, 4), (8, 4), (12, 4), (16, 4), (20, 1), (21, 1), (22, 2))
+NF5_RECORD_FIELDS = ((0, 4), (4, 4), (8, 4), (12, 2), (14, 2), (16, 4), (20, 4), (24, 4), (28, 4),
+                     (32, 2), (34, 2), (36, 1), (37, 1), (38, 1), (39, 1), (40, 2), (42, 2),
+                     (44, 1), (45, 1), (46, 2))
+
+
+@st.composite
+def damaged_exports(draw):
+    """Up to four valid datagrams of :func:`export_records` (reciprocal
+    pairs and repeated keys), then perhaps up to three header or record
+    fields replaced with any value of their width, and perhaps the file cut
+    at any byte."""
+    datagrams = [export_datagram(draw(export_records(udp_flags=False)))[0]
+                 for _ in range(draw(st.integers(0, 4)))]
+    data = bytearray(b"".join(datagrams))
+    starts = np.cumsum([0] + [len(d) for d in datagrams]).tolist()
+    damage = draw(st.sampled_from(("none", "fields", "cut", "fields and cut")))
+    for _ in range(draw(st.integers(1, 3)) if datagrams and damage.startswith("fields") else 0):
+        k = draw(st.integers(0, len(datagrams) - 1))
+        count = (len(datagrams[k]) - 24) // 48
+        if draw(st.booleans()):
+            at, (offset, size) = starts[k], draw(st.sampled_from(NF5_HEADER_FIELDS))
+        else:
+            at = starts[k] + 24 + 48 * draw(st.integers(0, count - 1))
+            offset, size = draw(st.sampled_from(NF5_RECORD_FIELDS))
+        value = draw(st.one_of(st.integers(0, 2 ** (8 * size) - 1), st.sampled_from((0, 1, 5, 6, 17, 31))))
+        data[at + offset : at + offset + size] = value.to_bytes(size, "big")
+    if damage.endswith("cut"):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+def netflow_outcome(read, data: bytes):
+    """``read`` over ``data`` as a file: its records, or the type and
+    message of the FormatError it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.bin"
+        path.write_bytes(data)
+        try:
+            return read(path)
+        except FormatError as exc:
+            return type(exc), str(exc).replace(str(path), "<export>")
+
+
+@settings(max_examples=500, deadline=None)
+@given(damaged_exports())
+# A record that ends before it starts and starts before the epoch: the end is named.
+@example(nf5_datagram([nf5_record(first=500, last=100)], sys_uptime=1000))
+# A bad record, then a truncated datagram: the record is named.
+@example(nf5_datagram([nf5_record(), nf5_record(proto=1)]) + nf5_datagram([nf5_record()])[:-1])
+def test_read_netflow_table_equals_the_per_record_decoder(data):
+    want = netflow_outcome(read_netflow_oracle, data)
+    assert netflow_outcome(lambda path: read_netflow_table(path).records(), data) == want
 
 
 # Header bytes whose values decide whether a frame is kept: ethertype,

@@ -120,6 +120,10 @@ def test_unparseable_address_and_timestamp(tmp_path):
     ("10.0.0.1,70000,10.0.0.2,5000,TCP,1,a", "line 3: port_lo 70000 outside 0..65535"),
     ("10.0.0.1,80,10.0.0.2,-5,TCP,1,a", "line 3: port_hi -5 outside 0..65535"),
     ("10.0.0.1,80,10.0.0.2,5000,TCP,-7,a", "line 3: first_ts -7 is negative"),
+    ("10.0.0.1,80,10.0.0.2,5000,TCP,9223372036854775808,a",
+     r"line 3: first_ts 9223372036854775808 is above 2\^63 - 1"),
+    ("10.0.0.1,80,10.0.0.2,5000,TCP,18446744073709551616,a",
+     r"line 3: first_ts 18446744073709551616 is above 2\^63 - 1"),
 ])
 def test_out_of_range_port_or_start_names_line(tmp_path, row, message):
     path = write_text(tmp_path, [",".join(HEADER), "10.0.0.1,80,10.0.0.2,5000,TCP,1,a", row])
@@ -132,10 +136,11 @@ def test_range_limits_are_accepted(tmp_path):
     path = write_text(tmp_path, [
         ",".join(HEADER),
         "10.0.0.2,65535,10.0.0.1,0,UDP,0,edge",
+        "10.0.0.2,65535,10.0.0.1,0,UDP,9223372036854775807,last",
     ])
-    [row] = load_labels(path).rows
-    assert row.key == FlowKey(ip("10.0.0.1"), 0, ip("10.0.0.2"), 65535, Proto.UDP)
-    assert row.first_ts == 0
+    first, last = load_labels(path).rows
+    assert first.key == last.key == FlowKey(ip("10.0.0.1"), 0, ip("10.0.0.2"), 65535, Proto.UDP)
+    assert (first.first_ts, last.first_ts) == (0, 2**63 - 1)
 
 
 def test_lookup_hit_and_miss():

@@ -347,3 +347,17 @@ def test_read_netflow_file_names_the_datagram_of_a_decode_error(tmp_path):
     path.write_bytes(first + nf5_datagram([nf5_record()], version=9))
     with pytest.raises(UnsupportedVersionError, match=re.escape(f"byte {len(first)}: expected")):
         read_netflow_file(path)
+
+
+def test_read_netflow_file_reports_a_bad_record_before_a_later_truncated_datagram(tmp_path):
+    good = nf5_datagram([nf5_record(), nf5_record(sport=5001)])
+    bad = nf5_datagram([nf5_record(), nf5_record(proto=1)])
+    path = tmp_path / "export.bin"
+    path.write_bytes(good + bad + good + good[:-1])
+    want = f"{path}: datagram at byte {len(good)}: record 1: unsupported protocol 1"
+    with pytest.raises(MalformedDatagramError, match=re.escape(want)):
+        read_netflow_file(path)
+    path.write_bytes(good + good + good + good[:-1])
+    with pytest.raises(MalformedDatagramError,
+                       match=re.escape(f"{path}: truncated datagram at byte {3 * len(good)}")):
+        read_netflow_file(path)
