@@ -37,10 +37,12 @@ def _parse_ratios(text: str) -> list[int]:
     ratios = []
     for token in text.split(","):
         m = _RATIO_RE.fullmatch(token.strip())
-        if not m or int(m.group(1)) < 1:
-            raise argparse.ArgumentTypeError(
-                f"ratio must look like 1:N with N >= 1, got {token.strip()!r}"
-            )
+        if not m:
+            raise argparse.ArgumentTypeError(f"ratio must look like 1:N, got {token.strip()!r}")
+        try:
+            sampling.sampling_rate(int(m.group(1)))
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
         ratios.append(int(m.group(1)))
     return ratios
 
@@ -168,8 +170,7 @@ def cmd_sample_report(args) -> int:
     if args.pcap:
         table = _read_capture(args.pcap)
     else:
-        packets, _ = synth.generate_packets(synth.load_synth_spec(args.synth))
-        table = PacketTable.from_records(packets)
+        table, _ = synth.generate_packets(synth.load_synth_spec(args.synth))
     traces = sampling.traces_from_table(table, args.inactive_timeout, args.active_timeout)
     report = sampling.build_sampling_report(
         traces, args.ratios, seed=args.seed, trials=args.trials

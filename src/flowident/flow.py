@@ -71,7 +71,7 @@ class PacketRecord:
     """One captured IPv4 TCP or UDP packet.
 
     Timestamps are integer microseconds since the epoch; ``length`` is the
-    IP total length, so it is never below the 20-byte header minimum.
+    IP total length, a 16-bit field never below the 20-byte header minimum.
     """
 
     ts: int
@@ -93,8 +93,8 @@ class PacketRecord:
             raise ContractError("IP addresses must be unsigned 32-bit values")
         if not 0 <= self.src_port <= _U16 or not 0 <= self.dst_port <= _U16:
             raise ContractError("ports must be in [0, 65535]")
-        if self.length < 20:
-            raise ContractError("packet length below IP header minimum")
+        if not 20 <= self.length <= _U16:
+            raise ContractError(f"packet length {self.length} is outside IPv4's 20..65535")
         if self.proto is Proto.UDP and self.tcp_flags:
             raise ContractError("UDP packets cannot carry TCP flags")
         if not 0 <= self.tcp_flags <= 0xFF or not 0 <= self.tos <= 0xFF:
@@ -213,7 +213,7 @@ class PacketTable:
     order, holding what a :class:`PacketRecord` holds (``proto`` as 6 or 17).
 
     The pcap reader builds it with the narrowest dtypes the format allows;
-    :meth:`from_records` uses int64 throughout.
+    :meth:`from_records` uses int64 throughout.  Iterating it yields PacketRecords.
     """
 
     ts: np.ndarray
@@ -228,6 +228,9 @@ class PacketTable:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def __iter__(self):
+        return iter(self.records())
 
     @classmethod
     def from_records(cls, packets) -> PacketTable:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import FormatError
 from ..flow import FlowRecord, FlowTable, Proto, canonical_columns, is_complete
+from .layout import unpack_rows
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -51,14 +52,6 @@ def _check_header(version: int, count: int, where: str = "") -> None:
         raise MalformedDatagramError(f"{where}record count {count} outside [1, 30]")
 
 
-def _columns(rows: np.ndarray, layout: struct.Struct) -> list[np.ndarray]:
-    """Every field of ``layout`` in each ``layout.size`` bytes of ``rows``,
-    as int64 columns."""
-    dtype = np.dtype(",".join(">" + code for code in layout.format.lstrip("!")))
-    rows = np.ascontiguousarray(rows).reshape(-1).view(dtype)
-    return [rows[name].astype(np.int64) for name in dtype.names]
-
-
 def _decode(data: bytes, offsets: list[int], path) -> FlowTable:
     """The flows of the datagrams at ``offsets``, which have valid headers
     and follow each other from the start of ``data``; raises the first
@@ -66,13 +59,13 @@ def _decode(data: bytes, offsets: list[int], path) -> FlowTable:
     is given."""
     u8, offset = np.frombuffer(data, np.uint8), np.array(offsets, dtype=np.int64)
     header = offset[:, None] + np.arange(_HEADER.size)
-    _, count, sys_uptime, unix_secs, unix_nsecs, *_ = _columns(u8[header], _HEADER)
+    _, count, sys_uptime, unix_secs, unix_nsecs, *_ = unpack_rows(_HEADER, u8[header])
     body = np.ones(header.size + _RECORD.size * count.sum(), dtype=bool)  # record bytes
     body[header] = False
     (
         src_ip, dst_ip, _nexthop, _inp, _out, pkts, octets, first, last,
         src_port, dst_port, _pad1, flags, proto, tos, *_,
-    ) = _columns(u8[: len(body)][body], _RECORD)
+    ) = unpack_rows(_RECORD, u8[: len(body)][body])
     datagram = np.repeat(np.arange(len(offset)), count)
     uptime = sys_uptime[datagram]
     export_us = (unix_secs * 1_000_000 + unix_nsecs // 1000)[datagram]

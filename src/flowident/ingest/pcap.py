@@ -7,7 +7,9 @@ whole file.
 
 The reader reads the file in fixed windows.  A walk over the record headers
 finds each record; NumPy gathers then read the header and frame fields of a
-whole window at once into the columns of a :class:`PacketTable`.
+whole window at once into the columns of a :class:`PacketTable`.  The
+writer packs a table's columns into each header layout as a byte matrix
+and scatters the rows into one zeroed file image.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from ..errors import ContractError, FormatError
 from ..flow import PacketRecord, PacketTable, Proto
+from .layout import pack_rows
 
 MAGIC_US = 0xA1B2C3D4
 MAGIC_US_SWAPPED = 0xD4C3B2A1
@@ -36,10 +39,18 @@ _IP_AT = len(_ETHERNET_HEADER)
 # version/IHL, ToS, total length, id, flags/fragment offset, TTL, protocol,
 # checksum, source, destination.
 _IPV4 = struct.Struct("!BBHHHBBHII")
+_TCP = struct.Struct("!HHIIBBHHH")  # ports, seq, ack, data offset, flags, window, checksum, urgent
+_UDP = struct.Struct("!HHHH")  # ports, length, checksum
 
 _GLOBAL_HEADER = struct.Struct("=IHHiIII")
-_RECORD_HEADER = 16  # ts_sec, ts_usec, incl_len, orig_len
+_RECORD = struct.Struct("=IIII")  # ts_sec, ts_usec, incl_len, orig_len, as the writer writes it
 _SNAPLEN = 65535
+# The most each PacketTable column can hold in the file: stamps in 32-bit
+# seconds, the other columns in their header fields.
+_MAX_VALUE = {
+    "ts": 2**32 * 1_000_000 - 1, "src_ip": 2**32 - 1, "dst_ip": 2**32 - 1, "src_port": 0xFFFF,
+    "dst_port": 0xFFFF, "proto": 0xFF, "length": 0xFFFF, "tcp_flags": 0xFF, "tos": 0xFF,
+}
 
 # Bytes read per window; a record longer than this gets a window of its own.
 _WINDOW = 1 << 21
@@ -49,7 +60,7 @@ _WINDOW = 1 << 21
 _SLACK = 128
 # Byte offsets gathered from each record: its header, the Ethernet and fixed
 # IPv4 headers of its frame, and the ports of the transport header.
-_HEADER_BYTES = np.arange(_RECORD_HEADER)
+_HEADER_BYTES = np.arange(_RECORD.size)
 _FRAME_BYTES = np.arange(_IP_AT + _IPV4.size)
 _PORT_BYTES = np.arange(4)
 
@@ -97,7 +108,7 @@ class PcapReader:
             )
 
     def __iter__(self):
-        return iter(self.table().records())
+        return iter(self.table())
 
     def table(self) -> PacketTable:
         """Every IPv4 TCP/UDP packet of the file, in file order."""
@@ -114,8 +125,8 @@ class PcapReader:
                 if not got:  # the file ended early: read what there is
                     size = base + end
                 offsets, at = [], 0
-                while at + _RECORD_HEADER <= end:
-                    after = at + _RECORD_HEADER + u32(buf, at + 8)[0]
+                while at + _RECORD.size <= end:
+                    after = at + _RECORD.size + u32(buf, at + 8)[0]
                     if after > end:
                         break
                     offsets.append(at)
@@ -123,7 +134,7 @@ class PcapReader:
                 parts.append(self._decode(buf, offsets, base))
                 frames += len(offsets)
                 left = end - at
-                need = _RECORD_HEADER + (u32(buf, at + 8)[0] if left >= _RECORD_HEADER else 0)
+                need = _RECORD.size + (u32(buf, at + 8)[0] if left >= _RECORD.size else 0)
                 if base + end >= size or base + at + need > size:
                     if base + at < size:
                         self._cut(buf, at, size - base - at, base)
@@ -154,7 +165,7 @@ class PcapReader:
         late = np.flatnonzero(usec >= 1_000_000)
         if late.size:
             raise self._late_stamp(usec[late[0]], base + offsets[late[0]])
-        frame = at + _RECORD_HEADER
+        frame = at + _RECORD.size
         head = u8[frame[:, None] + _FRAME_BYTES]
         ver_ihl, tos, proto = head[:, _IP_AT], head[:, _IP_AT + 1], head[:, _IP_AT + 9]
         ihl = (ver_ihl & 0x0F).astype(np.intp) * 4
@@ -184,13 +195,13 @@ class PcapReader:
         """Raise for the record at ``buf[at:]``, which the file ends inside,
         ``left`` bytes after its start."""
         offset = base + at
-        if left < _RECORD_HEADER:
+        if left < _RECORD.size:
             raise PcapDecodeError(f"{self.path}: truncated packet header at byte {offset}")
         usec = self._u32(buf, at + 4)[0]
         if usec >= 1_000_000:
             raise self._late_stamp(usec, offset)
         raise PcapDecodeError(
-            f"{self.path}: truncated packet data at byte {offset + _RECORD_HEADER}"
+            f"{self.path}: truncated packet data at byte {offset + _RECORD.size}"
         )
 
 
@@ -199,56 +210,61 @@ def read_pcap(path: str | Path) -> list[PacketRecord]:
     return list(PcapReader(path))
 
 
-def _checksum(header: bytes) -> int:
-    # RFC 1071 ones'-complement sum over 16-bit words.
-    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
-def _build_frame(pkt: PacketRecord) -> bytes:
-    transport_min = 20 if pkt.proto is Proto.TCP else 8
-    payload_len = pkt.length - 20 - transport_min
-    if payload_len < 0:
-        raise ContractError(
-            f"packet length {pkt.length} cannot hold a {pkt.proto.name} header"
-        )
-    ip_header = bytearray(
-        _IPV4.pack(0x45, pkt.tos, pkt.length, 0, 0, 64, pkt.proto, 0, pkt.src_ip, pkt.dst_ip)
-    )
-    ip_header[10:12] = _checksum(ip_header).to_bytes(2, "big")
-    if pkt.proto is Proto.TCP:
-        transport = struct.pack(
-            "!HHIIBBHHH",
-            pkt.src_port,
-            pkt.dst_port,
-            0,
-            0,
-            5 << 4,
-            pkt.tcp_flags,
-            _SNAPLEN,
-            0,
-            0,
-        )
-    else:
-        transport = struct.pack("!HHHH", pkt.src_port, pkt.dst_port, 8 + payload_len, 0)
-    return _ETHERNET_HEADER + ip_header + transport + bytes(payload_len)
+def _refuse(bad: np.ndarray, name: str, values: np.ndarray, fault: str) -> None:
+    """Raise a ContractError naming the first packet where ``bad`` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"packet {i}: {name} {values[i]} {fault}")
 
 
 def write_pcap(path: str | Path, packets) -> int:
-    """Write PacketRecords as an Ethernet capture; returns the packet count.
+    """Write a :class:`PacketTable` (or PacketRecords, converted once) as an
+    Ethernet capture; returns the packet count.
 
-    Transport checksums are left zero; synthetic traces do not need them.
+    Each frame is its Ethernet, IPv4 and TCP or UDP headers and a zero
+    payload out to the IP total length; transport checksums are left zero,
+    as synthetic traces do not need them.  A packet the format cannot hold
+    is refused before anything is written.
     """
-    out = bytearray(_GLOBAL_HEADER.pack(MAGIC_US, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET))
-    count = 0
-    for pkt in packets:
-        frame = _build_frame(pkt)
-        out += struct.pack(
-            "=IIII", pkt.ts // 1_000_000, pkt.ts % 1_000_000, len(frame), len(frame)
-        )
-        out += frame
-        count += 1
-    Path(path).write_bytes(bytes(out))
-    return count
+    if not isinstance(packets, PacketTable):
+        packets = PacketTable.from_records(packets)
+    c = {}
+    for name, top in _MAX_VALUE.items():
+        column = np.asarray(getattr(packets, name))
+        if column.dtype.kind not in "iu":
+            raise ContractError(f"the {name} column holds {column.dtype}, not integers")
+        c[name] = column = column.astype(np.int64)
+        _refuse((column < 0) | (column > top), name, column, f"is outside 0..{top}")
+    n, ts, length = len(packets), c["ts"], c["length"]
+    tcp, udp = c["proto"] == Proto.TCP, c["proto"] == Proto.UDP
+    _refuse(~tcp & ~udp, "proto", c["proto"], "is neither TCP (6) nor UDP (17)")
+    _refuse(length < np.where(tcp, 40, 28), "length", length,
+            "cannot hold its IPv4 and transport headers (40 bytes for TCP, 28 for UDP)")
+    ip = pack_rows(_IPV4, n, 0x45, c["tos"], length, 0, 0, 64, c["proto"], 0, c["src_ip"], c["dst_ip"])
+    words = ip.view(">u2")
+    total = words.sum(axis=1, dtype=np.int64)  # RFC 1071 ones'-complement sum
+    for _ in range(2):  # ten 16-bit words carry at most twice
+        total = (total & 0xFFFF) + (total >> 16)
+    words[:, 5] = ~total & 0xFFFF
+    frame_len = _IP_AT + length
+    heads = np.hstack((
+        pack_rows(_RECORD, n, ts // 1_000_000, ts % 1_000_000, frame_len, frame_len),
+        np.broadcast_to(np.frombuffer(_ETHERNET_HEADER, np.uint8), (n, _IP_AT)),
+        ip,
+    ))
+    size = _RECORD.size + frame_len
+    out = np.zeros(_GLOBAL_HEADER.size + size.sum(), np.uint8)
+    out[: _GLOBAL_HEADER.size] = np.frombuffer(
+        _GLOBAL_HEADER.pack(MAGIC_US, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET), np.uint8
+    )
+    starts = _GLOBAL_HEADER.size + np.cumsum(size) - size
+    transports = (
+        (tcp, pack_rows(_TCP, tcp.sum(), c["src_port"][tcp], c["dst_port"][tcp], 0, 0, 5 << 4,
+                        c["tcp_flags"][tcp], _SNAPLEN, 0, 0)),
+        (udp, pack_rows(_UDP, udp.sum(), c["src_port"][udp], c["dst_port"][udp], length[udp] - 20, 0)),
+    )
+    for rows, transport in transports:  # no record is shorter than its headers
+        block = np.hstack((heads[rows], transport))
+        out[starts[rows, None] + np.arange(block.shape[1])] = block
+    Path(path).write_bytes(out)
+    return n

@@ -16,6 +16,7 @@ trace summarises a whole capture at one sampling ratio.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +237,14 @@ class SamplingReport:
                 fh.write(f"{row.metric},1:{row.ratio},{row.adre:.9g}\n")
 
 
+def sampling_rate(n) -> float:
+    """The rate 1/n of a 1:n sampling ratio, for n from 1 up to the largest
+    float, past which 1/n is no positive float."""
+    if not 1 <= n <= sys.float_info.max:
+        raise ContractError(f"ratio denominator {n} must be in 1..{sys.float_info.max:.6g}")
+    return 1.0 / n
+
+
 def build_sampling_report(
     traces, ratios, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> SamplingReport:
@@ -251,10 +260,7 @@ def build_sampling_report(
         raise ContractError("adre needs at least one flow")
     if not ratios:
         raise ContractError("need at least one sampling ratio")
-    for n in ratios:
-        if n < 1:
-            raise ContractError(f"ratio denominator {n} must be >= 1")
-    ps = [1.0 / n for n in ratios]
+    ps = [sampling_rate(n) for n in ratios]
     dres = np.empty((3, len(ratios), len(traces)))
     for f, trace in enumerate(traces):
         dres[:, :, f] = _degradations(trace, _mc_estimates(trace, ps, seed, trials))

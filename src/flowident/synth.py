@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, FormatError
 from .features import FEATURE_NAMES, Dataset
 from .files import is_finite_number, read_json
-from .flow import TCP_ACK, TCP_FIN, TCP_SYN, PacketRecord, Proto, canonical_key
+from .flow import TCP_ACK, TCP_FIN, TCP_SYN, PacketTable, Proto, canonical_endpoints
 from .ingest.labels import LabelRow
 
 _BASE_EPOCH_US = 1_700_000_000_000_000
@@ -25,9 +25,6 @@ _START_WINDOW_S = 60.0
 _MAX_PKT_LEN = 1500
 _MAX_COUNT = 2**32 - 1  # NetFlow v5's 32-bit packet counter
 _MAX_TS_S = 2**32  # pcap's 32-bit seconds
-
-_TCP_SYNACK = TCP_SYN | TCP_ACK
-_TCP_FINACK = TCP_FIN | TCP_ACK
 
 
 @dataclass(frozen=True)
@@ -219,35 +216,36 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     return Dataset.from_arrays(np.vstack(blocks), np.concatenate(codes), alphabet)
 
 
-def _flow_flags(proto: Proto, count: int, directions: list[bool]) -> list[int]:
-    if proto is not Proto.TCP:
-        return [0] * count
-    flags = [TCP_ACK] * count
-    flags[0] = TCP_SYN if directions[0] else _TCP_SYNACK
-    first_bwd = next((i for i, d in enumerate(directions) if not d), None)
-    if first_bwd is not None:
-        flags[first_bwd] = _TCP_SYNACK
-    last_fwd = max((i for i, d in enumerate(directions) if d), default=None)
-    if last_fwd is not None and last_fwd != 0:
-        flags[last_fwd] = _TCP_FINACK
-    if first_bwd is not None:
-        last_bwd = max(i for i, d in enumerate(directions) if not d)
-        if last_bwd != first_bwd:
-            flags[last_bwd] = _TCP_FINACK
+def _flow_flags(forward: np.ndarray) -> np.ndarray:
+    """The TCP flags of one flow whose first packet travels forward: the
+    client's SYN, the server's SYN-ACK on its first packet, a FIN-ACK on
+    each side's last packet after those, and ACK on the rest."""
+    flags = np.full(len(forward), TCP_ACK, dtype=np.uint8)
+    fwd, bwd = np.flatnonzero(forward), np.flatnonzero(~forward)
+    flags[fwd[-1]] = TCP_FIN | TCP_ACK
+    flags[0] = TCP_SYN
+    if bwd.size:
+        flags[bwd[-1]] = TCP_FIN | TCP_ACK
+        flags[bwd[0]] = TCP_SYN | TCP_ACK
     return flags
 
 
-def generate_packets(spec: SynthSpec) -> tuple[list[PacketRecord], list[LabelRow]]:
-    """Generate a time-ordered capture and the matching flow labels."""
+def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
+    """Generate a time-ordered capture and the matching flow labels.
+
+    Each flow is one client talking to its class's server; its first packet
+    travels from the client.  The flows are drawn one after another and
+    merged by time with a stable sort.
+    """
     rng = np.random.default_rng(spec.seed)
-    packets: list[PacketRecord] = []
+    parts: list[tuple[np.ndarray, ...]] = []  # each flow's PacketTable columns
     labels: list[LabelRow] = []
     serial = 0
     for cls_idx, cls in enumerate(spec.classes):
         if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
             raise ContractError(f"class {cls.label!r} has no packet generators")
         min_len = 40 if cls.proto is Proto.TCP else 28
-        server_ip = (192 << 24) | (168 << 16) | (cls_idx << 8) | 1
+        server = ((192 << 24) | (168 << 16) | (cls_idx << 8) | 1, cls.server_port)
         where = f"classes[{cls_idx}].packets"
         for _ in range(cls.flows):
             drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
@@ -266,29 +264,16 @@ def generate_packets(spec: SynthSpec) -> tuple[list[PacketRecord], list[LabelRow
                 raise FormatError(f"{where}.iat: packet times pass the 32-bit seconds "
                                   f"of the pcap format (year 2106)")
             ts = start + np.concatenate(([0], np.cumsum(gaps_us.astype(np.int64))))
-            directions = [True] + [bool(rng.random() < 0.5) for _ in range(count - 1)]
-            flags = _flow_flags(cls.proto, count, directions)
-            client_ip = (10 << 24) + serial + 1
-            client_port = 40000 + serial % 20000
-            flow_packets = []
-            for j in range(count):
-                if directions[j]:
-                    src, dst = (client_ip, client_port), (server_ip, cls.server_port)
-                else:
-                    src, dst = (server_ip, cls.server_port), (client_ip, client_port)
-                flow_packets.append(
-                    PacketRecord(
-                        ts=int(ts[j]),
-                        src_ip=src[0], dst_ip=dst[0],
-                        src_port=src[1], dst_port=dst[1],
-                        proto=cls.proto,
-                        length=int(sizes[j]),
-                        tcp_flags=flags[j],
-                    )
-                )
-            key, _ = canonical_key(flow_packets[0])
-            labels.append(LabelRow(key=key, first_ts=flow_packets[0].ts, label=cls.label))
-            packets.extend(flow_packets)
+            forward = np.concatenate(([True], rng.random(count - 1) < 0.5))
+            flags = _flow_flags(forward) if cls.proto is Proto.TCP else np.zeros(count, np.uint8)
+            client = ((10 << 24) + serial + 1, 40000 + serial % 20000)
+            src = np.where(forward[:, None], client, server)  # (ip, port) of each packet
+            dst = np.where(forward[:, None], server, client)
+            parts.append((ts, src[:, 0], dst[:, 0], src[:, 1], dst[:, 1], np.full(count, cls.proto),
+                          sizes, flags, np.zeros(count, np.uint8)))
+            key, _ = canonical_endpoints(*client, *server, cls.proto)
+            labels.append(LabelRow(key=key, first_ts=int(ts[0]), label=cls.label))
             serial += 1
-    packets.sort(key=lambda p: p.ts)
-    return packets, labels
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0], kind="stable")
+    return PacketTable(*(column[order] for column in columns)), labels

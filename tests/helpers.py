@@ -26,7 +26,10 @@ These tools live here:
 * the per-flow ingest tail that the columnar one replaced: the per-record
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
   line, and the per-cell dataset writer;
-* a sorted packet list as one sampling trace.
+* a sorted packet list as one sampling trace;
+* the per-packet synthetic generator and ``struct`` capture writer that
+  the columnar ones replaced, kept as references that must agree record
+  for record and byte for byte.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from pathlib import Path
 import numpy as np
 
 from flowident.classifier import VARIANCE_FLOOR, ClassifierModel
-from flowident.errors import ContractError
+from flowident.errors import ContractError, FormatError
 from flowident.features import FEATURE_NAMES
 from flowident.files import csv_rows
 from flowident.flow import (
     REORDER_TOLERANCE_US,
+    TCP_ACK,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
@@ -63,6 +67,14 @@ from flowident.ingest.labels import LabelFileError, LabelRow
 from flowident.ingest.netflow import MalformedDatagramError, UnsupportedVersionError
 from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
+from flowident.synth import (
+    _BASE_EPOCH_US,
+    _MAX_COUNT,
+    _MAX_PKT_LEN,
+    _MAX_TS_S,
+    _START_WINDOW_S,
+    SynthSpec,
+)
 
 
 def ip(text: str) -> int:
@@ -883,3 +895,152 @@ def trace_from_packets(packets) -> FlowTrace:
         sizes=np.array([p.length for p in packets], dtype=np.int64),
         ts=np.array([p.ts for p in packets], dtype=np.int64),
     )
+
+
+# --------------------------------------------------------------------------
+# The per-packet generator and capture writer that the columnar ones
+# replaced: one PacketRecord per packet, packed with struct
+# --------------------------------------------------------------------------
+
+_TCP_SYNACK = TCP_SYN | TCP_ACK
+_TCP_FINACK = TCP_FIN | TCP_ACK
+
+
+def _flow_flags_oracle(proto: Proto, count: int, directions: list[bool]) -> list[int]:
+    if proto is not Proto.TCP:
+        return [0] * count
+    flags = [TCP_ACK] * count
+    flags[0] = TCP_SYN if directions[0] else _TCP_SYNACK
+    first_bwd = next((i for i, d in enumerate(directions) if not d), None)
+    if first_bwd is not None:
+        flags[first_bwd] = _TCP_SYNACK
+    last_fwd = max((i for i, d in enumerate(directions) if d), default=None)
+    if last_fwd is not None and last_fwd != 0:
+        flags[last_fwd] = _TCP_FINACK
+    if first_bwd is not None:
+        last_bwd = max(i for i, d in enumerate(directions) if not d)
+        if last_bwd != first_bwd:
+            flags[last_bwd] = _TCP_FINACK
+    return flags
+
+
+def generate_packets_oracle(spec: SynthSpec) -> tuple[list[PacketRecord], list[LabelRow]]:
+    """Generate a time-ordered capture and the matching flow labels, one
+    validated PacketRecord at a time."""
+    rng = np.random.default_rng(spec.seed)
+    packets: list[PacketRecord] = []
+    labels: list[LabelRow] = []
+    serial = 0
+    for cls_idx, cls in enumerate(spec.classes):
+        if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
+            raise ContractError(f"class {cls.label!r} has no packet generators")
+        min_len = 40 if cls.proto is Proto.TCP else 28
+        server_ip = (192 << 24) | (168 << 16) | (cls_idx << 8) | 1
+        where = f"classes[{cls_idx}].packets"
+        for _ in range(cls.flows):
+            drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
+            if not drawn <= _MAX_COUNT:
+                raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
+                                  f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
+            count = int(round(drawn))
+            sizes = np.clip(
+                np.round(cls.pkt_size.draw(rng, count)), min_len, _MAX_PKT_LEN
+            ).astype(int)
+            # A gap past the horizon alone overflows it; clipping first keeps the sum finite.
+            iat = np.minimum(cls.iat.draw(rng, max(count - 1, 1)), _MAX_TS_S)
+            gaps_us = np.maximum(np.round(iat * 1e6), 0)[: count - 1]
+            start = _BASE_EPOCH_US + int(rng.uniform(0, _START_WINDOW_S) * 1e6)
+            if not start + gaps_us.sum() < _MAX_TS_S * 1e6:
+                raise FormatError(f"{where}.iat: packet times pass the 32-bit seconds "
+                                  f"of the pcap format (year 2106)")
+            ts = start + np.concatenate(([0], np.cumsum(gaps_us.astype(np.int64))))
+            directions = [True] + [bool(rng.random() < 0.5) for _ in range(count - 1)]
+            flags = _flow_flags_oracle(cls.proto, count, directions)
+            client_ip = (10 << 24) + serial + 1
+            client_port = 40000 + serial % 20000
+            flow_packets = []
+            for j in range(count):
+                if directions[j]:
+                    src, dst = (client_ip, client_port), (server_ip, cls.server_port)
+                else:
+                    src, dst = (server_ip, cls.server_port), (client_ip, client_port)
+                flow_packets.append(
+                    PacketRecord(
+                        ts=int(ts[j]),
+                        src_ip=src[0], dst_ip=dst[0],
+                        src_port=src[1], dst_port=dst[1],
+                        proto=cls.proto,
+                        length=int(sizes[j]),
+                        tcp_flags=flags[j],
+                    )
+                )
+            key, _ = canonical_key(flow_packets[0])
+            labels.append(LabelRow(key=key, first_ts=flow_packets[0].ts, label=cls.label))
+            packets.extend(flow_packets)
+            serial += 1
+    packets.sort(key=lambda p: p.ts)
+    return packets, labels
+
+
+# The capture layout, spelled out here rather than taken from the writer.
+_ETHERNET_HEADER = bytes.fromhex("020000000002" "020000000001" "0800")
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_GLOBAL_HEADER = struct.Struct("=IHHiIII")
+_SNAPLEN = 65535
+MAGIC_US = 0xA1B2C3D4
+LINKTYPE_ETHERNET = 1
+
+
+def _checksum_oracle(header: bytes) -> int:
+    # RFC 1071 ones'-complement sum over 16-bit words.
+    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def build_frame_oracle(pkt: PacketRecord) -> bytes:
+    transport_min = 20 if pkt.proto is Proto.TCP else 8
+    payload_len = pkt.length - 20 - transport_min
+    if payload_len < 0:
+        raise ContractError(
+            f"packet length {pkt.length} cannot hold a {pkt.proto.name} header"
+        )
+    ip_header = bytearray(
+        _IPV4.pack(0x45, pkt.tos, pkt.length, 0, 0, 64, pkt.proto, 0, pkt.src_ip, pkt.dst_ip)
+    )
+    ip_header[10:12] = _checksum_oracle(ip_header).to_bytes(2, "big")
+    if pkt.proto is Proto.TCP:
+        transport = struct.pack(
+            "!HHIIBBHHH",
+            pkt.src_port,
+            pkt.dst_port,
+            0,
+            0,
+            5 << 4,
+            pkt.tcp_flags,
+            _SNAPLEN,
+            0,
+            0,
+        )
+    else:
+        transport = struct.pack("!HHHH", pkt.src_port, pkt.dst_port, 8 + payload_len, 0)
+    return _ETHERNET_HEADER + ip_header + transport + bytes(payload_len)
+
+
+def write_pcap_oracle(path: str | Path, packets) -> int:
+    """Write PacketRecords as an Ethernet capture; returns the packet count.
+
+    Transport checksums are left zero; synthetic traces do not need them.
+    """
+    out = bytearray(_GLOBAL_HEADER.pack(MAGIC_US, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET))
+    count = 0
+    for pkt in packets:
+        frame = build_frame_oracle(pkt)
+        out += struct.pack(
+            "=IIII", pkt.ts // 1_000_000, pkt.ts % 1_000_000, len(frame), len(frame)
+        )
+        out += frame
+        count += 1
+    Path(path).write_bytes(bytes(out))
+    return count

@@ -253,7 +253,7 @@ def test_counts_beyond_int64_stay_exact(tmp_path):
     doc = model_to_json_dict(model)
     doc["classes"]["b"]["n"] = 2**70
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(path)
     assert loaded.n == (4, 2**70)
     updated = update(loaded, make_ds({1: [0.3, 0.1]}, ["b", "b"], alphabet=("a", "b")))
@@ -387,7 +387,7 @@ def test_model_json_shape():
 
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text("{nope")
+    path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(path)
 
@@ -397,7 +397,7 @@ def test_load_rejects_other_versions(tmp_path):
     doc = model_to_json_dict(model)
     doc["version"] = "nfi-model/2"
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="'nfi-model/2' is not supported"):
         load_model(path)
 
@@ -408,7 +408,7 @@ def test_load_rejects_malformed_document(tmp_path):
     doc = model_to_json_dict(model)
     del doc["classes"]["a"]["posteriors"]["1"]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="malformed model document"):
         load_model(path)
 
@@ -421,7 +421,7 @@ def test_load_rebuilds_plugins_when_stripped(tmp_path):
         del entry["plugin_means"]
         del entry["plugin_vars"]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(path)
     assert loaded.plugin_means.tolist() == loaded.mu.tolist()
     assert loaded.plugin_vars.tolist() == plugin_variance(loaded.alpha, loaded.beta).tolist()
@@ -436,7 +436,7 @@ def saved_doc(tmp_path):
 
 def load_doc(tmp_path, doc):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return load_model(path)
 
 

@@ -25,7 +25,7 @@ def run(args, capsys):
 
 
 def read_rows(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -68,7 +68,7 @@ def test_full_walkthrough(tmp_path, capsys):
     code, out, _ = run(["select", flows_csv, "--delta", "0.1", "--out", sel], capsys)
     assert code == 0
     assert "selected features:" in out
-    sel_doc = json.loads(sel.read_text())
+    sel_doc = json.loads(sel.read_text(encoding="utf-8"))
     assert sel_doc["selected"]
     assert sel_doc["params"]["delta"] == 0.1
 
@@ -78,7 +78,7 @@ def test_full_walkthrough(tmp_path, capsys):
     )
     assert code == 0
     assert "trained on 80 flows, 2 classes" in out
-    model_doc = json.loads(model.read_text())
+    model_doc = json.loads(model.read_text(encoding="utf-8"))
     assert model_doc["selected_features"] == sel_doc["selected"]
 
     # 5. classify the same rows
@@ -98,10 +98,10 @@ def test_full_walkthrough(tmp_path, capsys):
     )
     assert code == 0
     assert "5-fold OA" in out
-    cv_doc = json.loads(report.read_text())
+    cv_doc = json.loads(report.read_text(encoding="utf-8"))
     assert cv_doc["k"] == 5
     assert len(cv_doc["folds"]) == 5
-    lines = row_csv.read_text().splitlines()
+    lines = row_csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "algorithm,precision,recall,oa,f_measure"
     assert lines[1].startswith("gaussian-nb,")
     assert len(lines) == 2
@@ -110,7 +110,7 @@ def test_full_walkthrough(tmp_path, capsys):
     code, out, _ = run(["update", model, ds_csv, "--out", model2], capsys)
     assert code == 0
     assert "updated model with 80 flows" in out
-    doc2 = json.loads(model2.read_text())
+    doc2 = json.loads(model2.read_text(encoding="utf-8"))
     for label in ("bulk", "chat"):
         assert doc2["classes"][label]["n"] == model_doc["classes"][label]["n"] + 40
 
@@ -126,12 +126,12 @@ def test_sample_report_at_ratio_one(tmp_path, capsys):
     assert code == 0
     for metric in ("length", "size", "duration"):
         assert metric in out
-    lines = out_csv.read_text().splitlines()
+    lines = out_csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric,ratio,adre"
     assert len(lines) == 4
     # keeping every packet loses nothing
     assert all(line.endswith(",0") for line in lines[1:])
-    doc = json.loads(out_json.read_text())
+    doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert doc["flows"] == 80
     assert doc["metrics"]["length"]["adre"]["1:1"] == 0.0
     assert doc["metrics"]["duration"]["estimator"] == "biased"
@@ -142,6 +142,15 @@ def test_sample_report_rejects_bad_ratio(capsys):
         main(["sample-report", "--synth", str(FIXTURE_SPEC), "--ratios", "128"])
     assert exc_info.value.code == 2
     assert "1:N" in capsys.readouterr().err
+
+
+def test_sample_report_rejects_a_ratio_without_a_float_rate(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sample-report", "--synth", str(FIXTURE_SPEC), "--ratios", f"1:8,1:{10**400}"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be in 1..1.79769e+308" in err
+    assert "Traceback" not in err
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):
@@ -216,8 +225,8 @@ def test_update_with_empty_dataset_keeps_model(tmp_path, capsys):
     write_dataset(Dataset([], ()), empty)
     code, _, _ = run(["update", model, empty, "--out", model2], capsys)
     assert code == 0
-    before = json.loads(model.read_text())
-    after = json.loads(model2.read_text())
+    before = json.loads(model.read_text(encoding="utf-8"))
+    after = json.loads(model2.read_text(encoding="utf-8"))
     before.pop("metadata")
     after.pop("metadata")
     assert after == before
@@ -310,13 +319,13 @@ def test_train_with_explicit_feature_list(tmp_path, capsys):
         ["train", flows_csv, "--features", "7,16", "--out", model], capsys
     )
     assert code == 0
-    assert json.loads(model.read_text())["selected_features"] == [7, 16]
+    assert json.loads(model.read_text(encoding="utf-8"))["selected_features"] == [7, 16]
 
     code, _, _ = run(
         ["train", flows_csv, "--features", "all", "--out", model], capsys
     )
     assert code == 0
-    assert json.loads(model.read_text())["selected_features"] == list(range(1, 17))
+    assert json.loads(model.read_text(encoding="utf-8"))["selected_features"] == list(range(1, 17))
 
     with pytest.raises(SystemExit) as exc_info:
         main(["train", str(flows_csv), "--features", "7,99", "--out", str(model)])
@@ -340,7 +349,7 @@ def test_bad_selection_json_exits_one_naming_the_file(tmp_path, capsys, command,
     flows_csv = tmp_path / "flows.csv"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
     sel = tmp_path / "selection.json"
-    sel.write_text(text)
+    sel.write_text(text, encoding="utf-8")
     out = ["--out", tmp_path / "model.json"] if command == "train" else []
     code, _, err = run([command, flows_csv, "--features-from", sel, *out], capsys)
     assert code == 1
@@ -354,9 +363,9 @@ def test_model_with_non_integer_feature_ids_exits_one(tmp_path, capsys, ids):
     model = tmp_path / "model.json"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
     run(["train", flows_csv, "--features", "9,16", "--out", model], capsys)
-    doc = json.loads(model.read_text())
+    doc = json.loads(model.read_text(encoding="utf-8"))
     doc["selected_features"] = ids
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(["classify", model, flows_csv, "--out", tmp_path / "p.csv"], capsys)
     assert code == 1
     assert f"error: {model}: selected_features: " in err
@@ -367,9 +376,9 @@ def test_tampered_model_version_exits_one(tmp_path, capsys):
     model = tmp_path / "model.json"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
     run(["train", flows_csv, "--out", model], capsys)
-    doc = json.loads(model.read_text())
+    doc = json.loads(model.read_text(encoding="utf-8"))
     doc["version"] = "nfi-model/99"
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(
         ["classify", model, flows_csv, "--out", tmp_path / "p.csv"], capsys
     )
@@ -386,7 +395,7 @@ def test_synth_requires_an_output(capsys):
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "flowident.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "flowident" in proc.stdout
@@ -396,11 +405,11 @@ def test_module_entrypoint_smoke():
 def test_non_finite_feature_cell_exits_one(tmp_path, capsys):
     flows_csv = tmp_path / "flows.csv"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
-    lines = flows_csv.read_text().splitlines()
+    lines = flows_csv.read_text(encoding="utf-8").splitlines()
     cells = lines[5].split(",")
     cells[2] = "nan"
     lines[5] = ",".join(cells)
-    flows_csv.write_text("\n".join(lines) + "\n")
+    flows_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, _, err = run(["train", flows_csv, "--out", tmp_path / "m.json"], capsys)
     assert code == 1
     assert "line 6: column duration: non-finite value nan" in err
@@ -426,9 +435,9 @@ def test_invalid_model_exits_one(tmp_path, capsys, tamper):
     model = tmp_path / "model.json"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
     run(["train", flows_csv, "--out", model], capsys)
-    doc = json.loads(model.read_text())
+    doc = json.loads(model.read_text(encoding="utf-8"))
     doc = tamper(doc) or doc
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["classify", model, flows_csv, "--out", tmp_path / "p.csv"],
                  ["update", model, flows_csv, "--out", tmp_path / "m2.json"]):
         code, _, err = run(argv, capsys)
@@ -445,9 +454,9 @@ def demo_dataset_and_model(tmp_path, capsys):
 
 
 def tamper_model(model, tamper):
-    doc = json.loads(model.read_text())
+    doc = json.loads(model.read_text(encoding="utf-8"))
     tamper(doc)
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def test_update_that_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
@@ -464,12 +473,12 @@ def test_update_that_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
 def test_train_whose_variance_overflows_exits_two_and_writes_nothing(tmp_path, capsys):
     ds_csv = tmp_path / "ds.csv"
     run(["synth", FIXTURE_SPEC, "--out-dataset", ds_csv], capsys)
-    with open(ds_csv, newline="") as fh:
+    with open(ds_csv, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     pps = rows[0].index("pps")
     bulk = [row for row in rows[1:] if row[-1] == "bulk"]
     bulk[0][pps], bulk[1][pps] = "1e200", "-1e200"
-    with open(ds_csv, "w", newline="") as fh:
+    with open(ds_csv, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     out = tmp_path / "m.json"
     code, _, err = run(["train", ds_csv, "--out", out], capsys)
@@ -498,22 +507,22 @@ def test_predictions_stay_two_fields_for_a_label_with_a_comma(tmp_path, capsys):
     cap, labels = tmp_path / "demo.pcap", tmp_path / "labels.csv"
     flows_csv, model, preds = tmp_path / "flows.csv", tmp_path / "model.json", tmp_path / "p.csv"
     run(["synth", FIXTURE_SPEC, "--out-pcap", cap, "--out-labels", labels], capsys)
-    with open(labels, newline="") as fh:
+    with open(labels, newline="", encoding="utf-8") as fh:
         rows = [[("voip, chat" if cell == "chat" else cell) for cell in row]
                 for row in csv.reader(fh)]
-    with open(labels, "w", newline="") as fh:
+    with open(labels, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     for argv in (["ingest", "--pcap", cap, "--labels", labels, "--out", flows_csv],
                  ["train", flows_csv, "--features", "9,16", "--out", model],
                  ["classify", model, flows_csv, "--out", preds]):
         assert run(argv, capsys)[0] == 0
-    with open(preds, newline="") as fh:
+    with open(preds, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["index", "label"]
     assert [row[0] for row in got[1:]] == [str(i) for i in range(80)]
     assert {len(row) for row in got} == {2}
     assert {row[1] for row in got[1:]} == {"bulk", "voip, chat"}
-    assert preds.read_text().startswith("index,label\n0,")
+    assert preds.read_text(encoding="utf-8").startswith("index,label\n0,")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -659,7 +668,7 @@ def with_packets(**changes):
 ])
 def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
-    spec.write_text(json.dumps(doc))
+    spec.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(["synth", spec, "--out-dataset", out, "--out-pcap", tmp_path / "o.pcap"],
                        capsys)
     assert code == 1

@@ -20,11 +20,14 @@ raise ModelFormatError.  The columnar ingest tail must give exactly what the
 per-flow one gave: the feature matrix the per-record formulas' bits, the
 dataset writer the per-cell writer's bytes, and the label reader, on valid
 and damaged label files, the rows and lookups or the error message of the
-``ipaddress`` parser.
+``ipaddress`` parser.  The columnar generator must draw the records and
+labels of the per-packet one, and the columnar pcap writer must write the
+bytes of the ``struct`` writer.
 """
 
 import copy
 import csv
+from collections import Counter
 import io
 import json
 import tempfile
@@ -78,7 +81,7 @@ from flowident.flow import (
 from flowident.ingest import load_labels, pcap
 from flowident.ingest.labels import HEADER
 from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5, read_netflow_table
-from flowident.ingest.pcap import PcapDecodeError, PcapReader, _build_frame
+from flowident.ingest.pcap import PcapDecodeError, PcapReader, write_pcap
 from flowident.sampling import (
     MIN_TRIALS,
     FlowTrace,
@@ -87,15 +90,17 @@ from flowident.sampling import (
     simulate_estimates,
     traces_from_packets,
 )
-from flowident.synth import generate_dataset, parse_synth_spec
+from flowident.synth import generate_dataset, generate_packets, parse_synth_spec
 from helpers import (
     aggregate_oracle,
     assign_folds_oracle,
     bernoulli_sample,
+    build_frame_oracle,
     confusion_oracle,
     estimate,
     eth_ipv4_frame,
     featurize_oracle,
+    generate_packets_oracle,
     ip,
     load_labels_oracle,
     mc_estimates_oracle,
@@ -117,6 +122,7 @@ from helpers import (
     train_oracle,
     update_oracle,
     write_dataset_oracle,
+    write_pcap_oracle,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -577,7 +583,7 @@ def mutated_frames(draw):
     """A written TCP or UDP frame, then truncated, overwritten in its first
     60 bytes (header fields favoured) and/or extended."""
     proto = draw(st.sampled_from((Proto.TCP, Proto.UDP)))
-    frame = bytearray(_build_frame(PacketRecord(
+    frame = bytearray(build_frame_oracle(PacketRecord(
         ts=0, src_ip=draw(st.integers(0, 2**32 - 1)), dst_ip=draw(st.integers(0, 2**32 - 1)),
         src_port=draw(st.integers(0, 65535)), dst_port=draw(st.integers(0, 65535)), proto=proto,
         length=draw(st.integers(40 if proto is Proto.TCP else 28, 120)),
@@ -884,3 +890,87 @@ def test_load_labels_equals_the_ipaddress_parser(text):
     starts = [(row.key, ts) for row in want for ts in (row.first_ts, 0) if ts < 2**63]
     flows = FlowTable.from_records(FlowRecord(key, ts, ts, 1, 20, 0, 0) for key, ts in starts)
     assert labels.join(flows) == [index.get(start) for start in starts]
+
+
+@st.composite
+def writable_packets(draw):
+    """TCP and UDP packets over the whole range the writer takes: any flags
+    and ToS byte, lengths from the protocol minimum to 65,535 and stamps up
+    to the last 32-bit second."""
+    packets = []
+    for _ in range(draw(st.integers(0, 6))):
+        proto = draw(st.sampled_from((Proto.TCP, Proto.UDP)))
+        packets.append(PacketRecord(
+            ts=draw(PCAP_TS), src_ip=draw(st.integers(0, 2**32 - 1)),
+            dst_ip=draw(st.integers(0, 2**32 - 1)), src_port=draw(st.integers(0, 65535)),
+            dst_port=draw(st.integers(0, 65535)), proto=proto,
+            length=draw(st.integers(40 if proto is Proto.TCP else 28, 65535)),
+            tcp_flags=draw(st.integers(0, 255)) if proto is Proto.TCP else 0,
+            tos=draw(st.integers(0, 255)),
+        ))
+    return packets
+
+
+LAST_PACKETS = [
+    PacketRecord(2**32 * 1_000_000 - 1, 2**32 - 1, 0, 65535, 0, Proto.TCP, 65535, 255, 255),
+    PacketRecord(2**32 * 1_000_000 - 1, 0, 2**32 - 1, 0, 65535, Proto.UDP, 65535, 0, 255),
+    PacketRecord(0, 1, 2, 3, 4, Proto.TCP, 40, 0, 0),
+    PacketRecord(0, 1, 2, 3, 4, Proto.UDP, 28, 0, 0),
+    # IPv4 header words summing to 0x4FFFC: one fold leaves a carry for the second.
+    PacketRecord(0, 2**32 - 1, 2**32 - 1, 0, 0, Proto.TCP, 31482, 0, 0),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(writable_packets())
+@example([])
+@example(LAST_PACKETS)
+def test_write_pcap_equals_the_struct_writer(packets):
+    """Byte for byte, from the records' int64 table and from the narrow
+    table the reader builds of the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got, again = (Path(tmp) / name for name in ("want.pcap", "got.pcap", "again.pcap"))
+        assert write_pcap_oracle(want, packets) == len(packets)
+        assert write_pcap(got, PacketTable.from_records(packets)) == len(packets)
+        assert got.read_bytes() == want.read_bytes()
+        assert write_pcap(again, PcapReader(got).table()) == len(packets)
+        assert again.read_bytes() == want.read_bytes()
+
+
+def packet_spec(seed, proto, count, flows=30):
+    size = {"kind": "normal", "mean": 300, "std": 400}  # clipped at both ends
+    iat = {"kind": "exponential", "mean": 0.02}
+    return parse_synth_spec({"seed": seed, "classes": [
+        {"label": "a", "flows": flows, "proto": proto, "server_port": 443,
+         "packets": {"count": count, "size": size, "iat": iat}},
+        {"label": "b", "flows": flows // 2, "proto": "udp", "server_port": 5060,
+         "packets": {"count": {"kind": "uniform_int", "low": 1, "high": 12}, "size": size, "iat": iat}},
+    ]})
+
+
+SHORT_FLOWS = {"kind": "uniform_int", "low": 1, "high": 3}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("proto, count", [
+    ("tcp", {"kind": "fixed", "value": 1}),  # one-packet flows
+    ("udp", {"kind": "fixed", "value": 1}),
+    ("tcp", SHORT_FLOWS),
+    ("tcp", {"kind": "fixed", "value": 9}),
+    ("tcp", {"kind": "normal", "mean": 20, "std": 15}),
+])
+def test_generate_packets_equals_the_per_packet_generator(seed, proto, count):
+    spec = packet_spec(seed, proto, count)
+    table, labels = generate_packets(spec)
+    want_packets, want_labels = generate_packets_oracle(spec)
+    assert table.records() == want_packets
+    assert labels == want_labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_short_flows_include_multi_packet_flows_the_server_never_answers(seed):
+    """The short-flow spec above reaches the all-forward flag rules."""
+    packets, labels = generate_packets_oracle(packet_spec(seed, "tcp", SHORT_FLOWS))
+    clients = Counter((p.src_ip, p.src_port) for p in packets if p.src_ip >> 24 == 10)
+    answered = {(p.dst_ip, p.dst_port) for p in packets if p.src_ip >> 24 != 10}
+    assert any(n > 1 and client not in answered for client, n in clients.items())

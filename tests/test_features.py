@@ -171,27 +171,27 @@ def test_csv_roundtrip_at_nine_significant_digits(tmp_path):
 
 def test_read_errors(tmp_path):
     path = tmp_path / "ds.csv"
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     with pytest.raises(SchemaError, match="empty file"):
         read_dataset(path)
 
     header = list(FEATURE_NAMES + ("label",))
     header.remove("bps")
     header.append("throughput")
-    path.write_text(",".join(header) + "\n")
+    path.write_text(",".join(header) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"missing: \['bps'\]"):
         read_dataset(path)
     with pytest.raises(SchemaError, match=r"unexpected: \['throughput'\]"):
         read_dataset(path)
 
     good_header = ",".join(FEATURE_NAMES + ("label",))
-    path.write_text(good_header + "\n" + ",".join(["1"] * 10) + "\n")
+    path.write_text(good_header + "\n" + ",".join(["1"] * 10) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 2: expected 17 fields"):
         read_dataset(path)
 
     row = ["1"] * 16 + ["web"]
     row[4] = "huh"
-    path.write_text(good_header + "\n" + ",".join(row) + "\n")
+    path.write_text(good_header + "\n" + ",".join(row) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="line 2"):
         read_dataset(path)
 
@@ -249,7 +249,7 @@ def test_read_rejects_non_finite_cells(tmp_path, cell):
     bad = ["1"] * 16 + ["web"]
     bad[7] = cell
     header = ",".join(FEATURE_NAMES + ("label",))
-    path.write_text(f"{header}\n{good}\n{','.join(bad)}\n")
+    path.write_text(f"{header}\n{good}\n{','.join(bad)}\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=rf"ds\.csv: line 3: column bps: non-finite value"):
         read_dataset(path)
 

@@ -48,7 +48,7 @@ INGEST_SHA256 = {
 def saved_model_text(model, path) -> str:
     """``save_model``'s bytes with the save time pinned to SAVED_AT."""
     save_model(model, path)
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return re.sub(r'"saved_at": "[^"]*"', f'"saved_at": "{SAVED_AT}"', text, count=1)
 
 
@@ -69,27 +69,27 @@ def evaluate_report_text(tmp_path) -> str:
     code = main(["evaluate", str(FEATURES_CSV), "--k", str(FOLDS_K),
                  "--seed", str(FOLDS_SEED), "--report", str(out)])
     assert code == 0
-    return out.read_text()
+    return out.read_text(encoding="utf-8")
 
 
 def test_trained_then_updated_model_bytes(tmp_path):
     got = saved_model_text(trained_then_updated(), tmp_path / "model.json")
-    assert got == (FIXTURES / "golden_model.json").read_text()
+    assert got == (FIXTURES / "golden_model.json").read_text(encoding="utf-8")
 
 
 def test_golden_model_survives_a_load_save_roundtrip(tmp_path):
     loaded = load_model(FIXTURES / "golden_model.json")
     got = saved_model_text(loaded, tmp_path / "model.json")
-    assert got == (FIXTURES / "golden_model.json").read_text()
+    assert got == (FIXTURES / "golden_model.json").read_text(encoding="utf-8")
 
 
 def test_fold_assignment():
-    want = json.loads((FIXTURES / "golden_folds.json").read_text())
+    want = json.loads((FIXTURES / "golden_folds.json").read_text(encoding="utf-8"))
     assert golden_folds() == want
 
 
 def test_evaluate_report_bytes(tmp_path):
-    assert evaluate_report_text(tmp_path) == (FIXTURES / "golden_report.json").read_text()
+    assert evaluate_report_text(tmp_path) == (FIXTURES / "golden_report.json").read_text(encoding="utf-8")
 
 
 def test_demo_capture_bytes(tmp_path):
@@ -108,8 +108,8 @@ def test_sampling_report_bytes(tmp_path):
     code = main(["sample-report", "--pcap", str(capture), *SAMPLING_ARGS,
                  "--out-json", str(out_json), "--out-csv", str(out_csv)])
     assert code == 0
-    assert out_json.read_text() == (FIXTURES / "golden_sampling.json").read_text()
-    assert out_csv.read_text() == (FIXTURES / "golden_sampling.csv").read_text()
+    assert out_json.read_text(encoding="utf-8") == (FIXTURES / "golden_sampling.json").read_text(encoding="utf-8")
+    assert out_csv.read_text(encoding="utf-8") == (FIXTURES / "golden_sampling.csv").read_text(encoding="utf-8")
 
 
 def test_ingest_output_bytes(tmp_path):

@@ -19,7 +19,7 @@ UDP_KEY = FlowKey(ip("10.0.0.3"), 53, ip("10.0.0.4"), 40000, Proto.UDP)
 
 def write_text(tmp_path, lines):
     path = tmp_path / "labels.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -87,7 +87,7 @@ def test_bad_header(tmp_path):
 
 def test_empty_file(tmp_path):
     path = tmp_path / "labels.csv"
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     with pytest.raises(LabelFileError, match="empty file"):
         load_labels(path)
 

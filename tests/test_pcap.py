@@ -1,11 +1,12 @@
 """Capture-file reading and writing against hand-built bytes."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from flowident.errors import ContractError
-from flowident.flow import PacketRecord, Proto
+from flowident.flow import PacketRecord, PacketTable, Proto
 from flowident.ingest.pcap import (
     PcapDecodeError,
     PcapReader,
@@ -197,6 +198,36 @@ def test_writer_emits_valid_ip_header(tmp_path):
 def test_writer_rejects_length_below_headers():
     with pytest.raises(ContractError):
         write_pcap("/tmp/never-written.pcap", [mk_packet(length=30)])  # TCP needs 40
+
+
+def test_writer_refuses_a_stamp_past_the_32_bit_seconds(tmp_path):
+    path = tmp_path / "late.pcap"
+    late = PacketRecord(2**32 * 10**6, 1, 2, 3, 4, Proto.UDP, 28)
+    with pytest.raises(ContractError, match=r"^packet 1: ts 4294967296000000 is outside"):
+        write_pcap(path, [mk_packet(), late])
+    assert not path.exists()
+    assert write_pcap(path, [PacketRecord(2**32 * 10**6 - 1, 1, 2, 3, 4, Proto.UDP, 28)]) == 1
+
+
+def test_writer_refuses_a_table_value_its_field_cannot_hold(tmp_path):
+    path = tmp_path / "long.pcap"
+    table = PacketTable.from_records([mk_packet(), mk_packet(length=65535)])
+    for name, value, message in [
+        ("length", 70_000, r"^packet 1: length 70000 is outside 0\.\.65535"),
+        ("src_port", 65536, r"^packet 1: src_port 65536 is outside 0\.\.65535"),
+        ("proto", 1, r"^packet 1: proto 1 is neither TCP"),
+        ("ts", -1, r"^packet 1: ts -1 is outside"),
+    ]:
+        column = getattr(table, name).copy()
+        column[1] = value
+        with pytest.raises(ContractError, match=message):
+            write_pcap(path, replace(table, **{name: column}))
+        assert not path.exists()
+
+
+def test_packet_record_refuses_a_length_past_the_ipv4_field():
+    with pytest.raises(ContractError, match="packet length 70000 is outside"):
+        mk_packet(length=70_000)
 
 
 def test_missing_file_raises_oserror(tmp_path):

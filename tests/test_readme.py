@@ -31,10 +31,10 @@ def walkthrough_commands(text: str) -> list[list[str]]:
 
 
 def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     [spec] = fenced_blocks(text, "json")
     monkeypatch.chdir(tmp_path)
-    Path("spec.json").write_text(spec)
+    Path("spec.json").write_text(spec, encoding="utf-8")
     commands = walkthrough_commands(text)
     assert [args[0] for args in commands] == [
         "synth", "ingest", "select", "train", "classify", "evaluate", "update", "sample-report",

@@ -312,7 +312,7 @@ def test_report_serialisation(tmp_path):
 
     path = tmp_path / "report.csv"
     report.write_csv(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric,ratio,adre"
     assert len(lines) == 1 + 3  # three metrics at one ratio
     assert lines[1].startswith("length,1:4,")
@@ -326,6 +326,10 @@ def test_report_validation():
         build_sampling_report(traces, ratios=[])
     with pytest.raises(ContractError, match="denominator 0"):
         build_sampling_report(traces, ratios=[4, 0])
+    for huge in (10**400, float("inf")):  # 1/N overflows or rounds to zero
+        with pytest.raises(ContractError, match=r"must be in 1\.\.1\.79769e\+308"):
+            build_sampling_report(traces, ratios=[4, huge])
+    assert build_sampling_report(traces, ratios=[10**308], seed=0, trials=1000).rows
 
 
 def test_ratio_one_report_is_error_free():
