@@ -28,7 +28,7 @@ def read_json(path, error: type[FormatError]):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, not UTF-8, an integer past int()'s limit
         raise error(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -193,6 +193,9 @@ class FlowRecord:
             raise ContractError("backward bytes below IP header minimum")
         if self.key.proto is Proto.UDP and (self.tcp_flags_fwd or self.tcp_flags_bwd):
             raise ContractError("UDP flows cannot carry TCP flags")
+        single_bytes = (self.tcp_flags_fwd, self.tcp_flags_bwd, self.tos)
+        if min(single_bytes) < 0 or max(single_bytes) > 0xFF:
+            raise ContractError("tcp_flags_fwd, tcp_flags_bwd and tos are single bytes")
 
     @property
     def total_packets(self) -> int:

@@ -9,7 +9,8 @@ the millisecond on a round trip.
 
 The reader walks the datagram headers in Python, then reads every record
 field of the file through one NumPy record type and checks each record
-rule as a mask.
+rule as a mask.  The encoder packs a FlowTable's columns through the same
+two record types.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..errors import FormatError
 from ..flow import FlowRecord, FlowTable, Proto, canonical_columns, is_complete
-from .layout import unpack_rows
+from .layout import pack_rows, unpack_rows
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -181,67 +182,55 @@ def read_netflow_file(path) -> list[FlowRecord]:
     return read_netflow_table(path).records()
 
 
-def _floor_ms(us: int) -> int:
-    return (us // 1000) * 1000
-
-
-def _ceil_ms(us: int) -> int:
-    return -(-us // 1000) * 1000
-
-
 def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
     """Encode FlowRecords as v5 datagrams, at most 30 records in each.
 
-    A bidirectional flow becomes two unidirectional records sharing the
-    flow's time window.  ``flow_sequence`` runs continuously from
-    ``seq_start`` across the returned datagrams.
+    A bidirectional flow becomes its forward record, then its backward
+    record if that direction has packets, both sharing the flow's time
+    window.  ``flow_sequence`` runs continuously from ``seq_start`` across
+    the returned datagrams.  A value the format cannot hold is refused with
+    an EncodingError before anything is packed.
     """
-    raws = []
-    for n, flow in enumerate(flows):
-        key = flow.key
-        if flow.initiator_lo:
-            src, dst = (key.ip_lo, key.port_lo), (key.ip_hi, key.port_hi)
-        else:
-            src, dst = (key.ip_hi, key.port_hi), (key.ip_lo, key.port_lo)
-        for pkts, octets, flags, endpoints in (
-            (flow.fwd_packets, flow.fwd_bytes, flow.tcp_flags_fwd, (src, dst)),
-            (flow.bwd_packets, flow.bwd_bytes, flow.tcp_flags_bwd, (dst, src)),
-        ):
-            if not pkts:
-                continue
-            if pkts > _U32 or octets > _U32:
-                raise EncodingError(f"flow {n}: counter exceeds 32 bits")
-            raws.append(
-                (endpoints[0], endpoints[1], pkts, octets, flow.first_ts,
-                 flow.last_ts, flags, int(key.proto), flow.tos)
-            )
-    if not raws:
+    t = FlowTable.from_records(flows)
+    if not len(t):
         return []
+    # Each flow's forward value, then its backward one, for the records that exist.
+    kept = np.column_stack((np.ones(len(t), dtype=bool), t.bwd_packets > 0)).reshape(-1)
 
-    boot_us = _floor_ms(min(r[4] for r in raws))
-    export_us = _ceil_ms(max(r[5] for r in raws))
+    def records(fwd, bwd):
+        return np.column_stack((fwd, bwd)).reshape(-1)[kept]
+
+    flow = np.arange(len(t)).repeat(2)[kept]
+    pkts, octets = records(t.fwd_packets, t.bwd_packets), records(t.fwd_bytes, t.bwd_bytes)
+    wide = octets > _U32  # a FlowRecord's bytes are at least 20 per packet
+    if wide.any():
+        raise EncodingError(f"flow {flow[wide.argmax()]}: counter exceeds 32 bits")
+    early = np.flatnonzero(t.first_ts < 0)
+    if early.size:
+        raise EncodingError(f"flow {early[0]}: first_ts {t.first_ts[early[0]]} is before the Unix epoch")
+    boot_us = int(t.first_ts.min()) // 1000 * 1000
+    export_us = -(-int(t.last_ts.max()) // 1000) * 1000
     sys_uptime = (export_us - boot_us) // 1000
     if sys_uptime > _U32:
         raise EncodingError("flow time span exceeds the 32-bit uptime field")
     unix_secs = export_us // 1_000_000
-    unix_nsecs = (export_us % 1_000_000) * 1000
+    if unix_secs > _U32:
+        n = int(t.last_ts.argmax())
+        raise EncodingError(f"flow {n}: last_ts {t.last_ts[n]} is past the 32-bit export seconds")
 
-    datagrams = []
-    emitted = 0
-    for start in range(0, len(raws), MAX_RECORDS_PER_DATAGRAM):
-        chunk = raws[start : start + MAX_RECORDS_PER_DATAGRAM]
-        out = bytearray(
-            _HEADER.pack(
-                VERSION, len(chunk), sys_uptime, unix_secs, unix_nsecs,
-                (seq_start + emitted) & _U32, 0, 0, 0,
-            )
-        )
-        for src, dst, pkts, octets, first_us, last_us, flags, prot, tos in chunk:
-            out += _RECORD.pack(
-                src[0], dst[0], 0, 0, 0, pkts, octets,
-                (first_us - boot_us) // 1000, (last_us - boot_us) // 1000,
-                src[1], dst[1], 0, flags, prot, tos, 0, 0, 0, 0, 0,
-            )
-        emitted += len(chunk)
-        datagrams.append(bytes(out))
-    return datagrams
+    lo = t.initiator_lo
+    src_ip, dst_ip = np.where(lo, t.ip_lo, t.ip_hi), np.where(lo, t.ip_hi, t.ip_lo)
+    src_port, dst_port = np.where(lo, t.port_lo, t.port_hi), np.where(lo, t.port_hi, t.port_lo)
+    body = pack_rows(
+        _RECORD, len(pkts), records(src_ip, dst_ip), records(dst_ip, src_ip), 0, 0, 0, pkts, octets,
+        ((t.first_ts - boot_us) // 1000)[flow], ((t.last_ts - boot_us) // 1000)[flow],
+        records(src_port, dst_port), records(dst_port, src_port), 0,
+        records(t.tcp_flags_fwd, t.tcp_flags_bwd), t.proto[flow], t.tos[flow],
+    ).tobytes()
+    start = np.arange(0, len(pkts), MAX_RECORDS_PER_DATAGRAM)
+    heads = pack_rows(
+        _HEADER, len(start), VERSION, np.minimum(MAX_RECORDS_PER_DATAGRAM, len(pkts) - start),
+        sys_uptime, unix_secs, export_us % 1_000_000 * 1000, (seq_start % 2**32 + start) & _U32,
+    )
+    step = MAX_RECORDS_PER_DATAGRAM * _RECORD.size
+    return [head.tobytes() + body[i * step : (i + 1) * step] for i, head in enumerate(heads)]

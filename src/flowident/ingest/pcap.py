@@ -51,6 +51,7 @@ _MAX_VALUE = {
     "ts": 2**32 * 1_000_000 - 1, "src_ip": 2**32 - 1, "dst_ip": 2**32 - 1, "src_port": 0xFFFF,
     "dst_port": 0xFFFF, "proto": 0xFF, "length": 0xFFFF, "tcp_flags": 0xFF, "tos": 0xFF,
 }
+_SCATTER_ROWS = 1 << 13  # header rows the writer scatters at once: a 4.5 MiB (rows, 70) index
 
 # Bytes read per window; a record longer than this gets a window of its own.
 _WINDOW = 1 << 21
@@ -264,7 +265,9 @@ def write_pcap(path: str | Path, packets) -> int:
         (udp, pack_rows(_UDP, udp.sum(), c["src_port"][udp], c["dst_port"][udp], length[udp] - 20, 0)),
     )
     for rows, transport in transports:  # no record is shorter than its headers
-        block = np.hstack((heads[rows], transport))
-        out[starts[rows, None] + np.arange(block.shape[1])] = block
+        rows, width = np.flatnonzero(rows), np.arange(heads.shape[1] + transport.shape[1])
+        for lo in range(0, len(rows), _SCATTER_ROWS):
+            at = rows[lo : lo + _SCATTER_ROWS]
+            out[starts[at, None] + width] = np.hstack((heads[at], transport[lo : lo + _SCATTER_ROWS]))
     Path(path).write_bytes(out)
     return n

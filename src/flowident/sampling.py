@@ -55,7 +55,7 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """One flow as parallel arrays of packet sizes and timestamps (us)."""
+    """One flow as parallel arrays of positive packet sizes and non-decreasing stamps (us)."""
 
     sizes: np.ndarray
     ts: np.ndarray
@@ -65,6 +65,10 @@ class FlowTrace:
             raise ContractError("sizes and ts must be equal-length 1-D arrays")
         if self.sizes.size == 0:
             raise ContractError("a flow trace has at least one packet")
+        if not (np.isfinite(self.sizes) & (self.sizes > 0)).all():
+            raise ContractError("packet sizes must be positive finite numbers")
+        if not (np.diff(self.ts) >= 0).all():
+            raise ContractError("packet stamps must not decrease")
 
     @property
     def length(self) -> int:

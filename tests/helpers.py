@@ -14,7 +14,8 @@ These tools live here:
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
 * the per-record NetFlow v5 decoder and its datagram-by-datagram file
-  walk, the references for the columnar NetFlow reader;
+  walk, the references for the columnar NetFlow reader, and the
+  per-record ``struct`` encoder, the reference for the columnar one;
 * the byte-slicing frame parser and a per-record walk over a capture
   file, the references for the columnar pcap reader;
 * the per-episode packet grouping that sampling traces are cut from;
@@ -64,7 +65,7 @@ from flowident.flow import (
 )
 from flowident.ingest.labels import HEADER as LABEL_HEADER
 from flowident.ingest.labels import LabelFileError, LabelRow
-from flowident.ingest.netflow import MalformedDatagramError, UnsupportedVersionError
+from flowident.ingest.netflow import EncodingError, MalformedDatagramError, UnsupportedVersionError
 from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
 from flowident.synth import (
@@ -328,6 +329,18 @@ def nf5_record(
 def nf5_datagram(records, **header_kwargs) -> bytes:
     records = list(records)
     return nf5_header(count=len(records), **header_kwargs) + b"".join(records)
+
+
+# --------------------------------------------------------------------------
+# JSON documents to damage
+# --------------------------------------------------------------------------
+
+def json_paths(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
 
 
 # --------------------------------------------------------------------------
@@ -802,6 +815,75 @@ def read_netflow_oracle(path) -> list[FlowRecord]:
             raise type(exc)(f"{path}: datagram at byte {offset}: {exc}") from exc
         offset += size
     return flows
+
+
+_U32 = 0xFFFFFFFF
+
+
+def _floor_ms(us: int) -> int:
+    return (us // 1000) * 1000
+
+
+def _ceil_ms(us: int) -> int:
+    return -(-us // 1000) * 1000
+
+
+def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
+    """Encode FlowRecords as v5 datagrams, at most 30 records in each.
+
+    A bidirectional flow becomes two unidirectional records sharing the
+    flow's time window.  ``flow_sequence`` runs continuously from
+    ``seq_start`` across the returned datagrams.
+    """
+    raws = []
+    for n, flow in enumerate(flows):
+        key = flow.key
+        if flow.initiator_lo:
+            src, dst = (key.ip_lo, key.port_lo), (key.ip_hi, key.port_hi)
+        else:
+            src, dst = (key.ip_hi, key.port_hi), (key.ip_lo, key.port_lo)
+        for pkts, octets, flags, endpoints in (
+            (flow.fwd_packets, flow.fwd_bytes, flow.tcp_flags_fwd, (src, dst)),
+            (flow.bwd_packets, flow.bwd_bytes, flow.tcp_flags_bwd, (dst, src)),
+        ):
+            if not pkts:
+                continue
+            if pkts > _U32 or octets > _U32:
+                raise EncodingError(f"flow {n}: counter exceeds 32 bits")
+            raws.append(
+                (endpoints[0], endpoints[1], pkts, octets, flow.first_ts,
+                 flow.last_ts, flags, int(key.proto), flow.tos)
+            )
+    if not raws:
+        return []
+
+    boot_us = _floor_ms(min(r[4] for r in raws))
+    export_us = _ceil_ms(max(r[5] for r in raws))
+    sys_uptime = (export_us - boot_us) // 1000
+    if sys_uptime > _U32:
+        raise EncodingError("flow time span exceeds the 32-bit uptime field")
+    unix_secs = export_us // 1_000_000
+    unix_nsecs = (export_us % 1_000_000) * 1000
+
+    datagrams = []
+    emitted = 0
+    for start in range(0, len(raws), 30):
+        chunk = raws[start : start + 30]
+        out = bytearray(
+            _NF5_HEADER.pack(
+                5, len(chunk), sys_uptime, unix_secs, unix_nsecs,
+                (seq_start + emitted) & _U32, 0, 0, 0,
+            )
+        )
+        for src, dst, pkts, octets, first_us, last_us, flags, prot, tos in chunk:
+            out += _NF5_RECORD.pack(
+                src[0], dst[0], 0, 0, 0, pkts, octets,
+                (first_us - boot_us) // 1000, (last_us - boot_us) // 1000,
+                src[1], dst[1], 0, flags, prot, tos, 0, 0, 0, 0, 0,
+            )
+        emitted += len(chunk)
+        datagrams.append(bytes(out))
+    return datagrams
 
 
 # --------------------------------------------------------------------------

@@ -617,6 +617,21 @@ def test_json_nested_too_deeply_exits_one_naming_the_file(tmp_path, capsys, argv
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "{bad}", "--out-dataset", "{out}"],
+    ["train", "{csv}", "--features-from", "{bad}", "--out", "{out}"],
+    ["classify", "{bad}", "{csv}", "--out", "{out}"],
+])
+def test_json_integer_past_the_int_conversion_limit_exits_one_naming_the_file(tmp_path, capsys, argv):
+    paths = {"csv": tmp_path / "flows.csv", "out": tmp_path / "out", "bad": tmp_path / "long.json"}
+    run(["synth", FIXTURE_SPEC, "--out-dataset", paths["csv"]], capsys)
+    paths["bad"].write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {paths['bad']}: not valid JSON (Exceeds the limit (4300 digits)")
+    assert not paths["out"].exists()
+
+
 def spec_class(**changes):
     cls = {
         "label": "a", "flows": 2,

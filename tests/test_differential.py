@@ -1,23 +1,24 @@
 """Library code against the code it replaced (oracles in helpers).
 
-The batch scorer, the fold assignment, the bincount metric report, the
-array NIG fold and the one-fold-per-batch train and update must give exactly
-what the per-row, per-feature or per-class versions give: same floats, same
-ties, same model bytes.  Packet aggregation and NetFlow pair merging must
-give exactly the records of the per-packet episode and the pairwise record
-merge they replaced; the columnar aggregator must also group the same
-packets into each episode, and sampling traces are those groups sorted by
-time.  The columnar NetFlow reader, on valid and damaged multi-datagram
-files, must give the records or the error of the per-record decoder.  The columnar pcap reader must skip or keep
-exactly the frames the byte-slicing parser does, and raise the errors of a
-per-record walk at the same byte offsets, in any read window.  The
-vectorised Monte Carlo must give, trial by trial, the estimates of sampling
-the packet list one trial at a time, and the sampling report, drawn once per
-flow for all ratios, must equal the per-ratio report that drew once per
-(ratio, flow).  The model loader, fed saved documents
-with a few values replaced or keys deleted, must load a model that predicts or
-raise ModelFormatError.  The columnar ingest tail must give exactly what the
-per-flow one gave: the feature matrix the per-record formulas' bits, the
+The batch scorer, the fold assignment, the bincount metric report, the array
+NIG fold and the one-fold-per-batch train and update must give exactly what
+the per-row, per-feature or per-class versions give: same floats, same ties,
+same model bytes.  Packet aggregation and NetFlow pair merging must give
+exactly the records of the per-packet episode and the pairwise record merge
+they replaced; the columnar aggregator must also group the same packets into
+each episode, and sampling traces are those groups sorted by time.  The
+columnar NetFlow reader, on valid and damaged multi-datagram files, must
+give the records or the error of the per-record decoder, and the columnar
+encoder the bytes or the error of the per-record one.  The columnar pcap
+reader must skip or keep exactly the frames the byte-slicing parser does,
+and raise the errors of a per-record walk at the same byte offsets, in any
+read window.  The vectorised Monte Carlo must give, trial by trial, the
+estimates of sampling the packet list one trial at a time, and the sampling
+report, drawn once per flow for all ratios, must equal the per-ratio report
+that drew once per (ratio, flow).  The model loader, fed saved documents
+with a few values replaced or keys deleted, must load a model that predicts
+or raise ModelFormatError.  The columnar ingest tail must give exactly what
+the per-flow one gave: the feature matrix the per-record formulas' bits, the
 dataset writer the per-cell writer's bytes, and the label reader, on valid
 and damaged label files, the rows and lookups or the error message of the
 ``ipaddress`` parser.  The columnar generator must draw the records and
@@ -80,7 +81,13 @@ from flowident.flow import (
 )
 from flowident.ingest import load_labels, pcap
 from flowident.ingest.labels import HEADER
-from flowident.ingest.netflow import MalformedDatagramError, decode_netflow_v5, read_netflow_table
+from flowident.ingest.netflow import (
+    EncodingError,
+    MalformedDatagramError,
+    decode_netflow_v5,
+    encode_netflow_v5,
+    read_netflow_table,
+)
 from flowident.ingest.pcap import PcapDecodeError, PcapReader, write_pcap
 from flowident.sampling import (
     MIN_TRIALS,
@@ -97,11 +104,13 @@ from helpers import (
     bernoulli_sample,
     build_frame_oracle,
     confusion_oracle,
+    encode_netflow_oracle,
     estimate,
     eth_ipv4_frame,
     featurize_oracle,
     generate_packets_oracle,
     ip,
+    json_paths,
     load_labels_oracle,
     mc_estimates_oracle,
     merge_records_oracle,
@@ -305,14 +314,6 @@ VALID_MODEL_DOC = model_to_json_dict(train(DEMO_ROWS, [7, 16]), saved_at="2026-0
 ODD_VALUES = (None, True, False, 0, -1, 1, 7, 16, 2.5, 1e-300, 1e300, -1e300, 10**400,
               float("nan"), float("inf"), "", "bulk", "chat", "7", "nfi-model/1", [], [7], {},
               {"n": 3})
-
-
-def json_paths(doc, path=()):
-    """The path of every value below the root of a JSON document."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield path + (key,)
-        yield from json_paths(value, path + (key,))
 
 
 @st.composite
@@ -571,6 +572,70 @@ def netflow_outcome(read, data: bytes):
 def test_read_netflow_table_equals_the_per_record_decoder(data):
     want = netflow_outcome(read_netflow_oracle, data)
     assert netflow_outcome(lambda path: read_netflow_table(path).records(), data) == want
+
+
+# The last stamp whose ceil-ms still falls below export second 2**32.
+LAST_EXPORT_US = 2**32 * 1_000_000 - 1000
+
+
+def counters(draw, top):
+    pkts = draw(st.integers(1, top))
+    return pkts, draw(st.integers(20 * pkts, max(20 * pkts, top)))
+
+
+@st.composite
+def encodable_flows(draw):
+    """0–70 TCP and UDP flows, one or both directions, either initiator;
+    counters up to and past 2**32 - 1 and stamps from the epoch to the
+    last export second, spread within or past the 32-bit uptime field."""
+    top = draw(st.sampled_from((1500, 2**32 - 1, 2**32 + 5)))
+    spread = draw(st.sampled_from((1000, 10**9, 2**32 * 1000)))
+    base = draw(st.integers(0, LAST_EXPORT_US))
+    flows = []
+    for _ in range(draw(st.integers(0, 70))):
+        proto = draw(st.sampled_from((Proto.TCP, Proto.UDP)))
+        first = min(base + draw(st.integers(0, spread)), LAST_EXPORT_US)
+        fwd = counters(draw, top)
+        # A flow without backward packets may hold any backward byte count.
+        bwd = counters(draw, top) if draw(st.booleans()) else (0, draw(st.sampled_from((0, 2**40))))
+        flags = (lambda: draw(st.integers(0, 255))) if proto is Proto.TCP else (lambda: 0)
+        flows.append(FlowRecord(
+            FlowKey(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 65535)),
+                    draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 65535)), proto),
+            first, min(first + draw(st.integers(0, spread)), LAST_EXPORT_US), *fwd, *bwd,
+            flags(), flags(), draw(st.integers(0, 255)), draw(st.booleans()), draw(st.booleans()),
+        ))
+    return flows
+
+
+def one_way(i, **changes):
+    """UDP flow ``i`` of a set with distinct keys, forward packets only
+    unless ``changes`` say otherwise."""
+    fields = dict(first_ts=1_700_000_000_000_000 + i, last_ts=1_700_000_001_000_000,
+                  fwd_packets=1 + i, fwd_bytes=40 * (1 + i), bwd_packets=0, bwd_bytes=0)
+    return FlowRecord(FlowKey(i, 1000 + i, 2**32 - 1 - i, 80, Proto.UDP), **{**fields, **changes})
+
+
+def encoder_outcome(encode, flows, seq_start):
+    """``encode``'s datagrams, or the type and message of the EncodingError it raised."""
+    try:
+        return encode(flows, seq_start)
+    except EncodingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(encodable_flows(), st.one_of(st.integers(-(2**40), 2**40), st.sampled_from((-5, 2**40 + 3))))
+@example([], 0)
+@example([one_way(i) for i in range(30)], 2**32 - 1)  # exactly 30 records
+@example([one_way(i, initiator_lo=False) for i in range(31)], -5)  # 31 records
+@example([one_way(0, bwd_packets=1, bwd_bytes=20)] * 15 + [one_way(1)], 2**64 + 7)  # 31, pairs
+@example([one_way(0, first_ts=0, last_ts=LAST_EXPORT_US)], 0)  # span past the uptime field
+@example([one_way(0, fwd_bytes=2**32 - 1), one_way(1, bwd_packets=1, bwd_bytes=2**32 - 1)], 0)
+@example([one_way(0), one_way(1, bwd_packets=1, bwd_bytes=2**32)], 0)  # one byte past 32 bits
+def test_encode_netflow_equals_the_per_record_encoder(flows, seq_start):
+    want = encoder_outcome(encode_netflow_oracle, flows, seq_start)
+    assert encoder_outcome(encode_netflow_v5, flows, seq_start) == want
 
 
 # Header bytes whose values decide whether a frame is kept: ethertype,
@@ -935,6 +1000,18 @@ def test_write_pcap_equals_the_struct_writer(packets):
         assert got.read_bytes() == want.read_bytes()
         assert write_pcap(again, PcapReader(got).table()) == len(packets)
         assert again.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_write_pcap_in_row_chunks_equals_the_struct_writer(monkeypatch, tmp_path, rows):
+    """The writer scatters header rows a chunk at a time, the last chunk of
+    each protocol short when the chunk size does not divide its rows."""
+    monkeypatch.setattr(pcap, "_SCATTER_ROWS", rows)
+    packets = LAST_PACKETS * 2
+    want, got = tmp_path / "want.pcap", tmp_path / "got.pcap"
+    write_pcap_oracle(want, packets)
+    assert write_pcap(got, PacketTable.from_records(packets)) == len(packets)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def packet_spec(seed, proto, count, flows=30):

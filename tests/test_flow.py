@@ -151,6 +151,15 @@ def test_udp_flow_record_cannot_carry_tcp_flags(flags):
                    fwd_packets=1, fwd_bytes=28, bwd_packets=1, bwd_bytes=28, **flags)
 
 
+@pytest.mark.parametrize("field", [dict(tos=256), dict(tcp_flags_fwd=300), dict(tcp_flags_bwd=-1),
+                                   dict(tos=-1)])
+def test_flow_record_refuses_flags_and_tos_past_one_byte(field):
+    """So encode_netflow_v5 never packs a value its byte fields would wrap."""
+    with pytest.raises(ContractError, match="tcp_flags_fwd, tcp_flags_bwd and tos are single bytes"):
+        FlowRecord(FlowKey(1, 80, 2, 5000, Proto.TCP), first_ts=0, last_ts=1000,
+                   fwd_packets=1, fwd_bytes=40, bwd_packets=0, bwd_bytes=0, **field)
+
+
 def handshake_packets():
     return [
         mk_packet(ts=1_000_000, src="10.0.0.2", dst="10.0.0.1",

@@ -13,7 +13,9 @@ sampling report on that capture (``golden_sampling.*``) was written by the
 per-ratio Monte Carlo, one draw per (ratio, flow), that the one-draw engine
 replaced.  The ``ingest`` outputs on that capture are pinned by the sha256
 the per-flow ingest (one record, label row and feature vector per flow) gave
-before the columnar one replaced it.
+before the columnar one replaced it.  The NetFlow export and the label file
+that ``ingest`` reads are pinned by the sha256 they had before the columnar
+encoder replaced the per-record ``struct`` one.
 """
 
 import hashlib
@@ -42,6 +44,10 @@ INGEST_SHA256 = {
     "labeled": "64c87471cfbe9c3da249f9a4342a4d98bfc4f5c9bc64e8956b8f8055aa220c94",
     "complete": "415fd9a67da30cdfcb15e4aaa2382fe8d301105b6ce8619f2b23f3a6cffde262",
     "netflow": "f4eaf8b0e08ec1d769184c378b0fa62b338d06c9741c8eaad7abea06e5fe867e",
+}
+EXPORT_SHA256 = {
+    "demo.nf5": "f50f48e0f4ad6150f458a100997ecda393e29aedc3389ea497bc4576ded0f492",
+    "labels.csv": "0e768fb7a803a54a67abf2c3e02d907f6bbc31d48510821e716919f568e2630a",
 }
 
 
@@ -118,6 +124,8 @@ def test_ingest_output_bytes(tmp_path):
     write_pcap(capture, packets)
     write_labels(labels, label_rows)
     export.write_bytes(b"".join(encode_netflow_v5(aggregate(packets))))
+    for path in (export, labels):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[path.name], path.name
     argv = {
         "labeled": ["--pcap", capture, "--labels", labels],
         "complete": ["--pcap", capture, "--complete-only"],

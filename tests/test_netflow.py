@@ -255,6 +255,32 @@ def test_encode_span_overflow():
         encode_netflow_v5([flow])
 
 
+def test_encode_refuses_a_flow_stamped_before_the_epoch():
+    flows = [sample_flow(), sample_flow(first_ts=-5000, last_ts=10_000)]
+    with pytest.raises(EncodingError, match=re.escape("flow 1: first_ts -5000 is before the Unix epoch")):
+        encode_netflow_v5(flows)
+
+
+LAST_EXPORT_US = 2**32 * 1_000_000 - 1000  # its ceil-ms is still below second 2**32
+
+
+@pytest.mark.parametrize("last_ts", [LAST_EXPORT_US + 1, 2**32 * 1_000_000])
+def test_encode_refuses_an_export_second_past_32_bits(last_ts):
+    flows = [sample_flow(first_ts=last_ts - 5000, last_ts=last_ts - 4000),
+             sample_flow(first_ts=last_ts - 1000, last_ts=last_ts)]
+    want = f"flow 1: last_ts {last_ts} is past the 32-bit export seconds"
+    with pytest.raises(EncodingError, match=re.escape(want)):
+        encode_netflow_v5(flows)
+
+
+def test_encode_keeps_the_last_export_second():
+    flow = sample_flow(first_ts=LAST_EXPORT_US - 5000, last_ts=LAST_EXPORT_US)
+    [datagram] = encode_netflow_v5([flow])
+    assert int.from_bytes(datagram[8:12], "big") == 2**32 - 1
+    assert decode_netflow_v5(datagram) == [sample_flow(first_ts=LAST_EXPORT_US - 5000,
+                                                       last_ts=LAST_EXPORT_US)]
+
+
 def random_unidirectional_flows(count, seed=0):
     rnd = random.Random(seed)
     flows = []

@@ -59,6 +59,21 @@ def test_flow_trace_properties_and_validation():
         trace_from_packets([])
 
 
+@pytest.mark.parametrize("sizes, ts, message", [
+    ([0, 0], [0, 1], "sizes must be positive finite numbers"),
+    ([40, -1], [0, 1], "sizes must be positive finite numbers"),
+    ([40.0, np.nan], [0, 1], "sizes must be positive finite numbers"),
+    ([40.0, np.inf], [0, 1], "sizes must be positive finite numbers"),
+    ([10, 10], [5, 1], "stamps must not decrease"),
+    ([10, 10], [5.0, np.nan], "stamps must not decrease"),
+])
+def test_flow_trace_refuses_sizes_and_stamps_no_error_law_takes(sizes, ts, message):
+    """A zero size total, a NaN size or a negative duration would reach the
+    error laws as a division by zero or a NaN."""
+    with pytest.raises(ContractError, match=message):
+        FlowTrace(sizes=np.array(sizes), ts=np.array(ts))
+
+
 def test_flow_trace_from_packets_sorts_by_time():
     packets = [
         mk_packet(ts=3_000_000, length=40),
