@@ -47,6 +47,28 @@ def _parse_ratios(text: str) -> list[int]:
     return ratios
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}") from None
+    return seed
+
+
+def _parse_trials(text: str) -> int:
+    try:
+        trials = int(text)
+        sampling.check_trials(trials)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}") from None
+    except ContractError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return trials
+
+
 def _parse_features(text: str) -> tuple[int, ...] | None:
     if text.strip().lower() == "all":
         return None
@@ -288,8 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synth", help="synthetic spec JSON to analyse")
     p.add_argument("--ratios", type=_parse_ratios, default=[128, 256, 512, 1024],
                    help="comma-separated 1:N ratios (default 1:128,1:256,1:512,1:1024)")
-    p.add_argument("--trials", type=int, default=sampling.DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_parse_trials, default=sampling.DEFAULT_TRIALS,
+                   help=f"Monte Carlo trials, {sampling.MIN_TRIALS}..{sampling.MAX_TRIALS} "
+                        f"(default {sampling.DEFAULT_TRIALS})")
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--inactive-timeout", type=float, default=DEFAULT_INACTIVE_TIMEOUT)
     p.add_argument("--active-timeout", type=float, default=DEFAULT_ACTIVE_TIMEOUT)
     p.add_argument("--out-csv")
@@ -306,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
     p.add_argument("dataset")
     p.add_argument("--k", type=int, default=evaluation.DEFAULT_FOLDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--features", type=_parse_features, default=None)
     p.add_argument("--features-from", help="selection report JSON to take ids from")
     p.add_argument("--report", help="evaluation report JSON")

@@ -11,10 +11,22 @@ The per-metric degradation measure is
     biased metrics:   E(M - M_hat),
 estimated by seeded Monte Carlo resampling; its average over the flows of a
 trace summarises a whole capture at one sampling ratio.
+
+A report draws from one stream: flow f's (trials, n_f) uniforms are the
+first trials * n_f float32 draws of ``default_rng(seed)``.  One list of the
+survivors at the highest rate grows only when a flow needs more of the
+stream than the flows before it, so the flows may come in any order and the
+stream is drawn once, up to the longest flow's prefix.  The list stops
+growing at ``_CHUNK_BUDGET`` bytes; a longer flow draws the rest of its
+prefix, a chunk of trials at a time, from the generator state saved where
+the list ends, so memory stays bounded for any flow length.  Each flow's
+estimates depend only on (flow, seed, trials), so identical flows still get
+identical estimates.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import sys
 from dataclasses import dataclass
@@ -27,10 +39,17 @@ from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketTable,
 MIN_TRIALS = 1000
 DEFAULT_TRIALS = 20000
 
-# Rough bytes per Monte Carlo chunk.  A chunk row costs a float32 uniform and a
-# comparison byte per packet, plus about 45 bytes of survivor lists for each
-# packet that survives the highest rate.
+# Rough bytes per Monte Carlo chunk, and the most the kept survivor list may
+# hold.  A chunk row costs a float32 uniform and a comparison byte per packet,
+# plus about 45 bytes of survivor lists for each packet that survives the
+# highest rate.
 _CHUNK_BUDGET = 10_000_000
+
+# Each trial holds, for every rate, its three float64 estimates (24 bytes) and
+# about five float64 temporaries while they are made and reduced (40 bytes).
+# Keeping one rate's 64 bytes per trial within the budget bounds the trials
+# at 10,000,000 // 64 = 156,250.
+MAX_TRIALS = _CHUNK_BUDGET // 64
 
 
 class Metric(enum.Enum):
@@ -109,45 +128,97 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
     raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
 
 
-def _mc_estimates(trace: FlowTrace, ps, seed: int, trials: int) -> np.ndarray:
-    """Simulate `trials` independent samplings of one flow at every rate in `ps`.
+class _SurvivorStream:
+    """The survivors at the highest rate of one seed's float32 stream, whose
+    position trial * n + packet holds an n-packet flow's (trial, packet)
+    uniform; kept as stretches of positions and uniforms, 12 bytes a survivor."""
 
-    Returns a (3, len(ps), trials) array of per-trial l_hat, s_hat and fd_hat.
-    One float32 uniform per (trial, packet) serves every rate: the packet
-    survives rate p when its uniform is below p.  Chunking by trials does not
-    change the consumed random stream, so results depend only on (seed,
-    trials), and a rate's estimates do not depend on the other rates asked for.
-    """
+    def __init__(self, seed: int, top: float):
+        self.rng = np.random.default_rng(seed)
+        self.top = top
+        self.kept: list[tuple[np.ndarray, np.ndarray]] = []  # one stretch of the stream each
+        self.ends: list[int] = []  # the stream position each kept stretch ends at
+        self.size = 0  # survivors kept
+        self.end = 0  # the kept survivors are those of stream positions 0..end-1
+        self.state = self.rng.bit_generator.state  # the generator at position end
+        self.growing = True  # until a stretch does not fit in _CHUNK_BUDGET
+
+    def estimates(self, trace: FlowTrace, ps, trials: int) -> np.ndarray:
+        """Simulate `trials` independent samplings of one flow at every rate in `ps`.
+
+        Returns a (3, len(ps), trials) array of per-trial l_hat, s_hat and
+        fd_hat.  One uniform per (trial, packet) serves every rate: the packet
+        survives rate p when its uniform is below p.  Results depend only on
+        (seed, trials), not on the other flows or rates asked for.
+        """
+        n = trace.length
+        sizes = trace.sizes.astype(np.float64)
+        t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
+        rows = max(1, int(_CHUNK_BUDGET // (n * (5 + 45 * self.top))))
+        est = np.empty((3, len(ps), trials))
+        for lo in range(0, trials, rows):
+            c = min(rows, trials - lo)
+            # Survivors at the highest rate in stream order: each trial's run is
+            # contiguous and in packet order, and so is every lower rate's subset of it.
+            idx, u = self._read(lo * n, (lo + c) * n)
+            trial, pkt = np.divmod(idx, n)
+            trial -= lo
+            for j, p in enumerate(ps):
+                keep = u < p
+                t, i = trial[keep], pkt[keep]
+                first = np.flatnonzero(np.diff(t, prepend=-1))
+                last = np.flatnonzero(np.diff(t, append=c))
+                window = np.zeros(c)
+                window[t[first]] = t_sec[i[last]] - t_sec[i[first]]
+                est[:, j, lo : lo + c] = (np.bincount(t, minlength=c) / p,
+                                          np.bincount(t, sizes[i], minlength=c) / p, window)
+        return est
+
+    def _read(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Survivors of stream positions a..b-1.  A read that starts past the
+        kept list continues the one before it, where the generator stands."""
+        parts = self.kept[bisect.bisect_right(self.ends, a) : bisect.bisect_left(self.ends, b) + 1]
+        if b > self.end:
+            if a <= self.end:
+                self.rng.bit_generator.state = self.state
+            start = max(a, self.end)
+            drawn = self.rng.random(b - start, dtype=np.float32)
+            hit = np.flatnonzero(drawn < self.top)
+            uniforms = drawn[hit]
+            hit += start  # stream positions
+            parts.append((hit, uniforms))
+            self.growing &= (self.size + hit.size) * 12 <= _CHUNK_BUDGET
+            if self.growing:
+                self.kept.append(parts[-1])
+                self.ends.append(b)
+                self.size += hit.size
+                self.end, self.state = b, self.rng.bit_generator.state
+        idx, u = parts[0] if len(parts) == 1 else (np.concatenate(col) for col in zip(*parts))
+        lo, hi = np.searchsorted(idx, (a, b))
+        return idx[lo:hi], u[lo:hi]
+
+
+def check_trials(trials: int) -> None:
+    """Refuse a trial count outside MIN_TRIALS..MAX_TRIALS, before anything is drawn."""
     if trials < MIN_TRIALS:
-        raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials")
+        raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ContractError(f"Monte Carlo takes at most {MAX_TRIALS} trials, got {trials}")
+
+
+def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.ndarray:
+    """(3, rates, flows) degradations in Metric order, every flow reading one stream."""
+    check_trials(trials)
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
-    n = trace.length
-    sizes = trace.sizes.astype(np.float64)
-    t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
-    rng = np.random.default_rng(seed)
-    rows = max(1, int(_CHUNK_BUDGET // (n * (5 + 45 * max(ps)))))
-    est = np.empty((3, len(ps), trials))
-    for lo in range(0, trials, rows):
-        c = min(rows, trials - lo)
-        u = rng.random((c, n), dtype=np.float32)
-        # Survivors at the highest rate in row-major order: each trial's run is
-        # contiguous and in packet order, and so is every lower rate's subset of it.
-        trial, pkt = np.nonzero(u < max(ps))
-        u = u[trial, pkt]
-        for j, p in enumerate(ps):
-            keep = u < p
-            t, i = trial[keep], pkt[keep]
-            k = np.bincount(t, minlength=c)
-            end = np.cumsum(k)
-            two = k >= 2
-            window = np.zeros(c)
-            window[two] = t_sec[i[end[two] - 1]] - t_sec[i[end[two] - k[two]]]
-            est[:, j, lo : lo + c] = k / p, np.bincount(t, sizes[i], minlength=c) / p, window
-    return est
+    stream = _SurvivorStream(seed, max(ps))
+    dres = np.empty((3, len(ps), len(traces)))
+    for f, trace in enumerate(traces):
+        dres[:, :, f] = _degradations(trace, stream.estimates(trace, ps, trials))
+    return dres
 
 
 def _degradations(trace: FlowTrace, est: np.ndarray) -> np.ndarray:
-    """(3, rates) degradations in Metric order from :func:`_mc_estimates`'s output."""
+    """(3, rates) degradations in Metric order from one flow's (3, rates, trials) estimates."""
     return np.array([
         np.var(est[0] / trace.length, axis=1, ddof=1),
         np.var(est[1] / trace.size, axis=1, ddof=1),
@@ -159,7 +230,9 @@ def simulate_estimates(
     trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (l_hat, s_hat, fd_hat) arrays for one flow at rate cfg.p."""
-    return tuple(_mc_estimates(trace, [cfg.p], cfg.seed, trials)[:, 0])
+    check_trials(trials)
+    p = float(cfg.p)
+    return tuple(_SurvivorStream(cfg.seed, p).estimates(trace, [p], trials)[:, 0])
 
 
 def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
@@ -169,18 +242,18 @@ def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEF
     variance across trials); duration reports the mean shortfall E(M - M_hat),
     which is non-negative because a sampled window never exceeds the real one.
     """
-    if not isinstance(metric, Metric):
-        raise ContractError(f"unknown metric {metric!r}")
-    est = _mc_estimates(trace, [cfg.p], cfg.seed, trials)
-    return float(_degradations(trace, est)[list(Metric).index(metric), 0])
+    return adre(metric, [trace], cfg, trials)
 
 
 def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
     """Mean of the per-flow degradations across a trace collection."""
+    if not isinstance(metric, Metric):
+        raise ContractError(f"unknown metric {metric!r}")
     traces = list(traces)
     if not traces:
         raise ContractError("adre needs at least one flow")
-    return float(np.mean([dre(metric, trace, cfg, trials) for trace in traces]))
+    dres = _mc_degradations(traces, [cfg.p], cfg.seed, trials)
+    return float(dres[list(Metric).index(metric), 0].mean())
 
 
 def traces_from_table(table: PacketTable, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
@@ -264,10 +337,7 @@ def build_sampling_report(
         raise ContractError("adre needs at least one flow")
     if not ratios:
         raise ContractError("need at least one sampling ratio")
-    ps = [sampling_rate(n) for n in ratios]
-    dres = np.empty((3, len(ratios), len(traces)))
-    for f, trace in enumerate(traces):
-        dres[:, :, f] = _degradations(trace, _mc_estimates(trace, ps, seed, trials))
+    dres = _mc_degradations(traces, [sampling_rate(n) for n in ratios], seed, trials)
     # Along the contiguous flow axis, the mean sums as np.mean does over adre's list.
     means = dres.mean(axis=2)
     rows = [

@@ -25,6 +25,10 @@ _START_WINDOW_S = 60.0
 _MAX_PKT_LEN = 1500
 _MAX_COUNT = 2**32 - 1  # NetFlow v5's 32-bit packet counter
 _MAX_TS_S = 2**32  # pcap's 32-bit seconds
+# Values a spec may ask numpy for, 1 GiB as float64: a flow draws one value per
+# feature for a dataset, and a count, a start and a size, a gap and a
+# direction per packet for a capture.
+_MAX_DRAWS = 2**27
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,11 @@ class Dist:
         if self.kind == "exponential":
             return rng.exponential(self.params[0], size)
         raise ContractError(f"unknown distribution kind {self.kind!r}")
+
+    @property
+    def top(self) -> float:
+        """The high, fixed value or mean: what a spec bounds a packet count by."""
+        return self.params[1] if self.kind.startswith("uniform") else self.params[0]
 
 
 _DIST_PARAMS = {
@@ -94,11 +103,11 @@ def _parse_dist(doc, context: str, count: bool = False) -> Dist:
         raise FormatError(f"{context}: high - low must be a finite number, got inf")
     if kind == "uniform_int" and not -(2**63) <= int(params[0]) <= int(params[1]) < 2**63:
         raise FormatError(f"{context}: low and high must lie in the int64 range")
-    top = params[1] if kind.startswith("uniform") else params[0]
-    if count and top > _MAX_COUNT:
-        raise FormatError(f"{context}: packet count {top!r} is above NetFlow v5's "
+    dist = Dist(kind, params)
+    if count and dist.top > _MAX_COUNT:
+        raise FormatError(f"{context}: packet count {dist.top!r} is above NetFlow v5's "
                           f"32-bit counter ({_MAX_COUNT})")
-    return Dist(kind, params)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,7 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
     if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise FormatError("spec needs a 'classes' list")
     classes = []
+    draws = 0
     for i, cls in enumerate(doc["classes"]):
         context = f"classes[{i}]"
         if not isinstance(cls, dict):
@@ -163,6 +173,11 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
             pkt_count = _parse_dist(packets["count"], f"{context}.packets.count", count=True)
             pkt_size = _parse_dist(packets["size"], f"{context}.packets.size")
             iat = _parse_dist(packets["iat"], f"{context}.packets.iat")
+        per_flow = len(FEATURE_NAMES) + (2 + 3 * max(math.ceil(pkt_count.top), 1) if packets else 0)
+        draws += flows * per_flow
+        if draws > _MAX_DRAWS:
+            raise FormatError(f"{context}: {flows} flows of up to {per_flow} draws each take "
+                              f"the spec past its budget of {_MAX_DRAWS} draws")
         classes.append(
             ClassSpec(
                 label=str(cls["label"]),
@@ -240,7 +255,7 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
     rng = np.random.default_rng(spec.seed)
     parts: list[tuple[np.ndarray, ...]] = []  # each flow's PacketTable columns
     labels: list[LabelRow] = []
-    serial = 0
+    serial = drawn_packets = 0
     for cls_idx, cls in enumerate(spec.classes):
         if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
             raise ContractError(f"class {cls.label!r} has no packet generators")
@@ -253,6 +268,10 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
                 raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
                                   f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
             count = int(round(drawn))
+            drawn_packets += count  # a normal or exponential count may pass the parsed budget
+            if 3 * drawn_packets > _MAX_DRAWS:
+                raise FormatError(f"{where}.count: drew {drawn_packets} packets, past the "
+                                  f"spec's budget of {_MAX_DRAWS} draws")
             sizes = np.clip(
                 np.round(cls.pkt_size.draw(rng, count)), min_len, _MAX_PKT_LEN
             ).astype(int)

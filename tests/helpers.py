@@ -22,8 +22,9 @@ These tools live here:
 * per-trial Bernoulli packet sampling and the inverse-probability
   estimates of one sampled flow, which the vectorised Monte Carlo
   ``simulate_estimates`` must reproduce trial by trial;
-* the per-ratio sampling report that the one-draw engine replaced: a
-  fresh draw and a dense survivor mask for every (ratio, flow);
+* the per-ratio sampling report that the shared-stream engine replaced: a
+  fresh draw of the seed's stream and a dense survivor mask for every
+  (ratio, flow);
 * the per-flow ingest tail that the columnar one replaced: the per-record
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
   line, and the per-cell dataset writer;
@@ -550,7 +551,7 @@ def estimate(sampled, p: float) -> FlowEstimates:
 
 
 # --------------------------------------------------------------------------
-# The per-ratio sampling report, the reference for the one-draw engine
+# The per-ratio sampling report, the reference for the shared-stream engine
 # --------------------------------------------------------------------------
 
 def mc_estimates_oracle(trace, p: float, seed: int, trials: int):

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowident.cli import main
+from flowident import sampling
+from flowident.cli import build_parser, main
 from flowident.features import FEATURE_NAMES, Dataset, FeatureVector, write_dataset
 from flowident.flow import Proto
 from flowident.ingest.netflow import encode_netflow_v5
@@ -151,6 +153,54 @@ def test_sample_report_rejects_a_ratio_without_a_float_rate(capsys):
     err = capsys.readouterr().err
     assert "must be in 1..1.79769e+308" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sample-report", "--synth", str(FIXTURE_SPEC)],
+    ["evaluate", "dataset.csv"],
+])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_must_be_a_non_negative_integer(capsys, command, seed):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*command, "--seed", seed])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"seed must be a non-negative integer, got '{seed}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials, message", [
+    ("999", "needs at least 1000 trials"),
+    (str(sampling.MAX_TRIALS + 1), f"takes at most {sampling.MAX_TRIALS} trials"),
+    ("1" + "0" * 30, f"takes at most {sampling.MAX_TRIALS} trials"),
+    ("2.5", "trials must be an integer"),
+])
+def test_sample_report_refuses_trials_outside_the_budget(capsys, monkeypatch, trials, message):
+    monkeypatch.setattr(sampling, "build_sampling_report", None)  # nothing may be drawn
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sample-report", "--synth", str(FIXTURE_SPEC), "--trials", trials])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_sample_report_refuses_a_spec_past_the_draw_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": [spec_class(flows=10**12)]}), encoding="utf-8")
+    code, out, err = run(["sample-report", "--synth", spec], capsys)
+    assert code == 1
+    assert err == (f"error: {spec}: classes[0]: 1000000000000 flows of up to 27 draws each "
+                   "take the spec past its budget of 134217728 draws\n")
+
+
+def test_sample_report_takes_trials_from_min_to_max():
+    parser = build_parser()
+    for trials in (sampling.MIN_TRIALS, sampling.MAX_TRIALS):
+        args = parser.parse_args(["sample-report", "--synth", "s.json", "--trials", str(trials)])
+        assert args.trials == trials
+    assert parser.parse_args(["evaluate", "d.csv", "--seed", str(2**70)]).seed == 2**70
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):
@@ -680,6 +730,8 @@ def with_packets(**changes):
      "classes[0].packets.iat: packet times pass the 32-bit seconds of the pcap format (year 2106)"),
     ({"classes": [spec_class(flows=40, features={"pps": {"mean": 1e308, "std": 1e308}})]},
      "classes[0]: feature 'pps': drew inf, not a finite number"),
+    ({"classes": [spec_class(flows=10**12)]}, "classes[0]: 1000000000000 flows of up to 27 draws "
+     "each take the spec past its budget of 134217728 draws"),
 ])
 def test_malformed_spec_exits_one_naming_the_file(tmp_path, capsys, doc, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out.csv"

@@ -782,6 +782,21 @@ def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_b
     np.testing.assert_allclose(fd_hat, [e.fd_hat for e in oracle], rtol=0, atol=1e-9)
 
 
+def ramp_trace(n: int) -> FlowTrace:
+    return FlowTrace(sizes=np.arange(n) % 1400 + 40, ts=1_700_000_000_000_000 + np.arange(n) * 7919)
+
+
+@pytest.mark.parametrize("lengths", [(20, 20, 20), (80, 40, 7, 1), (3, 80, 3, 40, 80)],
+                         ids=["equal", "descending", "mixed"])
+@pytest.mark.parametrize("chunk_budget", [None, 9970, 300])
+def test_sampling_report_reads_flows_in_any_length_order(monkeypatch, lengths, chunk_budget):
+    traces = [ramp_trace(n) for n in lengths]
+    if chunk_budget is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)
+    report = build_sampling_report(traces, [1, 16, 64], seed=5, trials=1000)
+    assert report.rows == sampling_report_oracle(traces, [1, 16, 64], 5, 1000).rows
+
+
 @st.composite
 def flow_traces(draw):
     """1-10 traces of 1-80 packets; per trace, no, some or all timestamp gaps are 0."""
@@ -805,6 +820,9 @@ def flow_traces(draw):
     st.sampled_from((None, 9970)),
 )
 @example([FlowTrace(sizes=np.array([40, 1500, 60]), ts=np.array([5, 5, 9]))], [1, 8, 8], 1000, 3, 9970)
+# About 80 and 470 survivors at 1:64 fit the 9,970-byte list of 12-byte
+# entries; the 80-packet flow's 1,250 do not, so the list fills mid-report.
+@example([ramp_trace(n) for n in (5, 30, 80)], [64, 128], 1000, 7, 9970)
 def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, seed, chunk_budget):
     with pytest.MonkeyPatch.context() as patch:
         if chunk_budget is not None:

@@ -1,5 +1,7 @@
 """Bernoulli sampling, inverse-probability estimators, and error reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from flowident.errors import ContractError
 from flowident.flow import Proto
 from flowident.sampling import (
     DEFAULT_TRIALS,
+    MAX_TRIALS,
     MIN_TRIALS,
     FlowTrace,
     Metric,
@@ -222,6 +225,18 @@ def test_invalid_metric_and_trials():
     assert MIN_TRIALS == 1000
 
 
+def test_trials_past_the_budget_are_refused_before_anything_is_drawn(count_generators):
+    made, _ = count_generators()
+    sampling.check_trials(MAX_TRIALS)
+    assert MAX_TRIALS * 64 <= sampling._CHUNK_BUDGET < (MAX_TRIALS + 1) * 64
+    for trials in (MAX_TRIALS + 1, 10**30):
+        with pytest.raises(ContractError, match=f"at most {MAX_TRIALS} trials"):
+            build_sampling_report([uniform_trace(10)], [8], trials=trials)
+        with pytest.raises(ContractError, match=f"at most {MAX_TRIALS} trials"):
+            simulate_estimates(uniform_trace(10), SamplingConfig(0.5), trials=trials)
+    assert made == []
+
+
 def test_dre_is_deterministic_per_seed():
     trace = make_trace(np.arange(40, 140))
     a = dre(Metric.SIZE, trace, SamplingConfig(1 / 8, seed=11), trials=1500)
@@ -255,7 +270,7 @@ def test_adre_of_one_flow_equals_dre():
 def test_adre_of_identical_flows_equals_single_dre():
     trace = make_trace(np.arange(50, 120))
     cfg = SamplingConfig(1 / 32, seed=4)
-    # every flow consumes a fresh stream with the same seed, so copies agree
+    # every flow reads the same prefix of the seed's one stream, so copies agree
     assert adre(Metric.LENGTH, [trace, trace, trace], cfg, trials=1500) == dre(
         Metric.LENGTH, trace, cfg, trials=1500
     )
@@ -293,15 +308,73 @@ def test_report_rows_match_standalone_adre_exactly():
             assert got[(metric.value, n)] == standalone
 
 
-def test_report_builds_one_generator_per_flow_for_any_number_of_ratios(monkeypatch):
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
-    traces = short_heavy_traces(count=5)
-    for ratios in ([8], [1024, 256, 8, 2, 1]):
-        made.clear()
-        build_sampling_report(traces, ratios, seed=4, trials=1000)
-        assert made == [4] * len(traces)
+class CountingGenerator:
+    """A generator that records the size of every draw asked of it."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, size, dtype):
+        self.drawn.append(int(np.prod(size)))
+        return self.rng.random(size, dtype=dtype)
+
+
+@pytest.fixture
+def count_generators(monkeypatch):
+    """Once called, record the seed of every default_rng call and the size of every draw."""
+    def install():
+        made, drawn = [], []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed)
+                            or CountingGenerator(default_rng(seed), drawn))
+        return made, drawn
+    return install
+
+
+def test_report_builds_one_generator_for_any_number_of_flows_and_ratios(count_generators):
+    traces = short_heavy_traces(count=12)
+    made, _ = count_generators()
+    for count in (1, 5, 12):
+        for ratios in ([8], [1024, 256, 8, 2, 1]):
+            made.clear()
+            build_sampling_report(traces[:count], ratios, seed=4, trials=1000)
+            assert made == [4]
+
+
+def test_report_draws_the_longest_flows_prefix_once_while_the_survivors_fit(count_generators):
+    traces = short_heavy_traces(count=12)
+    _, drawn = count_generators()
+    build_sampling_report(traces, [128, 256, 512, 1024], seed=4, trials=1000)
+    assert sum(drawn) == 1000 * max(trace.length for trace in traces)
+
+
+def test_report_draws_again_past_a_full_survivor_list(monkeypatch, count_generators):
+    traces = short_heavy_traces(count=12)
+    _, drawn = count_generators()
+    whole = build_sampling_report(traces, [2, 8], seed=4, trials=1000)
+    drawn.clear()
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 20_000)  # ~1,700 survivors at 1:2
+    assert build_sampling_report(traces, [2, 8], seed=4, trials=1000).rows == whole.rows
+    assert sum(drawn) > 1000 * max(trace.length for trace in traces)
+
+
+def test_report_memory_is_bounded_by_the_budget_for_any_flow_length():
+    """A 50,000-packet flow at 1:1 has 5e7 survivors, 600 MB as a list; the
+    kept list stops at the budget and the rest is drawn a chunk at a time, so
+    the peak is the list plus one chunk's arrays, each about the budget."""
+    trace = make_trace(np.full(50_000, 100), ts=np.arange(50_000) * 10)
+    tracemalloc.start()
+    try:
+        report = build_sampling_report([trace], [1], seed=0, trials=MIN_TRIALS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.adre == 0.0 for row in report.rows)
+    assert peak < 3 * sampling._CHUNK_BUDGET
 
 
 def test_report_improves_with_higher_rate():

@@ -10,6 +10,7 @@ import pytest
 from flowident.errors import ContractError, FormatError
 from flowident.features import FEATURE_NAMES
 from flowident.flow import Proto, aggregate, canonical_key
+from flowident import synth
 from flowident.ingest.pcap import write_pcap
 from flowident.synth import (
     SynthSpec,
@@ -144,6 +145,37 @@ def test_parse_defaults():
 def test_parse_errors(doc, message):
     with pytest.raises(FormatError, match=message):
         parse_synth_spec(doc)
+
+
+def test_spec_draws_past_the_budget_are_refused_naming_the_class(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+    budget = synth._MAX_DRAWS
+    per_packet_flow = 16 + 2 + 3 * 3  # features; count and start; size, gap and direction
+    assert parse_synth_spec({"classes": [{"label": "a", "flows": budget // 16}]})
+    cases = [
+        ({"classes": [{"label": "a", "flows": 10**12}]},
+         r"classes\[0\]: 1000000000000 flows of up to 16 draws each take the spec past its "
+         rf"budget of {budget} draws"),
+        ({"classes": [{"label": "a", "flows": budget // 16 + 1}]}, r"classes\[0\]: "),
+        ({"classes": [{"label": "a", "flows": budget // 32},
+                      {"label": "b", "flows": budget // 32 + 1}]}, r"classes\[1\]: "),
+        ({"classes": [{**one_udp_class(), "flows": budget // per_packet_flow + 1}]},
+         rf"classes\[0\]: \d+ flows of up to {per_packet_flow} draws each"),
+        ({"classes": [one_udp_class(count={"kind": "fixed", "value": 2**32 - 1})]},
+         r"classes\[0\]: 2 flows of up to 12884901903 draws each"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(FormatError, match=message):
+            parse_synth_spec(doc)
+    assert parse_synth_spec({"classes": [{**one_udp_class(), "flows": budget // per_packet_flow}]})
+
+
+def test_drawn_packet_counts_past_the_budget_are_refused_before_their_packets_are_drawn():
+    cls = one_udp_class(count={"kind": "normal", "mean": 3, "std": 1e8})
+    wide = parse_synth_spec({"classes": [{**cls, "flows": 1000}]})  # the mean fits the budget
+    with pytest.raises(FormatError, match=r"classes\[0\]\.packets\.count: drew \d+ packets, past "
+                                          rf"the spec's budget of {synth._MAX_DRAWS} draws"):
+        generate_packets(wide)
 
 
 def test_load_spec_from_file(tmp_path):
