@@ -19,6 +19,7 @@ from .files import read_json, write_json
 from .flow import (
     DEFAULT_ACTIVE_TIMEOUT,
     DEFAULT_INACTIVE_TIMEOUT,
+    Aggregation,
     PacketTable,
     aggregate_table,
 )
@@ -103,8 +104,15 @@ def _add_prior_args(parser) -> None:
     parser.add_argument("--prior-beta", type=float, default=defaults.beta)
 
 
+def _add_feature_args(parser) -> None:
+    ids = parser.add_mutually_exclusive_group()
+    ids.add_argument("--features", type=_parse_features, default=None,
+                     help="'all' or comma-separated feature ids (default all)")
+    ids.add_argument("--features-from", help="selection report JSON to take ids from")
+
+
 def _resolve_features(args) -> tuple[int, ...] | None:
-    path = getattr(args, "features_from", None)
+    path = args.features_from
     if not path:
         return args.features
     try:
@@ -117,20 +125,32 @@ def _resolve_features(args) -> tuple[int, ...] | None:
         raise FormatError(f"{path}: 'selected': {exc}") from None
 
 
-def _read_capture(path) -> PacketTable:
-    reader = PcapReader(path)
+def _capture_episodes(args) -> tuple[PacketTable, Aggregation]:
+    """The packets of ``args.pcap`` and their flow episodes, noting the
+    frames skipped and the packets rejected on the way."""
+    reader = PcapReader(args.pcap)
     table = reader.table()
     if reader.skipped:
         print(f"note: skipped {reader.skipped} frames that are not IPv4 TCP/UDP", file=sys.stderr)
-    return table
+    agg = aggregate_table(table, args.inactive_timeout, args.active_timeout)
+    if agg.rejected:
+        print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
+    return table, agg
+
+
+def _draw_spec(path, draw):
+    """``draw`` over the spec JSON at ``path``; a FormatError raised while
+    drawing names the file, as one raised while parsing does."""
+    spec = synth.load_synth_spec(path)
+    try:
+        return draw(spec)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def cmd_ingest(args) -> int:
     if args.pcap:
-        agg = aggregate_table(_read_capture(args.pcap), args.inactive_timeout, args.active_timeout)
-        flows = agg.flows
-        if agg.rejected:
-            print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
+        flows = _capture_episodes(args)[1].flows
     else:
         flows = read_netflow_table(args.netflow)
     if args.complete_only:
@@ -190,10 +210,11 @@ def cmd_classify(args) -> int:
 
 def cmd_sample_report(args) -> int:
     if args.pcap:
-        table = _read_capture(args.pcap)
+        table, agg = _capture_episodes(args)
     else:
-        table, _ = synth.generate_packets(synth.load_synth_spec(args.synth))
-    traces = sampling.traces_from_table(table, args.inactive_timeout, args.active_timeout)
+        table = _draw_spec(args.synth, lambda spec: synth.generate_packets(spec)[0])
+        agg = aggregate_table(table, args.inactive_timeout, args.active_timeout)
+    traces = sampling.traces_from_table(table, agg)
     report = sampling.build_sampling_report(
         traces, args.ratios, seed=args.seed, trials=args.trials
     )
@@ -207,16 +228,14 @@ def cmd_sample_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.load_synth_spec(args.spec)
-    if not (args.out_dataset or args.out_pcap or args.out_labels):
+    capture = args.out_pcap or args.out_labels
+    if not (args.out_dataset or capture):
         raise ContractError("nothing to do: pass --out-dataset, --out-pcap, or --out-labels")
-    try:  # every draw before any write: a draw may refuse the spec
-        if args.out_pcap or args.out_labels:
-            packets, labels = synth.generate_packets(spec)
-        if args.out_dataset:
-            ds = synth.generate_dataset(spec)
-    except FormatError as exc:
-        raise FormatError(f"{args.spec}: {exc}") from None
+    # Every draw before any write: a draw may refuse the spec.
+    (packets, labels), ds = _draw_spec(args.spec, lambda spec: (
+        synth.generate_packets(spec) if capture else (None, None),
+        synth.generate_dataset(spec) if args.out_dataset else None,
+    ))
     if args.out_dataset:
         write_dataset(ds, args.out_dataset)
         print(f"wrote {len(ds)} feature rows to {args.out_dataset}")
@@ -286,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a classifier on a labeled dataset")
     p.add_argument("dataset")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--features", type=_parse_features, default=None,
-                   help="'all' or comma-separated feature ids (default all)")
-    p.add_argument("--features-from", help="selection report JSON to take ids from")
+    _add_feature_args(p)
     _add_prior_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -331,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--k", type=int, default=evaluation.DEFAULT_FOLDS)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--features", type=_parse_features, default=None)
-    p.add_argument("--features-from", help="selection report JSON to take ids from")
+    _add_feature_args(p)
     p.add_argument("--report", help="evaluation report JSON")
     p.add_argument("--csv", help="one-row metrics CSV")
     _add_prior_args(p)

@@ -156,7 +156,9 @@ def read_netflow_table(path) -> FlowTable:
     record of a key and direction, in arrival order, pairs with the k-th
     record of the opposite direction.  The earlier record of a pair defines
     the forward direction and the flow's place; pairs never span datagrams.
-    The first fault in file order is raised, naming its datagram's offset.
+    The first fault in file order is raised, naming its datagram's offset;
+    a complete header is checked (version, then count) before its records'
+    bytes are looked for, so "truncated" means bytes are missing.
     """
     data = Path(path).read_bytes()
     offsets, offset = [], 0
@@ -165,10 +167,10 @@ def read_netflow_table(path) -> FlowTable:
             if offset + _HEADER.size > len(data):
                 raise MalformedDatagramError(f"{path}: truncated header at byte {offset}")
             version, count = _HEADER.unpack_from(data, offset)[:2]
-            size = _HEADER.size + count * _RECORD.size
-            if count < 1 or offset + size > len(data):
-                raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
             _check_header(version, count, f"{path}: datagram at byte {offset}: ")
+            size = _HEADER.size + count * _RECORD.size
+            if offset + size > len(data):
+                raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
             offsets.append(offset)
             offset += size
     except FormatError:

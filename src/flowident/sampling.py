@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, PacketTable, aggregate_table
+from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, Aggregation, PacketTable, aggregate_table
 
 MIN_TRIALS = 1000
 DEFAULT_TRIALS = 20000
@@ -207,13 +207,20 @@ def check_trials(trials: int) -> None:
 
 
 def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.ndarray:
-    """(3, rates, flows) degradations in Metric order, every flow reading one stream."""
+    """(3, rates, flows) degradations in Metric order, every flow reading one stream.
+
+    A flow's rates go in groups of MAX_TRIALS // trials, one pass over its
+    survivors each, so its estimates stay within one rate's budget at
+    MAX_TRIALS for any number of rates."""
     check_trials(trials)
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
     stream = _SurvivorStream(seed, max(ps))
+    group = max(1, MAX_TRIALS // trials)
     dres = np.empty((3, len(ps), len(traces)))
     for f, trace in enumerate(traces):
-        dres[:, :, f] = _degradations(trace, stream.estimates(trace, ps, trials))
+        for j in range(0, len(ps), group):
+            rates = slice(j, j + group)  # one flow's estimates are alive at a time
+            dres[:, rates, f] = _degradations(trace, stream.estimates(trace, ps[rates], trials))
     return dres
 
 
@@ -256,11 +263,9 @@ def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIA
     return float(dres[list(Metric).index(metric), 0].mean())
 
 
-def traces_from_table(table: PacketTable, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
-                      active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> list[FlowTrace]:
-    """One FlowTrace per flow episode of a packet table, in episode order:
-    the episode's packets sorted by time, ties in arrival order."""
-    agg = aggregate_table(table, inactive_timeout, active_timeout)
+def traces_from_table(table: PacketTable, agg: Aggregation) -> list[FlowTrace]:
+    """One FlowTrace per flow episode of ``agg``, the aggregation of ``table``,
+    in episode order: the episode's packets sorted by time, ties in arrival order."""
     episode = np.repeat(np.arange(len(agg.flows)), np.diff(agg.bounds))
     ts = table.ts[agg.packets].astype(np.int64)
     by_time = np.lexsort((ts, episode))
@@ -272,7 +277,8 @@ def traces_from_table(table: PacketTable, inactive_timeout: float = DEFAULT_INAC
 def traces_from_packets(packets, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
                         active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> list[FlowTrace]:
     """:func:`traces_from_table` over a packet stream."""
-    return traces_from_table(PacketTable.from_records(packets), inactive_timeout, active_timeout)
+    table = PacketTable.from_records(packets)
+    return traces_from_table(table, aggregate_table(table, inactive_timeout, active_timeout))
 
 
 @dataclass(frozen=True)

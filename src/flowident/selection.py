@@ -17,6 +17,7 @@ from .errors import ContractError, DegenerateDatasetError, check_finite
 from .features import Dataset, NUM_FEATURES, feature_name
 
 DEFAULT_BINS = 10
+_MAX_BINS = 2**63 - 1  # the codes are int64
 
 
 def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -24,18 +25,23 @@ def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
 
     Equal values always share a code, and a tie group straddling an ideal
     boundary drops into the lower bin; a constant column is all code 0.
+    Sorted position i gets code i * bins // n, computed exactly in int64 for
+    any bins up to 2**63 - 1.
     """
     values = np.asarray(column, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ContractError("discretize needs a non-empty 1-D column")
-    if bins < 2:
-        raise ContractError("bins must be at least 2")
+    if not 2 <= bins <= _MAX_BINS:
+        raise ContractError(f"bins must be in 2..{_MAX_BINS}, got {bins}")
     if not np.all(np.isfinite(values)):
         raise ContractError("column contains non-finite values")
     n = values.size
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
-    position_codes = (np.arange(n) * bins) // n
+    # i * bins // n == i * q + i * r // n, where i * q < bins and i * r < n**2.
+    q, r = divmod(int(bins), n)
+    i = np.arange(n, dtype=np.int64)
+    position_codes = i * q + (i * r) // n
     # Each element takes the code of its tie group's first sorted position.
     first_in_group = np.searchsorted(sorted_vals, sorted_vals, side="left")
     codes = np.empty(n, dtype=np.int64)

@@ -806,14 +806,19 @@ def read_netflow_oracle(path) -> list[FlowRecord]:
     while offset < len(data):
         if offset + _NF5_HEADER.size > len(data):
             raise MalformedDatagramError(f"{path}: truncated header at byte {offset}")
-        count = int.from_bytes(data[offset + 2 : offset + 4], "big")
+        version, count = _NF5_HEADER.unpack_from(data, offset)[:2]
+        where = f"{path}: datagram at byte {offset}: "
+        if version != 5:
+            raise UnsupportedVersionError(f"{where}expected version 5, got {version}")
+        if not 1 <= count <= 30:
+            raise MalformedDatagramError(f"{where}record count {count} outside [1, 30]")
         size = _NF5_HEADER.size + count * _NF5_RECORD.size
-        if count < 1 or offset + size > len(data):
+        if offset + size > len(data):
             raise MalformedDatagramError(f"{path}: truncated datagram at byte {offset}")
         try:
             flows.extend(decode_netflow_oracle(data[offset : offset + size]))
         except (MalformedDatagramError, UnsupportedVersionError) as exc:
-            raise type(exc)(f"{path}: datagram at byte {offset}: {exc}") from exc
+            raise type(exc)(f"{where}{exc}") from exc
         offset += size
     return flows
 

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -9,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowident import sampling
+from flowident import cli, sampling
 from flowident.cli import build_parser, main
 from flowident.features import FEATURE_NAMES, Dataset, FeatureVector, write_dataset
-from flowident.flow import Proto
+from flowident.flow import Proto, aggregate_table
 from flowident.ingest.netflow import encode_netflow_v5
 from flowident.ingest.pcap import write_pcap
 from helpers import eth_ipv4_frame, mk_packet, nf5_datagram, nf5_record, pcap_file
@@ -29,6 +30,40 @@ def run(args, capsys):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+PRIOR = ("--prior-mu", "--prior-kappa", "--prior-alpha", "--prior-beta")
+
+# Each subcommand's positionals and options in parser order, then its
+# mutually exclusive groups.  A setting added, renamed or dropped edits this table.
+OPTION_INVENTORY = {
+    "ingest": (("--pcap", "--netflow", "--labels", "--out", "--inactive-timeout",
+                "--active-timeout", "--complete-only"), [("--pcap", "--netflow")]),
+    "select": (("dataset", "--bins", "--delta", "--out"), []),
+    "train": (("dataset", "--out", "--features", "--features-from", *PRIOR),
+              [("--features", "--features-from")]),
+    "update": (("model", "dataset", "--out"), []),
+    "classify": (("model", "dataset", "--out"), []),
+    "sample-report": (("--pcap", "--synth", "--ratios", "--trials", "--seed", "--inactive-timeout",
+                       "--active-timeout", "--out-csv", "--out-json"), [("--pcap", "--synth")]),
+    "synth": (("spec", "--out-dataset", "--out-pcap", "--out-labels"), []),
+    "evaluate": (("dataset", "--k", "--seed", "--features", "--features-from", "--report", "--csv",
+                  *PRIOR), [("--features", "--features-from")]),
+}
+
+
+def test_option_inventory():
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    inventory = {
+        name: (
+            tuple(" ".join(a.option_strings) or a.dest
+                  for a in parser._actions if not isinstance(a, argparse._HelpAction)),
+            [tuple(" ".join(a.option_strings) for a in group._group_actions)
+             for group in parser._mutually_exclusive_groups],
+        )
+        for name, parser in commands.choices.items()
+    }
+    assert inventory == OPTION_INVENTORY
 
 
 def test_full_walkthrough(tmp_path, capsys):
@@ -193,6 +228,23 @@ def test_sample_report_refuses_a_spec_past_the_draw_budget(tmp_path, capsys, mon
     assert code == 1
     assert err == (f"error: {spec}: classes[0]: 1000000000000 flows of up to 27 draws each "
                    "take the spec past its budget of 134217728 draws\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "{spec}", "--out-dataset", "{out}", "--out-pcap", "{pcap}"],
+    ["sample-report", "--synth", "{spec}", "--trials", "1000", "--out-json", "{out}"],
+])
+def test_a_draw_that_refuses_the_spec_exits_one_naming_the_file(tmp_path, capsys, argv):
+    paths = {"spec": tmp_path / "spec.json", "out": tmp_path / "out", "pcap": tmp_path / "o.pcap"}
+    count = {"kind": "normal", "mean": 5, "std": 1e300}
+    paths["spec"].write_text(json.dumps({"classes": [with_packets(count=count)]}),
+                             encoding="utf-8")
+    code, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {paths['spec']}: classes[0].packets.count: drew packet count ")
+    assert err.endswith(", above NetFlow v5's 32-bit counter (4294967295)\n")
+    assert out == ""
+    assert not paths["out"].exists() and not paths["pcap"].exists()
 
 
 def test_sample_report_takes_trials_from_min_to_max():
@@ -360,6 +412,32 @@ def test_pcap_commands_report_skipped_frames(tmp_path, capsys, argv):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--pcap", "{pcap}", "--out", "{out}"],
+    ["sample-report", "--pcap", "{pcap}", "--trials", "1000", "--out-json", "{out}"],
+])
+def test_pcap_commands_report_rejected_packets_and_aggregate_once(tmp_path, capsys, monkeypatch,
+                                                                   argv):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return aggregate_table(*args)
+
+    monkeypatch.setattr(cli, "aggregate_table", counted)
+    monkeypatch.setattr(sampling, "aggregate_table", counted)
+    frame = eth_ipv4_frame(total_length=60, flags=0x02)
+    paths = {"pcap": tmp_path / "late.pcap", "out": tmp_path / "out"}
+    # The third packet is 1.5 s behind the second, past the reorder tolerance.
+    paths["pcap"].write_bytes(pcap_file([(10_000_000, frame), (12_000_000, frame),
+                                         (10_500_000, frame)]))
+    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 0
+    assert err == "note: rejected 1 out-of-order packets\n"
+    assert len(calls) == 1
+    assert paths["out"].exists()
+
+
 def test_train_with_explicit_feature_list(tmp_path, capsys):
     flows_csv = tmp_path / "flows.csv"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
@@ -381,6 +459,69 @@ def test_train_with_explicit_feature_list(tmp_path, capsys):
         main(["train", str(flows_csv), "--features", "7,99", "--out", str(model)])
     assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["train", "{csv}", "--out", "{out}"],
+                                     ["evaluate", "{csv}", "--report", "{out}"]])
+def test_features_and_features_from_exclude_each_other(tmp_path, capsys, command):
+    paths = {"csv": tmp_path / "flows.csv", "out": tmp_path / "out", "sel": tmp_path / "sel.json"}
+    run(["synth", FIXTURE_SPEC, "--out-dataset", paths["csv"]], capsys)
+    paths["sel"].write_text('{"selected": [7, 16]}', encoding="utf-8")
+    both = command + ["--features", "1,2,3", "--features-from", "{sel}"]
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(**paths) for arg in both])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --features-from: not allowed with argument --features" in err
+    assert not paths["out"].exists()
+
+
+def test_select_takes_any_bins_up_to_int64(tmp_path, capsys):
+    """At bins >= rows every tie group is its own bin, as at bins == rows;
+    past int64 the codes have no type, and the option exits 2."""
+    ds = tmp_path / "demo.csv"
+    run(["synth", FIXTURE_SPEC, "--out-dataset", ds], capsys)
+    code, out, _ = run(["select", ds, "--bins", "80"], capsys)
+    assert (code, out) == (0, "selected features: 1\n")
+    code, out, _ = run(["select", ds, "--bins", str(2**63 - 1)], capsys)
+    assert (code, out) == (0, "selected features: 1\n")
+    code, out, err = run(["select", ds, "--bins", str(10**20)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bins must be in 2..{2**63 - 1}, got {10**20}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "{csv}", "--bins", str(2**63 - 1)],
+    ["select", "{csv}", "--bins", str(10**20)],
+    ["select", "{csv}", "--delta", "1e308"],
+    ["evaluate", "{csv}", "--k", str(10**20)],
+    ["evaluate", "{csv}", "--k", "2", "--seed", str(2**200)],
+    ["sample-report", "--synth", "{spec}", "--trials", "1000", "--seed", str(2**200)],
+    ["sample-report", "--synth", "{spec}", "--trials", str(sampling.MIN_TRIALS)],
+    ["sample-report", "--synth", "{spec}", "--trials", str(sampling.MAX_TRIALS)],
+    ["sample-report", "--synth", "{spec}", "--trials", "1000",
+     "--ratios", ",".join(f"1:{n}" for n in range(1, 51))],
+    *([command, "--pcap", "{pcap}", *rest, option, value]
+      for command, rest in (("ingest", ("--out", "{out}")), ("sample-report", ("--trials", "1000")))
+      for option in ("--inactive-timeout", "--active-timeout")
+      for value in ("1e300", "1e-300")),
+])
+def test_numeric_options_at_their_extremes_exit_cleanly(tmp_path, capsys, argv):
+    """Each run ends in exit 0, 1 or 2 with no exception escaping main."""
+    paths = {"spec": tmp_path / "spec.json", "csv": tmp_path / "flows.csv",
+             "pcap": tmp_path / "one.pcap", "out": tmp_path / "out"}
+    # One flow for the packet commands; two flows in each of two classes for the others.
+    paths["spec"].write_text(json.dumps({"classes": [spec_class(flows=1)]}), encoding="utf-8")
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"classes": [spec_class(), spec_class(label="b")]}), encoding="utf-8")
+    assert run(["synth", two, "--out-dataset", paths["csv"]], capsys)[0] == 0
+    assert run(["synth", paths["spec"], "--out-pcap", paths["pcap"]], capsys)[0] == 0
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -116,6 +116,7 @@ from helpers import (
     merge_records_oracle,
     mk_packet,
     nf5_datagram,
+    nf5_header,
     nf5_record,
     nig_fold_oracle,
     parse_frame_oracle,
@@ -569,6 +570,8 @@ def netflow_outcome(read, data: bytes):
 @example(nf5_datagram([nf5_record(first=500, last=100)], sys_uptime=1000))
 # A bad record, then a truncated datagram: the record is named.
 @example(nf5_datagram([nf5_record(), nf5_record(proto=1)]) + nf5_datagram([nf5_record()])[:-1])
+# A complete header whose count is 0, at the end of the file: the count is named.
+@example(nf5_datagram([nf5_record()]) + nf5_header(count=0))
 def test_read_netflow_table_equals_the_per_record_decoder(data):
     want = netflow_outcome(read_netflow_oracle, data)
     assert netflow_outcome(lambda path: read_netflow_table(path).records(), data) == want

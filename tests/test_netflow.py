@@ -14,7 +14,7 @@ from flowident.ingest.netflow import (
     encode_netflow_v5,
     read_netflow_file,
 )
-from helpers import ip, nf5_datagram, nf5_record
+from helpers import ip, nf5_datagram, nf5_header, nf5_record
 
 
 def test_decode_single_record_field_mapping():
@@ -386,4 +386,27 @@ def test_read_netflow_file_reports_a_bad_record_before_a_later_truncated_datagra
     path.write_bytes(good + good + good + good[:-1])
     with pytest.raises(MalformedDatagramError,
                        match=re.escape(f"{path}: truncated datagram at byte {3 * len(good)}")):
+        read_netflow_file(path)
+
+
+@pytest.mark.parametrize("header, error, message", [
+    (nf5_header(count=0), MalformedDatagramError, "record count 0 outside [1, 30]"),
+    (nf5_header(count=31), MalformedDatagramError, "record count 31 outside [1, 30]"),
+    # A NetFlow v9 export starts with version 9 where v5 has it.
+    (nf5_header(count=3, version=9), UnsupportedVersionError, "expected version 5, got 9"),
+], ids=["count-0", "count-31", "version-9"])
+def test_read_netflow_table_checks_a_complete_header_before_its_length(tmp_path, header, error,
+                                                                       message):
+    """A complete header's fault names its datagram's byte, as decode_netflow_v5
+    does; "truncated" is left for bytes that are missing."""
+    good = nf5_datagram([nf5_record()])
+    path = tmp_path / "export.bin"
+    path.write_bytes(good + header)
+    with pytest.raises(error, match=re.escape(f"{path}: datagram at byte {len(good)}: {message}")):
+        read_netflow_file(path)
+    with pytest.raises(error, match=re.escape(message)):
+        decode_netflow_v5(header)
+    path.write_bytes(good + nf5_datagram([nf5_record()] * 2)[:-1])
+    with pytest.raises(MalformedDatagramError,
+                       match=re.escape(f"{path}: truncated datagram at byte {len(good)}")):
         read_netflow_file(path)

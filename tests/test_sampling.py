@@ -377,6 +377,26 @@ def test_report_memory_is_bounded_by_the_budget_for_any_flow_length():
     assert peak < 3 * sampling._CHUNK_BUDGET
 
 
+def test_report_memory_is_bounded_by_the_budget_for_any_number_of_ratios():
+    """A flow's rates go in groups of MAX_TRIALS // trials, 7 at the default
+    trials, so 50 ratios hold one group's estimates at a time; every row still
+    equals a standalone adre."""
+    trace = uniform_trace(10)
+    ratios = list(range(1, 51))
+    tracemalloc.start()
+    try:
+        report = build_sampling_report([trace], ratios, seed=3, trials=DEFAULT_TRIALS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sampling._CHUNK_BUDGET
+    got = {(row.metric, row.ratio): row.adre for row in report.rows}
+    for metric in Metric:
+        for n in ratios:
+            standalone = adre(metric, [trace], SamplingConfig(1 / n, seed=3), trials=DEFAULT_TRIALS)
+            assert got[(metric.value, n)] == standalone
+
+
 def test_report_improves_with_higher_rate():
     traces = short_heavy_traces(seed=10)
     report = build_sampling_report(traces, ratios=[256, 16, 2], seed=0, trials=1000)

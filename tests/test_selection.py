@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowident.errors import ContractError, DegenerateDatasetError
@@ -34,8 +34,9 @@ def test_discretize_frozen_examples():
 @settings(max_examples=200)
 @given(
     st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60),
-    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=12) | st.just(2**63 - 1),
 )
+@example([3, 1, 2, 2], 2**63 - 1)
 def test_discretize_matches_oracle(values, bins):
     assert discretize(values, bins).tolist() == discretize_oracle(values, bins)
 
@@ -64,6 +65,8 @@ def test_discretize_validation():
         discretize([[1.0, 2.0]])
     with pytest.raises(ContractError, match="bins"):
         discretize([1.0, 2.0], bins=1)
+    with pytest.raises(ContractError, match=f"bins must be in 2..{2**63 - 1}, got {2**63}"):
+        discretize([1.0, 2.0], bins=2**63)
     with pytest.raises(ContractError, match="non-finite"):
         discretize([1.0, float("nan")])
 
