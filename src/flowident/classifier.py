@@ -22,10 +22,10 @@ features cannot produce a singular model.
 
 from __future__ import annotations
 
+import copy
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -100,8 +100,8 @@ class ClassifierModel:
     """Row counts and (classes, features) arrays: row c is class ``alphabet[c]``
     and column j feature ``feature_ids[j]``.  ``mu``, ``kappa``, ``alpha`` and
     ``beta`` are the NIG state, ``plugin_means`` and ``plugin_vars`` what scoring
-    uses, each a read-only float64 copy; a non-finite cell is refused.  ``n``
-    holds Python ints, so a count beyond int64 stays exact."""
+    uses, views of one read-only float64 (6, classes, features) ``block``; a
+    non-finite cell is refused.  ``n`` holds Python ints, exact beyond int64."""
 
     alphabet: tuple[str, ...]
     feature_ids: tuple[int, ...]
@@ -112,20 +112,24 @@ class ClassifierModel:
     beta: np.ndarray
     plugin_means: np.ndarray
     plugin_vars: np.ndarray
+    block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         shape = (len(self.alphabet), len(self.feature_ids))
-        arrays = [np.array(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
-        for name, values in zip(_ARRAYS, arrays):
-            if values.shape != shape or len(self.n) != shape[0]:
+        for name in _ARRAYS:
+            if np.shape(getattr(self, name)) != shape or len(self.n) != shape[0]:
                 raise ContractError(f"need one count per class and {name} of shape {shape}")
-        if not np.isfinite(arrays).all():
-            k, c, j = np.argwhere(~np.isfinite(arrays))[0]
+        self._hold(self.n, np.array([getattr(self, name) for name in _ARRAYS], dtype=np.float64))
+
+    def _hold(self, n: tuple[int, ...], block: np.ndarray) -> None:
+        """Take ``n`` and ``block``, uncopied, once every cell is finite: the block turns
+        read-only and the six arrays become its views."""
+        if not np.isfinite(block).all():
+            k, c, j = np.argwhere(~np.isfinite(block))[0]
             raise ContractError(f"class {self.alphabet[c]!r} feature {self.feature_ids[j]}: "
-                                f"{_ARRAYS[k]} is not finite ({arrays[k][c, j]})")
-        for name, values in zip(_ARRAYS, arrays):
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+                                f"{_ARRAYS[k]} is not finite ({block[k, c, j]})")
+        block.flags.writeable = False
+        vars(self).update(n=n, block=block, **dict(zip(_ARRAYS, block)))
 
     @property
     def nig(self) -> tuple[np.ndarray, ...]:
@@ -138,8 +142,8 @@ class ClassifierModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassifierModel):
             return NotImplemented
-        return (self.classes, self.feature_ids) == (other.classes, other.feature_ids) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS)
+        return ((self.classes, self.feature_ids) == (other.classes, other.feature_ids)
+                and np.array_equal(self.block, other.block))
 
     @property
     def total_flows(self) -> int:
@@ -205,8 +209,8 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
 
 
 def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
-    """Fold new labeled flows into a copy of the model: the rows of classes in
-    ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
+    """Fold new labeled flows into one copy of the model's block: the rows of classes
+    in ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
     the other rows keep their values, and the input model is never mutated."""
     if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
@@ -214,14 +218,14 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     rows = [model._row(new_ds.alphabet[code]) for code in present]
     if not rows:
         return model
-    nig = tuple(values[rows] for values in model.nig)
-    counts, _, _, (mu, kappa, alpha, beta) = _fold(nig, new_ds, model.feature_ids, present)
+    counts, _, _, (mu, kappa, alpha, beta) = _fold(
+        tuple(model.block[:4, rows]), new_ds, model.feature_ids, present)
+    block = model.block.copy()
+    block[:, rows] = mu, kappa, alpha, beta, mu, plugin_variance(alpha, beta)
     added = dict(zip(rows, counts))
-    arrays = [getattr(model, name).copy() for name in _ARRAYS]
-    for array, values in zip(arrays, (mu, kappa, alpha, beta, mu, plugin_variance(alpha, beta))):
-        array[rows] = values
-    n = tuple(k + added.get(row, 0) for row, k in enumerate(model.n))
-    return ClassifierModel(model.alphabet, model.feature_ids, n, *arrays)
+    updated = copy.copy(model)  # the same alphabet and feature ids; _hold sets the rest
+    updated._hold(tuple(k + added.get(row, 0) for row, k in enumerate(model.n)), block)
+    return updated
 
 
 @np.errstate(over="ignore")
@@ -259,7 +263,7 @@ def predict(model: ClassifierModel, ds: Dataset) -> list[str]:
     return [model.alphabet[i] for i in best.tolist()]
 
 
-def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> dict:
+def model_to_json_dict(model: ClassifierModel) -> dict:
     keys = list(map(str, model.feature_ids))
     classes = {}
     for c, label in enumerate(model.alphabet):
@@ -273,10 +277,6 @@ def model_to_json_dict(model: ClassifierModel, saved_at: str | None = None) -> d
         }
     return {
         "version": MODEL_VERSION,
-        "metadata": {
-            "saved_at": saved_at
-            or datetime.now(timezone.utc).isoformat(timespec="seconds")
-        },
         "alphabet": list(model.alphabet),
         "selected_features": list(model.feature_ids),
         "classes": classes,
@@ -344,13 +344,12 @@ def load_model(path) -> ClassifierModel:
                 if not (is_finite_number(value) and ok(value)):
                     raise ModelFormatError(f"{path}: class {label!r} feature {key}: "
                                            f"{name} must be {need}, got {value!r}")
-    arrays = [np.array(values[name], dtype=np.float64) for name in NIG_PARAMS]
+    nig = np.array([values[name] for name in NIG_PARAMS], dtype=np.float64)
     # A class without the plug-in block gets them from the posterior.
-    derived = {"plugin_means": arrays[0], "plugin_vars": plugin_variance(*arrays[2:])}
-    for block, fallback in derived.items():
-        rows = [row or list(default) for row, default in zip(values[block], fallback)]
-        arrays.append(np.array(rows, dtype=np.float64))
+    derived = (nig[0], plugin_variance(nig[2], nig[3]))
+    plugins = [[row or default for row, default in zip(values[block], fallback.tolist())]
+               for block, fallback in zip(_ARRAYS[4:], derived)]
     try:
-        return ClassifierModel(tuple(alphabet), feature_ids, counts, *arrays)
+        return ClassifierModel(tuple(alphabet), feature_ids, counts, *nig, *plugins)
     except ContractError as exc:  # a derived plug-in variance that overflowed
         raise ModelFormatError(f"{path}: {exc}") from None

@@ -11,9 +11,12 @@ import argparse
 import csv
 import re
 import sys
+from functools import partial
+
+import numpy as np
 
 from . import classifier, evaluation, sampling, selection, synth
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_finite
 from .features import Dataset, feature_matrix, read_dataset, validate_feature_ids, write_dataset
 from .files import read_json, write_json
 from .flow import (
@@ -48,26 +51,27 @@ def _parse_ratios(text: str) -> list[int]:
     return ratios
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-        if seed < 0:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}") from None
-    return seed
+def _number(name: str, convert, check, kind: str = ""):
+    """An argparse type: ``convert`` the text, then ``check`` the value with the
+    check the library applies to it, so a refused value exits 2 before anything
+    is read.  A ValueError reads "<name> must be <kind>", a ContractError as itself."""
+    kind = kind or ("an integer" if convert is int else "a number")
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            check(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be {kind}, got {text!r}") from None
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
-def _parse_trials(text: str) -> int:
-    try:
-        trials = int(text)
-        sampling.check_trials(trials)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}") from None
-    except ContractError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return trials
+# default_rng's own check: a seed is an integer of at least 0.  Looked up per
+# call, so that a command without a seed never loads numpy.random (~5 MiB).
+_SEED = _number("seed", int, lambda seed: np.random.SeedSequence(seed), "a non-negative integer")
 
 
 def _parse_features(text: str) -> tuple[int, ...] | None:
@@ -97,11 +101,19 @@ def _prior_from_args(args) -> classifier.NIGPrior:
 
 
 def _add_prior_args(parser) -> None:
-    defaults = classifier.NIGPrior()
-    parser.add_argument("--prior-mu", type=float, default=defaults.mu)
-    parser.add_argument("--prior-kappa", type=float, default=defaults.kappa)
-    parser.add_argument("--prior-alpha", type=float, default=defaults.alpha)
-    parser.add_argument("--prior-beta", type=float, default=defaults.beta)
+    for name in classifier.NIG_PARAMS:
+        check = lambda value, name=name: classifier.NIGPrior(**{name: value})
+        parser.add_argument(f"--prior-{name}", type=_number(f"prior {name}", float, check),
+                            default=getattr(classifier.NIGPrior(), name))
+
+
+def _add_timeout_args(parser, inputs: str) -> None:
+    for flag, default in (("--inactive-timeout", DEFAULT_INACTIVE_TIMEOUT),
+                          ("--active-timeout", DEFAULT_ACTIVE_TIMEOUT)):
+        name = flag[2:].replace("-", "_")  # aggregate_table's name for it
+        check = partial(check_finite, name, positive=True)
+        parser.add_argument(flag, type=_number(name, float, check), default=default,
+                            help=f"seconds, applied to {inputs} (default {default:g})")
 
 
 def _add_feature_args(parser) -> None:
@@ -289,16 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--netflow", help="file of concatenated NetFlow v5 datagrams")
     p.add_argument("--labels", help="label CSV to join on (key, first_ts)")
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--inactive-timeout", type=float, default=DEFAULT_INACTIVE_TIMEOUT)
-    p.add_argument("--active-timeout", type=float, default=DEFAULT_ACTIVE_TIMEOUT)
+    _add_timeout_args(p, "--pcap")
     p.add_argument("--complete-only", action="store_true",
                    help="keep only TCP flows with both SYN and FIN observed")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("select", help="rank and prune features on a labeled dataset")
     p.add_argument("dataset")
-    p.add_argument("--bins", type=int, default=selection.DEFAULT_BINS)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--bins", type=_number("bins", int, selection.check_bins),
+                   default=selection.DEFAULT_BINS)
+    p.add_argument("--delta", type=_number("delta", float, partial(check_finite, "delta")),
+                   default=0.0)
     p.add_argument("--out", help="selection report JSON")
     p.set_defaults(func=cmd_select)
 
@@ -327,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synth", help="synthetic spec JSON to analyse")
     p.add_argument("--ratios", type=_parse_ratios, default=[128, 256, 512, 1024],
                    help="comma-separated 1:N ratios (default 1:128,1:256,1:512,1:1024)")
-    p.add_argument("--trials", type=_parse_trials, default=sampling.DEFAULT_TRIALS,
+    p.add_argument("--trials", type=_number("trials", int, sampling.check_trials),
+                   default=sampling.DEFAULT_TRIALS,
                    help=f"Monte Carlo trials, {sampling.MIN_TRIALS}..{sampling.MAX_TRIALS} "
                         f"(default {sampling.DEFAULT_TRIALS})")
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--inactive-timeout", type=float, default=DEFAULT_INACTIVE_TIMEOUT)
-    p.add_argument("--active-timeout", type=float, default=DEFAULT_ACTIVE_TIMEOUT)
+    p.add_argument("--seed", type=_SEED, default=0)
+    _add_timeout_args(p, "--pcap and --synth")
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
     p.set_defaults(func=cmd_sample_report)
@@ -346,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
     p.add_argument("dataset")
-    p.add_argument("--k", type=int, default=evaluation.DEFAULT_FOLDS)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--k", type=_number("k", int, evaluation.check_folds),
+                   default=evaluation.DEFAULT_FOLDS)
+    p.add_argument("--seed", type=_SEED, default=0)
     _add_feature_args(p)
     p.add_argument("--report", help="evaluation report JSON")
     p.add_argument("--csv", help="one-row metrics CSV")

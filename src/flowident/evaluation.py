@@ -188,6 +188,12 @@ class CVReport:
         }
 
 
+def check_folds(k: int) -> None:
+    """Refuse fewer than 2 folds; that k is at most the row count needs the data."""
+    if k < 2:
+        raise ContractError("k-fold needs k >= 2")
+
+
 def assign_folds(labels, k: int, seed: int) -> list[int]:
     """Stratified fold assignment: per-class shuffle, global round-robin.
 
@@ -199,8 +205,7 @@ def assign_folds(labels, k: int, seed: int) -> list[int]:
     """
     labels = list(labels)
     n = len(labels)
-    if k < 2:
-        raise ContractError("k-fold needs k >= 2")
+    check_folds(k)
     if k > n:
         raise ContractError(f"cannot make {k} folds from {n} rows")
     classes = sorted(set(labels))

@@ -38,19 +38,10 @@ class LabelRow:
 
 class LabelFile:
     """Labels indexed by ``(ip_lo, port_lo, ip_hi, port_hi, proto, first_ts)``
-    int tuples.  A file read by :func:`load_labels` makes its ``rows`` on
-    first read."""
+    int tuples, as :func:`load_labels` reads them; ``rows`` are made on first read."""
 
-    def __init__(self, rows) -> None:
-        self.rows = list(rows)
-        self._index = {(*row.key.sort_tuple(), row.first_ts): row.label for row in self.rows}
-        self._len = len(self.rows)
-
-    @classmethod
-    def _indexed(cls, index: dict) -> LabelFile:
-        labels = cls.__new__(cls)
-        labels._index, labels._len = index, len(index)
-        return labels
+    def __init__(self, index: dict[tuple[int, ...], str]) -> None:
+        self._index = index
 
     @cached_property
     def rows(self) -> list[LabelRow]:
@@ -60,7 +51,7 @@ class LabelFile:
         ]
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._index)
 
     def lookup(self, key: FlowKey, first_ts: int) -> str | None:
         return self._index.get((*key.sort_tuple(), first_ts))
@@ -117,7 +108,7 @@ def load_labels(path) -> LabelFile:
                 f"for the same flow key and start time"
             )
         index[key] = row[6]
-    return LabelFile._indexed(index)
+    return LabelFile(index)
 
 
 def write_labels(path, rows) -> None:

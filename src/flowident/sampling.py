@@ -213,6 +213,8 @@ def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.
     survivors each, so its estimates stay within one rate's budget at
     MAX_TRIALS for any number of rates."""
     check_trials(trials)
+    if not traces:
+        raise ContractError("sampling needs at least one flow")
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
     stream = _SurvivorStream(seed, max(ps))
     group = max(1, MAX_TRIALS // trials)
@@ -256,10 +258,7 @@ def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIA
     """Mean of the per-flow degradations across a trace collection."""
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
-    traces = list(traces)
-    if not traces:
-        raise ContractError("adre needs at least one flow")
-    dres = _mc_degradations(traces, [cfg.p], cfg.seed, trials)
+    dres = _mc_degradations(list(traces), [cfg.p], cfg.seed, trials)
     return float(dres[list(Metric).index(metric), 0].mean())
 
 
@@ -339,8 +338,6 @@ def build_sampling_report(
     """
     traces = list(traces)
     ratios = list(ratios)
-    if not traces:
-        raise ContractError("adre needs at least one flow")
     if not ratios:
         raise ContractError("need at least one sampling ratio")
     dres = _mc_degradations(traces, [sampling_rate(n) for n in ratios], seed, trials)

@@ -20,6 +20,12 @@ DEFAULT_BINS = 10
 _MAX_BINS = 2**63 - 1  # the codes are int64
 
 
+def check_bins(bins: int) -> None:
+    """Refuse a bin count outside 2..2**63 - 1, the range of the int64 codes."""
+    if not 2 <= bins <= _MAX_BINS:
+        raise ContractError(f"bins must be in 2..{_MAX_BINS}, got {bins}")
+
+
 def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Equal-frequency bin codes for one numeric column.
 
@@ -31,8 +37,7 @@ def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
     values = np.asarray(column, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ContractError("discretize needs a non-empty 1-D column")
-    if not 2 <= bins <= _MAX_BINS:
-        raise ContractError(f"bins must be in 2..{_MAX_BINS}, got {bins}")
+    check_bins(bins)
     if not np.all(np.isfinite(values)):
         raise ContractError("column contains non-finite values")
     n = values.size

@@ -220,6 +220,36 @@ def test_update_preserves_untouched_class_rows_by_value():
     assert model.n == (4, 4)
 
 
+def test_model_arrays_are_read_only_views_of_one_block():
+    mu, kappa, alpha, beta = (np.array([row]) for row in nig_state(0.0, 1.0, 2.0, 1.0, d=2))
+    model = ClassifierModel(("a",), (1, 2), (3,), mu, kappa, alpha, beta, mu, beta)
+    mu[0, 0] = 5.0  # the model holds a copy of its inputs
+    assert model.mu.tolist() == [[0.0, 0.0]]
+    assert model.block.shape == (6, 1, 2)
+    # Disjoint slices of one array: np.shares_memory(mu, plugin_vars) is False.
+    assert model.mu.base is model.plugin_vars.base is model.block
+    for name, values in zip(ARRAYS, model.block):
+        assert np.shares_memory(getattr(model, name), model.block)
+        assert np.array_equal(getattr(model, name), values)
+        assert not getattr(model, name).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] = 1.0
+    assert not model.block.flags.writeable
+
+
+def test_update_folds_into_a_new_block_and_leaves_the_input_block():
+    model = train(gaussian_ds(2, ("a", "b"), 4, {"a": 0.0, "b": 5.0}))
+    saved = model.block.copy()
+    updated = update(model, make_ds({1: [0.4, 0.9]}, ["b", "b"], alphabet=("a", "b")))
+    assert np.array_equal(model.block, saved)
+    assert not np.shares_memory(updated.block, model.block)
+    assert np.array_equal(updated.block[:, 0], saved[:, 0])
+    assert not np.array_equal(updated.block[:, 1], saved[:, 1])
+    assert all(getattr(updated, name).base is updated.block for name in ARRAYS)
+    assert not updated.block.flags.writeable
+    assert updated == ClassifierModel(model.alphabet, model.feature_ids, updated.n, *updated.block)
+
+
 def test_update_plugins_are_posterior_derived():
     model = train(gaussian_ds(3, ("a", "b"), 5, {"a": 0.0, "b": 5.0}))
     batch = gaussian_ds(4, ("a",), 3, {"a": 1.0})
@@ -374,15 +404,29 @@ def test_save_load_roundtrip(tmp_path):
 def test_model_json_shape():
     model = train(gaussian_ds(9, ("a", "b"), 4, {"a": 0.0, "b": 6.0}),
                   feature_ids=[2, 9])
-    doc = model_to_json_dict(model, saved_at="2026-08-18T00:00:00+00:00")
+    doc = model_to_json_dict(model)
+    assert list(doc) == ["version", "alphabet", "selected_features", "classes"]  # no save time
     assert doc["version"] == MODEL_VERSION == "nfi-model/1"
-    assert doc["metadata"]["saved_at"] == "2026-08-18T00:00:00+00:00"
     assert doc["alphabet"] == ["a", "b"]
     assert doc["selected_features"] == [2, 9]
     entry = doc["classes"]["a"]
     assert set(entry["posteriors"]) == {"2", "9"}
     assert set(entry["posteriors"]["2"]) == {"mu", "kappa", "alpha", "beta"}
     assert json.dumps(doc)  # serialisable as-is
+
+
+def test_a_model_file_with_a_save_time_loads_to_an_equal_model(tmp_path):
+    """Files written while models carried a ``metadata.saved_at`` stamp still load;
+    the stamp is ignored and not written back."""
+    model = train(gaussian_ds(9, ("a", "b"), 4, {"a": 0.0, "b": 6.0}), feature_ids=[2, 9])
+    doc = model_to_json_dict(model)
+    stamped = {"version": doc["version"], "metadata": {"saved_at": "2026-01-01T00:00:00+00:00"},
+               **doc}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(stamped, indent=2), encoding="utf-8")
+    loaded = load_model(path)
+    assert loaded == model
+    assert model_to_json_dict(loaded) == doc
 
 
 def test_load_rejects_bad_json(tmp_path):

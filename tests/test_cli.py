@@ -32,23 +32,29 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-PRIOR = ("--prior-mu", "--prior-kappa", "--prior-alpha", "--prior-beta")
+PRIOR = (("--prior-mu", 0.0), ("--prior-kappa", 1e-3), ("--prior-alpha", 1.001),
+         ("--prior-beta", 1e-3))
+TIMEOUTS = (("--inactive-timeout", 15.0), ("--active-timeout", 1800.0))
 
-# Each subcommand's positionals and options in parser order, then its
-# mutually exclusive groups.  A setting added, renamed or dropped edits this table.
+# Each subcommand's positionals and options in parser order with their
+# defaults, then its mutually exclusive groups.  A setting added, renamed or
+# dropped, or a default changed, edits this table.
 OPTION_INVENTORY = {
-    "ingest": (("--pcap", "--netflow", "--labels", "--out", "--inactive-timeout",
-                "--active-timeout", "--complete-only"), [("--pcap", "--netflow")]),
-    "select": (("dataset", "--bins", "--delta", "--out"), []),
-    "train": (("dataset", "--out", "--features", "--features-from", *PRIOR),
-              [("--features", "--features-from")]),
-    "update": (("model", "dataset", "--out"), []),
-    "classify": (("model", "dataset", "--out"), []),
-    "sample-report": (("--pcap", "--synth", "--ratios", "--trials", "--seed", "--inactive-timeout",
-                       "--active-timeout", "--out-csv", "--out-json"), [("--pcap", "--synth")]),
-    "synth": (("spec", "--out-dataset", "--out-pcap", "--out-labels"), []),
-    "evaluate": (("dataset", "--k", "--seed", "--features", "--features-from", "--report", "--csv",
-                  *PRIOR), [("--features", "--features-from")]),
+    "ingest": ((("--pcap", None), ("--netflow", None), ("--labels", None), ("--out", None),
+                *TIMEOUTS, ("--complete-only", False)), [("--pcap", "--netflow")]),
+    "select": ((("dataset", None), ("--bins", 10), ("--delta", 0.0), ("--out", None)), []),
+    "train": ((("dataset", None), ("--out", None), ("--features", None),
+               ("--features-from", None), *PRIOR), [("--features", "--features-from")]),
+    "update": ((("model", None), ("dataset", None), ("--out", None)), []),
+    "classify": ((("model", None), ("dataset", None), ("--out", None)), []),
+    "sample-report": ((("--pcap", None), ("--synth", None), ("--ratios", [128, 256, 512, 1024]),
+                       ("--trials", 20000), ("--seed", 0), *TIMEOUTS, ("--out-csv", None),
+                       ("--out-json", None)), [("--pcap", "--synth")]),
+    "synth": ((("spec", None), ("--out-dataset", None), ("--out-pcap", None),
+               ("--out-labels", None)), []),
+    "evaluate": ((("dataset", None), ("--k", 10), ("--seed", 0), ("--features", None),
+                  ("--features-from", None), ("--report", None), ("--csv", None), *PRIOR),
+                 [("--features", "--features-from")]),
 }
 
 
@@ -56,7 +62,7 @@ def test_option_inventory():
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     inventory = {
         name: (
-            tuple(" ".join(a.option_strings) or a.dest
+            tuple((" ".join(a.option_strings) or a.dest, a.default)
                   for a in parser._actions if not isinstance(a, argparse._HelpAction)),
             [tuple(" ".join(a.option_strings) for a in group._group_actions)
              for group in parser._mutually_exclusive_groups],
@@ -64,6 +70,9 @@ def test_option_inventory():
         for name, parser in commands.choices.items()
     }
     assert inventory == OPTION_INVENTORY
+    # argparse runs an option's type over a string default each time it builds the namespace.
+    assert not [option for options, _ in inventory.values() for option, default in options
+                if isinstance(default, str)]
 
 
 def test_full_walkthrough(tmp_path, capsys):
@@ -327,11 +336,8 @@ def test_update_with_empty_dataset_keeps_model(tmp_path, capsys):
     write_dataset(Dataset([], ()), empty)
     code, _, _ = run(["update", model, empty, "--out", model2], capsys)
     assert code == 0
-    before = json.loads(model.read_text(encoding="utf-8"))
-    after = json.loads(model2.read_text(encoding="utf-8"))
-    before.pop("metadata")
-    after.pop("metadata")
-    assert after == before
+    assert json.loads(model2.read_text(encoding="utf-8")) == json.loads(
+        model.read_text(encoding="utf-8"))
 
 
 def test_ingest_from_netflow_export(tmp_path, capsys):
@@ -438,6 +444,17 @@ def test_pcap_commands_report_rejected_packets_and_aggregate_once(tmp_path, caps
     assert paths["out"].exists()
 
 
+def test_sample_report_on_a_capture_without_flows_exits_two(tmp_path, capsys):
+    pcap, out = tmp_path / "arp.pcap", tmp_path / "out.json"
+    pcap.write_bytes(pcap_file([(1_000_000, eth_ipv4_frame(ethertype=0x0806))]))
+    code, _, err = run(["sample-report", "--pcap", pcap, "--trials", "1000", "--out-json", out],
+                       capsys)
+    assert code == 2
+    assert err == ("note: skipped 1 frames that are not IPv4 TCP/UDP\n"
+                   "error: sampling needs at least one flow\n")
+    assert not out.exists()
+
+
 def test_train_with_explicit_feature_list(tmp_path, capsys):
     flows_csv = tmp_path / "flows.csv"
     run(["synth", FIXTURE_SPEC, "--out-dataset", flows_csv], capsys)
@@ -485,9 +502,12 @@ def test_select_takes_any_bins_up_to_int64(tmp_path, capsys):
     assert (code, out) == (0, "selected features: 1\n")
     code, out, _ = run(["select", ds, "--bins", str(2**63 - 1)], capsys)
     assert (code, out) == (0, "selected features: 1\n")
-    code, out, err = run(["select", ds, "--bins", str(10**20)], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: bins must be in 2..{2**63 - 1}, got {10**20}\n"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["select", str(ds), "--bins", str(10**20)])
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --bins: bins must be in 2..{2**63 - 1}, got {10**20}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,6 +601,15 @@ def test_synth_requires_an_output(capsys):
     code, _, err = run(["synth", FIXTURE_SPEC], capsys)
     assert code == 2
     assert "nothing to do" in err
+
+
+def test_parsing_a_command_without_a_seed_loads_no_random_generator():
+    """numpy.random adds about 5 MiB to a process; only a command that draws loads it."""
+    code = ("import sys; from flowident.cli import build_parser; "
+            "build_parser().parse_args(['ingest', '--pcap', 'a', '--out', 'b']); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_entrypoint_smoke():
@@ -741,9 +770,47 @@ def test_non_finite_numeric_option_exits_two(tmp_path, capsys, argv, message):
              "out": tmp_path / "out"}
     run(["synth", FIXTURE_SPEC, "--out-pcap", paths["pcap"], "--out-dataset", paths["csv"]],
         capsys)
-    code, _, err = run([arg.format(**paths) for arg in argv], capsys)
-    assert code == 2
-    assert err == f"error: {message}\n"
+    option = [arg for arg in argv if arg.startswith("--")][-1].split("=")[0]
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(**paths) for arg in argv])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ingest", "--netflow", "{missing}", "--out", "{out}", "--inactive-timeout", "nan"],
+     "argument --inactive-timeout: inactive_timeout must be finite and positive, got nan"),
+    (["ingest", "--netflow", "{missing}", "--out", "{out}", "--active-timeout", "-5"],
+     "argument --active-timeout: active_timeout must be finite and positive, got -5.0"),
+    (["ingest", "--pcap", "{missing}", "--out", "{out}", "--inactive-timeout", "nan"],
+     "argument --inactive-timeout: inactive_timeout must be finite and positive, got nan"),
+    (["sample-report", "--synth", "{missing}", "--active-timeout", "0"],
+     "argument --active-timeout: active_timeout must be finite and positive, got 0.0"),
+    (["ingest", "--pcap", "{missing}", "--out", "{out}", "--active-timeout", "soon"],
+     "argument --active-timeout: active_timeout must be a number, got 'soon'"),
+    (["train", "{missing}", "--out", "{out}", "--prior-kappa", "nan"],
+     "argument --prior-kappa: prior kappa must be finite and positive, got nan"),
+    (["evaluate", "{missing}", "--prior-alpha", "0"],
+     "argument --prior-alpha: prior alpha must be finite and positive, got 0.0"),
+    (["select", "{missing}", "--delta", "nan"], "argument --delta: delta must be finite, got nan"),
+    (["select", "{missing}", "--bins", str(10**20)],
+     f"argument --bins: bins must be in 2..{2**63 - 1}, got {10**20}"),
+    (["select", "{missing}", "--bins", "1"], f"argument --bins: bins must be in 2..{2**63 - 1}, got 1"),
+    (["select", "{missing}", "--bins", "2.5"], "argument --bins: bins must be an integer, got '2.5'"),
+    (["evaluate", "{missing}", "--k", "1"], "argument --k: k-fold needs k >= 2"),
+    (["evaluate", "{missing}", "--k", "ten"], "argument --k: k must be an integer, got 'ten'"),
+])
+def test_numeric_options_are_refused_before_any_file_is_read(tmp_path, capsys, argv, message):
+    """A missing input would exit 1: exit 2 naming the option means the value
+    was refused while the command line was parsed, before any file was opened."""
+    paths = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as exc_info:
+        main([arg.format(**paths) for arg in argv])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert "Traceback" not in err
     assert not paths["out"].exists()
 
 

@@ -288,7 +288,7 @@ def training_streams(draw):
 
 
 def model_bytes(model) -> str:
-    return json.dumps(model_to_json_dict(model, saved_at="2026-01-01T00:00:00+00:00"))
+    return json.dumps(model_to_json_dict(model))
 
 
 @settings(max_examples=250, deadline=None)
@@ -311,7 +311,7 @@ DEMO_ROWS = generate_dataset(parse_synth_spec({"seed": 5, "classes": [
     {"label": "bulk", "flows": 6, "features": {"pps": {"mean": 900.0, "std": 40.0}}},
     {"label": "chat", "flows": 6, "features": {"pps": {"mean": 40.0, "std": 6.0}}},
 ]}))
-VALID_MODEL_DOC = model_to_json_dict(train(DEMO_ROWS, [7, 16]), saved_at="2026-01-01T00:00:00+00:00")
+VALID_MODEL_DOC = model_to_json_dict(train(DEMO_ROWS, [7, 16]))
 ODD_VALUES = (None, True, False, 0, -1, 1, 7, 16, 2.5, 1e-300, 1e300, -1e300, 10**400,
               float("nan"), float("inf"), "", "bulk", "chat", "7", "nfi-model/1", [], [7], {},
               {"n": 3})

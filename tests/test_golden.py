@@ -20,7 +20,6 @@ encoder replaced the per-record ``struct`` one.
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 from flowident.classifier import load_model, save_model, train, update
@@ -34,7 +33,6 @@ from flowident.synth import generate_packets, load_synth_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FEATURES_CSV = FIXTURES / "golden_features.csv"
-SAVED_AT = "2026-01-01T00:00:00+00:00"
 MODEL_FEATURES = (9, 3, 12, 16, 7)
 TRAIN_ROWS = 48
 FOLDS_K, FOLDS_SEED = 10, 7
@@ -51,11 +49,9 @@ EXPORT_SHA256 = {
 }
 
 
-def saved_model_text(model, path) -> str:
-    """``save_model``'s bytes with the save time pinned to SAVED_AT."""
+def saved_model_bytes(model, path) -> bytes:
     save_model(model, path)
-    text = Path(path).read_text(encoding="utf-8")
-    return re.sub(r'"saved_at": "[^"]*"', f'"saved_at": "{SAVED_AT}"', text, count=1)
+    return Path(path).read_bytes()
 
 
 def trained_then_updated():
@@ -79,14 +75,14 @@ def evaluate_report_text(tmp_path) -> str:
 
 
 def test_trained_then_updated_model_bytes(tmp_path):
-    got = saved_model_text(trained_then_updated(), tmp_path / "model.json")
-    assert got == (FIXTURES / "golden_model.json").read_text(encoding="utf-8")
+    got = saved_model_bytes(trained_then_updated(), tmp_path / "model.json")
+    assert got == (FIXTURES / "golden_model.json").read_bytes()
 
 
 def test_golden_model_survives_a_load_save_roundtrip(tmp_path):
     loaded = load_model(FIXTURES / "golden_model.json")
-    got = saved_model_text(loaded, tmp_path / "model.json")
-    assert got == (FIXTURES / "golden_model.json").read_text(encoding="utf-8")
+    got = saved_model_bytes(loaded, tmp_path / "model.json")
+    assert got == (FIXTURES / "golden_model.json").read_bytes()
 
 
 def test_fold_assignment():

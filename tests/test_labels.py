@@ -144,7 +144,7 @@ def test_range_limits_are_accepted(tmp_path):
 
 
 def test_lookup_hit_and_miss():
-    table = LabelFile([LabelRow(KEY, 1_000_000, "web")])
+    table = LabelFile({(*KEY.sort_tuple(), 1_000_000): "web"})
     assert table.lookup(KEY, 1_000_000) == "web"
     assert table.lookup(KEY, 999_999) is None
     assert table.lookup(UDP_KEY, 1_000_000) is None

@@ -2,9 +2,10 @@
 
 The spec JSON block is saved as ``spec.json`` and every ``flowident`` line of
 the walkthrough's shell block, with ``\\`` continuations joined and comments
-dropped, goes through ``flowident.cli.main`` in a fresh directory.  The
-library example's ``python`` block then runs in that directory, on the files
-the walkthrough wrote, so a changed API shows up here.
+dropped, goes through ``flowident.cli.main`` in a fresh directory, twice, and
+the two runs must write the same bytes.  The library example's ``python``
+block then runs in the second directory, on the files the walkthrough wrote,
+so a changed API shows up here.
 """
 
 import re
@@ -30,10 +31,11 @@ def walkthrough_commands(text: str) -> list[list[str]]:
     ]
 
 
-def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
-    text = README.read_text(encoding="utf-8")
+def run_walkthrough(text: str, directory: Path, monkeypatch, capsys) -> dict[str, bytes]:
+    """Every file the walkthrough leaves in ``directory``, by name."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
     [spec] = fenced_blocks(text, "json")
-    monkeypatch.chdir(tmp_path)
     Path("spec.json").write_text(spec, encoding="utf-8")
     commands = walkthrough_commands(text)
     assert [args[0] for args in commands] == [
@@ -41,6 +43,17 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     ]
     for args in commands:
         assert main(args) == 0, (args, capsys.readouterr().err)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    """Two runs in two directories write the same bytes to every file: the
+    outputs are a function of the inputs and seeds alone."""
+    text = README.read_text(encoding="utf-8")
+    first = run_walkthrough(text, tmp_path / "first", monkeypatch, capsys)
+    second = run_walkthrough(text, tmp_path / "second", monkeypatch, capsys)
+    assert {"model.json", "model2.json", "degradation.json"} <= set(first)
+    assert first == second
     [library] = fenced_blocks(text, "python")
     exec(compile(library, f"{README}: library use", "exec"), {"__name__": "readme"})
     assert "bulk" in capsys.readouterr().out
