@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .files import csv_rows
+from .files import csv_body, csv_rows
 from .flow import FlowRecord, FlowTable
 
 FEATURE_NAMES = (
@@ -270,21 +270,37 @@ def write_dataset(ds: Dataset, path) -> None:
                       for values, code in zip(ds.data.tolist(), ds.codes.tolist()))
 
 
+_ROW = np.dtype([("values", np.float64, (NUM_FEATURES,)), ("label", object)])
+
+# Text on which NumPy's parser may read what the csv module and float() refuse:
+# NUL (the csv module refuses it before Python 3.11) and \x1c-\x1f, which NumPy
+# strips from around a number as white space and float() does not.
+_CONTROLS = "\x00\x1c\x1d\x1e\x1f"
+
+
 def read_dataset(path) -> Dataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     The header must match the canonical column list exactly; the error for
     a mismatch names the missing and unexpected columns.  A cell that is
-    not a finite number is rejected with its line and column.
+    not a finite number is rejected with its line and column.  The body is
+    parsed by one ``np.loadtxt`` call; a body NumPy refuses, or may read
+    otherwise than the csv module, is walked by the csv module, which names
+    the first fault.
     """
-    rows, labels = [], []
-    for line, row in csv_rows(path, _CSV_HEADER, SchemaError):
-        try:
-            rows.append([float(v) for v in row[:NUM_FEATURES]])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: line {line}: {exc}") from None
-        labels.append(row[NUM_FEATURES] or None)
-    data = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+    body = csv_body(path, _CSV_HEADER, SchemaError)
+    try:  # NumPy warns on a body of line ends alone, which holds no records
+        table = (np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", quotechar='"',
+                            comments=None, ndmin=1)
+                 if body.strip("\r\n") else np.empty(0, _ROW))
+    except ValueError:
+        _check_records(path)
+        # The csv module took every line end and NumPy did not: a lone CR.
+        raise SchemaError(f"{path}: a line ends in CR alone; line ends must be LF or CRLF") from None
+    labels = table["label"].tolist()
+    if not _same_records(body, labels):
+        _check_records(path)
+    data = table["values"]
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, col = bad[0].tolist()
@@ -292,4 +308,38 @@ def read_dataset(path) -> Dataset:
             f"{path}: line {i + 2}: column {FEATURE_NAMES[col]}: "
             f"non-finite value {float(data[i, col])!r}"
         )
-    return Dataset.from_labels(data, labels)
+    return Dataset.from_labels(data, [label or None for label in labels])
+
+
+def _same_records(body: str, labels: list[str]) -> bool:
+    """Whether the csv module would read ``body`` as the records, with these
+    labels, that NumPy read.
+
+    The two agree unless the body holds a blank line (NumPy skips it), a
+    line break inside a quoted number, one of ``_CONTROLS``, or a field past
+    the csv module's size limit.  A line holds one record plus the line
+    breaks inside its label, so a count of lines finds the first two.
+    """
+    if any(char in body for char in _CONTROLS):
+        return False
+    raw = np.frombuffer(body.encode(), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    lines = ends.size + (body[-1:] not in ("", "\n"))
+    longest = np.diff(ends, prepend=-1, append=raw.size).max() - 1  # bytes: no fewer than characters
+    limit = csv.field_size_limit()
+    return (lines == len(labels) + "".join(labels).count("\n")
+            and longest <= limit and max(map(len, labels), default=0) <= limit)
+
+
+def _check_records(path) -> None:
+    """Raise the first fault the csv module finds below a feature CSV's
+    header: a record without 17 fields, CSV syntax, or a numeric cell that
+    ``float()`` refuses or that is not ASCII (``1_000``, ``١٢``)."""
+    for line, row in csv_rows(path, _CSV_HEADER, SchemaError):
+        for name, cell in zip(FEATURE_NAMES, row):
+            try:
+                float(cell)
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError(f"{cell!r} is not an ASCII decimal number")
+            except ValueError as exc:
+                raise SchemaError(f"{path}: line {line}: column {name}: {exc}") from None

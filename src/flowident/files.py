@@ -39,11 +39,11 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):
-    """Yield ``(line, fields)`` for each row below the header of a CSV file.
+def csv_body(path, header: tuple[str, ...], error: type[FormatError]) -> str:
+    """The text below the header of a CSV file.
 
-    An empty file, a header other than ``header``, a row with another field
-    count, bytes that are not UTF-8 and CSV syntax errors raise ``error``.
+    An empty file, a header other than ``header``, bytes that are not UTF-8
+    and CSV syntax errors in the header raise ``error``.
     """
     data = Path(path).read_bytes()
     try:
@@ -51,21 +51,35 @@ def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    stream = io.StringIO(text, newline="")
+    reader = csv.reader(stream)
     try:
         got = next(reader, None)
-        if got is None:
-            raise error(f"{path}: empty file")
-        if tuple(got) != header:
-            missing = [c for c in header if c not in got]
-            extra = [c for c in got if c not in header]
-            raise error(
-                f"{path}: header must be {','.join(header)} "
-                f"(missing: {missing or 'none'}, unexpected: {extra or 'none'})"
-            )
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    if got is None:
+        raise error(f"{path}: empty file")
+    if tuple(got) != header:
+        missing = [c for c in header if c not in got]
+        extra = [c for c in got if c not in header]
+        raise error(
+            f"{path}: header must be {','.join(header)} "
+            f"(missing: {missing or 'none'}, unexpected: {extra or 'none'})"
+        )
+    return stream.read()
+
+
+def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):
+    """Yield ``(line, fields)`` for each row below the header of a CSV file.
+
+    Besides what :func:`csv_body` refuses, a row with another field count
+    and CSV syntax errors raise ``error``.
+    """
+    reader = csv.reader(io.StringIO(csv_body(path, header, error), newline=""))
+    try:
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise error(f"{path}: line {line}: expected {len(header)} fields")
             yield line, row
-    except csv.Error as exc:
-        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # a header that matches is one line: the body's lines follow it
+        raise error(f"{path}: line {reader.line_num + 1}: {exc}") from None

@@ -27,7 +27,8 @@ These tools live here:
   (ratio, flow);
 * the per-flow ingest tail that the columnar one replaced: the per-record
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
-  line, and the per-cell dataset writer;
+  line, the per-cell dataset writer and the per-row, per-cell ``float()``
+  dataset reader;
 * a sorted packet list as one sampling trace;
 * the per-packet synthetic generator and ``struct`` capture writer that
   the columnar ones replaced, kept as references that must agree record
@@ -47,7 +48,7 @@ import numpy as np
 
 from flowident.classifier import VARIANCE_FLOOR, ClassifierModel
 from flowident.errors import ContractError, FormatError
-from flowident.features import FEATURE_NAMES
+from flowident.features import FEATURE_NAMES, NUM_FEATURES, Dataset, SchemaError
 from flowident.files import csv_rows
 from flowident.flow import (
     REORDER_TOLERANCE_US,
@@ -894,7 +895,8 @@ def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
 
 # --------------------------------------------------------------------------
 # The per-flow ingest tail the columnar one replaced: one feature tuple per
-# record, one label row object per line, one csv.writer cell per value
+# record, one label row object per line, one csv.writer cell per value, one
+# float() per cell read
 # --------------------------------------------------------------------------
 
 def featurize_oracle(flow: FlowRecord) -> tuple[float, ...]:
@@ -933,6 +935,34 @@ def write_dataset_oracle(ds, path) -> None:
         writer.writerow(FEATURE_NAMES + ("label",))
         for values, label in zip(ds.data.tolist(), ds.labels()):
             writer.writerow([f"{v:.9g}" for v in values] + [label or ""])
+
+
+_CSV_HEADER = FEATURE_NAMES + ("label",)
+
+
+def read_dataset_oracle(path) -> Dataset:
+    """Read a dataset CSV written by :func:`write_dataset`.
+
+    The header must match the canonical column list exactly; the error for
+    a mismatch names the missing and unexpected columns.  A cell that is
+    not a finite number is rejected with its line and column.
+    """
+    rows, labels = [], []
+    for line, row in csv_rows(path, _CSV_HEADER, SchemaError):
+        try:
+            rows.append([float(v) for v in row[:NUM_FEATURES]])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {line}: {exc}") from None
+        labels.append(row[NUM_FEATURES] or None)
+    data = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, col = bad[0].tolist()
+        raise SchemaError(
+            f"{path}: line {i + 2}: column {FEATURE_NAMES[col]}: "
+            f"non-finite value {float(data[i, col])!r}"
+        )
+    return Dataset.from_labels(data, labels)
 
 
 def _label_proto_oracle(text: str, where: str) -> Proto:

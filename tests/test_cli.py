@@ -9,13 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowident import cli, sampling
 from flowident.cli import build_parser, main
 from flowident.features import FEATURE_NAMES, Dataset, FeatureVector, write_dataset
-from flowident.flow import Proto, aggregate_table
+from flowident.flow import Proto, aggregate, aggregate_table
 from flowident.ingest.netflow import encode_netflow_v5
-from flowident.ingest.pcap import write_pcap
+from flowident.ingest.pcap import read_pcap, write_pcap
 from helpers import eth_ipv4_frame, mk_packet, nf5_datagram, nf5_record, pcap_file
 
 FIXTURE_SPEC = Path(__file__).parent / "fixtures" / "demo_spec.json"
@@ -348,8 +350,6 @@ def test_ingest_from_netflow_export(tmp_path, capsys):
         mk_packet(ts=1_700_000_001_000_000, src="10.0.0.7", dst="10.0.0.8",
                   sport=53, dport=777, proto=Proto.UDP, length=90),
     ]
-    from flowident.flow import aggregate
-
     flows = aggregate(packets)
     export = tmp_path / "export.bin"
     export.write_bytes(b"".join(encode_netflow_v5(flows)))
@@ -542,6 +542,65 @@ def test_numeric_options_at_their_extremes_exit_cleanly(tmp_path, capsys, argv):
         code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Each subcommand over small inputs, and the numeric options it takes.
+CHILD_RUNS = (
+    (("ingest", "--pcap", "{pcap}", "--out", "{out}"), [name for name, _ in TIMEOUTS]),
+    (("ingest", "--netflow", "{netflow}", "--out", "{out}"), [name for name, _ in TIMEOUTS]),
+    (("select", "{csv}"), ["--bins", "--delta"]),
+    (("train", "{csv}", "--out", "{out}"), [name for name, _ in PRIOR]),
+    (("evaluate", "{csv}"), ["--k", "--seed", *(name for name, _ in PRIOR)]),
+    (("sample-report", "--synth", "{spec}", "--trials", "1000"),
+     ["--trials", "--seed", "--ratios", *(name for name, _ in TIMEOUTS)]),
+)
+OPTION_TEXT = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(("0", "1", "2", "-1", "1e308", "1e-320", "nan", "-inf", "", "1_000", "0x10",
+                     str(2**63 - 1), str(2**63), str(sampling.MIN_TRIALS - 1),
+                     str(sampling.MAX_TRIALS), str(sampling.MAX_TRIALS + 1))),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=4),
+)
+RATIOS_TEXT = OPTION_TEXT | st.lists(
+    st.integers(-1, 2**70).map("1:{}".format) | st.sampled_from(("1:1", "2:3", "1:", "")),
+    min_size=1, max_size=60).map(",".join)
+# ``python -m flowident.cli`` under a 1 GiB address-space limit, which the
+# child sets on itself; these inputs need under 300 MiB.
+LIMITED_CLI = """
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+runpy.run_module("flowident.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def child_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("child")
+    paths = {name: tmp / name for name in ("spec", "csv", "pcap", "netflow", "out")}
+    spec = {"classes": [spec_class(), spec_class(label="b")]}
+    paths["spec"].write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", *map(str, (paths["spec"], "--out-dataset", paths["csv"],
+                                     "--out-pcap", paths["pcap"]))]) == 0
+    paths["netflow"].write_bytes(b"".join(encode_netflow_v5(aggregate(read_pcap(paths["pcap"])))))
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CHILD_RUNS))
+def test_numeric_options_exit_cleanly_in_a_child_process(child_inputs, data, run_spec):
+    """``flowident`` in its own process, under an address-space limit set in
+    that process only, exits 0, 1 or 2 with no traceback whatever numbers
+    its options get."""
+    command, options = run_spec
+    argv = [arg.format(**child_inputs) for arg in command]
+    for option in data.draw(st.lists(st.sampled_from(options), min_size=1, max_size=3, unique=True)):
+        argv.append(f"{option}={data.draw(RATIOS_TEXT if option == '--ratios' else OPTION_TEXT)}")
+
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True,
+                          encoding="utf-8", errors="replace", timeout=120)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("text, message", [

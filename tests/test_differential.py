@@ -31,6 +31,7 @@ import csv
 from collections import Counter
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -63,7 +64,16 @@ from flowident.evaluation import (
     metrics,
 )
 from flowident.errors import FormatError
-from flowident.features import Dataset, FeatureVector, feature_matrix, featurize, write_dataset
+from flowident.features import (
+    FEATURE_NAMES,
+    Dataset,
+    FeatureVector,
+    SchemaError,
+    feature_matrix,
+    featurize,
+    read_dataset,
+    write_dataset,
+)
 from flowident.flow import (
     TCP_ACK,
     TCP_FIN,
@@ -123,6 +133,7 @@ from helpers import (
     pcap_file,
     plugin_variance_oracle,
     predict_oracle,
+    read_dataset_oracle,
     read_netflow_oracle,
     read_pcap_oracle,
     sampling_report_oracle,
@@ -901,6 +912,95 @@ def test_write_dataset_equals_the_per_cell_writer(alphabet, rows):
         write_dataset(ds, got)
         write_dataset_oracle(ds, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Finite numbers as the writer prints them (%.9g), as repr prints them, and
+# integers from 1e9 up, which %.9g would round.
+FEATURE_CELLS = (st.floats(allow_nan=False, allow_infinity=False).map("{:.9g}".format)
+                 | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                 | st.integers(10**9, 10**300).map(str))
+FEATURE_LABELS = st.none() | st.text(
+    st.sampled_from(' ,"\r\n#ab') | st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+# Text that NumPy's parser and the csv module might read differently.
+DAMAGE = st.sampled_from(("\n", "\r\n", "\r", ",", '"', " ", "_", "١", "\x00", "\x1c", "\x1f",
+                          "e", "-", ".", "nan", "inf", "#", "x"))
+
+
+def csv_cell(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def feature_csv_texts(draw):
+    """A valid feature CSV: LF or CRLF line ends, with or without the last
+    one, labels holding CSV syntax, unlabeled rows, perhaps every cell
+    quoted, perhaps no rows."""
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    quote = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(st.lists(FEATURE_CELLS, min_size=16, max_size=16),
+                                   FEATURE_LABELS), max_size=6))
+    lines = [",".join(FEATURE_NAMES + ("label",))]
+    lines += [",".join(csv_cell(cell, quote) for cell in [*cells, label or ""])
+              for cells, label in rows]
+    return end.join(lines) + draw(st.sampled_from((end, "")))
+
+
+@st.composite
+def damaged_texts(draw, text):
+    """``text`` with 1-3 pieces of ``DAMAGE`` put in, characters cut out, or
+    every line end turned into CR alone."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(("insert", "insert", "cut", "cr")))
+        if action == "insert":
+            text = text[:at] + draw(DAMAGE) + text[at:]
+        elif action == "cut":
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+        else:
+            text = re.sub("\r?\n", "\r", text)
+    return text
+
+
+def tightened(text: str, error: SchemaError) -> bool:
+    """Whether ``error`` refuses, on purpose, a file the per-cell reader takes:
+    a line that ends in CR alone, or a number with ``_`` or a character other
+    than ASCII, which float() takes and NumPy does not."""
+    if str(error).endswith("line ends must be LF or CRLF"):
+        return bool(re.search("\r(?!\n)", text))
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    return str(error).endswith("is not an ASCII decimal number") and any(
+        "_" in cell or not cell.strip().isascii() for row in rows for cell in row[:16])
+
+
+def read_feature_text(reader, text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            return reader(path)
+        except SchemaError as exc:
+            return exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), feature_csv_texts(), st.booleans())
+@example(None, ",".join(FEATURE_NAMES + ("label",)) + "\n", False)
+def test_read_dataset_equals_the_per_cell_reader(data, text, damage):
+    """The NumPy reader reads a valid file as the per-cell reader does; on a
+    damaged file it refuses whatever that reader refuses, and refuses more
+    only where it is meant to be stricter."""
+    if damage:
+        text = data.draw(damaged_texts(text))
+    want = read_feature_text(read_dataset_oracle, text)
+    got = read_feature_text(read_dataset, text)
+    if isinstance(want, SchemaError):
+        assert damage and isinstance(got, SchemaError), want
+    elif damage and isinstance(got, SchemaError):
+        assert tightened(text, got), got
+    else:
+        assert got == want and got.alphabet == want.alphabet
 
 
 BAD_IPS = ("10.1", "01.2.3.4", "1.2.3.256", "1.2.3", "1.2.3.4.5", " 1.2.3.4", "1.2.3.4 ",

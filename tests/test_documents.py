@@ -4,7 +4,8 @@ The feature CSV (``read_dataset``), the spec JSON (``load_synth_spec``) and
 the selection JSON that ``train --features-from`` reads are built from valid
 documents with a few fields replaced by any value.  Each reader must either
 return valid objects or raise FormatError or ContractError, which the CLI
-turns into exit 1 or 2, and nothing else.
+turns into exit 1 or 2, and nothing else.  A feature CSV that the per-cell
+``float()`` reader refuses must be refused.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from flowident.features import NUM_FEATURES, read_dataset, validate_feature_ids,
 from flowident.flow import Proto
 from flowident.selection import fcbf_select
 from flowident.synth import generate_dataset, load_synth_spec, parse_synth_spec
-from helpers import json_paths
+from helpers import json_paths, read_dataset_oracle
 
 FIXTURE_SPEC = Path(__file__).parent / "fixtures" / "demo_spec.json"
 DEMO_ROWS = generate_dataset(parse_synth_spec({"seed": 5, "classes": [
@@ -46,9 +47,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-def csv_text(rows) -> str:
+def csv_text(rows, end: str = "\n", quoting: int = csv.QUOTE_MINIMAL) -> str:
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    csv.writer(buffer, lineterminator=end, quoting=quoting).writerows(rows)
     return buffer.getvalue()
 
 
@@ -58,23 +59,35 @@ with tempfile.TemporaryDirectory() as tmp:
 FEATURE_ROWS = list(csv.reader(io.StringIO(FEATURE_TEXT, newline="")))
 
 
+# Labels that hold CSV syntax: a comma, a quote, CR, LF.
+ODD_LABELS = ("a,b", 'say "hi"', "cr\ronly", "two\nlines", "crlf\r\n", ",", '"')
+
+
 @st.composite
 def damaged_feature_csvs(draw):
     """The demo feature CSV with 1-3 cells replaced by any text, dropped or
-    added, and perhaps the text cut at any character."""
+    added, labels that hold CSV syntax, or blank lines put in; written with
+    LF, CRLF or CR line ends, perhaps with every cell quoted, and perhaps
+    cut at any character."""
     rows = [list(row) for row in FEATURE_ROWS]
     for _ in range(draw(st.integers(1, 3))):
-        row = draw(st.sampled_from(rows))
+        row = draw(st.sampled_from([row for row in rows if row]))
         col = draw(st.integers(0, len(row) - 1))
-        action = draw(st.sampled_from(("replace", "replace", "replace", "drop", "add")))
+        action = draw(st.sampled_from(("replace", "replace", "replace", "drop", "add", "label",
+                                       "blank")))
         if action == "drop":
             del row[col]
         elif action == "add":
             row.insert(col, draw(st.sampled_from(ODD_TEXT)))
+        elif action == "label":
+            row[-1] = draw(st.sampled_from(ODD_LABELS))
+        elif action == "blank":
+            rows.insert(draw(st.integers(1, len(rows))), [])
         else:
             row[col] = draw(st.one_of(st.text(max_size=8), st.sampled_from(ODD_TEXT),
                                       st.floats().map(str), st.integers().map(str)))
-    text = csv_text(rows)
+    text = csv_text(rows, draw(st.sampled_from(("\n", "\r\n", "\r"))),
+                    draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))))
     if draw(st.integers(0, 3)) == 0:
         text = text[: draw(st.integers(0, len(text)))]
     return text
@@ -106,7 +119,7 @@ def read_text_as(reader, text: str, name: str):
     returns, or the FormatError or ContractError it raised."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="")
         try:
             return reader(path)
         except (FormatError, ContractError) as exc:
@@ -120,6 +133,7 @@ def test_a_damaged_feature_csv_reads_or_is_refused(text):
     ds = read_text_as(read_dataset, text, "features.csv")
     if isinstance(ds, Exception):
         return
+    assert not isinstance(read_text_as(read_dataset_oracle, text, "features.csv"), Exception)
     assert ds.data.shape == (len(ds.codes), NUM_FEATURES)
     assert np.isfinite(ds.data).all()
     assert all(isinstance(label, str) and label for label in ds.alphabet)

@@ -192,8 +192,45 @@ def test_read_errors(tmp_path):
     row = ["1"] * 16 + ["web"]
     row[4] = "huh"
     path.write_text(good_header + "\n" + ",".join(row) + "\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="line 2"):
+    with pytest.raises(SchemaError,
+                       match="line 2: column tcpflags_fwd: could not convert string to float: 'huh'"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("{row}\n\n{row}\n", "line 3: expected 17 fields"),
+    ("{row}\r\n\r\n", "line 3: expected 17 fields"),
+    ("\n{row}\n", "line 2: expected 17 fields"),
+    ("{row}\n{row}\n\r", "line 4: expected 17 fields"),
+    ("{row}\n1_000,{rest}\n", "line 3: column lport: '1_000' is not an ASCII decimal number"),
+    ("١٢,{rest}\n", "line 2: column lport: '١٢' is not an ASCII decimal number"),
+    ("\x1c1,{rest}\n", r"line 2: column lport: could not convert string to float: '\\x1c1'"),
+    ("{row}\r{row}\r", "a line ends in CR alone; line ends must be LF or CRLF"),
+    ("{row}\n{numbers},{big}\n", r"line 3: field larger than field limit \(131072\)"),
+    ("{big}1,{rest}\n", r"line 2: field larger than field limit \(131072\)"),
+])
+def test_read_refuses_what_numpy_and_the_csv_module_read_apart(tmp_path, body, message):
+    """Blank lines, numbers with ``_`` or other characters that float() takes
+    and NumPy's parser does not (and the reverse), CR line ends, and fields
+    past the csv module's size limit, which NumPy does not have."""
+    rest = ",".join(["1"] * 15 + ["web"])
+    path = tmp_path / "ds.csv"
+    header = ",".join(FEATURE_NAMES + ("label",))
+    body = body.format(row="1," + rest, rest=rest, numbers=",".join(["1"] * 16), big=" " * 131073)
+    path.write_text(header + "\n" + body, encoding="utf-8", newline="")
+    with pytest.raises(SchemaError, match=f"ds\\.csv: {message}"):
+        read_dataset(path)
+
+
+def test_read_takes_labels_holding_csv_syntax_and_quoted_numbers(tmp_path):
+    labels = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "#x", " lead", "", "\x1c"]
+    path = tmp_path / "ds.csv"
+    header = ",".join(FEATURE_NAMES + ("label",))
+    rows = ['"2\n",' + ",".join(["1"] * 15) + ',"' + label.replace('"', '""') + '"' for label in labels]
+    path.write_text(header + "\r\n" + "\r\n".join(rows), encoding="utf-8", newline="")
+    ds = read_dataset(path)
+    assert ds.labels() == labels[:6] + [None, "\x1c"]
+    assert ds.data[:, 0].tolist() == [2.0] * len(labels)
 
 
 def test_dataset_validation_and_views():
