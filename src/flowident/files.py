@@ -10,10 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 from .errors import FormatError
+
+# A line and its ending, split as io.StringIO(text, newline="") splits them.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def is_finite_number(value) -> bool:
@@ -51,8 +55,8 @@ def csv_body(path, header: tuple[str, ...], error: type[FormatError]) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    stream = io.StringIO(text, newline="")
-    reader = csv.reader(stream)
+    lines = _LINE.finditer(text)
+    reader = csv.reader(line.group() for line in lines)
     try:
         got = next(reader, None)
     except csv.Error as exc:
@@ -66,7 +70,8 @@ def csv_body(path, header: tuple[str, ...], error: type[FormatError]) -> str:
             f"{path}: header must be {','.join(header)} "
             f"(missing: {missing or 'none'}, unexpected: {extra or 'none'})"
         )
-    return stream.read()
+    body = next(lines, None)  # the lines are contiguous: the body starts where the header ends
+    return text[body.start():] if body else ""
 
 
 def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):

@@ -10,7 +10,9 @@ The per-metric degradation measure is
     unbiased metrics: var((M - M_hat) / M), i.e. the relative-error variance,
     biased metrics:   E(M - M_hat),
 estimated by seeded Monte Carlo resampling; its average over the flows of a
-trace summarises a whole capture at one sampling ratio.
+trace summarises a whole capture at one sampling ratio.  A degradation is an
+exact rational of integer sums over the trials' survivors, rounded once, so a
+report holds no per-trial array and costs in proportion to the survivors.
 
 A report draws from one stream: flow f's (trials, n_f) uniforms are the
 first trials * n_f float32 draws of ``default_rng(seed)``.  One list of the
@@ -45,10 +47,10 @@ DEFAULT_TRIALS = 20000
 # highest rate.
 _CHUNK_BUDGET = 10_000_000
 
-# Each trial holds, for every rate, its three float64 estimates (24 bytes) and
-# about five float64 temporaries while they are made and reduced (40 bytes).
-# Keeping one rate's 64 bytes per trial within the budget bounds the trials
-# at 10,000,000 // 64 = 156,250.
+# simulate_estimates returns three float64 per-trial arrays (24 bytes a trial),
+# and reducing them, as np.var does, makes about five float64 temporaries of
+# the same length (40 bytes).  Keeping those 64 bytes a trial within the budget
+# bounds the trials at 10,000,000 // 64 = 156,250.
 MAX_TRIALS = _CHUNK_BUDGET // 64
 
 
@@ -74,7 +76,8 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """One flow as parallel arrays of positive packet sizes and non-decreasing stamps (us)."""
+    """One flow as parallel integer arrays of packet sizes (bytes, an IPv4 total
+    length) and non-decreasing stamps (us), the ranges its exact sums assume."""
 
     sizes: np.ndarray
     ts: np.ndarray
@@ -88,6 +91,10 @@ class FlowTrace:
             raise ContractError("packet sizes must be positive finite numbers")
         if not (np.diff(self.ts) >= 0).all():
             raise ContractError("packet stamps must not decrease")
+        if self.sizes.dtype.kind not in "iu" or int(self.sizes.max()) > 65535:
+            raise ContractError("packet sizes must be integers in 1..65535")
+        if self.ts.dtype.kind not in "iu" or int(self.ts[0]) < 0 or int(self.ts[-1]) > 2**63 - 1:
+            raise ContractError("packet stamps must be integers in 0..2**63-1")
 
     @property
     def length(self) -> int:
@@ -143,36 +150,36 @@ class _SurvivorStream:
         self.state = self.rng.bit_generator.state  # the generator at position end
         self.growing = True  # until a stretch does not fit in _CHUNK_BUDGET
 
-    def estimates(self, trace: FlowTrace, ps, trials: int) -> np.ndarray:
+    def survivors(self, trace: FlowTrace, ps, trials: int):
         """Simulate `trials` independent samplings of one flow at every rate in `ps`.
 
-        Returns a (3, len(ps), trials) array of per-trial l_hat, s_hat and
-        fd_hat.  One uniform per (trial, packet) serves every rate: the packet
-        survives rate p when its uniform is below p.  Results depend only on
-        (seed, trials), not on the other flows or rates asked for.
+        Yields, for each chunk of trials and each rate ps[j], (j, trial,
+        count, byte_sum, first, last): the trials in which some packet
+        survives ps[j], in order, with their int64 survivor count and byte
+        sum and their first and last surviving packet.  One uniform per
+        (trial, packet) serves every rate: the packet survives rate p when its
+        uniform is below p.  Results depend only on (seed, trials), not on
+        the other flows or rates asked for.
         """
         n = trace.length
-        sizes = trace.sizes.astype(np.float64)
-        t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
+        sizes = trace.sizes.astype(np.int64)
         rows = max(1, int(_CHUNK_BUDGET // (n * (5 + 45 * self.top))))
-        est = np.empty((3, len(ps), trials))
         for lo in range(0, trials, rows):
-            c = min(rows, trials - lo)
             # Survivors at the highest rate in stream order: each trial's run is
             # contiguous and in packet order, and so is every lower rate's subset of it.
-            idx, u = self._read(lo * n, (lo + c) * n)
+            idx, u = self._read(lo * n, (lo + min(rows, trials - lo)) * n)
             trial, pkt = np.divmod(idx, n)
-            trial -= lo
             for j, p in enumerate(ps):
                 keep = u < p
                 t, i = trial[keep], pkt[keep]
-                first = np.flatnonzero(np.diff(t, prepend=-1))
-                last = np.flatnonzero(np.diff(t, append=c))
-                window = np.zeros(c)
-                window[t[first]] = t_sec[i[last]] - t_sec[i[first]]
-                est[:, j, lo : lo + c] = (np.bincount(t, minlength=c) / p,
-                                          np.bincount(t, sizes[i], minlength=c) / p, window)
-        return est
+                if t.size:
+                    # Run r, the survivors of one trial, is t[bounds[r]:bounds[r + 1]].
+                    starts = np.empty(t.size + 1, bool)
+                    starts[0] = starts[-1] = True
+                    np.not_equal(t[1:], t[:-1], out=starts[1:-1])
+                    bounds = np.flatnonzero(starts)
+                    first, end = bounds[:-1], bounds[1:]
+                    yield j, t[first], end - first, np.add.reduceat(sizes[i], first), i[first], i[end - 1]
 
     def _read(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Survivors of stream positions a..b-1.  A read that starts past the
@@ -209,30 +216,37 @@ def check_trials(trials: int) -> None:
 def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.ndarray:
     """(3, rates, flows) degradations in Metric order, every flow reading one stream.
 
-    A flow's rates go in groups of MAX_TRIALS // trials, one pass over its
-    survivors each, so its estimates stay within one rate's budget at
-    MAX_TRIALS for any number of rates."""
+    Per flow and rate, the trials add up exactly as integers: A = sum c,
+    B = sum c^2, A_S = sum S, B_S = sum S^2 and W = sum window (us).  With
+    p = pn / pd and T trials, var(c / (p l)) = (T B - A^2) pd^2 / (T (T-1)
+    (pn l)^2), the same for sizes, and E(D - window) in seconds is
+    (T D - W) / (T 10^6) with D in us; each is one int / int division,
+    rounded once.  A flow's sums are int64 where T times its largest square
+    or window fits, Python ints past that.
+    """
     check_trials(trials)
     if not traces:
         raise ContractError("sampling needs at least one flow")
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
     stream = _SurvivorStream(seed, max(ps))
-    group = max(1, MAX_TRIALS // trials)
+    scale = trials * (trials - 1)
     dres = np.empty((3, len(ps), len(traces)))
     for f, trace in enumerate(traces):
-        for j in range(0, len(ps), group):
-            rates = slice(j, j + group)  # one flow's estimates are alive at a time
-            dres[:, rates, f] = _degradations(trace, stream.estimates(trace, ps[rates], trials))
+        length, size, ts = trace.length, trace.size, trace.ts.astype(np.int64)
+        span = int(ts[-1] - ts[0])
+        dtype = np.int64 if trials * max(size * size, span) < 2**63 else object
+        sums = [[0] * 5 for _ in ps]
+        for j, _, count, byte_sum, first, last in stream.survivors(trace, ps, trials):
+            count, byte_sum = count.astype(dtype, copy=False), byte_sum.astype(dtype, copy=False)
+            window = (ts[last] - ts[first]).astype(dtype, copy=False)
+            for k, v in enumerate((count, count * count, byte_sum, byte_sum * byte_sum, window)):
+                sums[j][k] += int(v.sum())
+        for j, (p, (a, b, a_s, b_s, w)) in enumerate(zip(ps, sums)):
+            pn, pd = p.as_integer_ratio()
+            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * length) ** 2),
+                             (trials * b_s - a_s * a_s) * pd * pd / (scale * (pn * size) ** 2),
+                             (trials * span - w) / (trials * 10**6))
     return dres
-
-
-def _degradations(trace: FlowTrace, est: np.ndarray) -> np.ndarray:
-    """(3, rates) degradations in Metric order from one flow's (3, rates, trials) estimates."""
-    return np.array([
-        np.var(est[0] / trace.length, axis=1, ddof=1),
-        np.var(est[1] / trace.size, axis=1, ddof=1),
-        np.mean(trace.duration - est[2], axis=1),
-    ])
 
 
 def simulate_estimates(
@@ -241,7 +255,11 @@ def simulate_estimates(
     """Per-trial (l_hat, s_hat, fd_hat) arrays for one flow at rate cfg.p."""
     check_trials(trials)
     p = float(cfg.p)
-    return tuple(_SurvivorStream(cfg.seed, p).estimates(trace, [p], trials)[:, 0])
+    t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
+    est = np.zeros((3, trials))
+    for _, trial, count, byte_sum, first, last in _SurvivorStream(cfg.seed, p).survivors(trace, [p], trials):
+        est[:, trial] = count / p, byte_sum / p, t_sec[last] - t_sec[first]
+    return tuple(est)
 
 
 def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
@@ -250,12 +268,15 @@ def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEF
     Unbiased metrics report the variance of the relative error (sample
     variance across trials); duration reports the mean shortfall E(M - M_hat),
     which is non-negative because a sampled window never exceeds the real one.
+    Either is the exact rational of the trials' integer counts, byte sums and
+    windows, rounded once to a float.
     """
     return adre(metric, [trace], cfg, trials)
 
 
 def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
-    """Mean of the per-flow degradations across a trace collection."""
+    """Mean of the per-flow degradations, each as :func:`dre` gives it, across
+    a trace collection."""
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
     dres = _mc_degradations(list(traces), [cfg.p], cfg.seed, trials)

@@ -24,7 +24,8 @@ These tools live here:
   ``simulate_estimates`` must reproduce trial by trial;
 * the per-ratio sampling report that the shared-stream engine replaced: a
   fresh draw of the seed's stream and a dense survivor mask for every
-  (ratio, flow);
+  (ratio, flow), each degradation a ``Fraction`` of the mask's counts, byte
+  sums and windows;
 * the per-flow ingest tail that the columnar one replaced: the per-record
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
   line, the per-cell dataset writer and the per-row, per-cell ``float()``
@@ -42,6 +43,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -555,14 +557,20 @@ def estimate(sampled, p: float) -> FlowEstimates:
 # The per-ratio sampling report, the reference for the shared-stream engine
 # --------------------------------------------------------------------------
 
+def survivor_mask_oracle(trace, p: float, seed: int, trials: int) -> np.ndarray:
+    """The dense (trials, packets) survivor mask of one flow at one rate, from a
+    draw of its own."""
+    return np.random.default_rng(seed).random((trials, trace.length), dtype=np.float32) < p
+
+
 def mc_estimates_oracle(trace, p: float, seed: int, trials: int):
-    """Per-trial (l_hat, s_hat, fd_hat) of one flow at one rate, from a draw of
-    its own and a dense (trials, packets) survivor mask; the first and last
-    survivors are the mask's first set cell from either end."""
+    """Per-trial (l_hat, s_hat, fd_hat) of one flow at one rate, from its dense
+    survivor mask; the first and last survivors are the mask's first set cell
+    from either end."""
     n = trace.length
     sizes = trace.sizes.astype(np.float64)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
-    mask = np.random.default_rng(seed).random((trials, n), dtype=np.float32) < p
+    mask = survivor_mask_oracle(trace, p, seed, trials)
     k = mask.sum(axis=1)
     first = mask.argmax(axis=1)
     last = n - 1 - mask[:, ::-1].argmax(axis=1)
@@ -570,12 +578,24 @@ def mc_estimates_oracle(trace, p: float, seed: int, trials: int):
     return k / p, (mask.astype(np.float64) @ sizes) / p, window
 
 
-def dre_oracle(metric: Metric, trace, l_hat, s_hat, fd_hat) -> float:
+def dre_oracle(metric: Metric, trace, p: float, mask: np.ndarray) -> float:
+    """One flow's degradation at rate p as a Fraction of the dense survivor
+    mask's per-trial counts, byte sums and first-to-last windows (us), rounded
+    once to a float."""
+    trials, n = mask.shape
+    if metric is Metric.DURATION:
+        ts = trace.ts.astype(np.int64)
+        first = mask.argmax(axis=1)
+        last = n - 1 - mask[:, ::-1].argmax(axis=1)
+        windows = np.where(mask.any(axis=1), ts[last] - ts[first], 0).tolist()
+        span = int(ts[-1]) - int(ts[0])
+        return float(Fraction(trials * span - sum(windows), trials * 10**6))
     if metric is Metric.LENGTH:
-        return float(np.var(l_hat / trace.length, ddof=1))
-    if metric is Metric.SIZE:
-        return float(np.var(s_hat / trace.size, ddof=1))
-    return float(np.mean(trace.duration - fd_hat))
+        values, total = mask.sum(axis=1).tolist(), trace.length
+    else:
+        values, total = (mask.astype(np.int64) @ trace.sizes.astype(np.int64)).tolist(), trace.size
+    squares = Fraction(sum(v * v for v in values)) - Fraction(sum(values) ** 2, trials)
+    return float(squares / (trials - 1) / (Fraction(p) * total) ** 2)
 
 
 def sampling_report_oracle(traces, ratios, seed: int, trials: int) -> SamplingReport:
@@ -585,9 +605,9 @@ def sampling_report_oracle(traces, ratios, seed: int, trials: int) -> SamplingRe
     for n in ratios:
         per_metric = {metric: [] for metric in Metric}
         for trace in traces:
-            estimates = mc_estimates_oracle(trace, 1.0 / n, seed, trials)
+            mask = survivor_mask_oracle(trace, 1.0 / n, seed, trials)
             for metric in Metric:
-                per_metric[metric].append(dre_oracle(metric, trace, *estimates))
+                per_metric[metric].append(dre_oracle(metric, trace, 1.0 / n, mask))
         for metric in Metric:
             means[(metric.value, n)] = float(np.mean(per_metric[metric]))
     rows = [ReportRow(metric.value, n, means[(metric.value, n)]) for metric in Metric for n in ratios]

@@ -102,8 +102,10 @@ from flowident.ingest.pcap import PcapDecodeError, PcapReader, write_pcap
 from flowident.sampling import (
     MIN_TRIALS,
     FlowTrace,
+    Metric,
     SamplingConfig,
     build_sampling_report,
+    dre,
     simulate_estimates,
     traces_from_packets,
 )
@@ -114,6 +116,7 @@ from helpers import (
     bernoulli_sample,
     build_frame_oracle,
     confusion_oracle,
+    dre_oracle,
     encode_netflow_oracle,
     estimate,
     eth_ipv4_frame,
@@ -138,6 +141,7 @@ from helpers import (
     read_pcap_oracle,
     sampling_report_oracle,
     score_oracle,
+    survivor_mask_oracle,
     traces_oracle,
     trace_from_packets,
     train_oracle,
@@ -850,6 +854,35 @@ def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, see
     for got, n in zip(estimates, ratios):
         want = mc_estimates_oracle(traces[0], 1.0 / n, seed, trials)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flow_traces(), st.sampled_from((1, 2, 3, 8, 64, 1024)) | st.integers(1, 4096),
+       st.integers(0, 2**32 - 1))
+def test_dre_is_np_var_and_np_mean_of_the_estimates_to_rounding(traces, n, seed):
+    """A cell is one rounding of an exact rational; np.var and np.mean of the
+    per-trial estimates round at every step and land within 1e-13 of it."""
+    cfg = SamplingConfig(1.0 / n, seed)
+    for trace in traces:
+        l_hat, s_hat, fd_hat = simulate_estimates(trace, cfg, MIN_TRIALS)
+        want = (np.var(l_hat / trace.length, ddof=1), np.var(s_hat / trace.size, ddof=1),
+                np.mean(trace.duration - fd_hat))
+        for metric, value in zip(Metric, want):
+            assert dre(metric, trace, cfg, MIN_TRIALS) == pytest.approx(value, rel=1e-13, abs=0)
+
+
+def test_dre_sums_past_int64_stay_exact(monkeypatch):
+    """5,000 packets of 65,535 bytes: trials x sum(S^2) passes 2**63, and so
+    does one 100-trial chunk's sum at 1:1, so the byte sums add as Python ints
+    and still give the exact cells."""
+    trace = FlowTrace(sizes=np.full(5000, 65535), ts=np.arange(5000) * 10)
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 100 * 5000 * 50)  # 100 trials a chunk at 1:1
+    assert 100 * trace.size**2 >= 2**63
+    for metric in Metric:
+        assert dre(metric, trace, SamplingConfig(1.0, seed=2), MIN_TRIALS) == 0.0
+    mask = survivor_mask_oracle(trace, 0.5, 2, MIN_TRIALS)
+    for metric in Metric:
+        assert dre(metric, trace, SamplingConfig(0.5, seed=2), MIN_TRIALS) == dre_oracle(metric, trace, 0.5, mask)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,9 @@ The capture written from the demo spec is pinned by its sha256, so the
 packet generator and the pcap writer cannot move a byte either.  The
 sampling report on that capture (``golden_sampling.*``) was written by the
 per-ratio Monte Carlo, one draw per (ratio, flow), that the one-draw engine
-replaced.  The ``ingest`` outputs on that capture are pinned by the sha256
+replaced; four of its JSON values moved in the last digit, and nothing else,
+when each degradation became one rounding of an exact rational of the
+survivors' integer sums.  The ``ingest`` outputs on that capture are pinned by the sha256
 the per-flow ingest (one record, label row and feature vector per flow) gave
 before the columnar one replaced it.  The NetFlow export and the label file
 that ``ingest`` reads are pinned by the sha256 they had before the columnar

@@ -77,6 +77,19 @@ def test_flow_trace_refuses_sizes_and_stamps_no_error_law_takes(sizes, ts, messa
         FlowTrace(sizes=np.array(sizes), ts=np.array(ts))
 
 
+@pytest.mark.parametrize("sizes, ts, message", [
+    ([40.5, 60], [0, 1], r"sizes must be integers in 1\.\.65535"),
+    ([40, 70_000], [0, 1], r"sizes must be integers in 1\.\.65535"),
+    ([40, 60], [0.0, 1.5], r"stamps must be integers in 0\.\.2\*\*63-1"),
+    ([40, 60], np.array([0, 2**63], dtype=np.uint64), r"stamps must be integers in 0\.\.2\*\*63-1"),
+])
+def test_flow_trace_refuses_sizes_and_stamps_the_exact_sums_cannot_hold(sizes, ts, message):
+    """The degradations add sizes and stamps as integers, sizes within an IPv4
+    total length and stamps within int64."""
+    with pytest.raises(ContractError, match=message):
+        FlowTrace(sizes=np.array(sizes), ts=np.array(ts))
+
+
 def test_flow_trace_from_packets_sorts_by_time():
     packets = [
         mk_packet(ts=3_000_000, length=40),
@@ -378,9 +391,8 @@ def test_report_memory_is_bounded_by_the_budget_for_any_flow_length():
 
 
 def test_report_memory_is_bounded_by_the_budget_for_any_number_of_ratios():
-    """A flow's rates go in groups of MAX_TRIALS // trials, 7 at the default
-    trials, so 50 ratios hold one group's estimates at a time; every row still
-    equals a standalone adre."""
+    """50 ratios hold one chunk's survivors and one rate's runs at a time;
+    every row still equals a standalone adre."""
     trace = uniform_trace(10)
     ratios = list(range(1, 51))
     tracemalloc.start()
