@@ -169,21 +169,29 @@ class ClassScores:
         return self.alphabet[int(np.argmax(self.log_scores))]
 
 
+def _moments(data: np.ndarray, group: np.ndarray, counts: np.ndarray) -> tuple:
+    """Means and centered sums of squares, (groups, d) arrays, of the rows of ``data``
+    in each group, given each row's ``group`` and each group's non-zero row ``counts``.
+    For d >= 2 one weighted bincount per moment adds each (group, feature) cell's rows
+    in row order from +0.0, as NumPy reduces one group's masked block, so the bytes do
+    not depend on how the classes interleave.  NumPy sums a single column pairwise,
+    which no grouped sum reproduces, so for d == 1 each group reduces its own mask."""
+    k, d = len(counts), data.shape[1]
+    if d == 1:
+        rows = [data[group == g] for g in range(k)]
+        mean = np.array([r.mean(axis=0) for r in rows])
+        return mean, np.array([((r - m) ** 2).sum(axis=0) for r, m in zip(rows, mean)])
+    cells = ((group * d)[:, None] + np.arange(d)).ravel()  # row-major, as data.ravel()
+
+    def sums(values):
+        return np.bincount(cells, weights=values.ravel(), minlength=k * d).reshape(k, d)
+
+    mean = sums(data) / counts[:, None]
+    dev = mean[group]  # one (n, d) temporary: deviations, then their squares
+    return mean, sums(np.square(np.subtract(data, dev, out=dev), out=dev))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused by the model
-def _fold(nig: tuple, ds: Dataset, feature_ids, present) -> tuple:
-    """Fold the rows of each code in ``present`` into its row of the NIG block
-    ``nig``, all classes in one :func:`nig_fold`.  Moments come from each code's
-    mask, so every sum runs in the order of a one-class batch.  Returns the row
-    counts, means, centered sums of squares and the folded block."""
-    data = ds.matrix(feature_ids)
-    rows = [data[ds.codes == code] for code in present]
-    counts = [len(r) for r in rows]
-    n = np.array(counts, dtype=np.float64)[:, None]
-    mean = np.array([r.mean(axis=0) for r in rows])
-    sumsq = np.array([((r - m) ** 2).sum(axis=0) for r, m in zip(rows, mean)])
-    return counts, mean, sumsq, nig_fold(nig, n, mean, sumsq)
-
-
 def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> ClassifierModel:
     """Fit one class-conditional Gaussian per (class, selected feature).
 
@@ -198,31 +206,36 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
         raise ContractError("training needs a fully labeled dataset")
     if not ds.alphabet:
         raise ContractError("training needs at least one class")
-    counts = np.bincount(ds.codes, minlength=len(ds.alphabet)).tolist()
-    for label, count in zip(ds.alphabet, counts):
+    counts = np.bincount(ds.codes, minlength=len(ds.alphabet))
+    for label, count in zip(ds.alphabet, counts.tolist()):
         if count < 2:
             raise InsufficientDataError(f"class {label!r} has {count} flows; need at least 2")
     start = tuple(np.full(len(ids), getattr(prior, name), dtype=np.float64) for name in NIG_PARAMS)
-    _, mean, sumsq, nig = _fold(start, ds, ids, range(len(ds.alphabet)))
-    sample_var = np.maximum(sumsq / (np.array(counts)[:, None] - 1.0), VARIANCE_FLOOR)
-    return ClassifierModel(ds.alphabet, ids, tuple(counts), *nig, mean, sample_var)
+    mean, sumsq = _moments(ds.matrix(ids), ds.codes, counts)
+    nig = nig_fold(start, counts[:, None], mean, sumsq)
+    sample_var = np.maximum(sumsq / (counts[:, None] - 1.0), VARIANCE_FLOOR)
+    return ClassifierModel(ds.alphabet, ids, tuple(counts.tolist()), *nig, mean, sample_var)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused by the model
 def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     """Fold new labeled flows into one copy of the model's block: the rows of classes
     in ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
     the other rows keep their values, and the input model is never mutated."""
     if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
-    present = np.unique(new_ds.codes).tolist()
-    rows = [model._row(new_ds.alphabet[code]) for code in present]
-    if not rows:
+    counts = np.bincount(new_ds.codes, minlength=len(new_ds.alphabet))
+    present = np.flatnonzero(counts)
+    if not present.size:
         return model
-    counts, _, _, (mu, kappa, alpha, beta) = _fold(
-        tuple(model.block[:4, rows]), new_ds, model.feature_ids, present)
+    rows = [model._row(new_ds.alphabet[code]) for code in present.tolist()]
+    group = (np.cumsum(counts > 0) - 1)[new_ds.codes]  # a row's code's rank among present
+    counts = counts[present]
+    mean, sumsq = _moments(new_ds.matrix(model.feature_ids), group, counts)
+    mu, kappa, alpha, beta = nig_fold(tuple(model.block[:4, rows]), counts[:, None], mean, sumsq)
     block = model.block.copy()
     block[:, rows] = mu, kappa, alpha, beta, mu, plugin_variance(alpha, beta)
-    added = dict(zip(rows, counts))
+    added = dict(zip(rows, counts.tolist()))
     updated = copy.copy(model)  # the same alphabet and feature ids; _hold sets the rest
     updated._hold(tuple(k + added.get(row, 0) for row, k in enumerate(model.n)), block)
     return updated

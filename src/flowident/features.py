@@ -159,8 +159,18 @@ class Dataset:
         for i, vec in enumerate(vectors):
             if vec.label not in code:
                 raise ContractError(f"row {i}: label {vec.label!r} not in alphabet")
-        rows = np.array([vec.row for vec in vectors], dtype=np.float64).reshape(-1, NUM_FEATURES)
-        self._set(rows, [code[vec.label] for vec in vectors], alphabet)
+        rows = [vec.row for vec in vectors]
+        try:  # one shape check of the stacked rows; ragged rows fail to stack
+            data = np.array(rows or np.empty((0, NUM_FEATURES)), dtype=np.float64)
+            if data.shape != (len(rows), NUM_FEATURES):
+                raise ValueError
+        except ValueError:
+            bad = [i for i, row in enumerate(rows) if np.shape(row) != (NUM_FEATURES,)]
+            if not bad:
+                raise
+            raise ContractError(f"row {bad[0]}: expected {NUM_FEATURES} values, got shape "
+                                f"{np.shape(rows[bad[0]])}") from None
+        self._set(data, [code[vec.label] for vec in vectors], alphabet)
 
     def _set(self, data, codes, alphabet) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)

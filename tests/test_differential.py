@@ -322,6 +322,51 @@ def test_train_and_updates_equal_the_per_class_loop(case):
             assert model is before
 
 
+@st.composite
+def long_class_streams(draw):
+    """A training set and two update batches of 9-300 rows per class, past NumPy's
+    8-wide unrolled column sums and its 128-row pairwise blocks, over 1-3 classes and
+    1, 2 or 16 features."""
+    alphabet = tuple(f"c{c}" for c in range(draw(st.integers(1, 3))))
+    feature_ids = tuple(draw(st.permutations(range(1, 17)))[: draw(st.sampled_from([1, 2, 16]))])
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows_of():
+        codes = np.repeat(np.arange(len(alphabet)), [draw(st.integers(9, 300)) for _ in alphabet])
+        rng.shuffle(codes)
+        data = (rng.standard_normal((len(codes), 16)) + codes[:, None]) * scale
+        return Dataset.from_arrays(data, codes, alphabet)
+
+    return rows_of(), feature_ids, draw(st.sampled_from(PRIORS)), [rows_of(), rows_of()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_class_streams())
+@example((Dataset.from_arrays(np.arange(2 * 129 * 16.0).reshape(-1, 16) % 7.3,
+                              np.arange(2 * 129) % 2, ("c0", "c1")),
+          (1,), NIGPrior(), []))
+def test_long_classes_train_and_update_to_the_per_class_loop_bytes(case):
+    train_ds, feature_ids, prior, batches = case
+    model, want = train(train_ds, feature_ids, prior), train_oracle(train_ds, feature_ids, prior)
+    assert model_bytes(model) == model_bytes(want)
+    for batch in batches:
+        model, want = update(model, batch), update_oracle(want, batch)
+        assert model_bytes(model) == model_bytes(want)
+
+
+@pytest.mark.parametrize("feature_ids", [(1,), (1, 2), tuple(range(16, 0, -1))])
+@pytest.mark.parametrize("prior", [NIGPrior(), NIGPrior(mu=-0.0)])
+def test_a_class_of_negative_zeros_trains_and_updates_to_the_oracle_bytes(feature_ids, prior):
+    data = np.full((6, 16), -0.0)
+    data[3:] = np.arange(3 * 16.0).reshape(3, 16)  # class c0 holds only -0.0
+    ds = Dataset.from_arrays(data, [0, 0, 0, 1, 1, 1], ("c0", "c1"))
+    model, want = train(ds, feature_ids, prior), train_oracle(ds, feature_ids, prior)
+    assert model_bytes(model) == model_bytes(want)
+    batch = Dataset.from_arrays(data[:2], [0, 0], ("c0", "c1"))
+    assert model_bytes(update(model, batch)) == model_bytes(update_oracle(want, batch))
+
+
 DEMO_ROWS = generate_dataset(parse_synth_spec({"seed": 5, "classes": [
     {"label": "bulk", "flows": 6, "features": {"pps": {"mean": 900.0, "std": 40.0}}},
     {"label": "chat", "flows": 6, "features": {"pps": {"mean": 40.0, "std": 6.0}}},

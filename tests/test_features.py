@@ -1,6 +1,7 @@
 """Feature extraction and the dataset CSV format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ def test_dataset_validation_and_views():
 
     auto = Dataset.from_vectors([labeled, unlabeled, labeled.with_label("bulk")])
     assert auto.alphabet == ("bulk", "web")
+
+
+@pytest.mark.parametrize("rows, bad, shape", [
+    ([np.arange(32.0)], 0, (32,)),  # would reshape to two rows under one label
+    ([np.arange(16.0), np.arange(15.0)], 1, (15,)),
+    ([np.arange(16.0), np.arange(16.0)[None]], 1, (1, 16)),
+    ([np.arange(16.0), np.arange(16.0), np.arange(17.0)], 2, (17,)),
+])
+def test_dataset_refuses_a_vector_that_is_not_sixteen_values(rows, bad, shape):
+    vectors = [FeatureVector(row, "web") for row in rows]
+    with pytest.raises(ContractError,
+                       match=rf"^row {bad}: expected 16 values, got shape {re.escape(str(shape))}$"):
+        Dataset(vectors, ("web",))
+    with pytest.raises(ContractError):
+        Dataset.from_vectors(vectors)
 
 
 def test_matrix_selects_columns():
