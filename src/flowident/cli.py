@@ -11,7 +11,7 @@ import argparse
 import csv
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -288,6 +288,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowident",

@@ -189,9 +189,9 @@ def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
 
     A bidirectional flow becomes its forward record, then its backward
     record if that direction has packets, both sharing the flow's time
-    window.  ``flow_sequence`` runs continuously from ``seq_start`` across
-    the returned datagrams.  A value the format cannot hold is refused with
-    an EncodingError before anything is packed.
+    window and one datagram.  ``flow_sequence`` runs continuously from
+    ``seq_start`` across the returned datagrams.  A value the format cannot
+    hold is refused with an EncodingError before anything is packed.
     """
     t = FlowTable.from_records(flows)
     if not len(t):
@@ -229,10 +229,18 @@ def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
         records(src_port, dst_port), records(dst_port, src_port), 0,
         records(t.tcp_flags_fwd, t.tcp_flags_bwd), t.proto[flow], t.tos[flow],
     ).tobytes()
-    start = np.arange(0, len(pkts), MAX_RECORDS_PER_DATAGRAM)
+    # A datagram that would end between a flow's forward and backward records
+    # ends one record early, so the reader, which merges within a datagram,
+    # gets the pair whole.  The last record never opens a pair.
+    paired = records(t.bwd_packets > 0, np.zeros(len(t), dtype=bool))
+    bounds = [0]
+    while bounds[-1] < len(pkts):
+        end = min(bounds[-1] + MAX_RECORDS_PER_DATAGRAM, len(pkts))
+        bounds.append(end - int(paired[end - 1]))
+    start = np.array(bounds[:-1])
     heads = pack_rows(
-        _HEADER, len(start), VERSION, np.minimum(MAX_RECORDS_PER_DATAGRAM, len(pkts) - start),
+        _HEADER, len(start), VERSION, np.diff(bounds),
         sys_uptime, unix_secs, export_us % 1_000_000 * 1000, (seq_start % 2**32 + start) & _U32,
     )
-    step = MAX_RECORDS_PER_DATAGRAM * _RECORD.size
-    return [head.tobytes() + body[i * step : (i + 1) * step] for i, head in enumerate(heads)]
+    size = _RECORD.size
+    return [head.tobytes() + body[a * size : b * size] for head, a, b in zip(heads, bounds, bounds[1:])]

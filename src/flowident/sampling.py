@@ -15,20 +15,18 @@ exact rational of integer sums over the trials' survivors, rounded once, so a
 report holds no per-trial array and costs in proportion to the survivors.
 
 A report draws from one stream: flow f's (trials, n_f) uniforms are the
-first trials * n_f float32 draws of ``default_rng(seed)``.  One list of the
-survivors at the highest rate grows only when a flow needs more of the
-stream than the flows before it, so the flows may come in any order and the
-stream is drawn once, up to the longest flow's prefix.  The list stops
-growing at ``_CHUNK_BUDGET`` bytes; a longer flow draws the rest of its
-prefix, a chunk of trials at a time, from the generator state saved where
-the list ends, so memory stays bounded for any flow length.  Each flow's
-estimates depend only on (flow, seed, trials), so identical flows still get
-identical estimates.
+first trials * n_f float32 draws of ``default_rng(seed)``.  The stream is
+drawn once, from the start up to the longest flow's prefix, in stretches of
+about ``_CHUNK_BUDGET`` bytes that hold only the survivors at the highest
+rate; after each stretch every unfinished flow reads the whole trials of
+its prefix drawn so far.  The integer sums do not depend on the order in
+which trials are read, so memory stays bounded for any flow length, the
+flows may come in any order, and each flow's estimates depend only on
+(flow, seed, trials): identical flows still get identical estimates.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import sys
 from dataclasses import dataclass
@@ -41,11 +39,12 @@ from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, Aggregation,
 MIN_TRIALS = 1000
 DEFAULT_TRIALS = 20000
 
-# Rough bytes per Monte Carlo chunk, and the most the kept survivor list may
-# hold.  A chunk row costs a float32 uniform and a comparison byte per packet,
-# plus about 45 bytes of survivor lists for each packet that survives the
-# highest rate.
+# Rough bytes per stretch of the Monte Carlo stream: 5 bytes a position for a
+# float32 uniform and its comparison, plus about 45 bytes of survivor arrays
+# for each position that survives the highest rate.  A stretch is never
+# shorter than the longest flow, and its uniforms are drawn _PIECE at a time.
 _CHUNK_BUDGET = 10_000_000
+_PIECE = 1 << 18  # 1 MiB of float32 uniforms
 
 # simulate_estimates returns three float64 per-trial arrays (24 bytes a trial),
 # and reducing them, as np.var does, makes about five float64 temporaries of
@@ -135,42 +134,47 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
     raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
 
 
-class _SurvivorStream:
-    """The survivors at the highest rate of one seed's float32 stream, whose
-    position trial * n + packet holds an n-packet flow's (trial, packet)
-    uniform; kept as stretches of positions and uniforms, 12 bytes a survivor."""
+def _runs(traces: list[FlowTrace], ps, seed: int, trials: int):
+    """Simulate `trials` independent samplings of every flow at every rate in `ps`.
 
-    def __init__(self, seed: int, top: float):
-        self.rng = np.random.default_rng(seed)
-        self.top = top
-        self.kept: list[tuple[np.ndarray, np.ndarray]] = []  # one stretch of the stream each
-        self.ends: list[int] = []  # the stream position each kept stretch ends at
-        self.size = 0  # survivors kept
-        self.end = 0  # the kept survivors are those of stream positions 0..end-1
-        self.state = self.rng.bit_generator.state  # the generator at position end
-        self.growing = True  # until a stretch does not fit in _CHUNK_BUDGET
-
-    def survivors(self, trace: FlowTrace, ps, trials: int):
-        """Simulate `trials` independent samplings of one flow at every rate in `ps`.
-
-        Yields, for each chunk of trials and each rate ps[j], (j, trial,
-        count, byte_sum, first, last): the trials in which some packet
-        survives ps[j], in order, with their int64 survivor count and byte
-        sum and their first and last surviving packet.  One uniform per
-        (trial, packet) serves every rate: the packet survives rate p when its
-        uniform is below p.  Results depend only on (seed, trials), not on
-        the other flows or rates asked for.
-        """
-        n = trace.length
-        sizes = trace.sizes.astype(np.int64)
-        rows = max(1, int(_CHUNK_BUDGET // (n * (5 + 45 * self.top))))
-        for lo in range(0, trials, rows):
-            # Survivors at the highest rate in stream order: each trial's run is
-            # contiguous and in packet order, and so is every lower rate's subset of it.
-            idx, u = self._read(lo * n, (lo + min(rows, trials - lo)) * n)
-            trial, pkt = np.divmod(idx, n)
+    Yields, for flow f, rate ps[j] and a stretch of trials, (f, j, trial,
+    count, byte_sum, first, last): the trials in which some packet survives
+    ps[j], in order, with their int64 survivor count and byte sum and their
+    first and last surviving packet.  Flow f's (trial, packet) uniform is
+    position trial * n_f + packet of one seed's float32 stream; a packet
+    survives rate p when its uniform is below p.  Results depend only on
+    (flow, seed, trials), not on the other flows or rates asked for.
+    """
+    top = max(ps)
+    lengths = [trace.length for trace in traces]
+    longest = max(lengths)
+    stretch = max(longest, int(_CHUNK_BUDGET // (5 + 45 * top)))
+    rng = np.random.default_rng(seed)
+    read = [0] * len(traces)  # flow f has read stream positions 0..read[f]-1
+    unfinished = range(len(traces))
+    # The survivors at the highest rate in stream order: each trial's run is
+    # contiguous and in packet order, and so is every lower rate's subset of it.
+    idx, u, drawn_to = np.empty(0, np.int64), np.empty(0, np.float32), 0
+    while unfinished:
+        # A stretch is no shorter than the longest flow, so every unfinished
+        # flow has read past drawn_to - longest.
+        carry = np.searchsorted(idx, drawn_to - longest)
+        parts = [(idx[carry:], u[carry:])]
+        start, drawn_to = drawn_to, min(drawn_to + stretch, trials * longest)
+        for a in range(start, drawn_to, _PIECE):
+            drawn = rng.random(min(_PIECE, drawn_to - a), dtype=np.float32)
+            hit = np.flatnonzero(drawn < top)
+            parts.append((hit + a, drawn[hit]))
+        idx, u = (np.concatenate(column) for column in zip(*parts))
+        for f in unfinished:
+            n = lengths[f]
+            upto = min(drawn_to // n, trials) * n  # the whole trials drawn so far
+            lo, hi = np.searchsorted(idx, (read[f], upto))
+            read[f] = upto
+            trial, pkt = np.divmod(idx[lo:hi], n)
+            sizes = traces[f].sizes.astype(np.int64, copy=False)
             for j, p in enumerate(ps):
-                keep = u < p
+                keep = u[lo:hi] < p
                 t, i = trial[keep], pkt[keep]
                 if t.size:
                     # Run r, the survivors of one trial, is t[bounds[r]:bounds[r + 1]].
@@ -179,30 +183,8 @@ class _SurvivorStream:
                     np.not_equal(t[1:], t[:-1], out=starts[1:-1])
                     bounds = np.flatnonzero(starts)
                     first, end = bounds[:-1], bounds[1:]
-                    yield j, t[first], end - first, np.add.reduceat(sizes[i], first), i[first], i[end - 1]
-
-    def _read(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Survivors of stream positions a..b-1.  A read that starts past the
-        kept list continues the one before it, where the generator stands."""
-        parts = self.kept[bisect.bisect_right(self.ends, a) : bisect.bisect_left(self.ends, b) + 1]
-        if b > self.end:
-            if a <= self.end:
-                self.rng.bit_generator.state = self.state
-            start = max(a, self.end)
-            drawn = self.rng.random(b - start, dtype=np.float32)
-            hit = np.flatnonzero(drawn < self.top)
-            uniforms = drawn[hit]
-            hit += start  # stream positions
-            parts.append((hit, uniforms))
-            self.growing &= (self.size + hit.size) * 12 <= _CHUNK_BUDGET
-            if self.growing:
-                self.kept.append(parts[-1])
-                self.ends.append(b)
-                self.size += hit.size
-                self.end, self.state = b, self.rng.bit_generator.state
-        idx, u = parts[0] if len(parts) == 1 else (np.concatenate(col) for col in zip(*parts))
-        lo, hi = np.searchsorted(idx, (a, b))
-        return idx[lo:hi], u[lo:hi]
+                    yield f, j, t[first], end - first, np.add.reduceat(sizes[i], first), i[first], i[end - 1]
+        unfinished = [f for f in unfinished if read[f] < trials * lengths[f]]
 
 
 def check_trials(trials: int) -> None:
@@ -228,22 +210,24 @@ def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.
     if not traces:
         raise ContractError("sampling needs at least one flow")
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
-    stream = _SurvivorStream(seed, max(ps))
+    ts = [trace.ts.astype(np.int64) for trace in traces]
+    sizes = [trace.size for trace in traces]
+    spans = [int(t[-1] - t[0]) for t in ts]
+    dtypes = [np.int64 if trials * max(size * size, span) < 2**63 else object
+              for size, span in zip(sizes, spans)]
+    sums = [[[0] * 5 for _ in ps] for _ in traces]
+    for f, j, _, count, byte_sum, first, last in _runs(traces, ps, seed, trials):
+        dtype = dtypes[f]
+        count, byte_sum = count.astype(dtype, copy=False), byte_sum.astype(dtype, copy=False)
+        window = (ts[f][last] - ts[f][first]).astype(dtype, copy=False)
+        for k, v in enumerate((count, count * count, byte_sum, byte_sum * byte_sum, window)):
+            sums[f][j][k] += int(v.sum())
     scale = trials * (trials - 1)
     dres = np.empty((3, len(ps), len(traces)))
-    for f, trace in enumerate(traces):
-        length, size, ts = trace.length, trace.size, trace.ts.astype(np.int64)
-        span = int(ts[-1] - ts[0])
-        dtype = np.int64 if trials * max(size * size, span) < 2**63 else object
-        sums = [[0] * 5 for _ in ps]
-        for j, _, count, byte_sum, first, last in stream.survivors(trace, ps, trials):
-            count, byte_sum = count.astype(dtype, copy=False), byte_sum.astype(dtype, copy=False)
-            window = (ts[last] - ts[first]).astype(dtype, copy=False)
-            for k, v in enumerate((count, count * count, byte_sum, byte_sum * byte_sum, window)):
-                sums[j][k] += int(v.sum())
-        for j, (p, (a, b, a_s, b_s, w)) in enumerate(zip(ps, sums)):
+    for f, (trace, size, span) in enumerate(zip(traces, sizes, spans)):
+        for j, (p, (a, b, a_s, b_s, w)) in enumerate(zip(ps, sums[f])):
             pn, pd = p.as_integer_ratio()
-            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * length) ** 2),
+            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * trace.length) ** 2),
                              (trials * b_s - a_s * a_s) * pd * pd / (scale * (pn * size) ** 2),
                              (trials * span - w) / (trials * 10**6))
     return dres
@@ -257,7 +241,7 @@ def simulate_estimates(
     p = float(cfg.p)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
     est = np.zeros((3, trials))
-    for _, trial, count, byte_sum, first, last in _SurvivorStream(cfg.seed, p).survivors(trace, [p], trials):
+    for *_, trial, count, byte_sum, first, last in _runs([trace], [p], cfg.seed, trials):
         est[:, trial] = count / p, byte_sum / p, t_sec[last] - t_sec[first]
     return tuple(est)
 

@@ -859,16 +859,20 @@ def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
     """Encode FlowRecords as v5 datagrams, at most 30 records in each.
 
     A bidirectional flow becomes two unidirectional records sharing the
-    flow's time window.  ``flow_sequence`` runs continuously from
-    ``seq_start`` across the returned datagrams.
+    flow's time window and one datagram: a flow whose records do not fit in
+    the current datagram starts the next.  ``flow_sequence`` runs
+    continuously from ``seq_start`` across the returned datagrams.
     """
-    raws = []
+    raws, chunks = [], []
     for n, flow in enumerate(flows):
         key = flow.key
         if flow.initiator_lo:
             src, dst = (key.ip_lo, key.port_lo), (key.ip_hi, key.port_hi)
         else:
             src, dst = (key.ip_hi, key.port_hi), (key.ip_lo, key.port_lo)
+        records = 1 + (flow.bwd_packets > 0)
+        if not chunks or len(chunks[-1]) + records > 30:
+            chunks.append([])
         for pkts, octets, flags, endpoints in (
             (flow.fwd_packets, flow.fwd_bytes, flow.tcp_flags_fwd, (src, dst)),
             (flow.bwd_packets, flow.bwd_bytes, flow.tcp_flags_bwd, (dst, src)),
@@ -881,6 +885,7 @@ def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
                 (endpoints[0], endpoints[1], pkts, octets, flow.first_ts,
                  flow.last_ts, flags, int(key.proto), flow.tos)
             )
+            chunks[-1].append(raws[-1])
     if not raws:
         return []
 
@@ -894,8 +899,7 @@ def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
 
     datagrams = []
     emitted = 0
-    for start in range(0, len(raws), 30):
-        chunk = raws[start : start + 30]
+    for chunk in chunks:
         out = bytearray(
             _NF5_HEADER.pack(
                 5, len(chunk), sys_uptime, unix_secs, unix_nsecs,

@@ -266,6 +266,14 @@ def test_sample_report_takes_trials_from_min_to_max():
     assert parser.parse_args(["evaluate", "d.csv", "--seed", str(2**70)]).seed == 2**70
 
 
+def test_one_parser_serves_every_call():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["sample-report", "--synth", "s.json", "--trials", "5000"])
+    again = parser.parse_args(["sample-report", "--synth", "s.json"])
+    assert (first.trials, again.trials) == (5000, sampling.DEFAULT_TRIALS)
+
+
 def test_missing_input_file_exits_one(tmp_path, capsys):
     code, _, err = run(
         ["ingest", "--pcap", tmp_path / "nope.pcap", "--out", tmp_path / "x.csv"],

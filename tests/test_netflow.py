@@ -326,9 +326,26 @@ def test_bidirectional_roundtrip_within_one_datagram():
     assert decode_netflow_v5(datagram) == flows
 
 
-def test_reciprocal_pair_split_across_datagrams_stays_unidirectional():
-    """Merging is scoped to one datagram: a pair that straddles the 30-record
-    boundary decodes as two unidirectional flows."""
+def test_reciprocal_pair_split_across_datagrams_stays_unidirectional(tmp_path):
+    """Merging is scoped to one datagram: reciprocal records in two datagrams
+    of one file decode as two unidirectional flows."""
+    forward = nf5_record(src="10.0.0.2", dst="10.0.0.1", sport=5000, dport=80,
+                         pkts=3, octets=180, first=100, last=400, flags=0x02)
+    backward = nf5_record(src="10.0.0.1", dst="10.0.0.2", sport=80, dport=5000,
+                          pkts=2, octets=120, first=150, last=450, flags=0x11)
+    header = dict(sys_uptime=450, unix_secs=1_700_000_000)
+    path = tmp_path / "split.bin"
+    path.write_bytes(nf5_datagram([forward], **header) + nf5_datagram([backward], seq=1, **header))
+    decoded = read_netflow_file(path)
+    assert [(f.fwd_packets, f.bwd_packets) for f in decoded] == [(3, 0), (2, 0)]
+    assert decoded == [f for d in (forward, backward) for f in decode_netflow_v5(nf5_datagram([d], **header))]
+    [merged] = decode_netflow_v5(nf5_datagram([forward, backward], **header))
+    assert (merged.fwd_packets, merged.bwd_packets) == (3, 2)
+
+
+def test_encoder_keeps_a_pair_at_the_30_record_boundary_in_one_datagram():
+    """One lone flow then 15 pairs is 31 records; a 30-record cut would split
+    the last pair, so the first datagram ends a record early."""
     lone = sample_flow(
         key=FlowKey(ip("10.0.0.9"), 9, ip("10.0.0.10"), 10, Proto.TCP),
         bwd_packets=0, bwd_bytes=0, tcp_flags_bwd=0, initiator_lo=True,
@@ -339,15 +356,11 @@ def test_reciprocal_pair_split_across_datagrams_stays_unidirectional():
         )
         for i in range(15)
     ]
-    flows = [lone] + pairs  # 31 records; the last pair is split 29/30
-    datagrams = encode_netflow_v5(flows)
-    assert len(datagrams) == 2
-    decoded = [f for d in datagrams for f in decode_netflow_v5(d)]
-    assert len(decoded) == 17
-    assert decoded[:15] == flows[:15]  # lone flow plus 14 intact pairs
-    assert decoded[15].bwd_packets == 0
-    assert decoded[16].bwd_packets == 0
-    assert decoded[15].fwd_packets + decoded[16].fwd_packets == flows[15].total_packets
+    flows = [lone] + pairs
+    datagrams = encode_netflow_v5(flows, seq_start=7)
+    assert [int.from_bytes(d[2:4], "big") for d in datagrams] == [29, 2]
+    assert [int.from_bytes(d[16:20], "big") for d in datagrams] == [7, 36]  # flow_sequence
+    assert [f for d in datagrams for f in decode_netflow_v5(d)] == flows
 
 
 def test_read_netflow_file_concatenated_and_truncated(tmp_path):

@@ -358,21 +358,16 @@ def test_report_builds_one_generator_for_any_number_of_flows_and_ratios(count_ge
             assert made == [4]
 
 
-def test_report_draws_the_longest_flows_prefix_once_while_the_survivors_fit(count_generators):
+@pytest.mark.parametrize("chunk_budget", [None, 20_000], ids=["default", "many-stretches"])
+def test_report_draws_the_longest_flows_prefix_once(monkeypatch, count_generators, chunk_budget):
+    """At any budget the stream is drawn once, from the start, up to the longest flow's prefix."""
     traces = short_heavy_traces(count=12)
-    _, drawn = count_generators()
-    build_sampling_report(traces, [128, 256, 512, 1024], seed=4, trials=1000)
-    assert sum(drawn) == 1000 * max(trace.length for trace in traces)
-
-
-def test_report_draws_again_past_a_full_survivor_list(monkeypatch, count_generators):
-    traces = short_heavy_traces(count=12)
-    _, drawn = count_generators()
     whole = build_sampling_report(traces, [2, 8], seed=4, trials=1000)
-    drawn.clear()
-    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 20_000)  # ~1,700 survivors at 1:2
+    _, drawn = count_generators()
+    if chunk_budget is not None:
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)  # ~730 positions a stretch at 1:2
     assert build_sampling_report(traces, [2, 8], seed=4, trials=1000).rows == whole.rows
-    assert sum(drawn) > 1000 * max(trace.length for trace in traces)
+    assert sum(drawn) == 1000 * max(trace.length for trace in traces)
 
 
 def test_report_memory_is_bounded_by_the_budget_for_any_flow_length():
