@@ -21,13 +21,11 @@ from .features import (
     write_dataset,
 )
 from .flow import (
-    Direction,
     FlowKey,
     FlowRecord,
     PacketRecord,
     Proto,
     aggregate,
-    canonical_key,
 )
 from .sampling import (
     FlowTrace,
@@ -49,7 +47,6 @@ __all__ = [
     "ContractError",
     "Dataset",
     "DegenerateDatasetError",
-    "Direction",
     "FEATURE_NAMES",
     "FeatureVector",
     "FlowKey",
@@ -65,7 +62,6 @@ __all__ = [
     "adre",
     "aggregate",
     "build_sampling_report",
-    "canonical_key",
     "confusion",
     "discretize",
     "dre",

@@ -154,9 +154,6 @@ class ClassifierModel:
             raise UnknownClassError(f"unknown class {label!r}")
         return self.alphabet.index(label)
 
-    def class_prior(self, label: str) -> float:
-        return self.n[self._row(label)] / self.total_flows
-
 
 @dataclass(frozen=True)
 class ClassScores:

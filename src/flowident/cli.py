@@ -94,10 +94,8 @@ def _labeled_subset(ds: Dataset, what: str) -> Dataset:
 
 
 def _prior_from_args(args) -> classifier.NIGPrior:
-    return classifier.NIGPrior(
-        mu=args.prior_mu, kappa=args.prior_kappa,
-        alpha=args.prior_alpha, beta=args.prior_beta,
-    )
+    return classifier.NIGPrior(**{
+        name: getattr(args, f"prior_{name}") for name in classifier.NIG_PARAMS})
 
 
 def _add_prior_args(parser) -> None:

@@ -215,9 +215,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def __iter__(self):
-        return iter(self.vectors)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented

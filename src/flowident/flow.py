@@ -53,11 +53,6 @@ class Proto(enum.IntEnum):
 _PROTOS = {int(proto): proto for proto in Proto}
 
 
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 def ip_to_str(ip: int) -> str:
     return str(ipaddress.IPv4Address(ip))
 
@@ -124,26 +119,12 @@ class FlowKey:
         return (self.ip_lo, self.port_lo, self.ip_hi, self.port_hi, int(self.proto))
 
 
-def canonical_endpoints(ip_a, port_a, ip_b, port_b, proto: Proto) -> tuple[FlowKey, Direction]:
-    """The canonical key of endpoints a and b, and which way a -> b travels.
-
-    FORWARD means a is the key's low endpoint (smaller IP, then port).
-    Both orders of the same two endpoints map to the same key.
-    """
-    if (ip_a, port_a) <= (ip_b, port_b):
-        return FlowKey(ip_a, port_a, ip_b, port_b, proto), Direction.FORWARD
-    return FlowKey(ip_b, port_b, ip_a, port_a, proto), Direction.BACKWARD
-
-
-def canonical_key(pkt: PacketRecord) -> tuple[FlowKey, Direction]:
-    """Return the packet's canonical key and which way the packet travels."""
-    return canonical_endpoints(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)
-
-
 def canonical_columns(ip_a, port_a, ip_b, port_b, proto):
-    """:func:`canonical_endpoints` over int64 columns: the key's five
-    columns, whether each row travels forward, and the key packed into two
-    integers that sort as :meth:`FlowKey.sort_tuple` does."""
+    """The canonical key of endpoints a and b over int64 columns: the key's
+    five columns, whether each row travels forward (a is the key's low
+    endpoint: smaller IP, then port), and the key packed into two integers
+    that sort as :meth:`FlowKey.sort_tuple` does.  Both orders of the same
+    two endpoints give the same key."""
     forward = (ip_a < ip_b) | ((ip_a == ip_b) & (port_a <= port_b))
     key = (
         np.where(forward, ip_a, ip_b), np.where(forward, port_a, port_b),
@@ -200,14 +181,6 @@ class FlowRecord:
     @property
     def total_packets(self) -> int:
         return self.fwd_packets + self.bwd_packets
-
-    @property
-    def total_bytes(self) -> int:
-        return self.fwd_bytes + self.bwd_bytes
-
-    @property
-    def duration_seconds(self) -> float:
-        return (self.last_ts - self.first_ts) / 1e6
 
 
 @dataclass(frozen=True)

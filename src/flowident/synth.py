@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, FormatError
 from .features import FEATURE_NAMES, Dataset
 from .files import is_finite_number, read_json
-from .flow import TCP_ACK, TCP_FIN, TCP_SYN, PacketTable, Proto, canonical_endpoints
+from .flow import TCP_ACK, TCP_FIN, TCP_SYN, FlowKey, PacketTable, Proto
 from .ingest.labels import LabelRow
 
 _BASE_EPOCH_US = 1_700_000_000_000_000
@@ -290,8 +290,8 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
             dst = np.where(forward[:, None], server, client)
             parts.append((ts, src[:, 0], dst[:, 0], src[:, 1], dst[:, 1], np.full(count, cls.proto),
                           sizes, flags, np.zeros(count, np.uint8)))
-            key, _ = canonical_endpoints(*client, *server, cls.proto)
-            labels.append(LabelRow(key=key, first_ts=int(ts[0]), label=cls.label))
+            low, high = sorted((client, server))
+            labels.append(LabelRow(FlowKey(*low, *high, cls.proto), int(ts[0]), cls.label))
             serial += 1
     columns = [np.concatenate(column) for column in zip(*parts)]
     order = np.argsort(columns[0], kind="stable")

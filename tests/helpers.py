@@ -10,6 +10,9 @@ These tools live here:
 * the per-row scorer, the per-class fold assignment, the per-feature
   NIG fold and the per-class training and update loops that the library's
   batch versions replaced, kept as references that must agree bit for bit;
+* the per-packet canonical key with its travel direction, the reference
+  for ``canonical_columns`` and the key every flow and label oracle here
+  uses;
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
@@ -39,6 +42,7 @@ These tools live here:
 from __future__ import annotations
 
 import csv
+import enum
 import math
 import struct
 from collections import Counter
@@ -58,13 +62,10 @@ from flowident.flow import (
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
-    Direction,
     FlowKey,
     FlowRecord,
     PacketRecord,
     Proto,
-    canonical_endpoints,
-    canonical_key,
     str_to_ip,
 )
 from flowident.ingest.labels import HEADER as LABEL_HEADER
@@ -615,9 +616,25 @@ def sampling_report_oracle(traces, ratios, seed: int, trials: int) -> SamplingRe
 
 
 # --------------------------------------------------------------------------
-# The flow layer's accumulation before packets and export records shared
-# one episode
+# The per-packet canonical key, and the flow layer's accumulation before
+# packets and export records shared one episode
 # --------------------------------------------------------------------------
+
+class Direction(enum.Enum):
+    FORWARD = "forward"
+    BACKWARD = "backward"
+
+
+def canonical_endpoints(ip_a, port_a, ip_b, port_b, proto: Proto) -> tuple[FlowKey, Direction]:
+    """The canonical key of endpoints a and b, and which way a -> b travels.
+
+    FORWARD means a is the key's low endpoint (smaller IP, then port).
+    Both orders of the same two endpoints map to the same key.
+    """
+    if (ip_a, port_a) <= (ip_b, port_b):
+        return FlowKey(ip_a, port_a, ip_b, port_b, proto), Direction.FORWARD
+    return FlowKey(ip_b, port_b, ip_a, port_a, proto), Direction.BACKWARD
+
 
 class _PacketEpisodeOracle:
     """One episode fed packet by packet, with SYN, FIN and per-direction
@@ -681,7 +698,8 @@ def aggregate_oracle(packets, inactive_timeout: float, active_timeout: float):
             continue
         clock = pkt.ts if clock is None else max(clock, pkt.ts)
         accepted += 1
-        key, direction = canonical_key(pkt)
+        key, direction = canonical_endpoints(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port,
+                                             pkt.proto)
         episode = open_episodes.get(key)
         if episode is not None and (
             pkt.ts - episode.last_ts > inactive_us or pkt.ts - episode.first_ts > active_us
@@ -929,7 +947,7 @@ def featurize_oracle(flow: FlowRecord) -> tuple[float, ...]:
     raw_duration = (flow.last_ts - flow.first_ts) / 1e6
     duration = raw_duration if raw_duration > 0 else 0.001
     packets = flow.total_packets
-    total_bytes = flow.total_bytes
+    total_bytes = flow.fwd_bytes + flow.bwd_bytes
     mean_fwd_len = flow.fwd_bytes / flow.fwd_packets
     mean_bwd_len = flow.bwd_bytes / flow.bwd_packets if flow.bwd_packets else 0.0
     return tuple(map(float, (
@@ -1116,7 +1134,8 @@ def generate_packets_oracle(spec: SynthSpec) -> tuple[list[PacketRecord], list[L
                         tcp_flags=flags[j],
                     )
                 )
-            key, _ = canonical_key(flow_packets[0])
+            key, _ = canonical_endpoints(client_ip, client_port, server_ip, cls.server_port,
+                                         cls.proto)
             labels.append(LabelRow(key=key, first_ts=flow_packets[0].ts, label=cls.label))
             packets.extend(flow_packets)
             serial += 1

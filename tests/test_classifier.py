@@ -112,17 +112,18 @@ def test_train_two_point_plugins():
     assert model.plugin_means.tolist() == [[3.0], [15.0]]
     assert model.plugin_vars.tolist() == [[2.0], [50.0]]  # n-1 variances of [2, 4], [10, 20]
     assert model.total_flows == 4
-    assert model.class_prior("a") == 0.5
 
 
 def test_class_priors_follow_counts():
-    ds = make_ds({1: [0.0] * 10, 2: list(range(10))},
-                 ["a"] * 3 + ["b"] * 7)
+    """Two classes with the same plug-in mean and variance score apart by the
+    log of their count ratio, wherever the row lies."""
+    ds = make_ds({2: [0, 1, 2] + [0, 2, 0, 2, 0, 2, 1]}, ["a"] * 3 + ["b"] * 7)
     model = train(ds, feature_ids=[2])
-    assert model.class_prior("a") == pytest.approx(0.3)
-    assert model.class_prior("b") == pytest.approx(0.7)
-    with pytest.raises(UnknownClassError, match="'c'"):
-        model.class_prior("c")
+    assert model.plugin_means.tolist() == [[1.0], [1.0]]
+    assert model.plugin_vars.tolist() == [[1.0], [1.0]]
+    for x in (-3.0, 1.0, 40.0):
+        a, b = score(model, FeatureVector.from_values([x] * 16)).log_scores
+        assert b - a == pytest.approx(math.log(7 / 3))
 
 
 def test_train_matches_statistics_oracle():

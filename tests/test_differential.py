@@ -884,8 +884,10 @@ def flow_traces(draw):
     st.sampled_from((None, 9970)),
 )
 @example([FlowTrace(sizes=np.array([40, 1500, 60]), ts=np.array([5, 5, 9]))], [1, 8, 8], 1000, 3, 9970)
-# About 80 and 470 survivors at 1:64 fit the 9,970-byte list of 12-byte
-# entries; the 80-packet flow's 1,250 do not, so the list fills mid-report.
+# A 9,970-byte budget at 1:64 draws stretches of 1,748 positions: the 5- and
+# 30-packet flows finish after 3 and 18 of them and the 80-packet flow after
+# 46; each stretch carries its survivors in the last 80 positions over to the
+# next, since a trial cut at the stretch's end is read once it is whole.
 @example([ramp_trace(n) for n in (5, 30, 80)], [64, 128], 1000, 7, 9970)
 def test_sampling_report_equals_the_per_ratio_report(traces, ratios, trials, seed, chunk_budget):
     with pytest.MonkeyPatch.context() as patch:

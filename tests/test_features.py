@@ -164,7 +164,7 @@ def test_csv_roundtrip_at_nine_significant_digits(tmp_path):
     back = read_dataset(path)
     assert back.alphabet == ("bulk", "web")
     assert len(back) == 500
-    for orig, got in zip(ds, back):
+    for orig, got in zip(ds.vectors, back.vectors):
         assert got.label == orig.label
         for a, b in zip(orig.values(), got.values()):
             assert b == float(f"{a:.9g}")

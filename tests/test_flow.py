@@ -6,18 +6,17 @@ from hypothesis import given, strategies as st
 
 from flowident.errors import ContractError
 from flowident.flow import (
-    Direction,
     FlowAggregator,
     FlowKey,
     FlowRecord,
     PacketRecord,
     Proto,
     aggregate,
-    canonical_key,
+    canonical_columns,
     ip_to_str,
     str_to_ip,
 )
-from helpers import ip, mk_packet
+from helpers import Direction, canonical_endpoints, ip, mk_packet
 
 
 def test_ip_string_conversions():
@@ -26,57 +25,47 @@ def test_ip_string_conversions():
     assert str_to_ip(ip_to_str(0xFFFFFFFF)) == 0xFFFFFFFF
 
 
+def canonical_rows(endpoints):
+    """:func:`canonical_columns` over (ip_a, port_a, ip_b, port_b, proto) rows:
+    each row's FlowKey, whether it travels forward, and its packed sort key."""
+    columns = np.array(endpoints, dtype=np.int64).reshape(-1, 5).T
+    key, forward, (low, high) = canonical_columns(*columns)
+    keys = [FlowKey(*parts[:4], Proto(parts[4])) for parts in zip(*(c.tolist() for c in key))]
+    return keys, forward.tolist(), list(zip(low.tolist(), high.tolist()))
+
+
 def test_canonical_key_orders_by_ip():
-    pkt = mk_packet(src="10.0.0.2", dst="10.0.0.1", sport=5000, dport=80)
-    key, direction = canonical_key(pkt)
-    assert key == FlowKey(ip("10.0.0.1"), 80, ip("10.0.0.2"), 5000, Proto.TCP)
-    assert direction is Direction.BACKWARD
-    back = mk_packet(src="10.0.0.1", dst="10.0.0.2", sport=80, dport=5000)
-    key2, direction2 = canonical_key(back)
-    assert key2 == key
-    assert direction2 is Direction.FORWARD
+    a, b = (ip("10.0.0.2"), 5000), (ip("10.0.0.1"), 80)
+    keys, forward, _ = canonical_rows([(*a, *b, 6), (*b, *a, 6)])
+    assert keys == [FlowKey(ip("10.0.0.1"), 80, ip("10.0.0.2"), 5000, Proto.TCP)] * 2
+    assert forward == [False, True]
 
 
 def test_canonical_key_port_tiebreak():
-    pkt = mk_packet(src="10.0.0.1", dst="10.0.0.1", sport=9, dport=7)
-    key, direction = canonical_key(pkt)
-    assert (key.port_lo, key.port_hi) == (7, 9)
-    assert direction is Direction.BACKWARD
+    keys, forward, _ = canonical_rows([(ip("10.0.0.1"), 9, ip("10.0.0.1"), 7, 17)])
+    assert (keys[0].port_lo, keys[0].port_hi) == (7, 9)
+    assert forward == [False]
 
 
-packet_strategy = st.builds(
-    mk_packet,
-    ts=st.integers(min_value=0, max_value=10**15),
-    src=st.sampled_from(["10.0.0.1", "10.0.0.2", "172.16.3.4", "192.168.1.9"]),
-    dst=st.sampled_from(["10.0.0.1", "10.0.0.2", "172.16.3.4", "192.168.1.9"]),
-    sport=st.integers(min_value=0, max_value=65535),
-    dport=st.integers(min_value=0, max_value=65535),
-    proto=st.sampled_from([Proto.TCP, Proto.UDP]),
-    length=st.integers(min_value=40, max_value=1500),
-    flags=st.just(0),
-    tos=st.integers(min_value=0, max_value=255),
-)
+ips = st.one_of(st.sampled_from([0, 1, ip("10.0.0.1"), ip("10.0.0.2"), 0xFFFFFFFF]),
+                st.integers(min_value=0, max_value=0xFFFFFFFF))
+ports = st.one_of(st.sampled_from([0, 1, 80, 65535]), st.integers(min_value=0, max_value=65535))
+endpoint_rows = st.lists(st.tuples(ips, ports, ips, ports, st.sampled_from([6, 17])), max_size=40)
 
 
-@given(packet_strategy)
-def test_canonical_key_direction_flip(pkt):
-    swapped = PacketRecord(
-        ts=pkt.ts,
-        src_ip=pkt.dst_ip,
-        dst_ip=pkt.src_ip,
-        src_port=pkt.dst_port,
-        dst_port=pkt.src_port,
-        proto=pkt.proto,
-        length=pkt.length,
-        tcp_flags=pkt.tcp_flags,
-        tos=pkt.tos,
-    )
-    key_a, dir_a = canonical_key(pkt)
-    key_b, dir_b = canonical_key(swapped)
-    assert key_a == key_b
-    assert (key_a.ip_lo, key_a.port_lo) <= (key_a.ip_hi, key_a.port_hi)
-    if (pkt.src_ip, pkt.src_port) != (pkt.dst_ip, pkt.dst_port):
-        assert dir_a is not dir_b
+@given(endpoint_rows)
+def test_canonical_columns_equal_the_per_packet_oracle(rows):
+    """Each row and its reverse get the oracle's key and direction, and the
+    packed keys sort as :meth:`FlowKey.sort_tuple` does."""
+    both = rows + [(ip_b, port_b, ip_a, port_a, proto) for ip_a, port_a, ip_b, port_b, proto in rows]
+    keys, forward, packed = canonical_rows(both)
+    want = [canonical_endpoints(ip_a, port_a, ip_b, port_b, Proto(proto))
+            for ip_a, port_a, ip_b, port_b, proto in both]
+    assert keys == [key for key, _ in want]
+    assert keys[:len(rows)] == keys[len(rows):]
+    assert forward == [direction is Direction.FORWARD for _, direction in want]
+    order = range(len(both))
+    assert sorted(order, key=packed.__getitem__) == sorted(order, key=lambda i: keys[i].sort_tuple())
 
 
 @pytest.mark.parametrize(
@@ -350,7 +339,7 @@ def test_conservation_property(moves):
     assert agg.accepted + agg.rejected == len(packets)
     assert agg.accepted == len(packets)  # timestamps never run backwards here
     assert sum(f.total_packets for f in flows) == len(packets)
-    assert sum(f.total_bytes for f in flows) == sum(p.length for p in packets)
+    assert sum(f.fwd_bytes + f.bwd_bytes for f in flows) == sum(p.length for p in packets)
 
 
 def test_records_sorted_by_first_ts_then_key():
@@ -395,5 +384,3 @@ def test_flow_record_convenience_properties():
     flow = FlowRecord(key, first_ts=1_000_000, last_ts=3_500_000,
                       fwd_packets=2, fwd_bytes=100, bwd_packets=1, bwd_bytes=40)
     assert flow.total_packets == 3
-    assert flow.total_bytes == 140
-    assert flow.duration_seconds == 2.5

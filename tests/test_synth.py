@@ -9,7 +9,7 @@ import pytest
 
 from flowident.errors import ContractError, FormatError
 from flowident.features import FEATURE_NAMES
-from flowident.flow import Proto, aggregate, canonical_key
+from flowident.flow import Proto, aggregate
 from flowident import synth
 from flowident.ingest.pcap import write_pcap
 from flowident.synth import (
@@ -19,6 +19,13 @@ from flowident.synth import (
     load_synth_spec,
     parse_synth_spec,
 )
+from helpers import canonical_endpoints
+
+
+def packet_key(pkt):
+    """The packet's canonical key, by the per-packet oracle."""
+    return canonical_endpoints(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.proto)[0]
+
 
 def one_udp_class(**packets):
     """A one-class UDP spec class whose packet distributions ``packets`` override."""
@@ -280,7 +287,7 @@ def test_generated_flows_aggregate_back_to_their_labels():
 def test_generated_packet_shapes():
     spec = parse_synth_spec(TWO_CLASS_DOC)
     packets, labels = generate_packets(spec)
-    keys = {canonical_key(p)[0] for p in packets}
+    keys = {packet_key(p) for p in packets}
     assert len(keys) == 80  # one distinct five-tuple per flow
     for pkt in packets:
         if pkt.proto is Proto.TCP:
@@ -292,8 +299,7 @@ def test_generated_packet_shapes():
 
     first_by_flow = {}
     for pkt in packets:
-        key, _ = canonical_key(pkt)
-        first_by_flow.setdefault(key, pkt)
+        first_by_flow.setdefault(packet_key(pkt), pkt)
     for key, first in first_by_flow.items():
         if first.proto is Proto.TCP:
             assert first.tcp_flags == 0x02      # a client SYN opens the flow
