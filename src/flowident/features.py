@@ -71,9 +71,6 @@ class FeatureVector:
     def value(self, feature_id: int) -> float:
         return float(self.row[_column(feature_id)])
 
-    def with_label(self, label: str | None) -> "FeatureVector":
-        return FeatureVector(self.row, label)
-
     @classmethod
     def from_values(cls, values, label: str | None = None) -> "FeatureVector":
         row = np.array(values, dtype=np.float64)

@@ -385,8 +385,9 @@ def aggregate_table(
     flags = table.tcp_flags[rows].astype(np.int64)
     new_key = np.ones(len(rows), dtype=bool)
     new_key[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
-    starts = _split_episodes(ts, forward, flags & _CLOSE_FLAGS != 0, new_key,
-                             int(inactive_timeout * 1e6), int(active_timeout * 1e6))
+    # No gap between int64 stamps exceeds 2**63 - 1 us, so a longer limit splits as that one does.
+    limits = (int(min(timeout * 1e6, 2**63 - 1)) for timeout in (inactive_timeout, active_timeout))
+    starts = _split_episodes(ts, forward, flags & _CLOSE_FLAGS != 0, new_key, *limits)
 
     # Per-episode sums over the contiguous runs, then episodes in start order;
     # the stable sort breaks ties by sorted position: key, then rank in key.

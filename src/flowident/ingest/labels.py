@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from ..errors import FormatError
 from ..files import csv_rows
-from ..flow import FlowKey, FlowTable, Proto, ip_to_str, str_to_ip
+from ..flow import FlowKey, FlowTable, ip_to_str, str_to_ip
 
 HEADER = ("ip_lo", "port_lo", "ip_hi", "port_hi", "proto", "first_ts", "label")
 
@@ -38,17 +38,10 @@ class LabelRow:
 
 class LabelFile:
     """Labels indexed by ``(ip_lo, port_lo, ip_hi, port_hi, proto, first_ts)``
-    int tuples, as :func:`load_labels` reads them; ``rows`` are made on first read."""
+    int tuples, as :func:`load_labels` reads them."""
 
     def __init__(self, index: dict[tuple[int, ...], str]) -> None:
         self._index = index
-
-    @cached_property
-    def rows(self) -> list[LabelRow]:
-        return [
-            LabelRow(FlowKey(ip_lo, port_lo, ip_hi, port_hi, Proto(proto)), first_ts, label)
-            for (ip_lo, port_lo, ip_hi, port_hi, proto, first_ts), label in self._index.items()
-        ]
 
     def __len__(self) -> int:
         return len(self._index)

@@ -14,15 +14,16 @@ trace summarises a whole capture at one sampling ratio.  A degradation is an
 exact rational of integer sums over the trials' survivors, rounded once, so a
 report holds no per-trial array and costs in proportion to the survivors.
 
-A report draws from one stream: flow f's (trials, n_f) uniforms are the
-first trials * n_f float32 draws of ``default_rng(seed)``.  The stream is
-drawn once, from the start up to the longest flow's prefix, in stretches of
-about ``_CHUNK_BUDGET`` bytes that hold only the survivors at the highest
-rate; after each stretch every unfinished flow reads the whole trials of
-its prefix drawn so far.  The integer sums do not depend on the order in
-which trials are read, so memory stays bounded for any flow length, the
-flows may come in any order, and each flow's estimates depend only on
-(flow, seed, trials): identical flows still get identical estimates.
+The engine reads one trace table of every flow's packets, and draws from one
+stream: flow f's (trials, n_f) uniforms are the first trials * n_f float32
+draws of ``default_rng(seed)``.  The stream is drawn once, from the start up
+to the longest flow's prefix, in stretches of about ``_CHUNK_BUDGET`` bytes
+that hold only the survivors at the highest rate; after each stretch every
+unfinished flow reads the whole trials of its prefix drawn so far.  The
+integer sums do not depend on the order in which trials are read, so memory
+stays bounded for any flow length, the flows may come in any order, and each
+flow's estimates depend only on (flow, seed, trials): identical flows still
+get identical estimates.
 """
 
 from __future__ import annotations
@@ -73,26 +74,48 @@ class SamplingConfig:
             raise ContractError(f"sampling probability {self.p} outside (0, 1]")
 
 
-@dataclass(frozen=True)
-class FlowTrace:
-    """One flow as parallel integer arrays of packet sizes (bytes, an IPv4 total
-    length) and non-decreasing stamps (us), the ranges its exact sums assume."""
+class TraceTable:
+    """Flows as one table: int64 columns of packet sizes (bytes, an IPv4 total
+    length) and stamps (us), flow f at rows ``bounds[f]:bounds[f + 1]`` with its
+    stamps non-decreasing, in the ranges the exact sums assume.  ``len()``
+    counts the flows; iterating yields each as a FlowTrace of column views."""
 
-    sizes: np.ndarray
-    ts: np.ndarray
-
-    def __post_init__(self) -> None:
-        sizes, ts = self.sizes, self.ts
-        if sizes.ndim != 1 or sizes.shape != ts.shape:
+    def __init__(self, sizes: np.ndarray, ts: np.ndarray, bounds) -> None:
+        if not (isinstance(sizes, np.ndarray) and isinstance(ts, np.ndarray)) \
+                or sizes.ndim != 1 or sizes.shape != ts.shape:
             raise ContractError("sizes and ts must be equal-length 1-D arrays")
-        if sizes.size == 0:
+        bounds = np.asarray(bounds)
+        if bounds.ndim != 1 or bounds.dtype.kind not in "iu" \
+                or bounds.size and (bounds[0] != 0 or bounds[-1] != sizes.size):
+            raise ContractError("flow bounds must run from 0 to the packet count")
+        if bounds.size < 2:
+            raise ContractError("sampling needs at least one flow")
+        if not (bounds[1:] > bounds[:-1]).all():
             raise ContractError("a flow trace has at least one packet")
         if sizes.dtype.kind not in "iu" or int(sizes.min()) < 1 or int(sizes.max()) > 65535:
             raise ContractError("packet sizes must be integers in 1..65535")
-        if ts.dtype.kind not in "iu" or int(ts[0]) < 0 or int(ts[-1]) > 2**63 - 1:
+        if ts.dtype.kind not in "iu" or int(ts.min()) < 0 or int(ts.max()) > 2**63 - 1:
             raise ContractError("packet stamps must be integers in 0..2**63-1")
-        if not (ts[1:] >= ts[:-1]).all():  # no np.diff: unsigned differences wrap
+        rises = np.concatenate(([True], ts[1:] >= ts[:-1]))
+        rises[bounds[:-1]] = True  # a flow may start before the one ahead of it ends
+        if not rises.all():
             raise ContractError("packet stamps must not decrease")
+        self.sizes, self.ts, self.bounds = (c.astype(np.int64, copy=False) for c in (sizes, ts, bounds))
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __iter__(self):
+        rows = self.bounds.tolist()
+        for lo, hi in zip(rows[:-1], rows[1:]):
+            yield FlowTrace(self.sizes[lo:hi], self.ts[lo:hi])
+
+
+class FlowTrace(TraceTable):
+    """One flow: the one-flow case of a :class:`TraceTable`."""
+
+    def __init__(self, sizes: np.ndarray, ts: np.ndarray) -> None:
+        super().__init__(sizes, ts, (0, np.size(sizes)))
 
     @property
     def length(self) -> int:
@@ -107,6 +130,16 @@ class FlowTrace:
         return float(self.ts[-1] - self.ts[0]) / 1e6
 
 
+def _table(traces) -> TraceTable:
+    """``traces`` as it is when a TraceTable, else its FlowTraces joined into one."""
+    if isinstance(traces, TraceTable):
+        return traces
+    traces, empty = list(traces), np.empty(0, np.int64)
+    return TraceTable(np.concatenate([empty, *(t.sizes for t in traces)]),
+                      np.concatenate([empty, *(t.ts for t in traces)]),
+                      np.cumsum([0, *(t.length for t in traces)]))
+
+
 def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float:
     """Closed-form var((M - M_hat)/M) for the unbiased metrics.
 
@@ -115,6 +148,8 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
 
     Duration has no closed form here; ask :func:`dre` instead.
     """
+    if not isinstance(metric, Metric):
+        raise ContractError(f"unknown metric {metric!r}")
     if not 0.0 < p <= 1.0:
         raise ContractError(f"sampling probability {p} outside (0, 1]")
     if metric is Metric.LENGTH:
@@ -126,24 +161,26 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
     raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
 
 
-def _runs(traces: list[FlowTrace], ps, seed: int, trials: int):
+def _runs(table: TraceTable, ps, seed: int, trials: int):
     """Simulate `trials` independent samplings of every flow at every rate in `ps`.
 
     Yields, for flow f, rate ps[j] and a stretch of trials, (f, j, trial,
     count, byte_sum, first, last): the trials in which some packet survives
-    ps[j], in order, with their int64 survivor count and byte sum and their
-    first and last surviving packet.  Flow f's (trial, packet) uniform is
-    position trial * n_f + packet of one seed's float32 stream; a packet
-    survives rate p when its uniform is below p.  Results depend only on
-    (flow, seed, trials), not on the other flows or rates asked for.
+    ps[j], in order, with their int64 survivor count and byte sum and the
+    table rows of their first and last surviving packet.  Flow f's (trial,
+    packet) uniform is position trial * n_f + packet of one seed's float32
+    stream; a packet survives rate p when its uniform is below p.  Results
+    depend only on (flow, seed, trials), not on the other flows or rates
+    asked for.
     """
     top = max(ps)
-    lengths = [trace.length for trace in traces]
+    sizes, rows = table.sizes, table.bounds.tolist()
+    lengths = np.diff(table.bounds).tolist()
     longest = max(lengths)
     stretch = max(longest, int(_CHUNK_BUDGET // (5 + 45 * top)))
     rng = np.random.default_rng(seed)
-    read = [0] * len(traces)  # flow f has read stream positions 0..read[f]-1
-    unfinished = range(len(traces))
+    read = [0] * len(lengths)  # flow f has read stream positions 0..read[f]-1
+    unfinished = range(len(lengths))
     # The survivors at the highest rate in stream order: each trial's run is
     # contiguous and in packet order, and so is every lower rate's subset of it.
     idx, u, drawn_to = np.empty(0, np.int64), np.empty(0, np.float32), 0
@@ -164,7 +201,7 @@ def _runs(traces: list[FlowTrace], ps, seed: int, trials: int):
             lo, hi = np.searchsorted(idx, (read[f], upto))
             read[f] = upto
             trial, pkt = np.divmod(idx[lo:hi], n)
-            sizes = traces[f].sizes.astype(np.int64, copy=False)
+            pkt += rows[f]  # the packet's table row
             for j, p in enumerate(ps):
                 keep = u[lo:hi] < p
                 t, i = trial[keep], pkt[keep]
@@ -187,7 +224,7 @@ def check_trials(trials: int) -> None:
         raise ContractError(f"Monte Carlo takes at most {MAX_TRIALS} trials, got {trials}")
 
 
-def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.ndarray:
+def _mc_degradations(table: TraceTable, ps, seed: int, trials: int) -> np.ndarray:
     """(3, rates, flows) degradations in Metric order, every flow reading one stream.
 
     Per flow and rate, the trials add up exactly as integers: A = sum c,
@@ -198,28 +235,26 @@ def _mc_degradations(traces: list[FlowTrace], ps, seed: int, trials: int) -> np.
     rounded once.  A flow's sums are int64 where T times its largest square
     or window fits, Python ints past that.
     """
-    check_trials(trials)
-    if not traces:
-        raise ContractError("sampling needs at least one flow")
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
-    ts = [trace.ts.astype(np.int64) for trace in traces]
-    sizes = [trace.size for trace in traces]
-    spans = [int(t[-1] - t[0]) for t in ts]
+    starts, ends = table.bounds[:-1], table.bounds[1:]
+    lengths = (ends - starts).tolist()
+    sizes = np.add.reduceat(table.sizes, starts).tolist()
+    spans = (table.ts[ends - 1] - table.ts[starts]).tolist()
     dtypes = [np.int64 if trials * max(size * size, span) < 2**63 else object
               for size, span in zip(sizes, spans)]
-    sums = [[[0] * 5 for _ in ps] for _ in traces]
-    for f, j, _, count, byte_sum, first, last in _runs(traces, ps, seed, trials):
+    sums = [[[0] * 5 for _ in ps] for _ in lengths]
+    for f, j, _, count, byte_sum, first, last in _runs(table, ps, seed, trials):
         dtype = dtypes[f]
         count, byte_sum = count.astype(dtype, copy=False), byte_sum.astype(dtype, copy=False)
-        window = (ts[f][last] - ts[f][first]).astype(dtype, copy=False)
+        window = (table.ts[last] - table.ts[first]).astype(dtype, copy=False)
         for k, v in enumerate((count, count * count, byte_sum, byte_sum * byte_sum, window)):
             sums[f][j][k] += int(v.sum())
     scale = trials * (trials - 1)
-    dres = np.empty((3, len(ps), len(traces)))
-    for f, (trace, size, span) in enumerate(zip(traces, sizes, spans)):
+    dres = np.empty((3, len(ps), len(lengths)))
+    for f, (length, size, span) in enumerate(zip(lengths, sizes, spans)):
         for j, (p, (a, b, a_s, b_s, w)) in enumerate(zip(ps, sums[f])):
             pn, pd = p.as_integer_ratio()
-            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * trace.length) ** 2),
+            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * length) ** 2),
                              (trials * b_s - a_s * a_s) * pd * pd / (scale * (pn * size) ** 2),
                              (trials * span - w) / (trials * 10**6))
     return dres
@@ -233,7 +268,7 @@ def simulate_estimates(
     p = float(cfg.p)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
     est = np.zeros((3, trials))
-    for *_, trial, count, byte_sum, first, last in _runs([trace], [p], cfg.seed, trials):
+    for *_, trial, count, byte_sum, first, last in _runs(trace, [p], cfg.seed, trials):
         est[:, trial] = count / p, byte_sum / p, t_sec[last] - t_sec[first]
     return tuple(est)
 
@@ -247,31 +282,30 @@ def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEF
     Either is the exact rational of the trials' integer counts, byte sums and
     windows, rounded once to a float.
     """
-    return adre(metric, [trace], cfg, trials)
+    return adre(metric, trace, cfg, trials)
 
 
 def adre(metric: Metric, traces, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS) -> float:
     """Mean of the per-flow degradations, each as :func:`dre` gives it, across
-    a trace collection."""
+    a TraceTable or an iterable of FlowTraces."""
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
-    dres = _mc_degradations(list(traces), [cfg.p], cfg.seed, trials)
+    check_trials(trials)
+    dres = _mc_degradations(_table(traces), [cfg.p], cfg.seed, trials)
     return float(dres[list(Metric).index(metric), 0].mean())
 
 
-def traces_from_table(table: PacketTable, agg: Aggregation) -> list[FlowTrace]:
-    """One FlowTrace per flow episode of ``agg``, the aggregation of ``table``,
-    in episode order: the episode's packets sorted by time, ties in arrival order."""
+def traces_from_table(table: PacketTable, agg: Aggregation) -> TraceTable:
+    """The episodes of ``agg``, the aggregation of ``table``, as one TraceTable
+    in episode order: each episode's packets sorted by time, ties in arrival order."""
     episode = np.repeat(np.arange(len(agg.flows)), np.diff(agg.bounds))
-    ts = table.ts[agg.packets].astype(np.int64)
+    ts = table.ts[agg.packets]
     by_time = np.lexsort((ts, episode))
-    ts, sizes = ts[by_time], table.length[agg.packets[by_time]].astype(np.int64)
-    bounds = agg.bounds.tolist()
-    return [FlowTrace(sizes[lo:hi], ts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return TraceTable(table.length[agg.packets[by_time]], ts[by_time], agg.bounds)
 
 
 def traces_from_packets(packets, inactive_timeout: float = DEFAULT_INACTIVE_TIMEOUT,
-                        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> list[FlowTrace]:
+                        active_timeout: float = DEFAULT_ACTIVE_TIMEOUT) -> TraceTable:
     """:func:`traces_from_table` over a packet stream."""
     table = PacketTable.from_records(packets)
     return traces_from_table(table, aggregate_table(table, inactive_timeout, active_timeout))
@@ -319,7 +353,7 @@ class SamplingReport:
 def sampling_rate(n) -> float:
     """The rate 1/n of a 1:n sampling ratio, for n from 1 up to the largest
     float, past which 1/n is no positive float."""
-    if not 1 <= n <= sys.float_info.max:
+    if isinstance(n, bool) or not 1 <= n <= sys.float_info.max:
         raise ContractError(f"ratio denominator {n} must be in 1..{sys.float_info.max:.6g}")
     return 1.0 / n
 
@@ -331,13 +365,14 @@ def build_sampling_report(
 
     One simulation per flow serves every ratio and all three metrics; a
     rate's estimates do not depend on the other rates, so a report row
-    equals what a standalone :func:`adre` call would produce.
+    equals what a standalone :func:`adre` call would produce from ``traces``.
     """
-    traces = list(traces)
     ratios = list(ratios)
     if not ratios:
         raise ContractError("need at least one sampling ratio")
-    dres = _mc_degradations(traces, [sampling_rate(n) for n in ratios], seed, trials)
+    rates = [sampling_rate(n) for n in ratios]
+    check_trials(trials)
+    dres = _mc_degradations(_table(traces), rates, seed, trials)
     # Along the contiguous flow axis, the mean sums as np.mean does over adre's list.
     means = dres.mean(axis=2)
     rows = [
@@ -345,4 +380,4 @@ def build_sampling_report(
         for m, metric in enumerate(Metric)
         for j, n in enumerate(ratios)
     ]
-    return SamplingReport(rows=rows, flows=len(traces), trials=trials, seed=seed)
+    return SamplingReport(rows=rows, flows=dres.shape[2], trials=trials, seed=seed)

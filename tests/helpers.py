@@ -33,7 +33,9 @@ These tools live here:
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
   line, the per-cell dataset writer and the per-row, per-cell ``float()``
   dataset reader;
-* a sorted packet list as one sampling trace;
+* the rows of a loaded label file, as ``LabelRow``s;
+* a sorted packet list as one sampling trace, and the per-flow trace rules
+  that ``TraceTable`` checks for every flow at once;
 * the per-packet synthetic generator and ``struct`` capture writer that
   the columnar ones replaced, kept as references that must agree record
   for record and byte for byte.
@@ -1048,6 +1050,12 @@ def load_labels_oracle(path) -> list[LabelRow]:
     return rows
 
 
+def label_rows(labels) -> list[LabelRow]:
+    """The rows of a :class:`LabelFile`, in file order."""
+    return [LabelRow(FlowKey(ip_lo, port_lo, ip_hi, port_hi, Proto(proto)), first_ts, label)
+            for (ip_lo, port_lo, ip_hi, port_hi, proto, first_ts), label in labels._index.items()]
+
+
 def trace_from_packets(packets) -> FlowTrace:
     """One FlowTrace of a packet list, sorted by time."""
     packets = sorted(packets, key=lambda p: p.ts)
@@ -1055,6 +1063,21 @@ def trace_from_packets(packets) -> FlowTrace:
         sizes=np.array([p.length for p in packets], dtype=np.int64),
         ts=np.array([p.ts for p in packets], dtype=np.int64),
     )
+
+
+def check_trace_oracle(sizes: np.ndarray, ts: np.ndarray) -> None:
+    """The rules of one flow's sizes and stamps, as a FlowTrace checked them
+    on its own before the trace table: raises ContractError on a breach."""
+    if sizes.ndim != 1 or sizes.shape != ts.shape:
+        raise ContractError("sizes and ts must be equal-length 1-D arrays")
+    if sizes.size == 0:
+        raise ContractError("a flow trace has at least one packet")
+    if sizes.dtype.kind not in "iu" or int(sizes.min()) < 1 or int(sizes.max()) > 65535:
+        raise ContractError("packet sizes must be integers in 1..65535")
+    if ts.dtype.kind not in "iu" or int(ts[0]) < 0 or int(ts[-1]) > 2**63 - 1:
+        raise ContractError("packet stamps must be integers in 0..2**63-1")
+    if not (ts[1:] >= ts[:-1]).all():  # no np.diff: unsigned differences wrap
+        raise ContractError("packet stamps must not decrease")
 
 
 # --------------------------------------------------------------------------

@@ -452,6 +452,23 @@ def test_pcap_commands_report_rejected_packets_and_aggregate_once(tmp_path, caps
     assert paths["out"].exists()
 
 
+def test_sample_report_on_a_capture_builds_no_per_flow_trace(tmp_path, capsys, monkeypatch):
+    """The capture's episodes reach the report as one trace table: no
+    FlowTrace is constructed, and the table is never iterated flow by flow."""
+    pcap, out = tmp_path / "demo.pcap", tmp_path / "out.json"
+    assert run(["synth", FIXTURE_SPEC, "--out-pcap", pcap], capsys)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-flow trace was built")
+
+    monkeypatch.setattr(sampling.FlowTrace, "__init__", refuse)
+    monkeypatch.setattr(sampling.TraceTable, "__iter__", refuse)
+    code, _, err = run(["sample-report", "--pcap", pcap, "--ratios", "1:64",
+                        "--trials", "1000", "--out-json", out], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out.read_text(encoding="utf-8"))["flows"] == 80
+
+
 def test_sample_report_on_a_capture_without_flows_exits_two(tmp_path, capsys):
     pcap, out = tmp_path / "arp.pcap", tmp_path / "out.json"
     pcap.write_bytes(pcap_file([(1_000_000, eth_ipv4_frame(ethertype=0x0806))]))

@@ -63,7 +63,7 @@ from flowident.evaluation import (
     evaluate_predictions,
     metrics,
 )
-from flowident.errors import FormatError
+from flowident.errors import ContractError, FormatError
 from flowident.features import (
     FEATURE_NAMES,
     Dataset,
@@ -104,6 +104,7 @@ from flowident.sampling import (
     FlowTrace,
     Metric,
     SamplingConfig,
+    TraceTable,
     build_sampling_report,
     dre,
     simulate_estimates,
@@ -115,6 +116,7 @@ from helpers import (
     assign_folds_oracle,
     bernoulli_sample,
     build_frame_oracle,
+    check_trace_oracle,
     confusion_oracle,
     dre_oracle,
     encode_netflow_oracle,
@@ -124,6 +126,7 @@ from helpers import (
     generate_packets_oracle,
     ip,
     json_paths,
+    label_rows,
     load_labels_oracle,
     mc_estimates_oracle,
     merge_records_oracle,
@@ -846,6 +849,64 @@ def test_simulate_estimates_equals_per_trial_sampling(monkeypatch, n, p, chunk_b
     np.testing.assert_allclose(fd_hat, [e.fd_hat for e in oracle], rtol=0, atol=1e-9)
 
 
+# Per column dtype, the values drawn: those the rules take, then those they refuse.
+TRACE_VALUES = {
+    "sizes": {np.int64: ([1, 40, 1500, 65535], [0, -1, 65536]),
+              np.uint16: ([1, 40, 65535], [0]),
+              np.float64: ([], [40.0, 40.5, np.nan])},
+    "ts": {np.int64: ([0, 1, 5, 2**63 - 1], [-1]),
+           np.uint64: ([0, 1, 5, 2**63 - 1], [2**63, 2**64 - 1]),
+           np.float64: ([], [0.0, 5.0, np.nan])},
+}
+
+
+@st.composite
+def trace_columns(draw):
+    """Sizes and stamps columns of one dtype each and 1-4 flows' bounds over
+    them; a column may hold values the rules refuse, and a flow's values are
+    mostly sorted, so stamps step back at flow bounds and sometimes within."""
+    lengths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    columns = []
+    for name, values in TRACE_VALUES.items():
+        clean = draw(st.integers(0, 3)) > 0  # three columns in four hold values the rules take
+        dtype = draw(st.sampled_from([d for d, (good, _) in values.items() if good or not clean]))
+        good, bad = values[dtype]
+        pool = st.sampled_from(good if clean else good + bad)
+        flows = [draw(st.lists(pool, min_size=n, max_size=n)) for n in lengths]
+        flows = [flow if draw(st.integers(0, 3)) == 0 else sorted(flow) for flow in flows]
+        columns.append(np.array([v for flow in flows for v in flow], dtype=dtype))
+    return (*columns, np.cumsum([0] + lengths))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_columns())
+@example((np.array([40, 60]), np.array([5, 1]), np.array([0, 1, 2])))  # a step back between flows
+@example((np.array([40, 60]), np.array([5, 1], dtype=np.uint64), np.array([0, 2])))
+def test_trace_table_takes_the_columns_the_per_flow_rules_take(columns):
+    sizes, ts, bounds = columns
+    rows = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    taken = []
+    for lo, hi in rows:
+        try:
+            check_trace_oracle(sizes[lo:hi], ts[lo:hi])
+        except ContractError:
+            taken.append(False)
+            with pytest.raises(ContractError):
+                FlowTrace(sizes[lo:hi], ts[lo:hi])
+        else:
+            taken.append(True)
+            FlowTrace(sizes[lo:hi], ts[lo:hi])
+    if not all(taken):
+        with pytest.raises(ContractError):
+            TraceTable(sizes, ts, bounds)
+        return
+    table = TraceTable(sizes, ts, bounds)
+    assert table.sizes.dtype == table.ts.dtype == np.int64
+    assert len(table) == len(rows)
+    assert [(t.sizes.tolist(), t.ts.tolist()) for t in table] == [
+        (sizes[lo:hi].tolist(), ts[lo:hi].tolist()) for lo, hi in rows]
+
+
 def ramp_trace(n: int) -> FlowTrace:
     return FlowTrace(sizes=np.arange(n) % 1400 + 40, ts=1_700_000_000_000_000 + np.arange(n) * 7919)
 
@@ -1150,7 +1211,7 @@ def test_load_labels_equals_the_ipaddress_parser(text):
             assert str(got.value) == str(exc)
             return
         labels = load_labels(path)
-    assert labels.rows == want and len(labels) == len(want)
+    assert label_rows(labels) == want and len(labels) == len(want)
     index = {(row.key, row.first_ts): row.label for row in want}
     for row in want:
         for ts in (row.first_ts, row.first_ts + 1):

@@ -143,8 +143,7 @@ def test_vector_constructors_and_label():
     vec = FeatureVector.from_values(values, label="web")
     assert vec.values() == values
     assert vec.label == "web"
-    assert vec.with_label(None).label is None
-    assert vec.with_label("bulk") == FeatureVector.from_values(values, label="bulk")
+    assert FeatureVector(vec.row, "bulk") == FeatureVector.from_values(values, label="bulk")
     with pytest.raises(ContractError, match="expected 16 values, got 3"):
         FeatureVector.from_values((1.0, 2.0, 3.0))
 
@@ -246,9 +245,9 @@ def test_dataset_validation_and_views():
     with pytest.raises(ContractError, match="duplicate labels"):
         Dataset([], ("web", "web"))
     with pytest.raises(ContractError, match="row 0: label 'ftp'"):
-        Dataset([labeled.with_label("ftp")], ("web",))
+        Dataset([FeatureVector(labeled.row, "ftp")], ("web",))
 
-    auto = Dataset.from_vectors([labeled, unlabeled, labeled.with_label("bulk")])
+    auto = Dataset.from_vectors([labeled, unlabeled, FeatureVector(labeled.row, "bulk")])
     assert auto.alphabet == ("bulk", "web")
 
 

@@ -1,5 +1,7 @@
 """Packet records, canonical keys, and flow aggregation."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +223,16 @@ def test_inactive_timeout_boundary():
     gap_over = [mk_packet(ts=base, proto=Proto.UDP, length=28),
                 mk_packet(ts=base + 15_000_001, proto=Proto.UDP, length=28)]
     assert len(aggregate(gap_over)) == 2
+
+
+def test_timeouts_past_the_widest_stamp_gap_never_split():
+    """No limit, however large, overflows: one past 2**63 - 1 us keeps even
+    the widest gap between int64 stamps in one episode."""
+    packets = [mk_packet(ts=0, proto=Proto.UDP, length=28),
+               mk_packet(ts=2**63 - 1, proto=Proto.UDP, length=28)]
+    for timeout in (1e13, 1e308, sys.float_info.max):
+        assert [f.total_packets for f in aggregate(packets, timeout, timeout)] == [2]
+    assert [f.total_packets for f in aggregate(packets, 9e12, 9e12)] == [1, 1]
 
 
 def test_active_timeout_rotates_long_episode():

@@ -11,7 +11,7 @@ from flowident.ingest.labels import (
     load_labels,
     write_labels,
 )
-from helpers import ip
+from helpers import ip, label_rows
 
 KEY = FlowKey(ip("10.0.0.1"), 80, ip("10.0.0.2"), 5000, Proto.TCP)
 UDP_KEY = FlowKey(ip("10.0.0.3"), 53, ip("10.0.0.4"), 40000, Proto.UDP)
@@ -32,7 +32,7 @@ def test_write_then_load_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(path, rows)
     loaded = load_labels(path)
-    assert loaded.rows == rows
+    assert label_rows(loaded) == rows
     assert len(loaded) == 3
 
 
@@ -41,7 +41,7 @@ def test_reversed_endpoints_are_canonicalised(tmp_path):
         ",".join(HEADER),
         "10.0.0.2,5000,10.0.0.1,80,TCP,1000000,web",
     ])
-    [row] = load_labels(path).rows
+    [row] = label_rows(load_labels(path))
     assert row.key == KEY  # lower address listed first regardless of input order
 
 
@@ -53,7 +53,7 @@ def test_proto_spellings(tmp_path):
         "10.0.0.3,53,10.0.0.4,40000,udp,3,a",
         "10.0.0.3,53,10.0.0.4,40000,17,4,a",
     ])
-    rows = load_labels(path).rows
+    rows = label_rows(load_labels(path))
     assert [r.key.proto for r in rows] == [Proto.TCP, Proto.TCP, Proto.UDP, Proto.UDP]
 
 
@@ -138,7 +138,7 @@ def test_range_limits_are_accepted(tmp_path):
         "10.0.0.2,65535,10.0.0.1,0,UDP,0,edge",
         "10.0.0.2,65535,10.0.0.1,0,UDP,9223372036854775807,last",
     ])
-    first, last = load_labels(path).rows
+    first, last = label_rows(load_labels(path))
     assert first.key == last.key == FlowKey(ip("10.0.0.1"), 0, ip("10.0.0.2"), 65535, Proto.UDP)
     assert (first.first_ts, last.first_ts) == (0, 2**63 - 1)
 

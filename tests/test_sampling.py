@@ -1,13 +1,15 @@
 """Bernoulli sampling, inverse-probability estimators, and error reports."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flowident.sampling as sampling
 from flowident.errors import ContractError
-from flowident.flow import Proto
+from flowident.flow import Proto, aggregate_table
 from flowident.sampling import (
     DEFAULT_TRIALS,
     MAX_TRIALS,
@@ -15,13 +17,17 @@ from flowident.sampling import (
     FlowTrace,
     Metric,
     SamplingConfig,
+    TraceTable,
     adre,
     build_sampling_report,
     dre,
     relative_error_variance,
+    sampling_rate,
     simulate_estimates,
     traces_from_packets,
+    traces_from_table,
 )
+from flowident.synth import generate_packets, load_synth_spec
 from helpers import FlowEstimates, bernoulli_sample, estimate, mk_packet, trace_from_packets
 
 
@@ -34,6 +40,9 @@ def make_trace(sizes, ts=None):
 
 def uniform_trace(length, size=100):
     return make_trace([size] * length)
+
+
+DEMO_SPEC = Path(__file__).parent / "fixtures" / "demo_spec.json"
 
 
 # ----------------------------------------------------------------- plumbing
@@ -115,6 +124,48 @@ def test_traces_from_packets_splits_on_inactivity():
     assert traces[1].sizes.tolist() == [90]
 
 
+def test_traces_from_packets_is_one_table_with_a_length_and_its_flows_in_order():
+    packets = [
+        mk_packet(ts=0, src="10.0.0.9", sport=999, length=90),
+        mk_packet(ts=1_000_000, length=52),
+        mk_packet(ts=2_000_000, length=60),
+        mk_packet(ts=3_000_000, src="10.0.0.9", sport=999, length=40),
+    ]
+    traces = traces_from_packets(packets)
+    assert isinstance(traces, TraceTable)
+    assert len(traces) == 2
+    flows = list(traces)
+    assert all(type(trace) is FlowTrace and len(trace) == 1 for trace in flows)
+    assert [(t.sizes.tolist(), t.ts.tolist()) for t in flows] == [
+        ([90, 40], [0, 3_000_000]), ([52, 60], [1_000_000, 2_000_000])]
+    assert traces.bounds.tolist() == [0, 2, 4]
+    assert traces.ts.tolist() == [0, 3_000_000, 1_000_000, 2_000_000]  # steps back between flows
+
+
+@pytest.mark.parametrize("make", [
+    lambda sizes, ts: FlowTrace(sizes, ts),
+    lambda sizes, ts: TraceTable(sizes, ts, [0, 2]),
+], ids=["FlowTrace", "TraceTable"])
+def test_trace_constructors_refuse_columns_that_are_not_arrays(make):
+    for sizes, ts in (([40, 60], [0, 10]), (np.array([40, 60]), [0, 10]),
+                      ([40, 60], np.array([0, 10])), (np.array([40, 60]), None)):
+        with pytest.raises(ContractError, match="equal-length 1-D arrays"):
+            make(sizes, ts)
+    assert make(np.array([40, 60]), np.array([0, 10])).sizes.tolist() == [40, 60]
+
+
+def test_trace_table_refuses_bounds_that_do_not_cover_its_rows():
+    sizes, ts = np.array([40, 60, 52]), np.array([0, 10, 20])
+    for bounds in ([1, 3], [0, 2], [0, 4], [[0, 3]], [0.0, 3.0]):
+        with pytest.raises(ContractError, match="bounds must run from 0"):
+            TraceTable(sizes, ts, bounds)
+    with pytest.raises(ContractError, match="at least one flow"):
+        TraceTable(sizes[:0], ts[:0], [0])
+    with pytest.raises(ContractError, match="at least one packet"):
+        TraceTable(sizes, ts, [0, 2, 2, 3])
+    assert len(TraceTable(sizes, ts, [0, 1, 3])) == 2
+
+
 # ------------------------------------------- the per-trial oracle (helpers)
 
 def test_p_one_keeps_everything():
@@ -187,6 +238,12 @@ def test_closed_form_rejects_duration():
         relative_error_variance(Metric.DURATION, uniform_trace(10), 0.5)
     with pytest.raises(ContractError, match="outside"):
         relative_error_variance(Metric.LENGTH, uniform_trace(10), 0.0)
+
+
+def test_closed_form_refuses_a_metric_name_as_adre_does():
+    for call in (relative_error_variance, lambda metric, trace, p: adre(metric, trace, SamplingConfig(p))):
+        with pytest.raises(ContractError, match="unknown metric 'length'"):
+            call("length", uniform_trace(10), 0.5)
 
 
 def test_p_one_gives_exact_recovery():
@@ -447,6 +504,25 @@ def test_report_validation():
         with pytest.raises(ContractError, match=r"must be in 1\.\.1\.79769e\+308"):
             build_sampling_report(traces, ratios=[4, huge])
     assert build_sampling_report(traces, ratios=[10**308], seed=0, trials=1000).rows
+
+
+def test_a_bool_is_no_ratio_denominator():
+    for flag in (True, False):
+        with pytest.raises(ContractError, match=f"ratio denominator {flag} must be in"):
+            sampling_rate(flag)
+        with pytest.raises(ContractError, match="ratio denominator"):
+            build_sampling_report(short_heavy_traces(count=1), [flag], trials=1000)
+    assert sampling_rate(1) == 1.0
+
+
+def test_report_over_a_trace_table_is_the_report_over_its_flows():
+    table, _ = generate_packets(load_synth_spec(DEMO_SPEC))
+    traces = traces_from_table(table, aggregate_table(table))
+    flows = list(traces)
+    assert len(flows) == len(traces) == 80
+    reports = [build_sampling_report(t, [1, 64, 1024], seed=3, trials=1000) for t in (traces, flows)]
+    assert len({json.dumps(report.to_json_dict()) for report in reports}) == 1
+    assert reports[0].to_json_dict()["flows"] == 80
 
 
 def test_ratio_one_report_is_error_free():
