@@ -6,7 +6,6 @@ from .classifier import (
     load_model,
     predict,
     save_model,
-    score,
     train,
     update,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "read_dataset",
     "relative_error_variance",
     "save_model",
-    "score",
     "simulate_estimates",
     "symmetrical_uncertainty",
     "traces_from_packets",

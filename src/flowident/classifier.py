@@ -17,7 +17,8 @@ lands on the same state, which is what makes retraining-free updates sound.
 Scoring is done in log space with plug-in point estimates:
     log h(class) = log n - 0.5 * sum(log var) - 0.5 * sum((x - mean)^2 / var)
 over the model's selected features, with a variance floor so constant
-features cannot produce a singular model.
+features cannot produce a singular model.  :func:`predict` scores every row
+of a Dataset; one feature vector is a one-row Dataset, with the same bits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ContractError, FormatError, check_finite
-from .features import Dataset, FeatureVector, NUM_FEATURES, validate_feature_ids
+from .features import Dataset, NUM_FEATURES, validate_feature_ids
 from .files import is_finite_number, read_json, write_json
 
 MODEL_VERSION = "nfi-model/1"
@@ -155,17 +156,6 @@ class ClassifierModel:
         return self.alphabet.index(label)
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    alphabet: tuple[str, ...]
-    log_scores: tuple[float, ...]
-
-    @property
-    def predicted(self) -> str:
-        # Ties go to the lowest class index: argmax returns the first max.
-        return self.alphabet[int(np.argmax(self.log_scores))]
-
-
 def _moments(data: np.ndarray, group: np.ndarray, counts: np.ndarray) -> tuple:
     """Means and centered sums of squares, (groups, d) arrays, of the rows of ``data``
     in each group, given each row's ``group`` and each group's non-zero row ``counts``.
@@ -259,12 +249,6 @@ def _log_scores(model: ClassifierModel, rows: np.ndarray) -> np.ndarray:
         x = rows[lo : lo + block, None, :]
         scores[lo : lo + block] = base - 0.5 * (((x - means) ** 2) / variances).sum(axis=2)
     return scores
-
-
-def score(model: ClassifierModel, x: FeatureVector) -> ClassScores:
-    """Log-space class scores for one feature vector."""
-    row = np.array([[x.value(fid) for fid in model.feature_ids]], dtype=np.float64)
-    return ClassScores(model.alphabet, tuple(_log_scores(model, row)[0].tolist()))
 
 
 def predict(model: ClassifierModel, ds: Dataset) -> list[str]:

@@ -68,9 +68,6 @@ class FeatureVector:
     def values(self) -> tuple[float, ...]:
         return tuple(self.row.tolist())
 
-    def value(self, feature_id: int) -> float:
-        return float(self.row[_column(feature_id)])
-
     @classmethod
     def from_values(cls, values, label: str | None = None) -> "FeatureVector":
         row = np.array(values, dtype=np.float64)

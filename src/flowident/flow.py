@@ -370,10 +370,6 @@ def aggregate_table(
     # packet meets is the running maximum of every earlier stamp.
     clock = np.maximum.accumulate(np.concatenate(([_CLOCK_START], ts)))[:-1]
     kept = np.flatnonzero(ts >= clock - REORDER_TOLERANCE_US)
-    if not kept.size:
-        empty = FlowTable.from_records([])
-        return Aggregation(empty, kept, np.zeros(1, dtype=np.intp), len(ts))
-
     key, forward, (low, high) = canonical_columns(*(
         getattr(table, name)[kept].astype(np.int64)
         for name in ("src_ip", "src_port", "dst_ip", "dst_port", "proto")

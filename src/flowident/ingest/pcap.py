@@ -5,11 +5,12 @@ order, Ethernet link type.  Frames that are not IPv4 TCP/UDP (ARP, IPv6,
 VLAN-tagged, fragments, ...) are counted and skipped instead of failing the
 whole file.
 
-The reader reads the file in fixed windows.  A walk over the record headers
-finds each record; NumPy gathers then read the header and frame fields of a
-whole window at once into the columns of a :class:`PacketTable`.  The
-writer packs a table's columns into each header layout as a byte matrix
-and scatters the rows into one zeroed file image.
+The reader reads the file in fixed windows, each from the first record not
+yet read.  A walk over the record headers finds each record; NumPy gathers
+then read the header and frame fields of a whole window at once into the
+columns of a :class:`PacketTable`.  The writer packs a table's columns into
+each header layout as a byte matrix and scatters the rows into one zeroed
+file image.
 """
 
 from __future__ import annotations
@@ -117,14 +118,11 @@ class PcapReader:
         parts, frames = [], 0
         with open(self.path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            fh.seek(_GLOBAL_HEADER.size)
+            pos = _GLOBAL_HEADER.size  # file offset of the next unread record
             buf = bytearray(_WINDOW + _SLACK)
-            base, carry = _GLOBAL_HEADER.size, 0  # file offset of buf[0]; bytes kept at its start
             while True:
-                got = fh.readinto(memoryview(buf)[carry : len(buf) - _SLACK])
-                end = carry + got
-                if not got:  # the file ended early: read what there is
-                    size = base + end
+                fh.seek(pos)
+                end = fh.readinto(memoryview(buf)[: len(buf) - _SLACK])
                 offsets, at = [], 0
                 while at + _RECORD.size <= end:
                     after = at + _RECORD.size + u32(buf, at + 8)[0]
@@ -132,21 +130,16 @@ class PcapReader:
                         break
                     offsets.append(at)
                     at = after
-                parts.append(self._decode(buf, offsets, base))
+                parts.append(self._decode(buf, offsets, pos))
                 frames += len(offsets)
-                left = end - at
-                need = _RECORD.size + (u32(buf, at + 8)[0] if left >= _RECORD.size else 0)
-                if base + end >= size or base + at + need > size:
-                    if base + at < size:
-                        self._cut(buf, at, size - base - at, base)
+                pos += at
+                if pos >= size or not end:
                     break
-                if need > len(buf) - _SLACK:
-                    grown = bytearray(need + _SLACK)
-                    grown[:left] = buf[at:end]
-                    buf = grown
-                else:
-                    buf[:left] = buf[at:end]
-                base, carry = base + at, left
+                if not offsets:  # the window holds no whole record: grow it, or the file is cut
+                    need = _RECORD.size + (u32(buf, 8)[0] if end >= _RECORD.size else 0)
+                    if need <= len(buf) - _SLACK or pos + need > size:
+                        self._cut(buf, end, pos)
+                    buf = bytearray(need + _SLACK)
         table = PacketTable(*(np.concatenate(column) for column in zip(*parts)))
         self.total_frames, self.skipped = frames, frames - len(table)
         return table
@@ -192,13 +185,12 @@ class PcapReader:
             np.where(tcp[k], u8[transport + 13], 0).astype(np.uint8), tos[k],
         )
 
-    def _cut(self, buf: bytearray, at: int, left: int, base: int):
-        """Raise for the record at ``buf[at:]``, which the file ends inside,
-        ``left`` bytes after its start."""
-        offset = base + at
+    def _cut(self, buf: bytearray, left: int, offset: int):
+        """Raise for the record that starts ``buf``, at file offset ``offset``,
+        which the file ends ``left`` bytes into."""
         if left < _RECORD.size:
             raise PcapDecodeError(f"{self.path}: truncated packet header at byte {offset}")
-        usec = self._u32(buf, at + 4)[0]
+        usec = self._u32(buf, 4)[0]
         if usec >= 1_000_000:
             raise self._late_stamp(usec, offset)
         raise PcapDecodeError(

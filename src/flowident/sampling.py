@@ -130,6 +130,11 @@ class FlowTrace(TraceTable):
         return float(self.ts[-1] - self.ts[0]) / 1e6
 
 
+def _check_flow(trace) -> None:
+    if not isinstance(trace, FlowTrace):
+        raise ContractError(f"expected one FlowTrace, got {type(trace).__name__}")
+
+
 def _table(traces) -> TraceTable:
     """``traces`` as it is when a TraceTable, else its FlowTraces joined into one."""
     if isinstance(traces, TraceTable):
@@ -148,6 +153,7 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
 
     Duration has no closed form here; ask :func:`dre` instead.
     """
+    _check_flow(trace)
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
     if not 0.0 < p <= 1.0:
@@ -264,6 +270,7 @@ def simulate_estimates(
     trace: FlowTrace, cfg: SamplingConfig, trials: int = DEFAULT_TRIALS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (l_hat, s_hat, fd_hat) arrays for one flow at rate cfg.p."""
+    _check_flow(trace)
     check_trials(trials)
     p = float(cfg.p)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
@@ -282,6 +289,7 @@ def dre(metric: Metric, trace: FlowTrace, cfg: SamplingConfig, trials: int = DEF
     Either is the exact rational of the trials' integer counts, byte sums and
     windows, rounded once to a float.
     """
+    _check_flow(trace)
     return adre(metric, trace, cfg, trials)
 
 

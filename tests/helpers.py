@@ -492,7 +492,7 @@ def update_oracle(model, new_ds) -> ClassifierModel:
 def predict_oracle(model, ds) -> list[str]:
     """Per-row argmax of :func:`score_oracle`; ties go to the first class."""
     return [
-        model.alphabet[int(np.argmax(score_oracle(model, [v.value(f) for f in model.feature_ids])))]
+        model.alphabet[int(np.argmax(score_oracle(model, [v.row[f - 1] for f in model.feature_ids])))]
         for v in ds.vectors
     ]
 

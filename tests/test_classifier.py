@@ -12,18 +12,17 @@ from flowident.classifier import (
     MODEL_VERSION,
     VARIANCE_FLOOR,
     ClassifierModel,
-    ClassScores,
     InsufficientDataError,
     ModelFormatError,
     NIGPrior,
     UnknownClassError,
+    _log_scores,
     load_model,
     model_to_json_dict,
     nig_fold,
     plugin_variance,
     predict,
     save_model,
-    score,
     train,
     update,
 )
@@ -122,7 +121,7 @@ def test_class_priors_follow_counts():
     assert model.plugin_means.tolist() == [[1.0], [1.0]]
     assert model.plugin_vars.tolist() == [[1.0], [1.0]]
     for x in (-3.0, 1.0, 40.0):
-        a, b = score(model, FeatureVector.from_values([x] * 16)).log_scores
+        a, b = log_scores(model, vector_at({2: x}))
         assert b - a == pytest.approx(math.log(7 / 3))
 
 
@@ -322,28 +321,32 @@ def vector_at(fid_values):
     values = [0.0] * 16
     for fid, v in fid_values.items():
         values[fid - 1] = v
-    return FeatureVector.from_values(values)
+    return Dataset([FeatureVector.from_values(values)], ())
+
+
+def log_scores(model, one_row):
+    return _log_scores(model, one_row.matrix(model.feature_ids))[0].tolist()
 
 
 def test_score_frozen_example():
-    scores = score(hand_model(), vector_at({7: 1.5, 16: 9.0}))
-    assert scores.alphabet == ("A", "B")
+    model, x = hand_model(), vector_at({7: 1.5, 16: 9.0})
+    scores = log_scores(model, x)
     # frozen from an arithmetic recomputation of log n - sum/2 terms
-    assert scores.log_scores[0] == pytest.approx(0.1554651081081645, abs=1e-12)
-    assert scores.log_scores[1] == pytest.approx(0.2897207708399179, abs=1e-12)
-    assert scores.predicted == "B"
+    assert scores[0] == pytest.approx(0.1554651081081645, abs=1e-12)
+    assert scores[1] == pytest.approx(0.2897207708399179, abs=1e-12)
+    assert predict(model, x) == ["B"]
 
 
 def test_score_difference_equals_density_ratio():
     model = hand_model()
     x = vector_at({7: 1.21, 16: 8.4})
-    scores = score(model, x)
+    scores = log_scores(model, x)
     (ma, mb), (va, vb) = model.plugin_means, model.plugin_vars
     ratio = (
         (3 * normal_pdf(1.21, ma[0], va[0]) * normal_pdf(8.4, ma[1], va[1]))
         / (2 * normal_pdf(1.21, mb[0], vb[0]) * normal_pdf(8.4, mb[1], vb[1]))
     )
-    assert math.exp(scores.log_scores[0] - scores.log_scores[1]) == pytest.approx(
+    assert math.exp(scores[0] - scores[1]) == pytest.approx(
         ratio, rel=1e-9
     )
 
@@ -352,21 +355,17 @@ def test_tie_goes_to_first_class():
     dummy = np.stack([nig_state(0.0, 1.0, 2.0, 1.0)] * 2, axis=1)
     model = ClassifierModel(("earlier", "later"), (1,), (5, 5), *dummy,
                             plugin_means=[(0.0,), (0.0,)], plugin_vars=[(1.0,), (1.0,)])
-    scores = score(model, vector_at({1: 0.3}))
-    assert scores.log_scores[0] == scores.log_scores[1]
-    assert scores.predicted == "earlier"
+    x = vector_at({1: 0.3})
+    scores = log_scores(model, x)
+    assert scores[0] == scores[1]
+    assert predict(model, x) == ["earlier"]
 
 
 def test_score_rejects_non_finite_input():
     with pytest.raises(ContractError, match="non-finite"):
-        score(hand_model(), vector_at({7: float("nan")}))
+        predict(hand_model(), vector_at({7: float("nan")}))
     with pytest.raises(ContractError, match="non-finite"):
-        score(hand_model(), vector_at({16: float("inf")}))
-
-
-def test_class_scores_predicted_uses_argmax():
-    scores = ClassScores(("a", "b", "c"), (-5.0, -1.0, -3.0))
-    assert scores.predicted == "b"
+        predict(hand_model(), vector_at({16: float("inf")}))
 
 
 def test_self_consistency_on_separated_classes():
@@ -382,12 +381,12 @@ def test_update_moves_decision_boundary():
     model = train(make_ds({1: [0.0, 0.2, 5.0, 5.2]}, ["a", "a", "b", "b"]),
                   feature_ids=[1])
     probe = vector_at({1: 8.0})
-    assert score(model, probe).predicted == "b"
+    assert predict(model, probe) == ["b"]
     # pull class "a" to the probe's neighbourhood with a big labeled batch
     shift = make_ds({1: [7.8 + 0.01 * i for i in range(50)]}, ["a"] * 50,
                     alphabet=("a", "b"))
     moved = update(model, shift)
-    assert score(moved, probe).predicted == "a"
+    assert predict(moved, probe) == ["a"]
 
 
 # -------------------------------------------------------------- persistence

@@ -380,6 +380,17 @@ def test_ingest_of_an_empty_netflow_file_writes_the_header_only(tmp_path, capsys
     assert f"wrote 0 flows to {out_csv}" in out
     assert out_csv.read_text(encoding="utf-8").splitlines() == [",".join(FEATURE_NAMES) + ",label"]
 
+
+def test_ingest_of_a_header_only_capture_writes_the_header_only(tmp_path, capsys):
+    cap = tmp_path / "empty.pcap"
+    write_pcap(cap, [])
+    out_csv = tmp_path / "flows.csv"
+    code, out, _ = run(["ingest", "--pcap", cap, "--out", out_csv], capsys)
+    assert code == 0
+    assert f"wrote 0 flows to {out_csv}" in out
+    assert out_csv.read_text(encoding="utf-8").splitlines() == [",".join(FEATURE_NAMES) + ",label"]
+
+
 def test_ingest_complete_only_filters_open_flows(tmp_path, capsys):
     packets = [
         # TCP with SYN and FIN: complete

@@ -52,7 +52,6 @@ from flowident.classifier import (
     nig_fold,
     plugin_variance,
     predict,
-    score,
     train,
     update,
 )
@@ -189,8 +188,9 @@ def test_batch_predict_and_score_equal_the_per_row_oracle(case):
     assert got == predict_oracle(model, ds)
     assert "twin" not in got
     for vec in ds.vectors:
-        values = [vec.value(fid) for fid in model.feature_ids]
-        assert list(score(model, vec).log_scores) == score_oracle(model, values)
+        values = [vec.row[fid - 1] for fid in model.feature_ids]
+        one_row = Dataset([vec], ds.alphabet).matrix(model.feature_ids)
+        assert _log_scores(model, one_row)[0].tolist() == score_oracle(model, values)
 
 
 labels_strategy = st.lists(st.sampled_from(["web", "bulk", "chat", "a\x00", "a", ""]),
@@ -243,8 +243,9 @@ def test_batch_scores_equal_the_oracle_on_a_trained_model():
     model = train(ds)
     assert predict(model, ds) == predict_oracle(model, ds)
     for vec in ds.vectors[::7]:
-        values = [vec.value(fid) for fid in model.feature_ids]
-        assert list(score(model, vec).log_scores) == score_oracle(model, values)
+        values = [vec.row[fid - 1] for fid in model.feature_ids]
+        one_row = Dataset([vec], ds.alphabet).matrix(model.feature_ids)
+        assert _log_scores(model, one_row)[0].tolist() == score_oracle(model, values)
     rows = ds.matrix(model.feature_ids)
     assert _log_scores(model, rows).tolist() == [score_oracle(model, r) for r in rows]
 

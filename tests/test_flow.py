@@ -1,5 +1,6 @@
 """Packet records, canonical keys, and flow aggregation."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,13 +12,17 @@ from flowident.flow import (
     FlowAggregator,
     FlowKey,
     FlowRecord,
+    FlowTable,
     PacketRecord,
+    PacketTable,
     Proto,
     aggregate,
+    aggregate_table,
     canonical_columns,
     ip_to_str,
     str_to_ip,
 )
+from flowident.ingest.pcap import PcapReader, write_pcap
 from helpers import Direction, canonical_endpoints, ip, mk_packet
 
 
@@ -396,3 +401,22 @@ def test_flow_record_convenience_properties():
     flow = FlowRecord(key, first_ts=1_000_000, last_ts=3_500_000,
                       fwd_packets=2, fwd_bytes=100, bwd_packets=1, bwd_bytes=40)
     assert flow.total_packets == 3
+
+
+@pytest.mark.parametrize("source", ["records", "pcap reader"])
+def test_aggregate_table_of_no_packets_is_an_empty_aggregation(source, tmp_path):
+    """int64 columns from records, the narrow dtypes from a header-only capture."""
+    table = PacketTable.from_records([])
+    if source == "pcap reader":
+        write_pcap(tmp_path / "empty.pcap", [])
+        table = PcapReader(tmp_path / "empty.pcap").table()
+        assert table.src_port.dtype == np.uint16
+    agg = aggregate_table(table)
+    assert agg.bounds.tolist() == [0]
+    assert agg.packets.size == 0
+    assert agg.rejected == 0
+    empty = FlowTable.from_records([])
+    for field in dataclasses.fields(FlowTable):
+        column = getattr(agg.flows, field.name)
+        assert column.shape == (0,)
+        assert column.dtype == getattr(empty, field.name).dtype, field.name

@@ -246,6 +246,27 @@ def test_closed_form_refuses_a_metric_name_as_adre_does():
             call("length", uniform_trace(10), 0.5)
 
 
+def two_flow_table():
+    sizes = np.array([40, 60, 80, 100, 120])
+    return TraceTable(sizes, np.arange(5) * 1000, [0, 2, 5])
+
+
+def test_relative_error_variance_refuses_a_table_of_several_flows():
+    for metric in (Metric.LENGTH, Metric.SIZE):
+        with pytest.raises(ContractError, match="expected one FlowTrace, got TraceTable"):
+            relative_error_variance(metric, two_flow_table(), 0.5)
+
+
+def test_simulate_estimates_refuses_a_table_of_several_flows():
+    with pytest.raises(ContractError, match="expected one FlowTrace, got TraceTable"):
+        simulate_estimates(two_flow_table(), SamplingConfig(0.5), MIN_TRIALS)
+
+
+def test_dre_refuses_a_table_of_several_flows():
+    with pytest.raises(ContractError, match="expected one FlowTrace, got TraceTable"):
+        dre(Metric.LENGTH, two_flow_table(), SamplingConfig(0.5), MIN_TRIALS)
+
+
 def test_p_one_gives_exact_recovery():
     trace = make_trace([60, 52, 40], ts=[0, 250_000, 1_000_000])
     cfg = SamplingConfig(1.0, seed=5)

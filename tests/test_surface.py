@@ -6,6 +6,8 @@ would otherwise show first as a failed benchmark run.  Here every
 ``flowident`` name a ``perfbench`` file imports, and every attribute read
 off such a name, resolves without running the benchmark; so do the import
 lines of the README's library example and every name the packages export.
+The other way round, every public library name has a caller outside the
+tests.
 """
 
 import ast
@@ -18,7 +20,11 @@ import flowident
 import flowident.ingest
 from test_readme import README, fenced_blocks
 
-BENCH_FILES = sorted((Path(__file__).resolve().parent.parent / "perfbench").rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted((ROOT / "perfbench").rglob("*.py"))
+# Library modules; the package __init__ files only re-export their names.
+LIBRARY_FILES = sorted(path for path in (ROOT / "src" / "flowident").rglob("*.py")
+                       if path.name != "__init__.py")
 
 # Members perfbench reads off instances, whose class an AST walk cannot see.
 INSTANCE_MEMBERS = {
@@ -110,3 +116,31 @@ def test_readme_library_imports_resolve():
 @pytest.mark.parametrize("package", [flowident, flowident.ingest], ids=lambda p: p.__name__)
 def test_every_exported_name_resolves(package):
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name ``source`` loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    """A top-level public def or class that only tests reach leaves the library."""
+    [library] = fenced_blocks(README.read_text(encoding="utf-8"), "python")
+    callers = [file.read_text(encoding="utf-8")
+               for file in (*LIBRARY_FILES, *BENCH_FILES, ROOT / "tests" / "test_acceptance.py")]
+    used = set().union(*map(referenced_names, (*callers, library)))
+    public = {
+        ".".join((*path.relative_to(ROOT / "src").with_suffix("").parts, node.name))
+        for path in LIBRARY_FILES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert sorted(name for name in public if name.rsplit(".", 1)[1] not in used) == []
