@@ -23,7 +23,6 @@ of a Dataset; one feature vector is a one-row Dataset, with the same bits.
 
 from __future__ import annotations
 
-import copy
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -96,45 +95,38 @@ def plugin_variance(alpha, beta) -> np.ndarray:
 ClassCount = namedtuple("ClassCount", "label n")
 
 
+def _plane(index) -> property:
+    return property(lambda self: self.block[index])
+
+
 @dataclass(frozen=True, eq=False)
 class ClassifierModel:
-    """Row counts and (classes, features) arrays: row c is class ``alphabet[c]``
-    and column j feature ``feature_ids[j]``.  ``mu``, ``kappa``, ``alpha`` and
-    ``beta`` are the NIG state, ``plugin_means`` and ``plugin_vars`` what scoring
-    uses, views of one read-only float64 (6, classes, features) ``block``; a
-    non-finite cell is refused.  ``n`` holds Python ints, exact beyond int64."""
+    """Row counts and one float64 (6, classes, features) ``block``: row c of each
+    plane is class ``alphabet[c]`` and column j feature ``feature_ids[j]``.  The
+    planes ``mu``, ``kappa``, ``alpha`` and ``beta`` are the NIG state (``nig``),
+    ``plugin_means`` and ``plugin_vars`` what scoring uses, all read-only views of
+    the model's own copy of the block; a non-finite cell is refused.  ``n`` holds
+    Python ints, exact beyond int64."""
 
     alphabet: tuple[str, ...]
     feature_ids: tuple[int, ...]
     n: tuple[int, ...]
-    mu: np.ndarray
-    kappa: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    plugin_means: np.ndarray
-    plugin_vars: np.ndarray
-    block: np.ndarray = field(init=False, repr=False)
+    block: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        shape = (len(self.alphabet), len(self.feature_ids))
-        for name in _ARRAYS:
-            if np.shape(getattr(self, name)) != shape or len(self.n) != shape[0]:
-                raise ContractError(f"need one count per class and {name} of shape {shape}")
-        self._hold(self.n, np.array([getattr(self, name) for name in _ARRAYS], dtype=np.float64))
-
-    def _hold(self, n: tuple[int, ...], block: np.ndarray) -> None:
-        """Take ``n`` and ``block``, uncopied, once every cell is finite: the block turns
-        read-only and the six arrays become its views."""
+        shape = (len(_ARRAYS), len(self.alphabet), len(self.feature_ids))
+        block = np.array(self.block, dtype=np.float64)
+        if block.shape != shape or len(self.n) != shape[1]:
+            raise ContractError(f"need one count per class and a block of shape {shape}")
         if not np.isfinite(block).all():
             k, c, j = np.argwhere(~np.isfinite(block))[0]
             raise ContractError(f"class {self.alphabet[c]!r} feature {self.feature_ids[j]}: "
                                 f"{_ARRAYS[k]} is not finite ({block[k, c, j]})")
         block.flags.writeable = False
-        vars(self).update(n=n, block=block, **dict(zip(_ARRAYS, block)))
+        object.__setattr__(self, "block", block)
 
-    @property
-    def nig(self) -> tuple[np.ndarray, ...]:
-        return self.mu, self.kappa, self.alpha, self.beta
+    mu, kappa, alpha, beta, plugin_means, plugin_vars = map(_plane, range(len(_ARRAYS)))
+    nig = _plane(slice(4))  # (mu, kappa, alpha, beta) as one (4, classes, features) view
 
     @property
     def classes(self) -> tuple[ClassCount, ...]:
@@ -159,15 +151,10 @@ class ClassifierModel:
 def _moments(data: np.ndarray, group: np.ndarray, counts: np.ndarray) -> tuple:
     """Means and centered sums of squares, (groups, d) arrays, of the rows of ``data``
     in each group, given each row's ``group`` and each group's non-zero row ``counts``.
-    For d >= 2 one weighted bincount per moment adds each (group, feature) cell's rows
-    in row order from +0.0, as NumPy reduces one group's masked block, so the bytes do
-    not depend on how the classes interleave.  NumPy sums a single column pairwise,
-    which no grouped sum reproduces, so for d == 1 each group reduces its own mask."""
+    One weighted bincount per moment adds each (group, feature) cell's rows in row order
+    from +0.0, so the bytes depend neither on how the classes interleave nor on how
+    NumPy orders a reduction."""
     k, d = len(counts), data.shape[1]
-    if d == 1:
-        rows = [data[group == g] for g in range(k)]
-        mean = np.array([r.mean(axis=0) for r in rows])
-        return mean, np.array([((r - m) ** 2).sum(axis=0) for r, m in zip(rows, mean)])
     cells = ((group * d)[:, None] + np.arange(d)).ravel()  # row-major, as data.ravel()
 
     def sums(values):
@@ -201,13 +188,13 @@ def train(ds: Dataset, feature_ids=None, prior: NIGPrior = NIGPrior()) -> Classi
     mean, sumsq = _moments(ds.matrix(ids), ds.codes, counts)
     nig = nig_fold(start, counts[:, None], mean, sumsq)
     sample_var = np.maximum(sumsq / (counts[:, None] - 1.0), VARIANCE_FLOOR)
-    return ClassifierModel(ds.alphabet, ids, tuple(counts.tolist()), *nig, mean, sample_var)
+    return ClassifierModel(ds.alphabet, ids, tuple(counts.tolist()), (*nig, mean, sample_var))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused by the model
 def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
-    """Fold new labeled flows into one copy of the model's block: the rows of classes
-    in ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
+    """Fold new labeled flows into a copy of the model's block: the rows of classes in
+    ``new_ds`` advance and refresh their plug-ins (posterior mean, beta / (alpha - 1)),
     the other rows keep their values, and the input model is never mutated."""
     if (new_ds.codes < 0).any():
         raise ContractError("update needs a fully labeled dataset")
@@ -219,13 +206,12 @@ def update(model: ClassifierModel, new_ds: Dataset) -> ClassifierModel:
     group = (np.cumsum(counts > 0) - 1)[new_ds.codes]  # a row's code's rank among present
     counts = counts[present]
     mean, sumsq = _moments(new_ds.matrix(model.feature_ids), group, counts)
-    mu, kappa, alpha, beta = nig_fold(tuple(model.block[:4, rows]), counts[:, None], mean, sumsq)
+    mu, kappa, alpha, beta = nig_fold(tuple(model.nig[:, rows]), counts[:, None], mean, sumsq)
     block = model.block.copy()
     block[:, rows] = mu, kappa, alpha, beta, mu, plugin_variance(alpha, beta)
     added = dict(zip(rows, counts.tolist()))
-    updated = copy.copy(model)  # the same alphabet and feature ids; _hold sets the rest
-    updated._hold(tuple(k + added.get(row, 0) for row, k in enumerate(model.n)), block)
-    return updated
+    n = tuple(k + added.get(row, 0) for row, k in enumerate(model.n))
+    return ClassifierModel(model.alphabet, model.feature_ids, n, block)
 
 
 @np.errstate(over="ignore")
@@ -344,6 +330,6 @@ def load_model(path) -> ClassifierModel:
     plugins = [[row or default for row, default in zip(values[block], fallback.tolist())]
                for block, fallback in zip(_ARRAYS[4:], derived)]
     try:
-        return ClassifierModel(tuple(alphabet), feature_ids, counts, *nig, *plugins)
+        return ClassifierModel(tuple(alphabet), feature_ids, counts, (*nig, *plugins))
     except ContractError as exc:  # a derived plug-in variance that overflowed
         raise ModelFormatError(f"{path}: {exc}") from None

@@ -43,11 +43,14 @@ def _parse_ratios(text: str) -> list[int]:
         m = _RATIO_RE.fullmatch(token.strip())
         if not m:
             raise argparse.ArgumentTypeError(f"ratio must look like 1:N, got {token.strip()!r}")
+        n = int(m.group(1))
         try:
-            sampling.sampling_rate(int(m.group(1)))
+            sampling.sampling_rate(n)
         except ContractError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        ratios.append(int(m.group(1)))
+        if n in ratios:
+            raise argparse.ArgumentTypeError(f"ratio 1:{n} is listed twice")
+        ratios.append(n)
     return ratios
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import numbers
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -305,8 +306,9 @@ def read_dataset(path) -> Dataset:
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, col = bad[0].tolist()
+        line, _ = next(islice(csv_rows(path, _CSV_HEADER, SchemaError), i, None))
         raise SchemaError(
-            f"{path}: line {i + 2}: column {FEATURE_NAMES[col]}: "
+            f"{path}: line {line}: column {FEATURE_NAMES[col]}: "
             f"non-finite value {float(data[i, col])!r}"
         )
     return Dataset.from_labels(data, [label or None for label in labels])

@@ -75,16 +75,19 @@ def csv_body(path, header: tuple[str, ...], error: type[FormatError]) -> str:
 
 
 def csv_rows(path, header: tuple[str, ...], error: type[FormatError]):
-    """Yield ``(line, fields)`` for each row below the header of a CSV file.
+    """Yield ``(line, fields)`` for each row below the header of a CSV file,
+    ``line`` being the physical line the row starts on.
 
     Besides what :func:`csv_body` refuses, a row with another field count
     and CSV syntax errors raise ``error``.
     """
     reader = csv.reader(io.StringIO(csv_body(path, header, error), newline=""))
+    line = 2  # a header that matches is one line: the body's lines follow it
     try:
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
                 raise error(f"{path}: line {line}: expected {len(header)} fields")
             yield line, row
-    except csv.Error as exc:  # a header that matches is one line: the body's lines follow it
+            line = reader.line_num + 2
+    except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num + 1}: {exc}") from None

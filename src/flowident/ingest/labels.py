@@ -73,6 +73,7 @@ def load_labels(path) -> LabelFile:
     are rejected.
     """
     index: dict[tuple[int, ...], str] = {}
+    starts = []  # each indexed row's first line, in index order
     parse_ip = lru_cache(maxsize=None)(_parse_ip)  # server addresses repeat from row to row
     for line, row in csv_rows(path, HEADER, LabelFileError):
         try:
@@ -95,12 +96,13 @@ def load_labels(path) -> LabelFile:
             key = (ip_a, port_a, ip_b, port_b, proto, first_ts)
         else:
             key = (ip_b, port_b, ip_a, port_a, proto, first_ts)
-        if key in index:  # every earlier row is in the index, in line order from 2
+        if key in index:  # every earlier row is in the index, in line order
             raise LabelFileError(
-                f"{path}: line {line}: duplicate of line {list(index).index(key) + 2} "
+                f"{path}: line {line}: duplicate of line {starts[list(index).index(key)]} "
                 f"for the same flow key and start time"
             )
         index[key] = row[6]
+        starts.append(line)
     return LabelFile(index)
 
 

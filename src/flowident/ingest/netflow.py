@@ -184,14 +184,14 @@ def read_netflow_file(path) -> list[FlowRecord]:
     return read_netflow_table(path).records()
 
 
-def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
+def encode_netflow_v5(flows) -> list[bytes]:
     """Encode FlowRecords as v5 datagrams, at most 30 records in each.
 
     A bidirectional flow becomes its forward record, then its backward
     record if that direction has packets, both sharing the flow's time
-    window and one datagram.  ``flow_sequence`` runs continuously from
-    ``seq_start`` across the returned datagrams.  A value the format cannot
-    hold is refused with an EncodingError before anything is packed.
+    window and one datagram.  ``flow_sequence`` counts the records before
+    each datagram, from 0.  A value the format cannot hold is refused with
+    an EncodingError before anything is packed.
     """
     t = FlowTable.from_records(flows)
     if not len(t):
@@ -240,7 +240,7 @@ def encode_netflow_v5(flows, seq_start: int = 0) -> list[bytes]:
     start = np.array(bounds[:-1])
     heads = pack_rows(
         _HEADER, len(start), VERSION, np.diff(bounds),
-        sys_uptime, unix_secs, export_us % 1_000_000 * 1000, (seq_start % 2**32 + start) & _U32,
+        sys_uptime, unix_secs, export_us % 1_000_000 * 1000, start & _U32,
     )
     size = _RECORD.size
     return [head.tobytes() + body[a * size : b * size] for head, a, b in zip(heads, bounds, bounds[1:])]

@@ -441,12 +441,21 @@ def plugin_variance_oracle(alpha: float, beta: float, floor: float) -> float:
     return max(beta / (alpha - 1.0), floor) if alpha > 1.0 else floor
 
 
+def _row_order_sum(rows):
+    """Each column's sum, added one float64 row at a time from +0.0."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
 def _class_fold(state, rows):
     """Fold one class's batch ``rows`` into its per-feature NIG ``state``
-    (four lists), one feature at a time; also the batch's count and moments."""
-    mean = rows.mean(axis=0)
-    sumsq = ((rows - mean) ** 2).sum(axis=0)
+    (four lists), one feature at a time; also the batch's count and moments,
+    each summed in row order."""
     n = rows.shape[0]
+    mean = _row_order_sum(rows) / n
+    sumsq = _row_order_sum((rows - mean) ** 2)
     folded = [nig_fold_oracle(*nig, n, m, s)
               for nig, m, s in zip(zip(*state), mean.tolist(), sumsq.tolist())]
     return n, mean, sumsq, [list(values) for values in zip(*folded)]
@@ -464,7 +473,7 @@ def train_oracle(ds, feature_ids, prior) -> ClassifierModel:
         counts.append(n)
         for array, row in zip(arrays, nig + [mean.tolist(), sample_var.tolist()]):
             array.append(row)
-    return ClassifierModel(ds.alphabet, tuple(feature_ids), tuple(counts), *arrays)
+    return ClassifierModel(ds.alphabet, tuple(feature_ids), tuple(counts), arrays)
 
 
 def update_oracle(model, new_ds) -> ClassifierModel:
@@ -486,7 +495,7 @@ def update_oracle(model, new_ds) -> ClassifierModel:
             counts[c] += n
             for array, row in zip(arrays, nig + [nig[0], variances]):
                 array[c] = row
-    return ClassifierModel(model.alphabet, model.feature_ids, tuple(counts), *arrays)
+    return ClassifierModel(model.alphabet, model.feature_ids, tuple(counts), arrays)
 
 
 def predict_oracle(model, ds) -> list[str]:
@@ -875,13 +884,13 @@ def _ceil_ms(us: int) -> int:
     return -(-us // 1000) * 1000
 
 
-def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
+def encode_netflow_oracle(flows) -> list[bytes]:
     """Encode FlowRecords as v5 datagrams, at most 30 records in each.
 
     A bidirectional flow becomes two unidirectional records sharing the
     flow's time window and one datagram: a flow whose records do not fit in
-    the current datagram starts the next.  ``flow_sequence`` runs
-    continuously from ``seq_start`` across the returned datagrams.
+    the current datagram starts the next.  ``flow_sequence`` counts the
+    records before each datagram, from 0.
     """
     raws, chunks = [], []
     for n, flow in enumerate(flows):
@@ -923,7 +932,7 @@ def encode_netflow_oracle(flows, seq_start: int = 0) -> list[bytes]:
         out = bytearray(
             _NF5_HEADER.pack(
                 5, len(chunk), sys_uptime, unix_secs, unix_nsecs,
-                (seq_start + emitted) & _U32, 0, 0, 0,
+                emitted & _U32, 0, 0, 0,
             )
         )
         for src, dst, pkts, octets, first_us, last_us, flags, prot, tos in chunk:
@@ -991,8 +1000,9 @@ def read_dataset_oracle(path) -> Dataset:
     a mismatch names the missing and unexpected columns.  A cell that is
     not a finite number is rejected with its line and column.
     """
-    rows, labels = [], []
+    rows, labels, lines = [], [], []
     for line, row in csv_rows(path, _CSV_HEADER, SchemaError):
+        lines.append(line)
         try:
             rows.append([float(v) for v in row[:NUM_FEATURES]])
         except ValueError as exc:
@@ -1003,7 +1013,7 @@ def read_dataset_oracle(path) -> Dataset:
     if bad.size:
         i, col = bad[0].tolist()
         raise SchemaError(
-            f"{path}: line {i + 2}: column {FEATURE_NAMES[col]}: "
+            f"{path}: line {lines[i]}: column {FEATURE_NAMES[col]}: "
             f"non-finite value {float(data[i, col])!r}"
         )
     return Dataset.from_labels(data, labels)

@@ -221,20 +221,23 @@ def test_update_preserves_untouched_class_rows_by_value():
 
 
 def test_model_arrays_are_read_only_views_of_one_block():
-    mu, kappa, alpha, beta = (np.array([row]) for row in nig_state(0.0, 1.0, 2.0, 1.0, d=2))
-    model = ClassifierModel(("a",), (1, 2), (3,), mu, kappa, alpha, beta, mu, beta)
-    mu[0, 0] = 5.0  # the model holds a copy of its inputs
-    assert model.mu.tolist() == [[0.0, 0.0]]
-    assert model.block.shape == (6, 1, 2)
-    # Disjoint slices of one array: np.shares_memory(mu, plugin_vars) is False.
-    assert model.mu.base is model.plugin_vars.base is model.block
-    for name, values in zip(ARRAYS, model.block):
-        assert np.shares_memory(getattr(model, name), model.block)
-        assert np.array_equal(getattr(model, name), values)
-        assert not getattr(model, name).flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(model, name)[0, 0] = 1.0
+    block = np.arange(1, 13).reshape(6, 1, 2)
+    saved = block.copy()
+    model = ClassifierModel(("a",), (1, 2), (3,), block)
+    assert np.array_equal(block, saved) and block.flags.writeable
+    block[0, 0, 0] = 5  # the model holds a copy
+    assert model.mu.tolist() == [[1.0, 2.0]]
+    assert model.block.shape == (6, 1, 2) and model.block.dtype == np.float64
     assert not model.block.flags.writeable
+    # Disjoint slices of one array: np.shares_memory(mu, plugin_vars) is False.
+    assert model.mu.base is model.plugin_vars.base is model.nig.base is model.block
+    for name, values in [*zip(ARRAYS, model.block), ("nig", model.block[:4])]:
+        plane = getattr(model, name)
+        assert np.shares_memory(plane, model.block)
+        assert np.array_equal(plane, values)
+        assert not plane.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            plane[0, 0] = 1.0
 
 
 def test_update_folds_into_a_new_block_and_leaves_the_input_block():
@@ -245,9 +248,10 @@ def test_update_folds_into_a_new_block_and_leaves_the_input_block():
     assert not np.shares_memory(updated.block, model.block)
     assert np.array_equal(updated.block[:, 0], saved[:, 0])
     assert not np.array_equal(updated.block[:, 1], saved[:, 1])
-    assert all(getattr(updated, name).base is updated.block for name in ARRAYS)
+    assert not model.block.flags.writeable
+    assert all(getattr(updated, name).base is updated.block for name in (*ARRAYS, "nig"))
     assert not updated.block.flags.writeable
-    assert updated == ClassifierModel(model.alphabet, model.feature_ids, updated.n, *updated.block)
+    assert updated == ClassifierModel(model.alphabet, model.feature_ids, updated.n, updated.block)
 
 
 def test_update_plugins_are_posterior_derived():
@@ -293,28 +297,29 @@ def test_counts_beyond_int64_stay_exact(tmp_path):
 
 
 def test_model_arrays_must_match_classes_and_features():
-    dummy = nig_state(0.0, 1.0, 2.0, 1.0, d=2)  # one row of two features
-    with pytest.raises(ContractError, match=r"shape \(2, 2\)"):
-        ClassifierModel(("a", "b"), (1, 2), (3, 3), *dummy, dummy[0], dummy[0])
-    with pytest.raises(ContractError, match="need one count per class"):
-        ClassifierModel(("a",), (1, 2), (3, 3), *[[row] for row in dummy], [dummy[0]], [dummy[0]])
-    for bad in (float("inf"), float("-inf"), float("nan")):
-        beta = [[1.0, bad]]
-        message = rf"class 'a' feature 2: beta is not finite \({bad}\)"
-        with pytest.raises(ContractError, match=message):
-            ClassifierModel(("a",), (1, 2), (3,), *[[row] for row in dummy[:3]], beta,
-                            [dummy[0]], [dummy[2]])
+    block = np.ones((6, 2, 2))  # two classes of two features
+    for alphabet, ids, counts, shape in [(("a",), (1, 2), (3,), r"\(6, 1, 2\)"),
+                                         (("a", "b"), (1, 2, 3), (3, 3), r"\(6, 2, 3\)"),
+                                         (("a", "b"), (1, 2), (3,), r"\(6, 2, 2\)")]:
+        with pytest.raises(ContractError, match=f"need one count per class and a block of shape {shape}"):
+            ClassifierModel(alphabet, ids, counts, block)
+    with pytest.raises(ContractError, match=r"block of shape \(6, 2, 2\)"):
+        ClassifierModel(("a", "b"), (1, 2), (3, 3), block[:5])
+    for k, name in enumerate(ARRAYS):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            cells = block.copy()
+            cells[k, 1, 0] = bad
+            message = rf"class 'b' feature 7: {name} is not finite \({bad}\)"
+            with pytest.raises(ContractError, match=message):
+                ClassifierModel(("a", "b"), (7, 3), (3, 3), cells)
 
 
 # ------------------------------------------------------------------ scoring
 
 def hand_model():
     dummy = np.stack([nig_state(0.0, 1.0, 2.0, 1.0, d=2)] * 2, axis=1)
-    return ClassifierModel(
-        ("A", "B"), (7, 16), (3, 2), *dummy,
-        plugin_means=[(1.0, 10.0), (2.0, 8.0)],
-        plugin_vars=[(1.0, 4.0), (0.5, 1.0)],
-    )
+    plugin_means, plugin_vars = [(1.0, 10.0), (2.0, 8.0)], [(1.0, 4.0), (0.5, 1.0)]
+    return ClassifierModel(("A", "B"), (7, 16), (3, 2), (*dummy, plugin_means, plugin_vars))
 
 
 def vector_at(fid_values):
@@ -353,8 +358,8 @@ def test_score_difference_equals_density_ratio():
 
 def test_tie_goes_to_first_class():
     dummy = np.stack([nig_state(0.0, 1.0, 2.0, 1.0)] * 2, axis=1)
-    model = ClassifierModel(("earlier", "later"), (1,), (5, 5), *dummy,
-                            plugin_means=[(0.0,), (0.0,)], plugin_vars=[(1.0,), (1.0,)])
+    model = ClassifierModel(("earlier", "later"), (1,), (5, 5),
+                            (*dummy, [(0.0,), (0.0,)], [(1.0,), (1.0,)]))
     x = vector_at({1: 0.3})
     scores = log_scores(model, x)
     assert scores[0] == scores[1]

@@ -192,6 +192,16 @@ def test_sample_report_rejects_bad_ratio(capsys):
     assert "1:N" in capsys.readouterr().err
 
 
+def test_sample_report_refuses_a_repeated_ratio_before_reading_input(tmp_path, capsys):
+    missing = tmp_path / "absent.pcap"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sample-report", "--pcap", str(missing), "--ratios", "1:64,1:128,1:0128"])
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "ratio 1:128 is listed twice" in err
+    assert not out and "absent.pcap" not in err
+
+
 def test_sample_report_rejects_a_ratio_without_a_float_rate(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["sample-report", "--synth", str(FIXTURE_SPEC), "--ratios", f"1:8,1:{10**400}"])

@@ -220,6 +220,24 @@ def test_read_refuses_what_numpy_and_the_csv_module_read_apart(tmp_path, body, m
         read_dataset(path)
 
 
+@pytest.mark.parametrize("first", ['1,{rest},"two\nlines"', '1,{rest},"cr\r\nlf"',
+                                   '1,{rest},"cr\ralone"', '"2\n",{rest},web'],
+                         ids=["label-lf", "label-crlf", "label-cr", "number-lf"])
+@pytest.mark.parametrize("cell, message", [
+    ("inf", "column lport: non-finite value inf"),
+    ("zz", "column lport: could not convert string to float: 'zz'"),
+], ids=["inf", "zz"])
+def test_error_line_is_where_the_record_starts_after_a_quoted_line_break(
+        tmp_path, first, cell, message):
+    rest = ",".join(["1"] * 15)
+    path = tmp_path / "ds.csv"
+    header = ",".join(FEATURE_NAMES + ("label",))
+    body = f"{first.format(rest=rest)}\r\n{cell},{rest},web\r\n"
+    path.write_text(header + "\r\n" + body, encoding="utf-8", newline="")
+    with pytest.raises(SchemaError, match=f"ds\\.csv: line 4: {message}"):
+        read_dataset(path)
+
+
 def test_read_takes_labels_holding_csv_syntax_and_quoted_numbers(tmp_path):
     labels = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "#x", " lead", "", "\x1c"]
     path = tmp_path / "ds.csv"

@@ -79,6 +79,25 @@ def test_duplicate_key_and_start_names_both_lines(tmp_path):
         load_labels(path)
 
 
+def test_lines_are_physical_after_a_label_holding_a_line_break(tmp_path):
+    two_lines = '10.0.0.1,80,10.0.0.2,5000,TCP,1000000,"two\nlines"'
+    path = write_text(tmp_path, [
+        ",".join(HEADER),
+        two_lines,
+        "10.0.0.1,80,10.0.0.2,70000,TCP,2000000,web",
+    ])
+    with pytest.raises(LabelFileError, match="line 4: port_hi 70000 outside 0..65535"):
+        load_labels(path)
+    path = write_text(tmp_path, [
+        ",".join(HEADER),
+        '10.0.0.1,80,10.0.0.2,5000,TCP,3000000,"cr\r\nlf"',
+        two_lines,
+        "10.0.0.2,5000,10.0.0.1,80,TCP,1000000,bulk",
+    ])
+    with pytest.raises(LabelFileError, match="line 6: duplicate of line 4"):
+        load_labels(path)
+
+
 def test_bad_header(tmp_path):
     path = write_text(tmp_path, ["ip_a,port_a,label"])
     with pytest.raises(LabelFileError, match="header must be"):

@@ -233,12 +233,12 @@ def test_encode_chunks_at_thirty_with_continuous_sequence():
         )
         for i in range(31)
     ]
-    datagrams = encode_netflow_v5(flows, seq_start=7)
+    datagrams = encode_netflow_v5(flows)
     assert len(datagrams) == 2
     assert int.from_bytes(datagrams[0][2:4], "big") == 30
     assert int.from_bytes(datagrams[1][2:4], "big") == 1
-    assert int.from_bytes(datagrams[0][16:20], "big") == 7
-    assert int.from_bytes(datagrams[1][16:20], "big") == 37
+    assert int.from_bytes(datagrams[0][16:20], "big") == 0
+    assert int.from_bytes(datagrams[1][16:20], "big") == 30
 
 
 def test_encode_counter_overflow():
@@ -313,7 +313,7 @@ def random_unidirectional_flows(count, seed=0):
 def test_unidirectional_roundtrip_through_file(tmp_path):
     flows = random_unidirectional_flows(200, seed=5)
     path = tmp_path / "export.bin"
-    path.write_bytes(b"".join(encode_netflow_v5(flows, seq_start=3)))
+    path.write_bytes(b"".join(encode_netflow_v5(flows)))
     assert read_netflow_file(path) == flows
 
 
@@ -357,9 +357,9 @@ def test_encoder_keeps_a_pair_at_the_30_record_boundary_in_one_datagram():
         for i in range(15)
     ]
     flows = [lone] + pairs
-    datagrams = encode_netflow_v5(flows, seq_start=7)
+    datagrams = encode_netflow_v5(flows)
     assert [int.from_bytes(d[2:4], "big") for d in datagrams] == [29, 2]
-    assert [int.from_bytes(d[16:20], "big") for d in datagrams] == [7, 36]  # flow_sequence
+    assert [int.from_bytes(d[16:20], "big") for d in datagrams] == [0, 29]  # flow_sequence
     assert [f for d in datagrams for f in decode_netflow_v5(d)] == flows
 
 
