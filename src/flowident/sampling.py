@@ -18,12 +18,14 @@ The engine reads one trace table of every flow's packets, and draws from one
 stream: flow f's (trials, n_f) uniforms are the first trials * n_f float32
 draws of ``default_rng(seed)``.  The stream is drawn once, from the start up
 to the longest flow's prefix, in stretches of about ``_CHUNK_BUDGET`` bytes
-that hold only the survivors at the highest rate; after each stretch every
-unfinished flow reads the whole trials of its prefix drawn so far.  The
-integer sums do not depend on the order in which trials are read, so memory
-stays bounded for any flow length, the flows may come in any order, and each
-flow's estimates depend only on (flow, seed, trials): identical flows still
-get identical estimates.
+that hold only the survivors at the highest rate.  After each stretch, each
+rate takes its subset of them once, and each distinct flow length reads the
+whole trials of its prefix drawn so far: flows of one length read the same
+positions, so they share their survivors and runs, and only their sizes
+and stamps differ.  The integer sums do not depend on the order in which
+trials are read, so memory stays bounded for any flow length, the flows may
+come in any order, and each flow's estimates depend only on (flow, seed,
+trials): identical flows still get identical estimates.
 """
 
 from __future__ import annotations
@@ -151,48 +153,54 @@ def relative_error_variance(metric: Metric, trace: FlowTrace, p: float) -> float
     length: (1 - p) / (l * p)
     size:   ((1 - p) / p) * sum(s_i^2) / (sum(s_i))^2
 
-    Duration has no closed form here; ask :func:`dre` instead.
+    With p = pn / pd exactly, each is one int / int division, rounded once:
+    the exact expectation of the report's cell.  A value past the largest
+    float is refused.  Duration has no closed form here; ask :func:`dre`.
     """
     _check_flow(trace)
     if not isinstance(metric, Metric):
         raise ContractError(f"unknown metric {metric!r}")
     if not 0.0 < p <= 1.0:
         raise ContractError(f"sampling probability {p} outside (0, 1]")
+    pn, pd = float(p).as_integer_ratio()
     if metric is Metric.LENGTH:
-        return (1.0 - p) / (trace.length * p)
-    if metric is Metric.SIZE:
-        sizes = trace.sizes.astype(np.float64)
-        total = sizes.sum()
-        return ((1.0 - p) / p) * float((sizes * sizes).sum()) / float(total * total)
-    raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
+        num, den = pd - pn, pn * trace.length
+    elif metric is Metric.SIZE:
+        sizes = trace.sizes.tolist()
+        num, den = (pd - pn) * sum(s * s for s in sizes), pn * sum(sizes) ** 2
+    else:
+        raise ContractError(f"no closed-form error variance for metric {metric.value!r}")
+    try:
+        return num / den
+    except OverflowError:
+        raise ContractError(f"{metric.value} error variance at p={p} is past the largest float") from None
 
 
-def _runs(table: TraceTable, ps, seed: int, trials: int):
-    """Simulate `trials` independent samplings of every flow at every rate in `ps`.
+def _runs(lengths, ps, seed: int, trials: int):
+    """Simulate `trials` independent samplings of a flow of each length in
+    `lengths` at every rate in `ps`.
 
-    Yields, for flow f, rate ps[j] and a stretch of trials, (f, j, trial,
-    count, byte_sum, first, last): the trials in which some packet survives
-    ps[j], in order, with their int64 survivor count and byte sum and the
-    table rows of their first and last surviving packet.  Flow f's (trial,
-    packet) uniform is position trial * n_f + packet of one seed's float32
-    stream; a packet survives rate p when its uniform is below p.  Results
-    depend only on (flow, seed, trials), not on the other flows or rates
-    asked for.
+    Yields, for length lengths[g], rate ps[j] and a stretch of trials,
+    (g, j, trial, pkt, first, end): pkt is the packet (0..n-1) of every
+    survivor of the stretch's whole trials, in order, and run r, the
+    survivors of trial trial[r], is pkt[first[r]:end[r]]; a trial in which
+    nothing survives has no run.  A flow of length n reads position
+    trial * n + packet of one seed's float32 stream, and a packet survives
+    rate p when its uniform is below p, so every flow of one length reads
+    the same positions and shares the same runs.  Results depend only on
+    (length, seed, trials), not on the other lengths or rates asked for.
     """
-    top = max(ps)
-    sizes, rows = table.sizes, table.bounds.tolist()
-    lengths = np.diff(table.bounds).tolist()
-    longest = max(lengths)
+    top, longest = max(ps), max(lengths)
     stretch = max(longest, int(_CHUNK_BUDGET // (5 + 45 * top)))
     rng = np.random.default_rng(seed)
-    read = [0] * len(lengths)  # flow f has read stream positions 0..read[f]-1
+    read = [0] * len(lengths)  # length g has read stream positions 0..read[g]-1
     unfinished = range(len(lengths))
     # The survivors at the highest rate in stream order: each trial's run is
     # contiguous and in packet order, and so is every lower rate's subset of it.
     idx, u, drawn_to = np.empty(0, np.int64), np.empty(0, np.float32), 0
     while unfinished:
         # A stretch is no shorter than the longest flow, so every unfinished
-        # flow has read past drawn_to - longest.
+        # length has read past drawn_to - longest.
         carry = np.searchsorted(idx, drawn_to - longest)
         parts = [(idx[carry:], u[carry:])]
         start, drawn_to = drawn_to, min(drawn_to + stretch, trials * longest)
@@ -201,25 +209,23 @@ def _runs(table: TraceTable, ps, seed: int, trials: int):
             hit = np.flatnonzero(drawn < top)
             parts.append((hit + a, drawn[hit]))
         idx, u = (np.concatenate(column) for column in zip(*parts))
-        for f in unfinished:
-            n = lengths[f]
-            upto = min(drawn_to // n, trials) * n  # the whole trials drawn so far
-            lo, hi = np.searchsorted(idx, (read[f], upto))
-            read[f] = upto
-            trial, pkt = np.divmod(idx[lo:hi], n)
-            pkt += rows[f]  # the packet's table row
-            for j, p in enumerate(ps):
-                keep = u[lo:hi] < p
-                t, i = trial[keep], pkt[keep]
-                if t.size:
-                    # Run r, the survivors of one trial, is t[bounds[r]:bounds[r + 1]].
-                    starts = np.empty(t.size + 1, bool)
+        del parts, drawn, hit  # hold only this stretch's survivors while its runs are read
+        upto = [min(drawn_to // n, trials) * n for n in lengths]  # the whole trials drawn so far
+        for j, p in enumerate(ps):
+            kept = idx[u < p]  # one rate's survivors, held for one rate at a time
+            for g in unfinished:
+                n = lengths[g]
+                lo, hi = np.searchsorted(kept, (read[g], upto[g]))
+                if lo < hi:
+                    trial, pkt = np.divmod(kept[lo:hi], n)
+                    # Run r is the survivors pkt[bounds[r]:bounds[r + 1]] of one trial.
+                    starts = np.empty(trial.size + 1, bool)
                     starts[0] = starts[-1] = True
-                    np.not_equal(t[1:], t[:-1], out=starts[1:-1])
+                    np.not_equal(trial[1:], trial[:-1], out=starts[1:-1])
                     bounds = np.flatnonzero(starts)
-                    first, end = bounds[:-1], bounds[1:]
-                    yield f, j, t[first], end - first, np.add.reduceat(sizes[i], first), i[first], i[end - 1]
-        unfinished = [f for f in unfinished if read[f] < trials * lengths[f]]
+                    yield g, j, trial[bounds[:-1]], pkt, bounds[:-1], bounds[1:]
+        read = upto
+        unfinished = [g for g in unfinished if read[g] < trials * lengths[g]]
 
 
 def check_trials(trials: int) -> None:
@@ -238,31 +244,58 @@ def _mc_degradations(table: TraceTable, ps, seed: int, trials: int) -> np.ndarra
     p = pn / pd and T trials, var(c / (p l)) = (T B - A^2) pd^2 / (T (T-1)
     (pn l)^2), the same for sizes, and E(D - window) in seconds is
     (T D - W) / (T 10^6) with D in us; each is one int / int division,
-    rounded once.  A flow's sums are int64 where T times its largest square
-    or window fits, Python ints past that.
+    rounded once.
+
+    The flows of one length share their runs, so A and B are added once
+    per length.  Each length's flows are held as (flows, n) blocks of sizes
+    and of stamps relative to the flow's first packet: one gather of the
+    size block at the survivors and one reduceat give every flow's byte
+    sums S, and W is the stamp block @ (bincount(last) - bincount(first)),
+    since each run adds ts[last] - ts[first].  The gather takes as many
+    flows at a time as fit the budget.  A length's sums are int64 where T
+    times the largest squared byte total or duration (us) among its flows
+    fits, and Python ints past that; either way they are exact.
     """
     ps = [float(p) for p in ps]  # a Python float compares in float32, like the uniforms
-    starts, ends = table.bounds[:-1], table.bounds[1:]
-    lengths = (ends - starts).tolist()
-    sizes = np.add.reduceat(table.sizes, starts).tolist()
-    spans = (table.ts[ends - 1] - table.ts[starts]).tolist()
-    dtypes = [np.int64 if trials * max(size * size, span) < 2**63 else object
-              for size, span in zip(sizes, spans)]
-    sums = [[[0] * 5 for _ in ps] for _ in lengths]
-    for f, j, _, count, byte_sum, first, last in _runs(table, ps, seed, trials):
-        dtype = dtypes[f]
-        count, byte_sum = count.astype(dtype, copy=False), byte_sum.astype(dtype, copy=False)
-        window = (table.ts[last] - table.ts[first]).astype(dtype, copy=False)
-        for k, v in enumerate((count, count * count, byte_sum, byte_sum * byte_sum, window)):
-            sums[f][j][k] += int(v.sum())
+    lengths = np.diff(table.bounds)
+    order = np.argsort(lengths, kind="stable")
+    groups = []  # per length: its flows, their (flows, n) size and stamp blocks, their sums
+    for flows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        rows = table.bounds[flows, None] + np.arange(lengths[flows[0]])
+        sizes, stamps = table.sizes[rows], table.ts[rows]
+        stamps -= stamps[:, :1]  # relative to each flow's first packet
+        largest = max(int(sizes.sum(axis=1).max()) ** 2, int(stamps[:, -1].max()))
+        dtype = np.int64 if trials * largest < 2**63 else object
+        groups.append((flows, sizes, stamps.astype(dtype), np.zeros((len(ps), 5, flows.size), dtype)))
+    for g, j, _, pkt, first, end in _runs([sizes.shape[1] for _, sizes, _, _ in groups], ps, seed, trials):
+        _, sizes, stamps, sums = groups[g]
+        n, dtype = sizes.shape[1], stamps.dtype
+        count = (end - first).astype(dtype, copy=False)
+        sums[j, 0] += pkt.size
+        sums[j, 1] += count @ count
+        # Run r adds ts[last_r] - ts[first_r]: each packet's stamp counts once
+        # for every run it ends and minus once for every run it starts.
+        net = np.bincount(pkt[end - 1], minlength=n) - np.bincount(pkt[first], minlength=n)
+        sums[j, 4] += stamps @ net.astype(dtype, copy=False)
+        # As many flows at a time as fit the budget: 8 bytes a survivor for the
+        # int64 gather, 96 where S and S^2 also become Python ints.
+        step = max(1, _CHUNK_BUDGET // ((8 if dtype == np.int64 else 96) * pkt.size))
+        for c in range(0, len(sizes), step):
+            byte_sum = np.add.reduceat(sizes[c:c + step].take(pkt, axis=1), first, axis=1)
+            byte_sum = byte_sum.astype(dtype, copy=False)
+            sums[j, 2, c:c + step] += byte_sum.sum(axis=1)
+            sums[j, 3, c:c + step] += (byte_sum * byte_sum).sum(axis=1)
     scale = trials * (trials - 1)
     dres = np.empty((3, len(ps), len(lengths)))
-    for f, (length, size, span) in enumerate(zip(lengths, sizes, spans)):
-        for j, (p, (a, b, a_s, b_s, w)) in enumerate(zip(ps, sums[f])):
+    for flows, sizes, stamps, sums in groups:
+        length, totals, spans = sizes.shape[1], sizes.sum(axis=1).tolist(), stamps[:, -1].tolist()
+        for j, p in enumerate(ps):
             pn, pd = p.as_integer_ratio()
-            dres[:, j, f] = ((trials * b - a * a) * pd * pd / (scale * (pn * length) ** 2),
-                             (trials * b_s - a_s * a_s) * pd * pd / (scale * (pn * size) ** 2),
-                             (trials * span - w) / (trials * 10**6))
+            a, b, a_s, b_s, w = sums[j].tolist()
+            dres[0, j, flows] = (trials * b[0] - a[0] * a[0]) * pd * pd / (scale * (pn * length) ** 2)
+            dres[1, j, flows] = [(trials * y - x * x) * pd * pd / (scale * (pn * size) ** 2)
+                                 for x, y, size in zip(a_s, b_s, totals)]
+            dres[2, j, flows] = [(trials * span - v) / (trials * 10**6) for span, v in zip(spans, w)]
     return dres
 
 
@@ -275,8 +308,9 @@ def simulate_estimates(
     p = float(cfg.p)
     t_sec = (trace.ts - trace.ts[0]).astype(np.float64) / 1e6
     est = np.zeros((3, trials))
-    for *_, trial, count, byte_sum, first, last in _runs(trace, [p], cfg.seed, trials):
-        est[:, trial] = count / p, byte_sum / p, t_sec[last] - t_sec[first]
+    for *_, trial, pkt, first, end in _runs([trace.length], [p], cfg.seed, trials):
+        byte_sum = np.add.reduceat(trace.sizes[pkt], first)
+        est[:, trial] = (end - first) / p, byte_sum / p, t_sec[pkt[end - 1]] - t_sec[pkt[first]]
     return tuple(est)
 
 
@@ -371,9 +405,10 @@ def build_sampling_report(
 ) -> SamplingReport:
     """ADRE for every metric at every 1:N ratio in ``ratios``.
 
-    One simulation per flow serves every ratio and all three metrics; a
-    rate's estimates do not depend on the other rates, so a report row
-    equals what a standalone :func:`adre` call would produce from ``traces``.
+    One simulation per flow length serves its flows, every ratio and all
+    three metrics; a flow's estimates do not depend on the other flows or
+    rates, so a report row equals what a standalone :func:`adre` call would
+    produce from ``traces``.
     """
     ratios = list(ratios)
     if not ratios:

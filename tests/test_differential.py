@@ -14,8 +14,8 @@ reader must skip or keep exactly the frames the byte-slicing parser does,
 and raise the errors of a per-record walk at the same byte offsets, in any
 read window.  The vectorised Monte Carlo must give, trial by trial, the
 estimates of sampling the packet list one trial at a time, and the sampling
-report, drawn once per flow for all ratios, must equal the per-ratio report
-that drew once per (ratio, flow).  The model loader, fed saved documents
+report, drawn once per flow length for all ratios, must equal the per-ratio
+report that drew once per (ratio, flow).  The model loader, fed saved documents
 with a few values replaced or keys deleted, must load a model that predicts
 or raise ModelFormatError.  The columnar ingest tail must give exactly what
 the per-flow one gave: the feature matrix the per-record formulas' bits, the
@@ -993,6 +993,64 @@ def test_dre_sums_past_int64_stay_exact(monkeypatch):
     mask = survivor_mask_oracle(trace, 0.5, 2, MIN_TRIALS)
     for metric in Metric:
         assert dre(metric, trace, SamplingConfig(0.5, seed=2), MIN_TRIALS) == dre_oracle(metric, trace, 0.5, mask)
+
+
+@st.composite
+def shared_length_traces(draw):
+    """2-12 traces in any order whose lengths take 1-3 values, each value
+    held by 2-4 traces, so every length's flows share their runs."""
+    traces = []
+    for n in draw(st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(2, 4))):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            moving = rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+            ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(1, 400_000, n) * moving)
+            traces.append(FlowTrace(sizes=rng.integers(28, 1501, n), ts=ts))
+    return draw(st.permutations(traces))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shared_length_traces(),
+    st.lists(st.sampled_from((2, 3, 8, 64, 1024)) | st.integers(1, 4096), max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((None, 9970, 300)),
+    st.data(),
+)
+def test_sampling_report_of_flows_sharing_a_length_equals_the_per_ratio_report(
+        traces, ratios, seed, chunk_budget, data):
+    ratios = [1, *ratios]
+    trace = data.draw(st.sampled_from(traces))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_budget is not None:
+            patch.setattr(sampling, "_CHUNK_BUDGET", chunk_budget)  # at 300, one trial a stretch
+        report = build_sampling_report(traces, ratios, seed=seed, trials=MIN_TRIALS)
+        estimates = [simulate_estimates(trace, SamplingConfig(1.0 / n, seed), MIN_TRIALS) for n in ratios]
+    oracle = sampling_report_oracle(traces, ratios, seed, MIN_TRIALS)
+    assert report.rows == oracle.rows
+    assert report.to_json_dict() == oracle.to_json_dict()
+    for got, n in zip(estimates, ratios):
+        want = mc_estimates_oracle(trace, 1.0 / n, seed, MIN_TRIALS)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_length_whose_sums_pass_int64_for_one_flow_keeps_every_flow_exact(monkeypatch):
+    """Two 5,000-packet flows share their runs: at 65,535 bytes a packet one
+    flow's trials x sum(S^2) passes 2**63, at 40 bytes the other's does not,
+    so the length's sums add as Python ints and each flow's cells are still
+    its standalone dre's."""
+    heavy, light = (FlowTrace(sizes=np.full(5000, size), ts=np.arange(5000) * 10) for size in (65535, 40))
+    assert MIN_TRIALS * heavy.size**2 >= 2**63 > MIN_TRIALS * max(light.size**2, 49990)
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 100 * 5000 * 50)  # 100 trials a chunk at 1:1
+    rates = [1.0, 0.5]
+    cells = sampling._mc_degradations(TraceTable(np.concatenate((heavy.sizes, light.sizes)),
+                                                 np.concatenate((heavy.ts, light.ts)), (0, 5000, 10000)),
+                                      rates, 2, MIN_TRIALS)
+    for f, trace in enumerate((heavy, light)):
+        for j, p in enumerate(rates):
+            want = [dre(metric, trace, SamplingConfig(p, seed=2), MIN_TRIALS) for metric in Metric]
+            assert cells[:, j, f].tolist() == want
+    assert not cells[:, 0].any()  # nothing is lost at 1:1
 
 
 # --------------------------------------------------------------------------

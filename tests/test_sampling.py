@@ -2,10 +2,13 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flowident.sampling as sampling
 from flowident.errors import ContractError
@@ -228,9 +231,29 @@ def test_closed_form_frozen_values():
 
 def test_closed_form_size_reduces_to_length_for_equal_sizes():
     trace = uniform_trace(500, size=333)
-    assert relative_error_variance(Metric.SIZE, trace, 1 / 64) == pytest.approx(
-        relative_error_variance(Metric.LENGTH, trace, 1 / 64), rel=1e-12
+    assert relative_error_variance(Metric.SIZE, trace, 1 / 64) == relative_error_variance(
+        Metric.LENGTH, trace, 1 / 64
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 65535), min_size=1, max_size=20),
+       st.floats(5e-324, 1.0) | st.sampled_from((0.1, 1 / 3, 1e-300, 5e-324, 1.0)))
+@example([100, 100, 100], 0.1)  # rounded twice, the length cell was 2.9999999999999996
+@example([40], 5e-324)  # (1 - p) / (l p) overflowed to inf
+def test_closed_forms_are_the_exact_rationals_rounded_once(sizes, p):
+    trace = make_trace(sizes)
+    q = Fraction(p)
+    laws = {Metric.LENGTH: (1 - q) / (q * len(sizes)),
+            Metric.SIZE: (1 - q) / q * sum(s * s for s in sizes) / sum(sizes) ** 2}
+    for metric, law in laws.items():
+        try:
+            want = float(law)
+        except OverflowError:
+            with pytest.raises(ContractError, match="past the largest float"):
+                relative_error_variance(metric, trace, p)
+        else:
+            assert relative_error_variance(metric, trace, p) == want
 
 
 def test_closed_form_rejects_duration():
@@ -458,6 +481,21 @@ def test_report_memory_is_bounded_by_the_budget_for_any_flow_length():
     tracemalloc.start()
     try:
         report = build_sampling_report([trace], [1], seed=0, trials=MIN_TRIALS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.adre == 0.0 for row in report.rows)
+    assert peak < 3 * sampling._CHUNK_BUDGET
+
+
+def test_report_memory_is_bounded_by_the_budget_for_one_large_group():
+    """32 flows of 2,000 packets share one length, and so each stretch's
+    200,000 survivors at 1:1: gathered for all 32 flows at once their sizes
+    would take 51 MB, so the gather takes a few flows at a time."""
+    traces = [make_trace(np.full(2000, 100 + f), ts=np.arange(2000) * 10) for f in range(32)]
+    tracemalloc.start()
+    try:
+        report = build_sampling_report(traces, [1], seed=0, trials=MIN_TRIALS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
