@@ -138,19 +138,6 @@ def _resolve_features(args) -> tuple[int, ...] | None:
         raise FormatError(f"{path}: 'selected': {exc}") from None
 
 
-def _capture_episodes(args) -> tuple[PacketTable, Aggregation]:
-    """The packets of ``args.pcap`` and their flow episodes, noting the
-    frames skipped and the packets rejected on the way."""
-    reader = PcapReader(args.pcap)
-    table = reader.table()
-    if reader.skipped:
-        print(f"note: skipped {reader.skipped} frames that are not IPv4 TCP/UDP", file=sys.stderr)
-    agg = aggregate_table(table, args.inactive_timeout, args.active_timeout)
-    if agg.rejected:
-        print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
-    return table, agg
-
-
 def _draw_spec(path, draw):
     """``draw`` over the spec JSON at ``path``; a FormatError raised while
     drawing names the file, as one raised while parsing does."""
@@ -159,6 +146,23 @@ def _draw_spec(path, draw):
         return draw(spec)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def _capture_episodes(args) -> tuple[PacketTable, Aggregation]:
+    """The packets of ``args.pcap``, or else of the capture drawn from the spec
+    at ``args.synth``, and their flow episodes, noting the frames skipped and
+    the packets rejected on the way."""
+    if args.pcap:
+        reader = PcapReader(args.pcap)
+        table = reader.table()
+        if reader.skipped:
+            print(f"note: skipped {reader.skipped} frames that are not IPv4 TCP/UDP", file=sys.stderr)
+    else:
+        table = _draw_spec(args.synth, lambda spec: synth.generate_packets(spec)[0])
+    agg = aggregate_table(table, args.inactive_timeout, args.active_timeout)
+    if agg.rejected:
+        print(f"note: rejected {agg.rejected} out-of-order packets", file=sys.stderr)
+    return table, agg
 
 
 def cmd_ingest(args) -> int:
@@ -222,11 +226,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample_report(args) -> int:
-    if args.pcap:
-        table, agg = _capture_episodes(args)
-    else:
-        table = _draw_spec(args.synth, lambda spec: synth.generate_packets(spec)[0])
-        agg = aggregate_table(table, args.inactive_timeout, args.active_timeout)
+    table, agg = _capture_episodes(args)
     traces = sampling.traces_from_table(table, agg)
     report = sampling.build_sampling_report(
         traces, args.ratios, seed=args.seed, trials=args.trials

@@ -8,6 +8,7 @@ outside their contract, degenerate datasets included (exit 2).
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class FlowidentError(Exception):
@@ -30,3 +31,9 @@ def check_finite(name: str, value: float, positive: bool = False) -> None:
     """Refuse NaN and infinities, and with ``positive`` also zero and negative values."""
     if not (math.isfinite(value) and (value > 0 or not positive)):
         raise ContractError(f"{name} must be finite{' and positive' * positive}, got {value!r}")
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer, such as a float or a bool; NumPy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")

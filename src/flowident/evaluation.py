@@ -7,11 +7,11 @@ stay machine-readable even for folds that never see a class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .features import Dataset
 
 DEFAULT_FOLDS = 10
@@ -29,6 +29,8 @@ class ConfusionCounts:
     fn: int
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            check_integer(f"confusion count {field.name}", getattr(self, field.name))
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ContractError("confusion counts cannot be negative")
 
@@ -119,7 +121,8 @@ class MetricReport:
         return {
             "n": self.n,
             "overall_accuracy": self.overall_accuracy,
-            "per_class": {label: asdict(entry) for label, entry in self.per_class.items()},
+            "per_class": {label: {f.name: getattr(entry, f.name) for f in fields(entry)}
+                          for label, entry in self.per_class.items()},
         }
 
 
@@ -131,26 +134,21 @@ def evaluate_predictions(predicted, truth, classes=None) -> MetricReport:
     return MetricReport(per_class=per_class, overall_accuracy=correct / len(truth), n=len(truth))
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    fold: int
-    test_size: int
-    report: MetricReport
-
-
 @dataclass
 class CVReport:
+    """Fold i is ``folds[i]``, the report on its test set, which is its ``n`` rows."""
+
     k: int
     seed: int
-    folds: list[FoldResult]
+    folds: list[MetricReport]
 
     @property
     def mean_overall_accuracy(self) -> float:
-        return float(np.mean([fold.report.overall_accuracy for fold in self.folds]))
+        return float(np.mean([fold.overall_accuracy for fold in self.folds]))
 
     def _macro(self, attr: str) -> float:
         fold_means = [
-            float(np.mean([getattr(e, attr) for e in fold.report.per_class.values()]))
+            float(np.mean([getattr(e, attr) for e in fold.per_class.values()]))
             for fold in self.folds
         ]
         return float(np.mean(fold_means))
@@ -177,19 +175,14 @@ class CVReport:
                 "macro_recall": self.macro_recall,
                 "macro_f_measure": self.macro_f_measure,
             },
-            "folds": [
-                {
-                    "fold": fold.fold,
-                    "test_size": fold.test_size,
-                    **fold.report.to_json_dict(),
-                }
-                for fold in self.folds
-            ],
+            "folds": [{"fold": i, "test_size": fold.n, **fold.to_json_dict()}
+                      for i, fold in enumerate(self.folds)],
         }
 
 
 def check_folds(k: int) -> None:
-    """Refuse fewer than 2 folds; that k is at most the row count needs the data."""
+    """Refuse a k that is not an integer of at least 2; that k fits the row count needs the data."""
+    check_integer("k", k)
     if k < 2:
         raise ContractError("k-fold needs k >= 2")
 
@@ -236,13 +229,12 @@ def kfold_cv(ds: Dataset, pipeline, k: int = DEFAULT_FOLDS, seed: int = 0) -> CV
     if (ds.codes < 0).any():
         raise ContractError("cross-validation needs a fully labeled dataset")
     fold_of = np.array(assign_folds(ds.labels(), k, seed))
-    results = []
+    folds = []
     for fold in range(k):
-        train_ds = ds.take(np.flatnonzero(fold_of != fold))
-        test_ds = ds.take(np.flatnonzero(fold_of == fold))
+        train_ds = ds.take(fold_of != fold)
+        test_ds = ds.take(fold_of == fold)
         predicted = list(pipeline(train_ds, test_ds))
         if len(predicted) != len(test_ds):
             raise ContractError("pipeline returned the wrong number of predictions")
-        report = evaluate_predictions(predicted, test_ds.labels(), classes=ds.alphabet)
-        results.append(FoldResult(fold=fold, test_size=len(test_ds), report=report))
-    return CVReport(k=k, seed=seed, folds=results)
+        folds.append(evaluate_predictions(predicted, test_ds.labels(), classes=ds.alphabet))
+    return CVReport(k=k, seed=seed, folds=folds)

@@ -227,14 +227,13 @@ class Dataset:
         return self.data[:, [_column(fid) for fid in feature_ids]]
 
     def take(self, rows) -> "Dataset":
-        """The subset at the given row indices, in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """The rows at an index array or boolean mask, in that order."""
         ds = Dataset.__new__(Dataset)
         ds._set(self.data[rows], self.codes[rows], self.alphabet)
         return ds
 
     def labeled_only(self) -> "Dataset":
-        return self.take(np.flatnonzero(self.codes >= 0))
+        return self.take(self.codes >= 0)
 
 
 def _label_codes(alphabet: tuple[str, ...]) -> dict:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .flow import DEFAULT_ACTIVE_TIMEOUT, DEFAULT_INACTIVE_TIMEOUT, Aggregation, PacketTable, aggregate_table
 
 MIN_TRIALS = 1000
@@ -229,7 +229,8 @@ def _runs(lengths, ps, seed: int, trials: int):
 
 
 def check_trials(trials: int) -> None:
-    """Refuse a trial count outside MIN_TRIALS..MAX_TRIALS, before anything is drawn."""
+    """Refuse a trial count that is not an integer in MIN_TRIALS..MAX_TRIALS, before any draw."""
+    check_integer("trials", trials)
     if trials < MIN_TRIALS:
         raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials, got {trials}")
     if trials > MAX_TRIALS:

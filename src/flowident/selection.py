@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDatasetError, check_finite
+from .errors import ContractError, DegenerateDatasetError, check_finite, check_integer
 from .features import Dataset, NUM_FEATURES, feature_name
 
 DEFAULT_BINS = 10
@@ -21,7 +21,8 @@ _MAX_BINS = 2**63 - 1  # the codes are int64
 
 
 def check_bins(bins: int) -> None:
-    """Refuse a bin count outside 2..2**63 - 1, the range of the int64 codes."""
+    """Refuse a bin count that is not an integer in 2..2**63 - 1, the range of the int64 codes."""
+    check_integer("bins", bins)
     if not 2 <= bins <= _MAX_BINS:
         raise ContractError(f"bins must be in 2..{_MAX_BINS}, got {bins}")
 

@@ -60,6 +60,30 @@ OPTION_INVENTORY = {
 }
 
 
+def test_evaluate_prints_writes_and_reports_the_same_four_values(tmp_path, capsys):
+    """The printed line (.4f), the --csv row (.9g) and the --report summary
+    carry one set of macro values."""
+    ds_csv, report, row_csv = tmp_path / "ds.csv", tmp_path / "cv.json", tmp_path / "cv.csv"
+    # Three overlapping classes of unequal size, so that no two of the values agree.
+    labels = ["a"] * 28 + ["b"] * 20 + ["c"] * 12
+    offset = np.repeat([0.0, 0.8, 1.6], [28, 20, 12])[:, None]
+    data = np.random.default_rng(5).normal(size=(60, 16)) + offset
+    write_dataset(Dataset.from_labels(data, labels), ds_csv)
+    code, out, _ = run(["evaluate", ds_csv, "--k", "4", "--report", report, "--csv", row_csv],
+                       capsys)
+    assert code == 0
+    summary = json.loads(report.read_text(encoding="utf-8"))["summary"]
+    values = [summary[name] for name in ("mean_overall_accuracy", "macro_precision",
+                                         "macro_recall", "macro_f_measure")]
+    assert len({f"{value:.4f}" for value in values}) == 4
+    oa, precision, recall, f_measure = values
+    assert out == (f"4-fold OA {oa:.4f}  macro precision {precision:.4f}  "
+                   f"macro recall {recall:.4f}  macro F {f_measure:.4f}\n")
+    (row,) = read_rows(row_csv)
+    assert row == {"algorithm": "gaussian-nb", "precision": f"{precision:.9g}",
+                   "recall": f"{recall:.9g}", "oa": f"{oa:.9g}", "f_measure": f"{f_measure:.9g}"}
+
+
 def test_option_inventory():
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     inventory = {
@@ -183,6 +207,21 @@ def test_sample_report_at_ratio_one(tmp_path, capsys):
     assert doc["flows"] == 80
     assert doc["metrics"]["length"]["adre"]["1:1"] == 0.0
     assert doc["metrics"]["duration"]["estimator"] == "biased"
+
+
+def test_sample_report_of_a_spec_equals_that_of_its_capture(tmp_path, capsys):
+    """--synth reads the capture --pcap would read of the same spec: the same
+    lines and the same report bytes."""
+    pcap = tmp_path / "demo.pcap"
+    assert run(["synth", FIXTURE_SPEC, "--out-pcap", pcap], capsys)[0] == 0
+    outputs = []
+    for source in (["--synth", FIXTURE_SPEC], ["--pcap", pcap]):
+        out_json = tmp_path / f"report{len(outputs)}.json"
+        code, out, err = run(["sample-report", *source, "--ratios", "1:2,1:64",
+                              "--trials", "1000", "--out-json", out_json], capsys)
+        assert (code, err) == (0, "")
+        outputs.append((out, out_json.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_sample_report_rejects_bad_ratio(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_confusion_validation():
         confusion([], [], "a")
     with pytest.raises(ContractError, match="negative"):
         ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+
+
+@pytest.mark.parametrize("count", [float("nan"), 1.5, 2.0, True, "3"])
+def test_confusion_counts_refuse_a_count_that_is_not_an_integer(count):
+    with pytest.raises(ContractError, match=f"count fn must be an integer, got {count!r}"):
+        ConfusionCounts(3, 1, 2, count)
+
+
+def test_confusion_counts_take_numpy_integers():
+    counts = ConfusionCounts(np.int64(8), np.int32(1), np.intp(9), 2)
+    assert metrics(counts) == metrics(ConfusionCounts(8, 1, 9, 2))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -215,6 +227,18 @@ def test_assign_folds_errors():
         assign_folds(labels, k=14, seed=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, float("nan")])
+def test_fold_count_must_be_an_integer(k):
+    """A float k is refused before any fold is dealt, not dealt as ceil(k) folds."""
+    labels = ["a"] * 6 + ["b"] * 6
+    with pytest.raises(ContractError, match=f"k must be an integer, got {k!r}"):
+        assign_folds(labels, k, seed=0)
+    ds = Dataset.from_labels(np.zeros((12, 16)), labels)
+    with pytest.raises(ContractError, match=f"k must be an integer, got {k!r}"):
+        kfold_cv(ds, nearest_mean_pipeline, k=k, seed=0)
+    assert len(assign_folds(labels, np.int64(3), seed=0)) == 12
+
+
 # ------------------------------------------------------------------ full CV
 
 def constant_column_dataset(per_class=30):
@@ -248,8 +272,8 @@ def test_kfold_cv_end_to_end():
     assert report.k == 10 == DEFAULT_FOLDS
     assert report.seed == 0
     assert len(report.folds) == 10
-    assert [fold.fold for fold in report.folds] == list(range(10))
-    assert sum(fold.test_size for fold in report.folds) == len(ds)
+    assert [doc["fold"] for doc in report.to_json_dict()["folds"]] == list(range(10))
+    assert sum(fold.n for fold in report.folds) == len(ds)
     assert report.mean_overall_accuracy == 1.0
     assert report.macro_precision == 1.0
     assert report.macro_recall == 1.0
@@ -273,12 +297,12 @@ def test_kfold_cv_macro_values_recompute():
     for attr in ("precision", "recall", "f_measure"):
         want = statistics.fmean(
             statistics.fmean(
-                getattr(entry, attr) for entry in fold.report.per_class.values()
+                getattr(entry, attr) for entry in fold.per_class.values()
             )
             for fold in report.folds
         )
         assert getattr(report, f"macro_{attr}") == pytest.approx(want, rel=1e-12)
-    want_oa = statistics.fmean(f.report.overall_accuracy for f in report.folds)
+    want_oa = statistics.fmean(f.overall_accuracy for f in report.folds)
     assert report.mean_overall_accuracy == pytest.approx(want_oa, rel=1e-12)
 
 
@@ -323,6 +347,19 @@ def test_cv_report_json_shape():
     assert len(doc["folds"]) == 5
     assert doc["folds"][0]["fold"] == 0
     assert doc["folds"][0]["per_class"]["a"]["tpr"] == 1.0
+
+
+def test_cv_report_json_writes_each_fold_from_its_position_and_report():
+    ds = constant_column_dataset(per_class=7)
+    report = kfold_cv(ds, nearest_mean_pipeline, k=3, seed=1)
+    folds = report.to_json_dict()["folds"]
+    assert [doc["fold"] for doc in folds] == [0, 1, 2]
+    for doc, fold in zip(folds, report.folds):
+        assert list(doc) == ["fold", "test_size", "n", "overall_accuracy", "per_class"]
+        assert doc["test_size"] == doc["n"] == fold.n
+        for label, entry in fold.per_class.items():
+            assert list(doc["per_class"][label]) == list(MetricEntry.__dataclass_fields__)
+            assert tuple(doc["per_class"][label].values()) == astuple(entry)
 
 
 def test_cv_report_is_plain_dataclass():

@@ -343,3 +343,16 @@ def test_dataset_is_one_matrix_with_codes():
         Dataset.from_arrays(ds.data, [0, 1, 2], ds.alphabet)
     with pytest.raises(ContractError, match=r"\(n, 16\) matrix"):
         Dataset.from_arrays(ds.data[:, :3], ds.codes, ds.alphabet)
+
+
+def test_dataset_take_reads_a_boolean_mask_as_flow_table_take_does():
+    """[True, False, True] selects rows 0 and 2, not the indices 1, 0, 1."""
+    data = np.arange(48, dtype=np.float64).reshape(3, 16)
+    ds = Dataset.from_arrays(data, [0, -1, 1], ("bulk", "web"))
+    for mask in (np.array([True, False, True]), [True, False, True]):
+        sub = ds.take(mask)
+        assert sub == Dataset.from_arrays(data[[0, 2]], [0, 1], ds.alphabet)
+        assert not sub.data.flags.writeable and not sub.codes.flags.writeable
+    assert ds.take(np.array([2, 0, 2])).labels() == ["web", "bulk", "web"]
+    assert len(ds.take(np.zeros(3, dtype=bool))) == len(ds.take([])) == 0
+    assert ds.labeled_only() == ds.take([0, 2])

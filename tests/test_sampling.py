@@ -352,6 +352,21 @@ def test_trials_past_the_budget_are_refused_before_anything_is_drawn(count_gener
     assert made == []
 
 
+@pytest.mark.parametrize("trials", [1500.5, 2000.0, float("nan")])
+def test_trial_count_must_be_an_integer(count_generators, trials):
+    """A float trial count is refused before anything is drawn."""
+    made, _ = count_generators()
+    message = f"trials must be an integer, got {trials!r}"
+    with pytest.raises(ContractError, match=message):
+        build_sampling_report([uniform_trace(10)], [8], trials=trials)
+    with pytest.raises(ContractError, match=message):
+        simulate_estimates(uniform_trace(10), SamplingConfig(0.5), trials=trials)
+    with pytest.raises(ContractError, match=message):
+        dre(Metric.LENGTH, uniform_trace(10), SamplingConfig(0.5), trials=trials)
+    assert made == []
+    assert build_sampling_report([uniform_trace(10)], [8], trials=np.int64(MIN_TRIALS)).rows
+
+
 def test_dre_is_deterministic_per_seed():
     trace = make_trace(np.arange(40, 140))
     a = dre(Metric.SIZE, trace, SamplingConfig(1 / 8, seed=11), trials=1500)

@@ -71,6 +71,17 @@ def test_discretize_validation():
         discretize([1.0, float("nan")])
 
 
+@pytest.mark.parametrize("bins", [2.5, 3.0, True, float("nan")])
+def test_bin_count_must_be_an_integer(bins):
+    """bins=2.5 is refused, not binned as 2 and recorded as 2.5."""
+    with pytest.raises(ContractError, match=f"bins must be an integer, got {bins!r}"):
+        discretize([1.0, 2.0, 3.0, 4.0], bins)
+    ds, _ = planted_dataset()
+    with pytest.raises(ContractError, match=f"bins must be an integer, got {bins!r}"):
+        fcbf_select(ds, bins=bins)
+    assert discretize([1.0, 2.0, 3.0, 4.0], np.int64(2)).tolist() == [0, 0, 1, 1]
+
+
 # --------------------------------------------------- symmetrical uncertainty
 
 def test_su_frozen_example():
