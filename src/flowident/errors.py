@@ -33,7 +33,13 @@ def check_finite(name: str, value: float, positive: bool = False) -> None:
         raise ContractError(f"{name} must be finite{' and positive' * positive}, got {value!r}")
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer, such as a float or a bool; NumPy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; a bool or a float, even a whole one, is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int; a value that is not an integer raises."""
+    if not is_integer(value):
         raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)

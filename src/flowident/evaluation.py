@@ -180,11 +180,13 @@ class CVReport:
         }
 
 
-def check_folds(k: int) -> None:
-    """Refuse a k that is not an integer of at least 2; that k fits the row count needs the data."""
-    check_integer("k", k)
+def check_folds(k: int) -> int:
+    """``k`` as an int; a k that is not an integer of at least 2 raises.
+    That k fits the row count needs the data."""
+    k = check_integer("k", k)
     if k < 2:
         raise ContractError("k-fold needs k >= 2")
+    return k
 
 
 def assign_folds(labels, k: int, seed: int) -> list[int]:
@@ -226,6 +228,7 @@ def kfold_cv(ds: Dataset, pipeline, k: int = DEFAULT_FOLDS, seed: int = 0) -> CV
     ``pipeline(train_ds, test_ds)`` must return one predicted label per test
     row.  Fold membership is deterministic given (ds order, k, seed).
     """
+    k, seed = check_folds(k), check_integer("seed", seed)
     if (ds.codes < 0).any():
         raise ContractError("cross-validation needs a fully labeled dataset")
     fold_of = np.array(assign_folds(ds.labels(), k, seed))

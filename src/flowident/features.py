@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, is_integer
 from .files import csv_body, csv_rows
 from .flow import FlowRecord, FlowTable
 
@@ -93,7 +92,7 @@ def validate_feature_ids(feature_ids) -> tuple[int, ...]:
     if not ids:
         raise ContractError("need at least one feature")
     for fid in ids:
-        if isinstance(fid, bool) or not isinstance(fid, numbers.Integral):
+        if not is_integer(fid):
             raise ContractError(f"feature id {fid!r} is not an integer")
         _column(fid)
     if len(set(ids)) != len(ids):

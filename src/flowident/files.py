@@ -37,10 +37,12 @@ def read_json(path, error: type[FormatError]):
 
 
 def write_json(path, doc) -> None:
-    """``doc`` as JSON indented by two, with a final newline."""
+    """``doc`` as JSON indented by two, with a final newline.  The text is
+    whole before the file opens: a document that cannot be written as JSON
+    leaves no file, and an existing one as it was."""
+    text = json.dumps(doc, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def csv_body(path, header: tuple[str, ...], error: type[FormatError]) -> str:

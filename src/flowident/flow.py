@@ -406,11 +406,12 @@ def aggregate_table(
             is_complete(flags_fwd | flags_bwd), forward[starts],
         )),
     )
-    place = np.argsort(rank)  # each episode's place in flow order
+    bounds = np.concatenate(([0], np.cumsum(counts[rank])))
+    # Flow j's packets are the sorted run from starts[rank[j]], moved to bounds[j].
     return Aggregation(
         flows=flows,
-        packets=rows[np.argsort(place[episode], kind="stable")],
-        bounds=np.concatenate(([0], np.cumsum(counts[rank]))),
+        packets=rows[np.repeat(starts[rank] - bounds[:-1], counts[rank]) + np.arange(len(rows))],
+        bounds=bounds,
         rejected=len(table) - len(kept),
     )
 

@@ -6,17 +6,19 @@ VLAN-tagged, fragments, ...) are counted and skipped instead of failing the
 whole file.
 
 The reader reads the file in fixed windows, each from the first record not
-yet read.  A walk over the record headers finds each record; NumPy gathers
-then read the header and frame fields of a whole window at once into the
-columns of a :class:`PacketTable`.  The writer packs a table's columns into
-each header layout as a byte matrix and scatters the rows into one zeroed
-file image.
+yet read.  A walk over the record headers finds each record; then one row
+gather through a strided record view of the window copies every record's
+header bytes, and one more its transport ports and flags, and the columns
+of a :class:`PacketTable` are sliced from those byte rows.  The writer packs
+a table's columns into each header layout as a byte matrix and scatters
+the rows through the same kind of view into one zeroed file image.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -52,19 +54,20 @@ _MAX_VALUE = {
     "ts": 2**32 * 1_000_000 - 1, "src_ip": 2**32 - 1, "dst_ip": 2**32 - 1, "src_port": 0xFFFF,
     "dst_port": 0xFFFF, "proto": 0xFF, "length": 0xFFFF, "tcp_flags": 0xFF, "tos": 0xFF,
 }
-_SCATTER_ROWS = 1 << 13  # header rows the writer scatters at once: a 4.5 MiB (rows, 70) index
+_SCATTER_ROWS = 1 << 13  # header rows the writer scatters at once: a 560 KiB (rows, 70) byte block
 
 # Bytes read per window; a record longer than this gets a window of its own.
 _WINDOW = 1 << 21
 # Gathers past a short frame's end land here instead of past the buffer:
-# they reach at most 87 bytes into a frame (TCP flags after a 60-byte IPv4
-# header).
+# they reach at most 104 bytes past a record's start (its header, then the
+# 14 transport bytes up to the TCP flags after a 60-byte IPv4 header).
 _SLACK = 128
-# Byte offsets gathered from each record: its header, the Ethernet and fixed
-# IPv4 headers of its frame, and the ports of the transport header.
-_HEADER_BYTES = np.arange(_RECORD.size)
-_FRAME_BYTES = np.arange(_IP_AT + _IPV4.size)
-_PORT_BYTES = np.arange(4)
+# The bytes gathered from each record's start: its header, and the Ethernet
+# and fixed IPv4 headers of its frame.
+_HEAD = _RECORD.size + _IP_AT + _IPV4.size
+# The bytes gathered from each kept frame's transport header: the ports,
+# and up to the TCP flags byte at offset 13.
+_TRANSPORT = 14
 
 
 class PcapDecodeError(FormatError):
@@ -123,12 +126,13 @@ class PcapReader:
             while True:
                 fh.seek(pos)
                 end = fh.readinto(memoryview(buf)[: len(buf) - _SLACK])
-                offsets, at = [], 0
-                while at + _RECORD.size <= end:
-                    after = at + _RECORD.size + u32(buf, at + 8)[0]
+                offsets, at, last = array("q"), 0, end - _RECORD.size
+                append, header = offsets.append, _RECORD.size
+                while at <= last:
+                    after = at + header + u32(buf, at + 8)[0]
                     if after > end:
                         break
-                    offsets.append(at)
+                    append(at)
                     at = after
                 parts.append(self._decode(buf, offsets, pos))
                 frames += len(offsets)
@@ -150,17 +154,16 @@ class PcapReader:
             f"in the packet header at byte {offset}"
         )
 
-    def _decode(self, buf: bytearray, offsets: list[int], base: int):
+    def _decode(self, buf: bytearray, offsets: array, base: int):
         """The PacketTable columns of the whole records at ``offsets`` in
         ``buf``, which starts at file offset ``base``."""
-        u8 = np.frombuffer(buf, np.uint8)
-        at = np.array(offsets, dtype=np.intp)
-        sec, usec, caplen, _ = u8[at[:, None] + _HEADER_BYTES].view(self._endian + "u4").T
+        at = np.frombuffer(offsets, np.int64)
+        rows = _gather(buf, _HEAD, at)
+        sec, usec, caplen, _ = np.ascontiguousarray(rows[:, : _RECORD.size]).view(self._endian + "u4").T
         late = np.flatnonzero(usec >= 1_000_000)
         if late.size:
             raise self._late_stamp(usec[late[0]], base + offsets[late[0]])
-        frame = at + _RECORD.size
-        head = u8[frame[:, None] + _FRAME_BYTES]
+        head = rows[:, _RECORD.size :]
         ver_ihl, tos, proto = head[:, _IP_AT], head[:, _IP_AT + 1], head[:, _IP_AT + 9]
         ihl = (ver_ihl & 0x0F).astype(np.intp) * 4
         total_length = head[:, _IP_AT + 2].astype(np.uint16) << 8 | head[:, _IP_AT + 3]
@@ -176,13 +179,13 @@ class PcapReader:
             & (caplen >= _IP_AT + ihl + np.where(tcp, 14, 8))
         )
         k = np.flatnonzero(keep)
-        transport = frame[k] + _IP_AT + ihl[k]
+        transport = _gather(buf, _TRANSPORT, at[k] + (_RECORD.size + _IP_AT) + ihl[k])
         src_ip, dst_ip = np.ascontiguousarray(head[k, _IP_AT + 12 :]).view(">u4").astype(np.uint32).T
-        src_port, dst_port = u8[transport[:, None] + _PORT_BYTES].view(">u2").astype(np.uint16).T
+        src_port, dst_port = np.ascontiguousarray(transport[:, :4]).view(">u2").astype(np.uint16).T
         return (
             sec[k].astype(np.int64) * 1_000_000 + usec[k],
             src_ip, dst_ip, src_port, dst_port, proto[k], total_length[k],
-            np.where(tcp[k], u8[transport + 13], 0).astype(np.uint8), tos[k],
+            np.where(tcp[k], transport[:, 13], 0).astype(np.uint8), tos[k],
         )
 
     def _cut(self, buf: bytearray, left: int, offset: int):
@@ -196,6 +199,19 @@ class PcapReader:
         raise PcapDecodeError(
             f"{self.path}: truncated packet data at byte {offset + _RECORD.size}"
         )
+
+
+def _records(buf, width: int) -> np.ndarray:
+    """The ``width`` bytes from each offset of ``buf``, one void item per
+    offset: indexing it with offsets moves whole rows.  ``buf`` holds at
+    least ``width`` bytes."""
+    return np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buffer=buf, strides=(1,))
+
+
+def _gather(buf, width: int, at: np.ndarray) -> np.ndarray:
+    """The ``width`` bytes from each offset ``at`` of ``buf``, as a
+    ``(len(at), width)`` byte matrix."""
+    return _records(buf, width)[at].view(np.uint8).reshape(len(at), width)
 
 
 def read_pcap(path: str | Path) -> list[PacketRecord]:
@@ -257,9 +273,12 @@ def write_pcap(path: str | Path, packets) -> int:
         (udp, pack_rows(_UDP, udp.sum(), c["src_port"][udp], c["dst_port"][udp], length[udp] - 20, 0)),
     )
     for rows, transport in transports:  # no record is shorter than its headers
-        rows, width = np.flatnonzero(rows), np.arange(heads.shape[1] + transport.shape[1])
+        rows = np.flatnonzero(rows)
         for lo in range(0, len(rows), _SCATTER_ROWS):
             at = rows[lo : lo + _SCATTER_ROWS]
-            out[starts[at, None] + width] = np.hstack((heads[at], transport[lo : lo + _SCATTER_ROWS]))
+            block = np.hstack((heads[at], transport[lo : lo + _SCATTER_ROWS]))
+            # Built per block: an empty table's 24-byte image holds no row.
+            items = _records(out, block.shape[1])
+            items[starts[at]] = block.view(items.dtype)[:, 0]
     Path(path).write_bytes(out)
     return n

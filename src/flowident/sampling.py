@@ -228,13 +228,15 @@ def _runs(lengths, ps, seed: int, trials: int):
         unfinished = [g for g in unfinished if read[g] < trials * lengths[g]]
 
 
-def check_trials(trials: int) -> None:
-    """Refuse a trial count that is not an integer in MIN_TRIALS..MAX_TRIALS, before any draw."""
-    check_integer("trials", trials)
+def check_trials(trials: int) -> int:
+    """``trials`` as an int; a trial count that is not an integer in
+    MIN_TRIALS..MAX_TRIALS raises, before any draw."""
+    trials = check_integer("trials", trials)
     if trials < MIN_TRIALS:
         raise ContractError(f"Monte Carlo needs at least {MIN_TRIALS} trials, got {trials}")
     if trials > MAX_TRIALS:
         raise ContractError(f"Monte Carlo takes at most {MAX_TRIALS} trials, got {trials}")
+    return trials
 
 
 def _mc_degradations(table: TraceTable, ps, seed: int, trials: int) -> np.ndarray:
@@ -415,7 +417,7 @@ def build_sampling_report(
     if not ratios:
         raise ContractError("need at least one sampling ratio")
     rates = [sampling_rate(n) for n in ratios]
-    check_trials(trials)
+    trials, seed = check_trials(trials), check_integer("seed", seed)
     dres = _mc_degradations(_table(traces), rates, seed, trials)
     # Along the contiguous flow axis, the mean sums as np.mean does over adre's list.
     means = dres.mean(axis=2)

@@ -20,11 +20,13 @@ DEFAULT_BINS = 10
 _MAX_BINS = 2**63 - 1  # the codes are int64
 
 
-def check_bins(bins: int) -> None:
-    """Refuse a bin count that is not an integer in 2..2**63 - 1, the range of the int64 codes."""
-    check_integer("bins", bins)
+def check_bins(bins: int) -> int:
+    """``bins`` as an int; a bin count that is not an integer in 2..2**63 - 1,
+    the range of the int64 codes, raises."""
+    bins = check_integer("bins", bins)
     if not 2 <= bins <= _MAX_BINS:
         raise ContractError(f"bins must be in 2..{_MAX_BINS}, got {bins}")
+    return bins
 
 
 def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -38,14 +40,14 @@ def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
     values = np.asarray(column, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ContractError("discretize needs a non-empty 1-D column")
-    check_bins(bins)
+    bins = check_bins(bins)
     if not np.all(np.isfinite(values)):
         raise ContractError("column contains non-finite values")
     n = values.size
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     # i * bins // n == i * q + i * r // n, where i * q < bins and i * r < n**2.
-    q, r = divmod(int(bins), n)
+    q, r = divmod(bins, n)
     i = np.arange(n, dtype=np.int64)
     position_codes = i * q + (i * r) // n
     # Each element takes the code of its tie group's first sorted position.
@@ -120,6 +122,7 @@ def fcbf_select(ds: Dataset, delta: float = 0.0, bins: int = DEFAULT_BINS) -> Se
     label); otherwise it is retained.  ``selected`` preserves rank order.
     """
     check_finite("delta", delta)
+    bins = check_bins(bins)
     if (ds.codes < 0).any():
         raise ContractError("selection needs a fully labeled dataset")
     if not len(ds):

@@ -16,6 +16,7 @@ These tools live here:
 * the flow layer's two former accumulators: the per-packet episode with
   explicit SYN/FIN/close state, and the pairwise merge of reciprocal
   export records;
+* the stable argsort that put an aggregation's packets in flow order;
 * the per-record NetFlow v5 decoder and its datagram-by-datagram file
   walk, the references for the columnar NetFlow reader, and the
   per-record ``struct`` encoder, the reference for the columnar one;
@@ -725,6 +726,18 @@ def aggregate_oracle(packets, inactive_timeout: float, active_timeout: float):
     done.extend(open_episodes.values())
     done.sort(key=lambda e: (e.first_ts, e.key.sort_tuple()))
     return [e.to_record() for e in done], [e.packets for e in done], accepted, rejected
+
+
+def flow_order_packets_oracle(rows, counts, first_ts) -> np.ndarray:
+    """``Aggregation.packets`` by a stable argsort over each packet's episode.
+
+    ``rows`` are the accepted table rows as :func:`aggregate_table` sorts
+    them, keys in order and each key's rows in arrival order, cut into
+    episodes of ``counts`` rows whose first stamps are ``first_ts``.  Flow
+    order is start time, ties by position in ``rows``."""
+    episode = np.repeat(np.arange(len(counts)), counts)
+    place = np.argsort(np.argsort(first_ts, kind="stable"))  # each episode's place in flow order
+    return np.asarray(rows, dtype=np.int64)[np.argsort(place[episode], kind="stable")]
 
 
 def traces_oracle(packets, inactive_timeout: float, active_timeout: float):

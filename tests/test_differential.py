@@ -29,6 +29,7 @@ bytes of the ``struct`` writer.
 import copy
 import csv
 from collections import Counter
+from dataclasses import replace
 import io
 import json
 import re
@@ -74,6 +75,7 @@ from flowident.features import (
     write_dataset,
 )
 from flowident.flow import (
+    REORDER_TOLERANCE_US,
     TCP_ACK,
     TCP_FIN,
     TCP_RST,
@@ -115,6 +117,7 @@ from helpers import (
     assign_folds_oracle,
     bernoulli_sample,
     build_frame_oracle,
+    canonical_endpoints,
     check_trace_oracle,
     confusion_oracle,
     dre_oracle,
@@ -122,6 +125,7 @@ from helpers import (
     estimate,
     eth_ipv4_frame,
     featurize_oracle,
+    flow_order_packets_oracle,
     generate_packets_oracle,
     ip,
     json_paths,
@@ -514,6 +518,43 @@ def test_aggregate_equals_the_per_packet_oracle(packets, inactive, active):
     assert (len(table.packets), table.rejected) == (accepted, rejected)
 
 
+@st.composite
+def streams_with_rejects_and_reopened_keys(draw):
+    """A packet stream, then a copy of one of its packets more than the
+    reorder tolerance behind its latest stamp (rejected), then its first
+    packet's key again past every test timeout (that key's next episode),
+    then perhaps a second stream after that."""
+    head = draw(packet_streams())
+    latest = max(pkt.ts for pkt in head)
+    late = replace(draw(st.sampled_from(head)),
+                   ts=latest - REORDER_TOLERANCE_US - draw(st.integers(1, 1_000_000)))
+    again = replace(head[0], ts=latest + 2_000_000_000)
+    tail = draw(st.one_of(st.just([]), packet_streams()))
+    return head + [late, again] + [replace(pkt, ts=pkt.ts + again.ts) for pkt in tail]
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams_with_rejects_and_reopened_keys(), st.sampled_from([1.0, 2.5, 15.0]),
+       st.sampled_from([3.0, 6.0, 1800.0]))
+def test_aggregate_packets_equal_the_argsort_order(packets, inactive, active):
+    """Each episode's table rows, episodes in flow order, are where the
+    stable argsort over the key-sorted rows puts them."""
+    _, episodes, _, rejected = aggregate_oracle(packets, inactive, active)
+    row = {id(pkt): i for i, pkt in enumerate(packets)}
+    episodes = [[row[id(pkt)] for pkt in episode] for episode in episodes]
+    key = [canonical_endpoints(p.src_ip, p.src_port, p.dst_ip, p.dst_port, p.proto)[0].sort_tuple()
+           for p in packets]
+    assert rejected > 0 and len({key[rows[0]] for rows in episodes}) < len(episodes)
+    # The rows as aggregate_table sorts them: by key, each key's in arrival order.
+    layout = sorted(episodes, key=lambda rows: (key[rows[0]], rows[0]))
+    want = flow_order_packets_oracle([i for rows in layout for i in rows], [len(rows) for rows in layout],
+                                     [min(packets[i].ts for i in rows) for rows in layout])
+    agg = aggregate_table(PacketTable.from_records(packets), inactive, active)
+    assert agg.packets.tolist() == want.tolist()
+    assert np.diff(agg.bounds).tolist() == [len(rows) for rows in episodes]
+    assert agg.rejected == rejected
+
+
 @settings(max_examples=200, deadline=None)
 @given(packet_streams(), st.sampled_from([1.0, 2.5, 15.0]), st.sampled_from([3.0, 6.0, 1800.0]))
 def test_traces_from_packets_equals_the_per_episode_grouping(packets, inactive, active):
@@ -808,6 +849,41 @@ def test_reader_equals_the_per_record_walk(data, window):
     """Same packets and counts, or the same error at the same byte offset,
     whether a read window holds the whole file or less than one record."""
     assert read_capture(data, window) == walk_capture(data)
+
+
+def tcp_behind_the_longest_ip_header(cut: int | None = None) -> bytes:
+    """A TCP frame behind a 60-byte IPv4 header (IHL 15), perhaps cut to
+    ``cut`` bytes: the reader's transport gather reaches furthest into it."""
+    options = bytes(range(1, 41))
+    tcp = (4321).to_bytes(2, "big") + (443).to_bytes(2, "big") + bytes(9) + bytes([TCP_SYN | TCP_ACK]) + bytes(6)
+    return eth_ipv4_frame(ver_ihl=0x4F, total_length=80, transport=options + tcp)[:cut]
+
+
+# Records whose gathers reach furthest: past the record's start (TCP flags
+# after a 60-byte IPv4 header, the frame whole or cut just after them), and
+# past the frame's end (a 42-byte UDP frame, 6 bytes short of the 14
+# transport bytes gathered).
+FAR_REACHING_FRAMES = {
+    "tcp_ihl15": tcp_behind_the_longest_ip_header(),
+    "tcp_ihl15_cut_after_flags": tcp_behind_the_longest_ip_header(cut=14 + 60 + 14),
+    "udp_42_bytes": eth_ipv4_frame(proto=17, sport=53, dport=5353, total_length=28),
+}
+
+
+@pytest.mark.parametrize("endian", "<>")
+@pytest.mark.parametrize("frame", FAR_REACHING_FRAMES.values(), ids=FAR_REACHING_FRAMES)
+def test_reader_equals_the_walk_on_a_far_reaching_record_last(frame, endian):
+    """The record last in the file, with the file in one window, in a window
+    that ends with it, and then with a record after it in the next window."""
+    lead = eth_ipv4_frame(flags=TCP_SYN)
+    assert len(frame) in (42, 88, 94)
+    alone = pcap_file([(1_000_000, lead), (2_000_000, frame)], endian)
+    followed = pcap_file([(1_000_000, lead), (2_000_000, frame), (3_000_000, lead)], endian)
+    through = len(alone) - 24  # the bytes up to the end of ``frame``
+    for data, window in ((alone, None), (alone, through), (followed, through)):
+        got = read_capture(data, window)
+        assert got == walk_capture(data)
+        assert got[2] == 0  # every frame kept
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 """Confusion tallies, derived rates, and stratified cross-validation."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import astuple
@@ -237,6 +238,16 @@ def test_fold_count_must_be_an_integer(k):
     with pytest.raises(ContractError, match=f"k must be an integer, got {k!r}"):
         kfold_cv(ds, nearest_mean_pipeline, k=k, seed=0)
     assert len(assign_folds(labels, np.int64(3), seed=0)) == 12
+
+
+def test_numpy_fold_count_and_seed_are_reported_as_ints():
+    """The report holds k and the seed as Python ints, so it can be written as JSON."""
+    ds = constant_column_dataset(per_class=10)
+    report = kfold_cv(ds, nearest_mean_pipeline, k=np.int64(5), seed=np.int64(3))
+    assert (type(report.k), type(report.seed)) == (int, int)
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert (doc["k"], doc["seed"]) == (5, 3)
+    assert report.to_json_dict() == kfold_cv(ds, nearest_mean_pipeline, k=5, seed=3).to_json_dict()
 
 
 # ------------------------------------------------------------------ full CV

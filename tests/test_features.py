@@ -18,6 +18,7 @@ from flowident.features import (
     feature_name,
     featurize,
     read_dataset,
+    validate_feature_ids,
     write_dataset,
 )
 from flowident.flow import FlowKey, FlowRecord, Proto, aggregate
@@ -134,6 +135,15 @@ def test_feature_ids_and_names():
     for bad in (0, 17, -3):
         with pytest.raises(ContractError, match="feature id"):
             feature_name(bad)
+
+
+@pytest.mark.parametrize("fid", [True, np.True_, 3.0, np.float64(3.0), "3"])
+def test_a_feature_id_must_be_an_integer(fid):
+    """The integer rule of the library's other counts: NumPy integers pass, bools and floats do not."""
+    with pytest.raises(ContractError, match=re.escape(f"feature id {fid!r} is not an integer")):
+        validate_feature_ids([1, fid])
+    ids = validate_feature_ids([np.int64(3), np.uint8(16), 1])
+    assert ids == (3, 16, 1) and all(type(fid) is int for fid in ids)
 
 
 def test_vector_constructors_and_label():

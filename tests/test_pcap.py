@@ -7,6 +7,7 @@ import pytest
 
 from flowident.errors import ContractError
 from flowident.flow import PacketRecord, PacketTable, Proto
+from flowident.ingest import pcap
 from flowident.ingest.pcap import (
     PcapDecodeError,
     PcapReader,
@@ -233,3 +234,11 @@ def test_packet_record_refuses_a_length_past_the_ipv4_field():
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pcap(tmp_path / "does-not-exist.pcap")
+
+
+def test_slack_covers_the_furthest_gather():
+    """No gather reads further past a record's start than the TCP flags
+    behind a 60-byte IPv4 header, and a window's slack holds that much."""
+    furthest = pcap._RECORD.size + pcap._IP_AT + 60 + pcap._TRANSPORT
+    assert furthest == 16 + 14 + 60 + 14 == 104 <= pcap._SLACK
+    assert pcap._HEAD <= furthest

@@ -367,6 +367,15 @@ def test_trial_count_must_be_an_integer(count_generators, trials):
     assert build_sampling_report([uniform_trace(10)], [8], trials=np.int64(MIN_TRIALS)).rows
 
 
+def test_numpy_seed_and_trial_count_are_reported_as_ints():
+    """The report holds the seed and trial count as Python ints, so it can be written as JSON."""
+    report = build_sampling_report([uniform_trace(10)], [8], seed=np.int64(4), trials=np.int64(MIN_TRIALS))
+    assert (type(report.seed), type(report.trials)) == (int, int)
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert (doc["seed"], doc["trials"]) == (4, MIN_TRIALS)
+    assert report == build_sampling_report([uniform_trace(10)], [8], seed=4, trials=MIN_TRIALS)
+
+
 def test_dre_is_deterministic_per_seed():
     trace = make_trace(np.arange(40, 140))
     a = dre(Metric.SIZE, trace, SamplingConfig(1 / 8, seed=11), trials=1500)

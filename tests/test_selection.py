@@ -1,5 +1,6 @@
 """Equal-frequency discretization, symmetrical uncertainty, and the filter."""
 
+import json
 import random
 
 import numpy as np
@@ -80,6 +81,14 @@ def test_bin_count_must_be_an_integer(bins):
     with pytest.raises(ContractError, match=f"bins must be an integer, got {bins!r}"):
         fcbf_select(ds, bins=bins)
     assert discretize([1.0, 2.0, 3.0, 4.0], np.int64(2)).tolist() == [0, 0, 1, 1]
+
+
+def test_a_numpy_bin_count_is_reported_as_an_int():
+    """The report holds the count as a Python int, so it can be written as JSON."""
+    ds, _ = planted_dataset()
+    result = fcbf_select(ds, bins=np.int64(10))
+    assert type(result.bins) is int
+    assert json.loads(json.dumps(result.to_json_dict()))["params"]["bins"] == 10
 
 
 # --------------------------------------------------- symmetrical uncertainty
