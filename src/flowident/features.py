@@ -262,12 +262,19 @@ def _csv_cells(values) -> list[str]:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Write a dataset CSV; numbers carry 9 significant digits."""
-    row = ",".join(["%.9g"] * NUM_FEATURES) + ",%s\r\n"
+    data = ds.data
+    # A column of integral values below 1e9 in magnitude, none of them -0.0,
+    # prints the same with %d as with %.9g, and faster as Python ints.
+    whole = ((data == np.trunc(data)) & (np.abs(data) < 1e9)
+             & ~((data == 0) & np.signbit(data))).all(axis=0)
+    row = ",".join("%d" if w else "%.9g" for w in whole) + ",%s\r\n"
+    columns = [col.astype(np.int64).tolist() if w else col.tolist()
+               for col, w in zip(data.T, whole)]
     labels = _csv_cells(ds.alphabet + ("",))  # code -1, unlabeled, reads the last
+    columns.append([labels[code] for code in ds.codes.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(_CSV_HEADER)
-        fh.writelines(row % (*values, labels[code])
-                      for values, code in zip(ds.data.tolist(), ds.codes.tolist()))
+        fh.writelines(row % cells for cells in zip(*columns))
 
 
 _ROW = np.dtype([("values", np.float64, (NUM_FEATURES,)), ("label", object)])

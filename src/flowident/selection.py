@@ -5,11 +5,16 @@ redundancy are both measured with symmetrical uncertainty
 SU(X, Y) = 2 * I(X; Y) / (H(X) + H(Y)) in bits, and a fast filter keeps a
 feature only while no better-ranked retained feature is at least as
 predictive of it as the class labels are.
+
+The filter bins, ranks and scores each feature once: one stable sort per
+column gives its codes, their dense ranks and the partition's entropy, so
+each SU it asks for is one joint bincount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,30 @@ def check_bins(bins: int) -> int:
     return bins
 
 
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a sorted key differs from the one before it, and at 0."""
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
+def _sorted_codes(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of a finite float64 column and the bin codes of
+    its values in that order."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    # i * bins // n == i * q + i * r // n, where i * q < bins and i * r < n**2.
+    q, r = divmod(bins, n)
+    i = np.arange(n, dtype=np.int64)
+    position_codes = i * q + (i * r) // n
+    # Each element takes the code of its tie group's first sorted position,
+    # the largest such code so far, as codes never fall along the sort.
+    first_in_group = _run_starts(sorted_vals)
+    return order, np.maximum.accumulate(np.where(first_in_group, position_codes, 0))
+
+
 def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Equal-frequency bin codes for one numeric column.
 
@@ -43,23 +72,49 @@ def discretize(column, bins: int = DEFAULT_BINS) -> np.ndarray:
     bins = check_bins(bins)
     if not np.all(np.isfinite(values)):
         raise ContractError("column contains non-finite values")
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    # i * bins // n == i * q + i * r // n, where i * q < bins and i * r < n**2.
-    q, r = divmod(bins, n)
-    i = np.arange(n, dtype=np.int64)
-    position_codes = i * q + (i * r) // n
-    # Each element takes the code of its tie group's first sorted position.
-    first_in_group = np.searchsorted(sorted_vals, sorted_vals, side="left")
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = position_codes[first_in_group]
+    order, sorted_codes = _sorted_codes(values, bins)
+    codes = np.empty(values.size, dtype=np.int64)
+    codes[order] = sorted_codes
     return codes
 
 
 def _entropy(counts: np.ndarray) -> float:
     probs = counts[counts > 0] / counts.sum()
     return float(-(probs * np.log2(probs)).sum())
+
+
+class _Partition(NamedTuple):
+    """Rows grouped by equal value: each row's dense rank among the distinct
+    values, the number of distinct values, and the partition's entropy."""
+
+    ranks: np.ndarray
+    size: int
+    entropy: float
+
+
+def _partition(order: np.ndarray, sorted_keys: np.ndarray) -> _Partition:
+    """The partition of the rows whose keys, taken in ``order``, are the
+    non-decreasing ``sorted_keys``."""
+    starts = _run_starts(sorted_keys)
+    ranks = np.empty(sorted_keys.size, dtype=np.intp)
+    ranks[order] = np.cumsum(starts) - 1
+    counts = np.diff(np.append(np.flatnonzero(starts), sorted_keys.size))
+    return _Partition(ranks, counts.size, _entropy(counts))
+
+
+def _densify(keys: np.ndarray) -> _Partition:
+    """The partition of rows by equal key, in sorted key order."""
+    order = np.argsort(keys, kind="stable")
+    return _partition(order, keys[order])
+
+
+def _su(x: _Partition, y: _Partition) -> float:
+    """SU of two partitions, from their entropies and one joint bincount."""
+    if x.entropy + y.entropy == 0.0:
+        return 0.0
+    hxy = _entropy(np.bincount(x.ranks * y.size + y.ranks))
+    su = 2.0 * (x.entropy + y.entropy - hxy) / (x.entropy + y.entropy)
+    return min(1.0, max(0.0, su))
 
 
 def symmetrical_uncertainty(x, y) -> float:
@@ -70,17 +125,9 @@ def symmetrical_uncertainty(x, y) -> float:
         raise ContractError("symmetrical_uncertainty needs two equal-length vectors")
     if x.size == 0:
         raise ContractError("empty input")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    nx = int(xi.max()) + 1
-    ny = int(yi.max()) + 1
-    hx = _entropy(np.bincount(xi, minlength=nx))
-    hy = _entropy(np.bincount(yi, minlength=ny))
-    if hx + hy == 0.0:
-        return 0.0
-    hxy = _entropy(np.bincount(xi * ny + yi, minlength=nx * ny))
-    su = 2.0 * (hx + hy - hxy) / (hx + hy)
-    return min(1.0, max(0.0, su))
+    if any(v.dtype.kind in "fc" and not np.isfinite(v).all() for v in (x, y)):
+        raise ContractError("symmetrical_uncertainty got non-finite values")
+    return _su(_densify(x), _densify(y))
 
 
 @dataclass(frozen=True)
@@ -127,20 +174,19 @@ def fcbf_select(ds: Dataset, delta: float = 0.0, bins: int = DEFAULT_BINS) -> Se
         raise ContractError("selection needs a fully labeled dataset")
     if not len(ds):
         raise ContractError("selection needs a non-empty dataset")
-    if len(np.unique(ds.codes)) < 2:
-        raise DegenerateDatasetError("selection needs at least two classes")
-
     # Label codes renumbered in sorted label order, whatever the alphabet's order.
     by_name = sorted(range(len(ds.alphabet)), key=ds.alphabet.__getitem__)
-    label_codes = np.argsort(by_name)[ds.codes]
+    label = _densify(np.argsort(by_name)[ds.codes])
+    if label.size < 2:
+        raise DegenerateDatasetError("selection needs at least two classes")
     data = ds.matrix()
-    codes = {
-        fid: discretize(data[:, fid - 1], bins) for fid in range(1, NUM_FEATURES + 1)
-    }
-    su_label = {
-        fid: symmetrical_uncertainty(codes[fid], label_codes)
-        for fid in range(1, NUM_FEATURES + 1)
-    }
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=0))
+    if bad.size:
+        fid = int(bad[0]) + 1
+        raise ContractError(f"feature {fid} ({feature_name(fid)}): column contains non-finite values")
+    features = {fid: _partition(*_sorted_codes(data[:, fid - 1], bins))
+                for fid in range(1, NUM_FEATURES + 1)}
+    su_label = {fid: _su(features[fid], label) for fid in range(1, NUM_FEATURES + 1)}
 
     ranked = sorted(su_label, key=lambda fid: (-su_label[fid], fid))
     selected: list[int] = []
@@ -151,7 +197,7 @@ def fcbf_select(ds: Dataset, delta: float = 0.0, bins: int = DEFAULT_BINS) -> Se
             continue
         peer = None
         for kept in selected:
-            if symmetrical_uncertainty(codes[kept], codes[fid]) >= su_label[fid]:
+            if _su(features[kept], features[fid]) >= su_label[fid]:
                 peer = kept
                 break
         if peer is None:

@@ -32,8 +32,12 @@ These tools live here:
   sums and windows;
 * the per-flow ingest tail that the columnar one replaced: the per-record
   feature formulas, the ``ipaddress`` label parser with one ``FlowKey`` per
-  line, the per-cell dataset writer and the per-row, per-cell ``float()``
+  line, the per-cell dataset writer, the writer that formatted every row
+  with one ``%.9g`` row format, and the per-row, per-cell ``float()``
   dataset reader;
+* the feature filter that binned each column with a binary search for its
+  tie groups and, in every SU call, densified both code vectors with
+  ``np.unique`` and counted both marginal entropies again;
 * the rows of a loaded label file, as ``LabelRow``s;
 * a sorted packet list as one sampling trace, and the per-flow trace rules
   that ``TraceTable`` checks for every flow at once;
@@ -56,8 +60,8 @@ from pathlib import Path
 import numpy as np
 
 from flowident.classifier import VARIANCE_FLOOR, ClassifierModel
-from flowident.errors import ContractError, FormatError
-from flowident.features import FEATURE_NAMES, NUM_FEATURES, Dataset, SchemaError
+from flowident.errors import ContractError, DegenerateDatasetError, FormatError
+from flowident.features import FEATURE_NAMES, NUM_FEATURES, Dataset, SchemaError, _csv_cells
 from flowident.files import csv_rows
 from flowident.flow import (
     REORDER_TOLERANCE_US,
@@ -76,6 +80,7 @@ from flowident.ingest.labels import LabelFileError, LabelRow
 from flowident.ingest.netflow import EncodingError, MalformedDatagramError, UnsupportedVersionError
 from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
+from flowident.selection import RemovedFeature, SelectionResult, check_bins
 from flowident.synth import (
     _BASE_EPOCH_US,
     _MAX_COUNT,
@@ -385,6 +390,72 @@ def discretize_oracle(values, bins: int) -> list[int]:
     for rank, i in enumerate(order):
         first_pos.setdefault(values[i], rank)
     return [(first_pos[values[i]] * bins) // n for i in range(n)]
+
+
+def _discretize_searchsorted(values: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-frequency bin codes, each tie group's found by binary search."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    q, r = divmod(bins, n)
+    i = np.arange(n, dtype=np.int64)
+    position_codes = i * q + (i * r) // n
+    first_in_group = np.searchsorted(sorted_vals, sorted_vals, side="left")
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = position_codes[first_in_group]
+    return codes
+
+
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    probs = counts[counts > 0] / counts.sum()
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def su_unique_oracle(x, y) -> float:
+    """SU of two code vectors, both densified by ``np.unique`` and both
+    marginal entropies counted again on every call."""
+    _, xi = np.unique(x, return_inverse=True)
+    _, yi = np.unique(y, return_inverse=True)
+    nx = int(xi.max()) + 1
+    ny = int(yi.max()) + 1
+    hx = _entropy_of_counts(np.bincount(xi, minlength=nx))
+    hy = _entropy_of_counts(np.bincount(yi, minlength=ny))
+    if hx + hy == 0.0:
+        return 0.0
+    hxy = _entropy_of_counts(np.bincount(xi * ny + yi, minlength=nx * ny))
+    su = 2.0 * (hx + hy - hxy) / (hx + hy)
+    return min(1.0, max(0.0, su))
+
+
+def fcbf_select_oracle(ds, delta: float, bins: int) -> SelectionResult:
+    """The fast correlation-based filter with one ``np.unique`` SU per pair."""
+    bins = check_bins(bins)
+    if (ds.codes < 0).any():
+        raise ContractError("selection needs a fully labeled dataset")
+    if not len(ds):
+        raise ContractError("selection needs a non-empty dataset")
+    if len(np.unique(ds.codes)) < 2:
+        raise DegenerateDatasetError("selection needs at least two classes")
+    by_name = sorted(range(len(ds.alphabet)), key=ds.alphabet.__getitem__)
+    label_codes = np.argsort(by_name)[ds.codes]
+    codes = {fid: _discretize_searchsorted(ds.data[:, fid - 1], bins)
+             for fid in range(1, NUM_FEATURES + 1)}
+    su_label = {fid: su_unique_oracle(codes[fid], label_codes)
+                for fid in range(1, NUM_FEATURES + 1)}
+    ranked = sorted(su_label, key=lambda fid: (-su_label[fid], fid))
+    selected: list[int] = []
+    removed: list[RemovedFeature] = []
+    for fid in ranked:
+        if su_label[fid] < delta:
+            removed.append(RemovedFeature(fid, None))
+            continue
+        peer = next((kept for kept in selected
+                     if su_unique_oracle(codes[kept], codes[fid]) >= su_label[fid]), None)
+        if peer is None:
+            selected.append(fid)
+        else:
+            removed.append(RemovedFeature(fid, peer))
+    return SelectionResult(tuple(selected), tuple(removed), su_label, delta, bins)
 
 
 def confusion_oracle(predicted, truth, target) -> tuple[int, int, int, int]:
@@ -1001,6 +1072,16 @@ def write_dataset_oracle(ds, path) -> None:
         writer.writerow(FEATURE_NAMES + ("label",))
         for values, label in zip(ds.data.tolist(), ds.labels()):
             writer.writerow([f"{v:.9g}" for v in values] + [label or ""])
+
+
+def write_dataset_rows_oracle(ds, path) -> None:
+    """A dataset CSV written one ``%.9g`` row format per row, every cell a float."""
+    row = ",".join(["%.9g"] * NUM_FEATURES) + ",%s\r\n"
+    labels = _csv_cells(ds.alphabet + ("",))  # code -1, unlabeled, reads the last
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(FEATURE_NAMES + ("label",))
+        fh.writelines(row % (*values, labels[code])
+                      for values, code in zip(ds.data.tolist(), ds.codes.tolist()))
 
 
 _CSV_HEADER = FEATURE_NAMES + ("label",)

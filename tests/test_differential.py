@@ -19,11 +19,13 @@ report that drew once per (ratio, flow).  The model loader, fed saved documents
 with a few values replaced or keys deleted, must load a model that predicts
 or raise ModelFormatError.  The columnar ingest tail must give exactly what
 the per-flow one gave: the feature matrix the per-record formulas' bits, the
-dataset writer the per-cell writer's bytes, and the label reader, on valid
+dataset writer the per-cell and per-row writers' bytes, and the label reader, on valid
 and damaged label files, the rows and lookups or the error message of the
 ``ipaddress`` parser.  The columnar generator must draw the records and
 labels of the per-packet one, and the columnar pcap writer must write the
-bytes of the ``struct`` writer.
+bytes of the ``struct`` writer.  The feature filter, binning and ranking each
+feature once, must write the selection document of the filter that ran
+``np.unique`` in every SU call.
 """
 
 import copy
@@ -111,6 +113,7 @@ from flowident.sampling import (
     simulate_estimates,
     traces_from_packets,
 )
+from flowident.selection import fcbf_select
 from flowident.synth import generate_dataset, generate_packets, parse_synth_spec
 from helpers import (
     aggregate_oracle,
@@ -124,6 +127,7 @@ from helpers import (
     encode_netflow_oracle,
     estimate,
     eth_ipv4_frame,
+    fcbf_select_oracle,
     featurize_oracle,
     flow_order_packets_oracle,
     generate_packets_oracle,
@@ -153,6 +157,7 @@ from helpers import (
     train_oracle,
     update_oracle,
     write_dataset_oracle,
+    write_dataset_rows_oracle,
     write_pcap_oracle,
 )
 
@@ -1189,6 +1194,86 @@ def test_write_dataset_equals_the_per_cell_writer(alphabet, rows):
         write_dataset(ds, got)
         write_dataset_oracle(ds, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Values at the edges of the writer's %d columns: signed zero, the integers
+# either side of 1e9 in magnitude, 2**53, a fraction and the non-finite values.
+EDGE_CELLS = (-0.0, 0.0, 999999999.0, -999999999.0, 1e9, -1e9, 2.0**53, 0.5,
+              float("inf"), float("nan"))
+EDGE_ROW = list(EDGE_CELLS) + [7.0] * (16 - len(EDGE_CELLS))
+# Columns of integers, of integers beside edge values, or of any cells.
+COLUMN_CELLS = st.sampled_from((
+    st.integers(-10**9 - 2, 10**9 + 2).map(float),
+    st.integers(-3, 3).map(float) | st.sampled_from(EDGE_CELLS),
+    CELL_VALUES | st.sampled_from(EDGE_CELLS),
+))
+
+
+@st.composite
+def written_datasets(draw):
+    n = draw(st.integers(0, 8))
+    alphabet = draw(st.lists(LABELS, max_size=3, unique=True))
+    columns = [draw(st.lists(draw(COLUMN_CELLS), min_size=n, max_size=n)) for _ in range(16)]
+    codes = draw(st.lists(st.integers(-1, len(alphabet) - 1), min_size=n, max_size=n))
+    return Dataset.from_arrays(np.array(columns).T.reshape(n, 16), codes, alphabet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_datasets())
+@example(Dataset.from_arrays([EDGE_ROW, [1.0] * 16], [0, -1], ("a",)))
+@example(Dataset.from_arrays([EDGE_ROW], [0], ("a",)))
+def test_write_dataset_equals_the_per_row_writer(ds):
+    """Columns written with %d give the bytes of %.9g for every cell."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_dataset(ds, got)
+        write_dataset_rows_oracle(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# Columns of ties with signed zeros, of small integers, or of any finite floats.
+SELECTION_CELLS = st.sampled_from((
+    st.sampled_from((-0.0, 0.0, 1.0, 2.5)),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+))
+
+
+@st.composite
+def selection_cases(draw):
+    """A dataset over an alphabet in drawn order, some labels maybe unused,
+    with constant and tied columns, and a delta and bin count."""
+    n = draw(st.integers(1, 30))
+    alphabet = draw(st.lists(st.sampled_from("zyxcba"), min_size=1, max_size=5, unique=True))
+    codes = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=n, max_size=n))
+    columns = []
+    for _ in range(16):
+        cells = draw(SELECTION_CELLS)
+        columns.append([draw(cells)] * n if draw(st.booleans())
+                       else draw(st.lists(cells, min_size=n, max_size=n)))
+    ds = Dataset.from_arrays(np.array(columns).T, codes, alphabet)
+    bins = draw(st.sampled_from((2, 3, 10, n - 1, n, n + 1, 2**63 - 1)))
+    return ds, draw(st.sampled_from((-1, 0, 0.05, 0.2, 1))), bins
+
+
+def selection_outcome(select, ds, delta, bins):
+    """The selection document as JSON text, or the error's type and message."""
+    try:
+        return json.dumps(select(ds, delta, bins).to_json_dict())
+    except ContractError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+@example((Dataset.from_arrays([[-0.0] * 16, [0.0] * 16, [1.0] * 16, [0.0] * 8 + [2.0] * 8],
+                              [2, 0, 2, 0], ("z", "unused", "a")), 0, 3))
+def test_fcbf_select_equals_the_filter_with_unique_in_every_su(case):
+    """Binned, ranked and scored once per feature, the filter writes the same
+    document as one np.unique per SU call, bit for bit."""
+    ds, delta, bins = case
+    assert (selection_outcome(fcbf_select, ds, delta, bins)
+            == selection_outcome(fcbf_select_oracle, ds, delta, bins))
 
 
 # Finite numbers as the writer prints them (%.9g), as repr prints them, and

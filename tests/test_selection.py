@@ -135,6 +135,15 @@ def test_su_validation():
         symmetrical_uncertainty([], [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_su_refuses_non_finite_values(bad):
+    """NaNs are not one cell of the partition, nor are infinities codes."""
+    with pytest.raises(ContractError, match="non-finite"):
+        symmetrical_uncertainty(np.array([bad, 1.0, bad]), np.array([0, 1, 2]))
+    with pytest.raises(ContractError, match="non-finite"):
+        symmetrical_uncertainty(np.array([0, 1, 2]), np.array([1.0, bad, 2.0]))
+
+
 # ------------------------------------------------------------------ selector
 
 def make_dataset(columns, labels, alphabet=None):
@@ -302,6 +311,17 @@ def test_selection_validation():
         fcbf_select(Dataset.from_vectors([labeled, FeatureVector.from_values(values)]))
     with pytest.raises(DegenerateDatasetError, match="two classes"):
         fcbf_select(Dataset.from_vectors([labeled, labeled]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_selection_names_the_feature_with_a_non_finite_value(bad):
+    ds, _ = planted_dataset()
+    data = ds.data.copy()
+    data[5, 6] = bad
+    broken = Dataset.from_arrays(data, ds.codes, ds.alphabet)
+    with pytest.raises(ContractError,
+                       match=r"^feature 7 \(pps\): column contains non-finite values$"):
+        fcbf_select(broken)
 
 
 def test_removed_feature_is_frozen():
