@@ -54,7 +54,9 @@ _PROTOS = {int(proto): proto for proto in Proto}
 
 
 def ip_to_str(ip: int) -> str:
-    return str(ipaddress.IPv4Address(ip))
+    if not 0 <= ip <= _U32:
+        raise ValueError(f"{ip!r} is not an IPv4 address: it is outside 0..2**32-1")
+    return f"{ip >> 24}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
 
 
 def str_to_ip(text: str) -> int:

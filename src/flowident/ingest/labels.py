@@ -110,15 +110,9 @@ def write_labels(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        for row in rows:
-            key = row.key
-            writer.writerow(
-                (
-                    ip_to_str(key.ip_lo), key.port_lo,
-                    ip_to_str(key.ip_hi), key.port_hi,
-                    key.proto.name, row.first_ts, row.label,
-                )
-            )
+        writer.writerows((ip_to_str(row.key.ip_lo), row.key.port_lo, ip_to_str(row.key.ip_hi),
+                          row.key.port_hi, row.key.proto.name, row.first_ts, row.label)
+                         for row in rows)
 
 
 __all__ = ["HEADER", "LabelFile", "LabelFileError", "LabelRow", "load_labels", "write_labels"]

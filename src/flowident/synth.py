@@ -5,6 +5,9 @@ Gaussians for generating feature datasets directly, and packet-level
 distributions (packet count, packet size, inter-arrival time) for
 generating whole captures.  Everything is driven by one seed, so a spec
 generates identical bytes on every run.
+
+A capture is made in two phases: a loop over the flows that only draws,
+then one pass over the whole capture that builds its columns and labels.
 """
 
 from __future__ import annotations
@@ -145,6 +148,8 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
             raise FormatError(f"{context}: a class must be an object, got {cls!r}")
         if "label" not in cls or "flows" not in cls:
             raise FormatError(f"{context}: needs 'label' and 'flows'")
+        if not isinstance(cls["label"], str) or not cls["label"]:
+            raise FormatError(f"{context}: label must be a non-empty string")
         flows = _integer(cls["flows"], f"{context}: flows", 1)
         proto_name = str(cls.get("proto", "udp")).upper()
         if proto_name not in ("TCP", "UDP"):
@@ -180,7 +185,7 @@ def parse_synth_spec(doc: dict) -> SynthSpec:
                               f"the spec past its budget of {_MAX_DRAWS} draws")
         classes.append(
             ClassSpec(
-                label=str(cls["label"]),
+                label=cls["label"],
                 flows=flows,
                 proto=Proto[proto_name],
                 server_port=_integer(cls.get("server_port", 9000),
@@ -231,68 +236,92 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     return Dataset.from_arrays(np.vstack(blocks), np.concatenate(codes), alphabet)
 
 
-def _flow_flags(forward: np.ndarray) -> np.ndarray:
-    """The TCP flags of one flow whose first packet travels forward: the
-    client's SYN, the server's SYN-ACK on its first packet, a FIN-ACK on
-    each side's last packet after those, and ACK on the rest."""
-    flags = np.full(len(forward), TCP_ACK, dtype=np.uint8)
-    fwd, bwd = np.flatnonzero(forward), np.flatnonzero(~forward)
-    flags[fwd[-1]] = TCP_FIN | TCP_ACK
-    flags[0] = TCP_SYN
-    if bwd.size:
-        flags[bwd[-1]] = TCP_FIN | TCP_ACK
-        flags[bwd[0]] = TCP_SYN | TCP_ACK
-    return flags
-
-
 def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
     """Generate a time-ordered capture and the matching flow labels.
 
     Each flow is one client talking to its class's server; its first packet
-    travels from the client.  The flows are drawn one after another and
-    merged by time with a stable sort.
+    travels from the client.  A loop over the flows only draws (count,
+    sizes, gaps, start, directions) and refuses a count as it draws it; one
+    pass over the capture then checks the stamps against pcap's 32-bit
+    seconds and builds the columns and labels, merged by a stable sort on
+    time.  The first error in draw order is the one raised.
     """
     rng = np.random.default_rng(spec.seed)
-    parts: list[tuple[np.ndarray, ...]] = []  # each flow's PacketTable columns
-    labels: list[LabelRow] = []
-    serial = drawn_packets = 0
-    for cls_idx, cls in enumerate(spec.classes):
-        if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
-            raise ContractError(f"class {cls.label!r} has no packet generators")
-        min_len = 40 if cls.proto is Proto.TCP else 28
-        server = ((192 << 24) | (168 << 16) | (cls_idx << 8) | 1, cls.server_port)
-        where = f"classes[{cls_idx}].packets"
-        for _ in range(cls.flows):
-            drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
-            if not drawn <= _MAX_COUNT:
-                raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
-                                  f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
-            count = int(round(drawn))
-            drawn_packets += count  # a normal or exponential count may pass the parsed budget
-            if 3 * drawn_packets > _MAX_DRAWS:
-                raise FormatError(f"{where}.count: drew {drawn_packets} packets, past the "
-                                  f"spec's budget of {_MAX_DRAWS} draws")
-            sizes = np.clip(
-                np.round(cls.pkt_size.draw(rng, count)), min_len, _MAX_PKT_LEN
-            ).astype(int)
-            # A gap past the horizon alone overflows it; clipping first keeps the sum finite.
-            iat = np.minimum(cls.iat.draw(rng, max(count - 1, 1)), _MAX_TS_S)
-            gaps_us = np.maximum(np.round(iat * 1e6), 0)[: count - 1]
-            start = _BASE_EPOCH_US + int(rng.uniform(0, _START_WINDOW_S) * 1e6)
-            if not start + gaps_us.sum() < _MAX_TS_S * 1e6:
-                raise FormatError(f"{where}.iat: packet times pass the 32-bit seconds "
-                                  f"of the pcap format (year 2106)")
-            ts = start + np.concatenate(([0], np.cumsum(gaps_us.astype(np.int64))))
-            forward = np.concatenate(([True], rng.random(count - 1) < 0.5))
-            flags = _flow_flags(forward) if cls.proto is Proto.TCP else np.zeros(count, np.uint8)
-            client = ((10 << 24) + serial + 1, 40000 + serial % 20000)
-            src = np.where(forward[:, None], client, server)  # (ip, port) of each packet
-            dst = np.where(forward[:, None], server, client)
-            parts.append((ts, src[:, 0], dst[:, 0], src[:, 1], dst[:, 1], np.full(count, cls.proto),
-                          sizes, flags, np.zeros(count, np.uint8)))
-            low, high = sorted((client, server))
-            labels.append(LabelRow(FlowKey(*low, *high, cls.proto), int(ts[0]), cls.label))
-            serial += 1
-    columns = [np.concatenate(column) for column in zip(*parts)]
+    flows: list[tuple] = []  # each flow's class, count, start, and size, gap and direction draws
+    drawn_packets, refused = 0, None
+    try:
+        for cls_idx, cls in enumerate(spec.classes):
+            if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
+                raise ContractError(f"class {cls.label!r} has no packet generators")
+            where = f"classes[{cls_idx}].packets"
+            for _ in range(cls.flows):
+                drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
+                if not drawn <= _MAX_COUNT:
+                    raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
+                                      f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
+                count = int(round(drawn))
+                drawn_packets += count  # a normal or exponential count may pass the parsed budget
+                if 3 * drawn_packets > _MAX_DRAWS:
+                    raise FormatError(f"{where}.count: drew {drawn_packets} packets, past the "
+                                      f"spec's budget of {_MAX_DRAWS} draws")
+                sizes = cls.pkt_size.draw(rng, count)
+                iat = cls.iat.draw(rng, max(count - 1, 1))[: count - 1]
+                start = _BASE_EPOCH_US + int(rng.uniform(0, _START_WINDOW_S) * 1e6)
+                flows.append((cls_idx, count, start, sizes, iat, rng.random(count - 1) < 0.5))
+    except (ContractError, FormatError) as exc:
+        refused = exc
+    if not flows:
+        raise refused or ContractError("the spec draws no flows")
+
+    cls_of, counts, starts, sizes, iat, coins = zip(*flows)
+    cls_of, counts, starts = np.array(cls_of), np.array(counts), np.array(starts)
+    firsts = np.cumsum(counts) - counts  # each flow's first packet
+    n = int(counts.sum())
+    later = np.ones(n, bool)
+    later[firsts] = False  # every packet after its flow's first
+    # Each packet's gap after the one before it, in µs; a gap past the horizon
+    # alone overflows it, and clipping first keeps the sums finite.
+    gaps_us = np.zeros(n)
+    gaps_us[later] = np.maximum(np.round(np.minimum(np.concatenate(iat), _MAX_TS_S) * 1e6), 0)
+    spans = np.add.reduceat(gaps_us, firsts)  # whole µs: exact below 2**53, as a sum() is
+    late = np.flatnonzero(~(starts + spans < _MAX_TS_S * 1e6))
+    if late.size:
+        raise FormatError(f"classes[{cls_of[late[0]]}].packets.iat: packet times pass the "
+                          f"32-bit seconds of the pcap format (year 2106)")
+    if refused:
+        raise refused
+
+    flow = np.repeat(np.arange(len(flows)), counts)
+    forward = np.ones(n, bool)
+    forward[later] = np.concatenate(coins)
+    # One cumsum, every partial sum a stamp: a flow's first step runs from
+    # the previous flow's last stamp to its own start.
+    steps = gaps_us.astype(np.int64)
+    steps[firsts] = starts - np.concatenate(([0], (starts + spans.astype(np.int64))[:-1]))
+    # TCP: the client's SYN, the server's SYN-ACK on its first packet, a FIN-ACK
+    # on each side's last packet after those, and ACK on the rest.  A flow the
+    # server never answers writes its server's flags to a spare last slot.
+    pos = np.arange(n)
+    flags = np.full(n + 1, TCP_ACK, np.uint8)
+    flags[np.maximum.reduceat(np.where(forward, pos, -1), firsts)] = TCP_FIN | TCP_ACK
+    flags[firsts] = TCP_SYN
+    flags[np.maximum.reduceat(np.where(forward, -1, pos), firsts)] = TCP_FIN | TCP_ACK
+    flags[np.minimum.reduceat(np.where(forward, n, pos), firsts)] = TCP_SYN | TCP_ACK
+    ports, protos = np.array([(cls.server_port, cls.proto) for cls in spec.classes]).T
+    proto = protos[cls_of][flow]
+    flags = np.where(proto == Proto.TCP, flags[:n], np.uint8(0))
+    serial = np.arange(len(flows))
+    client = np.stack(((10 << 24) + serial + 1, 40000 + serial % 20000))  # (ip, port) per flow
+    server = np.stack(((192 << 24) | (168 << 16) | (cls_of << 8) | 1, ports[cls_of]))
+    src = np.where(forward, client[:, flow], server[:, flow])
+    dst = np.where(forward, server[:, flow], client[:, flow])
+    length = np.clip(np.round(np.concatenate(sizes)), np.where(proto == Proto.TCP, 40, 28),
+                     _MAX_PKT_LEN).astype(int)
+    columns = (np.cumsum(steps), src[0], dst[0], src[1], dst[1], proto, length, flags,
+               np.zeros(n, np.uint8))
+    classes = [spec.classes[c] for c in cls_of.tolist()]
+    ends = zip(zip(*client.tolist()), zip(*server.tolist()))  # each flow's (client, server)
+    labels = [LabelRow(FlowKey(*min(pair), *max(pair), cls.proto), start, cls.label)
+              for cls, start, pair in zip(classes, starts.tolist(), ends)]
     order = np.argsort(columns[0], kind="stable")
     return PacketTable(*(column[order] for column in columns)), labels

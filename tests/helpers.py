@@ -81,6 +81,7 @@ from flowident.ingest.netflow import EncodingError, MalformedDatagramError, Unsu
 from flowident.ingest.pcap import PcapDecodeError
 from flowident.sampling import FlowTrace, Metric, ReportRow, SamplingConfig, SamplingReport
 from flowident.selection import RemovedFeature, SelectionResult, check_bins
+from flowident import synth
 from flowident.synth import (
     _BASE_EPOCH_US,
     _MAX_COUNT,
@@ -1213,11 +1214,12 @@ def _flow_flags_oracle(proto: Proto, count: int, directions: list[bool]) -> list
 
 def generate_packets_oracle(spec: SynthSpec) -> tuple[list[PacketRecord], list[LabelRow]]:
     """Generate a time-ordered capture and the matching flow labels, one
-    validated PacketRecord at a time."""
+    validated PacketRecord at a time.  The draw budget is read from the
+    synth module at each call, so a test may lower it."""
     rng = np.random.default_rng(spec.seed)
     packets: list[PacketRecord] = []
     labels: list[LabelRow] = []
-    serial = 0
+    serial = drawn_packets = 0
     for cls_idx, cls in enumerate(spec.classes):
         if cls.pkt_count is None or cls.pkt_size is None or cls.iat is None:
             raise ContractError(f"class {cls.label!r} has no packet generators")
@@ -1230,6 +1232,10 @@ def generate_packets_oracle(spec: SynthSpec) -> tuple[list[PacketRecord], list[L
                 raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
                                   f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")
             count = int(round(drawn))
+            drawn_packets += count
+            if 3 * drawn_packets > synth._MAX_DRAWS:
+                raise FormatError(f"{where}.count: drew {drawn_packets} packets, past the "
+                                  f"spec's budget of {synth._MAX_DRAWS} draws")
             sizes = np.clip(
                 np.round(cls.pkt_size.draw(rng, count)), min_len, _MAX_PKT_LEN
             ).astype(int)

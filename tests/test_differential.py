@@ -22,7 +22,7 @@ the per-flow one gave: the feature matrix the per-record formulas' bits, the
 dataset writer the per-cell and per-row writers' bytes, and the label reader, on valid
 and damaged label files, the rows and lookups or the error message of the
 ``ipaddress`` parser.  The columnar generator must draw the records and
-labels of the per-packet one, and the columnar pcap writer must write the
+labels of the per-packet one, or raise its first error, and the columnar pcap writer must write the
 bytes of the ``struct`` writer.  The feature filter, binning and ranking each
 feature once, must write the selection document of the filter that ran
 ``np.unique`` in every SU call.
@@ -31,12 +31,13 @@ feature once, must write the selection document of the filter that ran
 import copy
 import csv
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowident.sampling as sampling
+import flowident.synth as synth
 from flowident.classifier import (
     VARIANCE_FLOOR,
     ClassifierModel,
@@ -1526,6 +1528,109 @@ def test_generate_packets_equals_the_per_packet_generator(seed, proto, count):
     want_packets, want_labels = generate_packets_oracle(spec)
     assert table.records() == want_packets
     assert labels == want_labels
+
+
+def generated(generate, spec, budget=None):
+    """What ``generate`` makes of ``spec`` under a draw budget of ``budget``
+    (the library's by default): its output, or its error's type and message."""
+    with mock.patch.object(synth, "_MAX_DRAWS", budget or synth._MAX_DRAWS):
+        try:
+            return generate(spec)
+        except (ContractError, FormatError) as exc:
+            return type(exc), str(exc)
+
+
+# The dtypes generate_packets has always returned: the oracle's PacketRecords have none.
+GENERATED_DTYPES = {**{field.name: np.int64 for field in fields(PacketTable)},
+                    "tcp_flags": np.uint8, "tos": np.uint8}
+
+
+def assert_same_capture(got, want):
+    """``got`` from generate_packets equals ``want`` from its oracle: the nine
+    columns in value and dtype and the label rows, or the error."""
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    (table, labels), (want_packets, want_labels) = got, want
+    want_table = PacketTable.from_records(want_packets)
+    for name, dtype in GENERATED_DTYPES.items():
+        column = getattr(table, name)
+        assert column.dtype == dtype, name
+        assert np.array_equal(column, getattr(want_table, name)), name
+    assert labels == want_labels
+
+
+def dist(kind, *params):
+    return dict(zip(("kind", *synth._DIST_PARAMS[kind]), (kind, *params)))
+
+
+SYNTH_COUNTS = [dist("fixed", 1), dist("fixed", 4), dist("uniform", 1, 6),
+                dist("uniform_int", 1, 6), dist("normal", 3, 2), dist("exponential", 3),
+                dist("normal", 3, 1e300)]  # the last mostly passes NetFlow v5's counter
+SYNTH_SIZES = [dist("fixed", 1), dist("fixed", 2000), dist("uniform", -100, 1700),
+               dist("uniform_int", 20, 1500), dist("normal", 300, 400), dist("exponential", 500)]
+SYNTH_IATS = [dist("fixed", 0), dist("fixed", 0.01), dist("uniform", 0, 0.1),
+              dist("uniform_int", 0, 2), dist("normal", 0.01, 0.05), dist("exponential", 0.02),
+              # past pcap's 32-bit seconds after 3 packets, in some flows, in every flow
+              dist("fixed", 1e9), dist("uniform", 0, 2e9), dist("exponential", 1e308)]
+
+
+@st.composite
+def synth_classes(draw):
+    cls = {"label": draw(st.sampled_from("abc")), "flows": draw(st.integers(1, 6)),
+           "proto": draw(st.sampled_from(["tcp", "udp"])), "server_port": draw(st.integers(0, 65535))}
+    if draw(st.integers(0, 9)) < 9:  # else a class with no packet generators
+        cls["packets"] = {"count": draw(st.sampled_from(SYNTH_COUNTS)),
+                          "size": draw(st.sampled_from(SYNTH_SIZES)),
+                          "iat": draw(st.sampled_from(SYNTH_IATS))}
+    return cls
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), classes=st.lists(synth_classes(), min_size=1, max_size=3,
+                                                     unique_by=lambda cls: cls["label"]),
+       budget=st.sampled_from([None, 30, 60, 150]))
+def test_generate_packets_equals_the_per_packet_generator_or_raises_its_first_error(
+        seed, classes, budget):
+    """Specs of one to three classes of every distribution kind, TCP and UDP,
+    with one-packet flows, counts past the 32-bit counter, stamps past pcap's
+    32-bit seconds, classes with no packet generators and a draw budget the
+    counts may pass (lowered after the spec is parsed)."""
+    spec = parse_synth_spec({"seed": seed, "classes": classes})
+    assert_same_capture(generated(generate_packets, spec, budget),
+                        generated(generate_packets_oracle, spec, budget))
+
+
+LATE_STAMPS = {"label": "late", "flows": 2, "proto": "tcp", "packets": {
+    "count": dist("fixed", 2), "size": dist("fixed", 100), "iat": dist("fixed", 5e9)}}
+ON_TIME = {**LATE_STAMPS, "packets": {**LATE_STAMPS["packets"], "iat": dist("fixed", 0.1)}}
+REFUSED_LATER = [  # a class refused while it is drawn or after, and the draw budget
+    ({"label": "wide", "flows": 40, "packets": {
+        "count": dist("normal", 5, 1e300), "size": dist("fixed", 100), "iat": dist("fixed", 0.1)}},
+     None, FormatError, r"classes\[1\]\.packets\.count: drew packet count .* above NetFlow"),
+    ({"label": "many", "flows": 10, "packets": {
+        "count": dist("fixed", 5), "size": dist("fixed", 100), "iat": dist("fixed", 0.1)}},
+     90, FormatError, r"classes\[1\]\.packets\.count: drew 34 packets, past the spec's budget of 90"),
+    ({"label": "bare", "flows": 1}, None, ContractError, "class 'bare' has no packet generators"),
+    ({**LATE_STAMPS, "label": "later"}, None, FormatError,
+     r"classes\[1\]\.packets\.iat: packet times pass the 32-bit seconds"),
+]
+
+
+@pytest.mark.parametrize("later, budget, error, message", REFUSED_LATER)
+def test_a_flows_late_stamps_are_refused_before_a_later_flows_count(later, budget, error, message):
+    """Flow 0's stamps pass 2**32 s and a later class is refused: the stamp
+    error, the first in draw order, is the one raised."""
+    refused = parse_synth_spec({"classes": [ON_TIME, later]})
+    got = generated(generate_packets, refused, budget)
+    assert got[0] is error and re.match(message, got[1])
+    assert generated(generate_packets_oracle, refused, budget) == got
+    both = parse_synth_spec({"classes": [LATE_STAMPS, later]})
+    want = (FormatError, "classes[0].packets.iat: packet times pass the 32-bit seconds of "
+                         "the pcap format (year 2106)")
+    assert generated(generate_packets, both, budget) == want
+    assert generated(generate_packets_oracle, both, budget) == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -1,6 +1,7 @@
 """Packet records, canonical keys, and flow aggregation."""
 
 import dataclasses
+import ipaddress
 import sys
 
 import numpy as np
@@ -30,6 +31,17 @@ def test_ip_string_conversions():
     assert str_to_ip("10.0.0.1") == (10 << 24) + 1
     assert ip_to_str((192 << 24) | (168 << 16) | 5) == "192.168.0.5"
     assert str_to_ip(ip_to_str(0xFFFFFFFF)) == 0xFFFFFFFF
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_ip_to_str_writes_the_dotted_quad_of_ipaddress(value):
+    assert ip_to_str(value) == str(ipaddress.IPv4Address(value))
+
+
+@pytest.mark.parametrize("value", [-1, 2**32, 2**64])
+def test_ip_to_str_refuses_values_outside_32_bits(value):
+    with pytest.raises(ValueError, match=r"is not an IPv4 address: it is outside 0\.\.2\*\*32-1"):
+        ip_to_str(value)
 
 
 def canonical_rows(endpoints):

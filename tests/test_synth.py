@@ -1,16 +1,21 @@
 """Seeded synthetic workload generation."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowident.cli import main
 from flowident.errors import ContractError, FormatError
 from flowident.features import FEATURE_NAMES
-from flowident.flow import Proto, aggregate
+from flowident.flow import PacketTable, Proto, aggregate
 from flowident import synth
+from flowident.ingest.labels import write_labels
 from flowident.ingest.pcap import write_pcap
 from flowident.synth import (
     SynthSpec,
@@ -152,6 +157,21 @@ def test_parse_defaults():
 def test_parse_errors(doc, message):
     with pytest.raises(FormatError, match=message):
         parse_synth_spec(doc)
+
+
+@pytest.mark.parametrize("label", ["", None, 5])
+def test_a_class_label_must_be_a_non_empty_string(tmp_path, capsys, label):
+    """An empty label would reach the dataset CSV as an empty cell, which
+    read_dataset reads as an unlabeled row: the spec is refused instead."""
+    doc = {"classes": [{"label": "a", "flows": 2}, {"label": label, "flows": 3}]}
+    with pytest.raises(FormatError) as exc_info:
+        parse_synth_spec(doc)
+    assert str(exc_info.value) == "classes[1]: label must be a non-empty string"
+    spec, out = tmp_path / "spec.json", tmp_path / "ds.csv"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", str(spec), "--out-dataset", str(out)]) == 1
+    assert "classes[1]: label must be a non-empty string" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spec_draws_past_the_budget_are_refused_naming_the_class(monkeypatch):
@@ -383,3 +403,25 @@ def test_spec_dataclass_holds_parsed_values():
     spec = parse_synth_spec(TWO_CLASS_DOC)
     assert isinstance(spec, SynthSpec)
     assert spec.classes[0].iat.kind == "exponential"
+
+
+# demo_spec.json with every class's flows x50, drawn in memory: one sha256 over
+# each PacketTable column's dtype string and bytes in field order, and one over
+# the label CSV that write_labels writes.
+DEMO_X50_COLUMNS_SHA256 = "9c23dd4d9fb261b79413524fb6a8c3b4d70c3879591afa421e42d2ee5a105ed7"
+DEMO_X50_LABELS_SHA256 = "97ed5aa53c7a0bfb29c4662dee423b60df4653f243e635815a1db825eca2c1ab"
+
+
+def test_demo_spec_x50_draws_the_pinned_columns_and_labels(tmp_path):
+    doc = json.loads((Path(__file__).parent / "fixtures" / "demo_spec.json").read_text(encoding="utf-8"))
+    doc["classes"] = [dict(cls, flows=cls["flows"] * 50) for cls in doc["classes"]]
+    table, labels = generate_packets(parse_synth_spec(doc))
+    assert (len(table), len(labels)) == (100_855, 4_000)
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(PacketTable):
+        column = getattr(table, field.name)
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == DEMO_X50_COLUMNS_SHA256
+    write_labels(tmp_path / "labels.csv", labels)
+    assert hashlib.sha256((tmp_path / "labels.csv").read_bytes()).hexdigest() == DEMO_X50_LABELS_SHA256
