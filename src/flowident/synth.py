@@ -291,7 +291,8 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
     if refused:
         raise refused
 
-    flow = np.repeat(np.arange(len(flows)), counts)
+    serial = np.arange(len(flows))
+    flow = np.repeat(serial, counts)
     forward = np.ones(n, bool)
     forward[later] = np.concatenate(coins)
     # One cumsum, every partial sum a stamp: a flow's first step runs from
@@ -310,7 +311,6 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
     ports, protos = np.array([(cls.server_port, cls.proto) for cls in spec.classes]).T
     proto = protos[cls_of][flow]
     flags = np.where(proto == Proto.TCP, flags[:n], np.uint8(0))
-    serial = np.arange(len(flows))
     client = np.stack(((10 << 24) + serial + 1, 40000 + serial % 20000))  # (ip, port) per flow
     server = np.stack(((192 << 24) | (168 << 16) | (cls_of << 8) | 1, ports[cls_of]))
     src = np.where(forward, client[:, flow], server[:, flow])
