@@ -274,7 +274,7 @@ def write_dataset(ds: Dataset, path) -> None:
     columns.append([labels[code] for code in ds.codes.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(_CSV_HEADER)
-        fh.writelines(row % cells for cells in zip(*columns))
+        fh.write("".join([row % cells for cells in zip(*columns)]))
 
 
 _ROW = np.dtype([("values", np.float64, (NUM_FEATURES,)), ("label", object)])

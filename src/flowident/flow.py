@@ -122,17 +122,16 @@ class FlowKey:
 
 
 def canonical_columns(ip_a, port_a, ip_b, port_b, proto):
-    """The canonical key of endpoints a and b over int64 columns: the key's
-    five columns, whether each row travels forward (a is the key's low
-    endpoint: smaller IP, then port), and the key packed into two integers
-    that sort as :meth:`FlowKey.sort_tuple` does.  Both orders of the same
-    two endpoints give the same key."""
-    forward = (ip_a < ip_b) | ((ip_a == ip_b) & (port_a <= port_b))
-    key = (
-        np.where(forward, ip_a, ip_b), np.where(forward, port_a, port_b),
-        np.where(forward, ip_b, ip_a), np.where(forward, port_b, port_a), proto,
-    )
-    return key, forward, (key[0] << 16 | key[1], key[2] << 24 | key[3] << 8 | key[4])
+    """The canonical key of endpoints a and b over int64 columns, ports in
+    0..65535: the key's five columns, whether each row travels forward (a is
+    the key's low endpoint: smaller IP, then port), and the key packed into
+    two integers that sort as :meth:`FlowKey.sort_tuple` does.  Both orders
+    of the same two endpoints give the same key."""
+    a, b = ip_a << 16 | port_a, ip_b << 16 | port_b  # endpoints that compare as (ip, port)
+    forward = a <= b
+    low, high = np.where(forward, a, b), np.where(forward, b, a)
+    key = (low >> 16, low & _U16, high >> 16, high & _U16, proto)
+    return key, forward, (low, high << 8 | proto)
 
 
 def is_complete(flags: np.ndarray) -> np.ndarray:

@@ -9,20 +9,25 @@ capture can carry a different label.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from ..errors import FormatError
-from ..files import csv_rows
-from ..flow import FlowKey, FlowTable, ip_to_str, str_to_ip
+from ..files import csv_body, csv_rows
+from ..flow import FlowKey, FlowTable, canonical_columns, ip_to_str, str_to_ip
 
 HEADER = ("ip_lo", "port_lo", "ip_hi", "port_hi", "proto", "first_ts", "label")
 
-_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
-# The dotted quads ipaddress accepts: four octets in 0..255, no leading zero.
-_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
 _PROTO_NAMES = {"TCP": 6, "6": 6, "UDP": 17, "17": 17}
+# Rows NumPy reads as the walk does: quads as ipaddress takes them, plain decimal ports,
+# stamps below 10^18, an exact protocol, and no CSV syntax or NumPy blank in a label.
+_QUAD = r"\.".join(["(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4)
+_PORT = "(?:0|[1-9][0-9]{0,4})"
+_CANONICAL = re.compile(rf"(?:{_QUAD},{_PORT},{_QUAD},{_PORT},(?:TCP|UDP|6|17),"
+                        rf"(?:0|[1-9][0-9]{{0,17}}),[^,\"\r\n\x00\x1c-\x1f]*\r?\n)+")
 
 
 class LabelFileError(FormatError):
@@ -56,29 +61,34 @@ class LabelFile:
         return list(map(self._index.get, zip(*(column.tolist() for column in columns))))
 
 
-def _parse_ip(text: str) -> int:
-    """A dotted quad as an int; any other text goes to ipaddress, which
-    refuses it with its own message."""
-    quad = _DOTTED_QUAD.fullmatch(text)
-    if quad is None:
-        return str_to_ip(text)
-    a, b, c, d = map(int, quad.groups())
-    return a << 24 | b << 16 | c << 8 | d
-
-
 def load_labels(path) -> LabelFile:
     """Parse a label CSV; errors carry the offending line number.
 
     Endpoints are canonicalised on read and duplicated (key, first_ts) rows
-    are rejected.
+    are rejected.  A body of canonical rows is read by one ``np.loadtxt``
+    call; any other, or one failing a column check, is walked row by row.
     """
-    index: dict[tuple[int, ...], str] = {}
+    body = csv_body(path, HEADER, LabelFileError)
+    if _CANONICAL.fullmatch(body):
+        # Dots to commas: 12 integer fields lead each row, whatever dots its label holds.
+        fields = np.loadtxt(
+            io.StringIO(body.replace(".", ",").replace(",TCP,", ",6,").replace(",UDP,", ",17,")),
+            dtype=np.int64, delimiter=",", usecols=range(12), comments=None, ndmin=2)
+        ips = fields[:, [0, 1, 2, 3, 5, 6, 7, 8]].reshape(-1, 2, 4) @ [1 << 24, 1 << 16, 1 << 8, 1]
+        if (ports := fields[:, [4, 9]]).max() <= 0xFFFF:
+            key, _, _ = canonical_columns(ips[:, 0], ports[:, 0], ips[:, 1], ports[:, 1], fields[:, 10])
+            rows = body.replace("\r", "").split("\n")[:-1]
+            labels = (row.rpartition(",")[2] for row in rows)  # a label holds no comma
+            index = dict(zip(zip(*(column.tolist() for column in (*key, fields[:, 11]))), labels))
+            # Else a duplicate, or a field past the csv module's limit: the walk names it.
+            if len(index) == len(rows) and max(map(len, rows)) <= csv.field_size_limit():
+                return LabelFile(index)
+    index = {}
     starts = []  # each indexed row's first line, in index order
-    parse_ip = lru_cache(maxsize=None)(_parse_ip)  # server addresses repeat from row to row
     for line, row in csv_rows(path, HEADER, LabelFileError):
         try:
-            ip_a, port_a = parse_ip(row[0]), int(row[1])
-            ip_b, port_b = parse_ip(row[2]), int(row[3])
+            ip_a, port_a = str_to_ip(row[0]), int(row[1])
+            ip_b, port_b = str_to_ip(row[2]), int(row[3])
             first_ts = int(row[5])
         except ValueError as exc:
             raise LabelFileError(f"{path}: line {line}: {exc}") from None

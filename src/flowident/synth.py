@@ -41,9 +41,10 @@ class Dist:
     kind: str
     params: tuple[float, ...]
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
+        """``size`` values, or one without ``size``: the same draws either way."""
         if self.kind == "fixed":
-            return np.full(size, self.params[0])
+            return self.params[0] if size is None else np.full(size, self.params[0])
         if self.kind == "uniform":
             return rng.uniform(self.params[0], self.params[1], size)
         if self.kind == "uniform_int":
@@ -255,7 +256,7 @@ def generate_packets(spec: SynthSpec) -> tuple[PacketTable, list[LabelRow]]:
                 raise ContractError(f"class {cls.label!r} has no packet generators")
             where = f"classes[{cls_idx}].packets"
             for _ in range(cls.flows):
-                drawn = max(float(cls.pkt_count.draw(rng, 1)[0]), 1.0)
+                drawn = max(float(cls.pkt_count.draw(rng)), 1.0)
                 if not drawn <= _MAX_COUNT:
                     raise FormatError(f"{where}.count: drew packet count {drawn!r}, above "
                                       f"NetFlow v5's 32-bit counter ({_MAX_COUNT})")

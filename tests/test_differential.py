@@ -1373,36 +1373,50 @@ BAD_IPS = ("10.1", "01.2.3.4", "1.2.3.256", "1.2.3", "1.2.3.4.5", " 1.2.3.4", "1
 GOOD_IPS = ("0.0.0.0", "255.255.255.255", "10.0.0.1", "192.168.0.1", "1.2.3.4", "100.20.3.0")
 BAD_INTS = ("-1", "65536", "80.0", " 80", "+80", "8_0", "x", "", "1e3", "٨٠",
             str(2**64), "-0")
-PROTOS = ("TCP", "tcp", " UDP ", "6", "17", "Tcp", "icmp", "", "06", "udp\t")
+PROTOS = ("TCP", "UDP", "6", "17", "tcp", " UDP ", "Tcp", "icmp", "", "06", "udp\t")
+LOOSE_INTS = ("+443", "0443", " 443", "443 ")  # int() reads them
+# Labels load_labels' gate passes: free text and characters that NumPy strips as
+# white space or that str.splitlines() takes for a line break, and csv does not.
+GATE_LABELS = ("web", "bulk", "", "v1.2", "a.b.c.", ".", "\x0b", "\x0c", "a\u2028b", "\x85",
+               " web", "web ", "\tweb\t", "mixed-#;")
+# Labels it sends to the row walk: CSV syntax, NUL and \x1c-\x1f.
+WALK_LABELS = ("a,b", 'say "hi"', "two\nlines", "\x1c", "x\x1dy", "\x1e", "\x1f", "a\x00b")
 
 
 @st.composite
 def label_files(draw):
-    """The text of a label CSV: valid rows, some spelled loosely, then a few
-    semantic mutations (addresses, ports, stamps, protocols, field counts,
-    duplicate keys, quoted labels)."""
+    """The text of a label CSV: valid rows the gate passes, then a few
+    mutations (addresses, ports, stamps, protocols, labels, field counts,
+    duplicate keys, no final line end), many of them valid rows spelled so
+    that the row walk reads them."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         rows.append([
             draw(st.sampled_from(GOOD_IPS)), str(draw(st.integers(0, 65535))),
             draw(st.sampled_from(GOOD_IPS)), str(draw(st.integers(0, 65535))),
-            draw(st.sampled_from(PROTOS[:6])), str(draw(st.integers(0, 2**62))),
-            draw(st.sampled_from(("web", "bulk", "", "a,b", 'say "hi"', "two\nlines"))),
+            draw(st.sampled_from(PROTOS[:4])), str(draw(st.integers(0, 10**18 - 1))),
+            draw(st.sampled_from(GATE_LABELS)),
         ])
     for _ in range(draw(st.integers(0, 3))):
         if not rows:
             break
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        kind = draw(st.sampled_from(("ip", "port", "stamp", "proto", "fields", "duplicate")))
+        kind = draw(st.sampled_from(
+            ("ip", "port", "stamp", "proto", "label", "fields", "duplicate")))
         if kind == "ip":
             row[draw(st.sampled_from((0, 2)))] = draw(st.sampled_from(BAD_IPS + GOOD_IPS))
         elif kind == "port":
-            row[draw(st.sampled_from((1, 3)))] = draw(st.sampled_from(BAD_INTS))
+            row[draw(st.sampled_from((1, 3)))] = draw(st.sampled_from(BAD_INTS + LOOSE_INTS))
         elif kind == "stamp":
             if len(row) > 5:  # two "fields" pops may have taken the stamp away
-                row[5] = draw(st.sampled_from(BAD_INTS + (str(2**63), "0")))
+                row[5] = draw(st.one_of(
+                    st.sampled_from(BAD_INTS + (str(2**63), "0", "00")),
+                    st.integers(10**18, 2**63 - 1).map(str)))  # 19 digits, in range
         elif kind == "proto":
             row[4] = draw(st.sampled_from(PROTOS))
+        elif kind == "label":
+            if len(row) > 6:
+                row[6] = draw(st.sampled_from(WALK_LABELS))
         elif kind == "fields":
             if draw(st.booleans()):
                 row.pop()
@@ -1414,13 +1428,46 @@ def label_files(draw):
                 twin[0:4] = twin[2:4] + twin[0:2]  # the same key, endpoints swapped
             rows.insert(draw(st.integers(0, len(rows))), twin)
     buffer = io.StringIO()
-    csv.writer(buffer).writerows([HEADER] + rows)
-    return buffer.getvalue()
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    csv.writer(buffer, lineterminator=end).writerows([HEADER] + rows)
+    text = buffer.getvalue()
+    return text[: -len(end)] if draw(st.integers(0, 3)) == 3 else text  # no final line end
+
+
+def label_text(*rows, end="\n"):
+    """A label CSV of a header and these rows, each ended by ``end``."""
+    return "".join(line + end for line in (",".join(HEADER),) + rows)
 
 
 @settings(max_examples=500, deadline=None)
 @given(label_files())
 @example("ip_lo,port_lo,ip_hi,port_hi,proto,first_ts,label\n10.1,1,2.3.4.5,2,TCP,1,a\n")
+@example(label_text("10.0.0.2,5000,10.0.0.1,80,TCP,1000000,web",
+                    "0.0.0.0,0,255.255.255.255,65535,UDP,0,",
+                    "192.168.0.1,443,10.0.0.1,40000,6,999999999999999999,dns"))
+@example(label_text("10.0.0.2,5000,10.0.0.1,80,17,7,web", "1.2.3.4,1,1.2.3.4,0,TCP,7,bulk", end="\r\n"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,1,web",
+                    "10.0.0.1,80,10.0.0.2,5000,TCP,2,bulk")[:-1])
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,1,v1.2.3",
+                    "10.0.0.1,80,10.0.0.2,5000,TCP,2,.",
+                    "10.0.0.1,80,10.0.0.2,5000,TCP,3,a.b.c.d.e.f.g.h.i.j.k.l.m"))
+@example(label_text(*(f"10.0.0.1,80,10.0.0.2,5000,TCP,{ts},{label}" for ts, label in enumerate(
+    ('"a,b"', '"say ""hi"""', "\x1c", "x\x1dy", "\x1e", "\x1f", "\x0b", "\x0c", "a\u2028b",
+     " web", "web ", "\x85", "a\x00b")))))
+@example(label_text("10.0.0.1,+443,10.0.0.2,5000,TCP,1,web"))
+@example(label_text("10.0.0.1,443,10.0.0.2,0443,TCP,1,web"))
+@example(label_text("10.0.0.1, 443,10.0.0.2,5000,TCP,1,web", end="\r\n"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,1,web", "10.0.0.1,80,10.0.0.2,65536,TCP,2,web"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,tcp,1,web", "10.0.0.1,80,10.0.0.2,5000,udp,1,web"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,9223372036854775807,web",
+                    "10.0.0.1,80,10.0.0.2,5000,TCP,1000000000000000000,web"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,1,web",
+                    "10.0.0.1,80,10.0.0.2,5000,TCP,9223372036854775808,a"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,0,web", "10.0.0.2,5000,10.0.0.1,80,TCP,0,bulk"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,0,web", "10.0.0.1,80,10.0.0.2,5000,UDP,0,web",
+                    "10.0.0.2,5000,10.0.0.1,80,6,0,bulk", end="\r\n"))
+@example(label_text("10.0.0.1,80,10.0.0.2,5000,TCP,0," + "w" * 131_073))  # past csv's field limit
+@example(label_text())
 def test_load_labels_equals_the_ipaddress_parser(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.csv"

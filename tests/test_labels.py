@@ -1,7 +1,10 @@
 """Label-file parsing, canonicalisation, and lookup."""
 
+import warnings
+
 import pytest
 
+import flowident.ingest.labels as labels_module
 from flowident.flow import FlowKey, Proto
 from flowident.ingest.labels import (
     HEADER,
@@ -160,6 +163,36 @@ def test_range_limits_are_accepted(tmp_path):
     first, last = label_rows(load_labels(path))
     assert first.key == last.key == FlowKey(ip("10.0.0.1"), 0, ip("10.0.0.2"), 65535, Proto.UDP)
     assert (first.first_ts, last.first_ts) == (0, 2**63 - 1)
+
+
+def test_a_canonical_body_is_read_without_the_row_walk(tmp_path, monkeypatch):
+    def walk(*_):
+        raise AssertionError("the row walk read a canonical body")
+
+    monkeypatch.setattr(labels_module, "csv_rows", walk)
+    path = tmp_path / "labels.csv"
+    path.write_bytes((",".join(HEADER) + "\r\n"
+                      "10.0.0.2,5000,10.0.0.1,80,TCP,1000000,v1.2.3\r\n"
+                      "10.0.0.3,53,10.0.0.4,40000,17,0,\x0b dns\u2028\n"
+                      "10.0.0.1,80,10.0.0.2,5000,6,999999999999999999,\n").encode())
+    assert label_rows(load_labels(path)) == [
+        LabelRow(KEY, 1_000_000, "v1.2.3"),
+        LabelRow(UDP_KEY, 0, "\x0b dns\u2028"),
+        LabelRow(KEY, 10**18 - 1, ""),
+    ]
+
+
+def test_a_header_only_file_loads_empty_without_a_warning(tmp_path, monkeypatch):
+    def loadtxt(*_, **__):
+        raise AssertionError("np.loadtxt read an empty body")
+
+    monkeypatch.setattr(labels_module.np, "loadtxt", loadtxt)
+    for text in (",".join(HEADER), ",".join(HEADER) + "\n", ",".join(HEADER) + "\r\n"):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_labels(path)) == 0
 
 
 def test_lookup_hit_and_miss():

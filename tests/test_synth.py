@@ -405,6 +405,23 @@ def test_spec_dataclass_holds_parsed_values():
     assert spec.classes[0].iat.kind == "exponential"
 
 
+@pytest.mark.parametrize("dist", [
+    synth.Dist("fixed", (7.0,)),
+    synth.Dist("uniform", (0.5, 3.0)),
+    synth.Dist("uniform_int", (20.0, 60.0)),
+    synth.Dist("normal", (40.0, 12.0)),
+    synth.Dist("exponential", (0.25,)),
+])
+def test_a_one_value_draw_takes_the_same_draws_as_a_one_element_array(dist):
+    """Without ``size``, ``draw`` gives the value that ``size=1`` puts in its
+    array and leaves the generator where ``size=1`` leaves it."""
+    for seed in range(50):
+        one, array = np.random.default_rng(seed), np.random.default_rng(seed)
+        value = dist.draw(one)
+        assert np.ndim(value) == 0 and float(value) == dist.draw(array, 1)[0]
+        assert one.random() == array.random()
+
+
 # demo_spec.json with every class's flows x50, drawn in memory: one sha256 over
 # each PacketTable column's dtype string and bytes in field order, and one over
 # the label CSV that write_labels writes.
